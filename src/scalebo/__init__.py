@@ -27,7 +27,7 @@ from .baselines import (
     parabolic_interpolation,
 )
 from .driver import BoConfig, BoTrace, initial_design, point_estimate, run
-from .glm import GlmFit, GlmPosteriorSample, LogDataset, fit, ingest, predict, sample_posterior
+from .glm import GlmFit, LogDataset, fit, ingest, predict, sample_posterior
 from .problems import (
     ObjectiveProblem,
     build_static_fixture,
@@ -43,7 +43,6 @@ __all__ = [
     "BoConfig",
     "BoTrace",
     "GlmFit",
-    "GlmPosteriorSample",
     "LogDataset",
     "McObjective",
     "ObjectiveProblem",

@@ -35,7 +35,7 @@ _LOG_MAX = math.log(np.finfo(float).max)
 # |a| below this is treated as a flat objective (no interior optimum).
 EXPONENT_TOL = 1e-12
 
-# Per-proposal cap on redraws after degenerate or non-evaluable samples.
+# Cap on draws per proposal slot after degenerate or non-evaluable samples.
 MAX_RESAMPLE_ATTEMPTS = 100
 
 
@@ -67,28 +67,14 @@ class SurrogateObjective:
         object.__setattr__(self, "c1", self.b * self.b * math.exp(self.eps2) * math.expm1(self.eps2))
         object.__setattr__(self, "c2", self.b * math.exp(0.5 * self.eps2))
 
-    @classmethod
-    def from_sample(cls, sample: glm.GlmPosteriorSample, s0: float) -> "SurrogateObjective":
-        return cls(a=sample.a, b=math.exp(sample.ln_b), eps2=sample.eps2, s0=s0)
-
-
-@dataclass(frozen=True)
-class ThompsonProposal:
-    beta_star: float
-    f_star: float
-    source_sample: glm.GlmPosteriorSample
-
 
 @dataclass(frozen=True)
 class ThompsonBatch:
     """One synchronous batch of Thompson proposals."""
 
-    proposals: list[ThompsonProposal]
+    betas: list[float]
+    f_star: np.ndarray         # each proposal's own draw of f at the proposal
     clamped_count: int
-
-    @property
-    def betas(self) -> list[float]:
-        return [p.beta_star for p in self.proposals]
 
 
 def evaluate(obj: SurrogateObjective, beta: float) -> float:
@@ -117,26 +103,46 @@ def evaluate_on_grid(obj: SurrogateObjective, betas) -> np.ndarray:
     arr = np.asarray(betas, dtype=float)
     if arr.size and (np.any(arr <= 0) or not np.all(np.isfinite(arr))):
         raise ValueError("beta values must be finite and > 0")
-    t = obj.a * np.log(arr)
-    with np.errstate(over="ignore"):
-        mean_term = np.exp(np.log(obj.c2) + t)
-        var_term = np.exp(np.log(obj.c1) + 2.0 * t) if obj.c1 > 0 else np.zeros_like(t)
-        values = var_term + (mean_term - obj.s0) ** 2
+    values = _objective(obj.a, math.log(obj.b), obj.eps2, obj.s0, arr)
     if not np.all(np.isfinite(values)):
         raise SurrogateOverflow("objective overflows float64 on the given grid")
     return values
 
 
-def log_argmin(a: float, ln_b: float, eps2: float, s0: float) -> float:
-    """ln of the unconstrained minimizer for the given parameter triple.
+def _objective(a, ln_b, eps2, s0: float, beta) -> np.ndarray:
+    """f(beta) elementwise, formed in log space; inf or NaN where float64
+    cannot represent it."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = a * np.log(beta)
+        mean_term = np.exp(ln_b + 0.5 * eps2 + t)
+        var_term = np.exp(2.0 * (ln_b + t) + eps2 + np.log(np.expm1(eps2)))
+        return var_term + (mean_term - s0) ** 2
+
+
+def log_argmin(a, ln_b, eps2, s0: float) -> np.ndarray:
+    """ln of the unconstrained minimizer, elementwise over array arguments.
 
     Kept in log space so callers can clamp to a feasible interval before
-    exponentiating; raises :class:`DegenerateExponent` when the objective
-    has no interior optimum (a numerically zero).
+    exponentiating.  Entries whose exponent is numerically zero (no
+    interior optimum) are NaN.
     """
-    if abs(a) < EXPONENT_TOL:
-        raise DegenerateExponent(f"exponent a = {a:g} is numerically zero")
-    return (math.log(s0) - ln_b - 1.5 * eps2) / a
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ln_star = (math.log(s0) - ln_b - 1.5 * eps2) / a
+    return np.where(np.abs(a) < EXPONENT_TOL, np.nan, ln_star)
+
+
+def clamp_log(ln_beta, bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """``(beta, clamped)``: ``exp(ln_beta)`` projected in log space onto
+    ``[beta_min, beta_max]``, elementwise.  Clamped entries are exactly the
+    bound (``exp(log(60.0))`` is 59.999999999999986); NaN stays NaN."""
+    beta_min, beta_max = bounds
+    ln_lo, ln_hi = math.log(beta_min), math.log(beta_max)
+    ln_beta = np.asarray(ln_beta, dtype=float)
+    below, above = ln_beta < ln_lo, ln_beta > ln_hi
+    # exp of a log inside the bounds can still round to just outside them.
+    inside = np.clip(np.exp(np.clip(ln_beta, ln_lo, ln_hi)), beta_min, beta_max)
+    return np.where(below, beta_min, np.where(above, beta_max, inside)), below | above
 
 
 def argmin_closed_form(obj: SurrogateObjective) -> tuple[float, float]:
@@ -146,7 +152,9 @@ def argmin_closed_form(obj: SurrogateObjective) -> tuple[float, float]:
     ``beta_star = (s0 / (b * exp(1.5 eps2)))^(1/a)``; this is the unique
     interior critical point for either sign of a.
     """
-    ln_beta_star = log_argmin(obj.a, math.log(obj.b), obj.eps2, obj.s0)
+    ln_beta_star = float(log_argmin(obj.a, math.log(obj.b), obj.eps2, obj.s0))
+    if math.isnan(ln_beta_star):
+        raise DegenerateExponent(f"exponent a = {obj.a:g} is numerically zero")
     if abs(ln_beta_star) > _LOG_MAX:
         raise SurrogateOverflow(f"argmin exp({ln_beta_star:g}) is not representable")
     beta_star = math.exp(ln_beta_star)
@@ -189,55 +197,38 @@ def thompson_batch(
 ) -> ThompsonBatch:
     """Draw a synchronous batch of Thompson proposals.
 
-    Each proposal is one posterior draw mapped through the closed-form
-    argmin and clamped (in log space, so no intermediate overflow) onto
-    ``[beta_min, beta_max]``.  Draws whose exponent is numerically zero,
-    or whose objective cannot be evaluated at the clamped point, are
-    redrawn; clamping rather than rejection keeps the batch size fixed
-    and boundary proposals still carry information.
+    The batch is one block of posterior draws, each mapped through the
+    closed-form argmin and clamped (in log space, so no intermediate
+    overflow) onto ``[beta_min, beta_max]``.  Draws whose exponent is
+    numerically zero, or whose objective is not finite at the clamped
+    point, are redrawn together; clamping rather than rejection keeps the
+    batch size fixed and boundary proposals still carry information.
 
     Raises
     ------
     DegenerateVariance
         Propagated from posterior sampling when ``fit.s2`` is zero.
     ExhaustedResampling
-        More than ``MAX_RESAMPLE_ATTEMPTS`` consecutive unusable draws
-        for a single proposal slot.
+        ``MAX_RESAMPLE_ATTEMPTS`` consecutive unusable draws for a single
+        proposal slot.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     beta_min, beta_max = bounds
     if not (0 < beta_min < beta_max < math.inf):
         raise ValueError("bounds must satisfy 0 < beta_min < beta_max < inf")
-    ln_lo, ln_hi = math.log(beta_min), math.log(beta_max)
 
-    proposals: list[ThompsonProposal] = []
-    clamped = 0
-    for _ in range(batch_size):
-        for _attempt in range(MAX_RESAMPLE_ATTEMPTS):
-            sample = glm.sample_posterior(fit, 1, rng)[0]
-            try:
-                ln_star = log_argmin(sample.a, sample.ln_b, sample.eps2, s0)
-            except DegenerateExponent:
-                continue
-            if ln_star < ln_lo:
-                beta_star, was_clamped = beta_min, True
-            elif ln_star > ln_hi:
-                beta_star, was_clamped = beta_max, True
-            else:
-                beta_star, was_clamped = math.exp(ln_star), False
-            try:
-                f_star = evaluate(SurrogateObjective.from_sample(sample, s0), beta_star)
-            except (SurrogateOverflow, OverflowError, ValueError):
-                # Wild early-iteration draw (objective astronomically large in
-                # bounds, or exp(ln_b) itself unrepresentable); treat it like
-                # a degenerate draw.
-                continue
-            proposals.append(ThompsonProposal(beta_star=beta_star, f_star=f_star, source_sample=sample))
-            clamped += int(was_clamped)
-            break
-        else:
-            raise ExhaustedResampling(
-                f"{MAX_RESAMPLE_ATTEMPTS} consecutive unusable posterior draws"
-            )
-    return ThompsonBatch(proposals=proposals, clamped_count=clamped)
+    a, ln_b, eps2 = glm.sample_posterior(fit, batch_size, rng)
+    for _round in range(MAX_RESAMPLE_ATTEMPTS):
+        beta, clamped = clamp_log(log_argmin(a, ln_b, eps2, s0), bounds)
+        f_star = _objective(a, ln_b, eps2, s0, beta)
+        # NaN for a degenerate exponent; inf for a wild early-iteration draw
+        # whose objective is astronomically large in bounds.
+        unusable = ~np.isfinite(f_star)
+        if not unusable.any():
+            return ThompsonBatch(betas=beta.tolist(), f_star=f_star, clamped_count=int(clamped.sum()))
+        a[unusable], ln_b[unusable], eps2[unusable] = glm.sample_posterior(
+            fit, int(unusable.sum()), rng
+        )
+    raise ExhaustedResampling(f"{MAX_RESAMPLE_ATTEMPTS} consecutive unusable posterior draws")
+

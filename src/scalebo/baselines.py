@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -38,7 +37,7 @@ class ProbeStats:
     se: float        # standard error of that mean
     count: int
     order: int       # probe index in evaluation order
-    s_draws: Optional[np.ndarray] = None
+    s_draws: np.ndarray
 
 
 @dataclass
@@ -53,7 +52,6 @@ class McObjective:
     mc_samples: int = 1000
     seed: int = 0
     threads: int = 1
-    keep_draws: bool = True
     evaluations_used: int = field(init=False, default=0)
 
     def __post_init__(self):
@@ -84,7 +82,7 @@ class McObjective:
             se=se,
             count=g.size,
             order=len(self._cache),
-            s_draws=draws if self.keep_draws else None,
+            s_draws=draws,
         )
         self._cache[key] = stats
         self.evaluations_used += g.size

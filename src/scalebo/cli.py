@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -32,6 +33,7 @@ from pathlib import Path
 
 from . import baselines, config, diagnostics, driver, glm, problems
 from .errors import ConfigError, MismatchedProblem, ScaleboError
+from .jsonio import write_json
 
 RUN_SCHEMA = "scalebo-run/1"
 
@@ -97,21 +99,10 @@ def main(argv=None) -> int:
 def _load_run_config(args) -> config.RunConfig:
     cfg = config.load_config(args.config)
     if args.seed is not None:
-        bo = driver.BoConfig(**{**_bo_as_dict(cfg.bo), "seed": args.seed})
-        cfg = config.RunConfig(
-            seed=args.seed,
-            problem_section=cfg.problem_section,
-            bo=bo,
-            baseline=cfg.baseline,
-            out=cfg.out,
+        cfg = dataclasses.replace(
+            cfg, seed=args.seed, bo=dataclasses.replace(cfg.bo, seed=args.seed)
         )
     return cfg
-
-
-def _bo_as_dict(bo: driver.BoConfig) -> dict:
-    from dataclasses import asdict
-
-    return asdict(bo)
 
 
 def _out_dir(args, cfg, default_name: str) -> Path:
@@ -119,12 +110,6 @@ def _out_dir(args, cfg, default_name: str) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def _run_metadata(cfg: config.RunConfig, args, method: str, extra=None) -> dict:
@@ -135,13 +120,8 @@ def _run_metadata(cfg: config.RunConfig, args, method: str, extra=None) -> dict:
         "threads": args.threads,
         "problem": cfg.problem_section,
         "problem_hash": cfg.problem_hash,
-        "bo": _bo_as_dict(cfg.bo),
-        "baseline": {
-            "method": cfg.baseline.method,
-            "mc_samples": cfg.baseline.mc_samples,
-            "tol": cfg.baseline.tol,
-            "max_iter": cfg.baseline.max_iter,
-        },
+        "bo": dataclasses.asdict(cfg.bo),
+        "baseline": dataclasses.asdict(cfg.baseline),
     }
     if extra:
         doc.update(extra)
@@ -155,12 +135,12 @@ def cmd_optimize(args) -> int:
     trace = driver.run(cfg.bo, problem, threads=max(1, args.threads))
     driver.save_trace(trace, outdir / "trace.json")
     driver.trace_to_csv(trace, outdir / "trace.csv")
-    _write_json(outdir / "estimate.json", {
+    write_json(outdir / "estimate.json", {
         "beta_hat": trace.final_estimate,
         "evaluations": trace.total_evaluations,
         "wall_clock_seconds": trace.wall_clock_seconds,
     })
-    _write_json(outdir / "run.json", _run_metadata(cfg, args, "surrogate-bo", {
+    write_json(outdir / "run.json", _run_metadata(cfg, args, "surrogate-bo", {
         "stop_reason": trace.stop_reason,
     }))
     print(f"beta_hat = {trace.final_estimate:g} "
@@ -193,24 +173,22 @@ def cmd_baseline(args) -> int:
     )
     wall = time.perf_counter() - start
 
-    with open(outdir / "trace.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "beta", "s", "source"])
-        for probe in result.probes:
-            for s in probe.s_draws:
-                writer.writerow([probe.order, repr(probe.beta), repr(float(s)), "mc-probe"])
+    driver.write_trace_rows(
+        outdir / "trace.csv",
+        ((probe.order, probe.beta, s, "mc-probe") for probe in result.probes for s in probe.s_draws),
+    )
     with open(outdir / "probes.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["order", "beta", "mean", "se", "count"])
         for probe in result.probes:
             writer.writerow([probe.order, repr(probe.beta), repr(probe.mean),
                              repr(probe.se), probe.count])
-    _write_json(outdir / "estimate.json", {
+    write_json(outdir / "estimate.json", {
         "beta_hat": result.beta_hat,
         "evaluations": result.evaluations_used,
         "wall_clock_seconds": wall,
     })
-    _write_json(outdir / "run.json", _run_metadata(cfg, args, result.method, {
+    write_json(outdir / "run.json", _run_metadata(cfg, args, result.method, {
         "stop_reason": result.stop_reason,
         # The probe schedule below is this implementation's concretization:
         # golden bracketing over ln beta from the configured bounds, stopping
@@ -257,7 +235,7 @@ def cmd_compare(args) -> int:
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / "comparison.json", {
+        write_json(outdir / "comparison.json", {
             "surrogate": {"method": bo_run["method"], **bo_est},
             "baseline": {"method": base_run["method"], **base_est},
             "ratios": {
@@ -282,16 +260,8 @@ def cmd_diagnose(args) -> int:
         fit = glm.fit(data)
     else:
         try:
-            doc = json.loads(Path(args.fit).read_text(encoding="utf-8"))
-            import numpy as np
-
-            fit = glm.GlmFit(
-                coef_hat=np.asarray(doc["coef_hat"], dtype=float),
-                s2=float(doc["s2"]),
-                v_theta=np.asarray(doc["v_theta"], dtype=float),
-                dof=int(doc["dof"]),
-            )
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+            fit = glm.GlmFit.from_json_dict(json.loads(Path(args.fit).read_text(encoding="utf-8")))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot load fit from {args.fit}: {exc}") from exc
 
     outdir = _out_dir(args, None, "diagnose-run")

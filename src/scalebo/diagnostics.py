@@ -10,7 +10,6 @@ parametric families (Gaussian reference, Gamma, shifted log-normal).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -20,6 +19,7 @@ import scipy.stats
 
 from . import glm
 from .errors import DegenerateSample, InsufficientData, NoEligibleGroups
+from .jsonio import json_safe, write_json
 
 SHIFT_GRID_POINTS = 50
 
@@ -271,6 +271,8 @@ def residual_report(
 
 
 def report_to_json_dict(report: ResidualReport) -> dict:
+    """The report as strict JSON values: an undefined moment (a group too
+    small for it) becomes ``None``."""
     doc = {
         "per_beta": [asdict(g) for g in report.per_beta],
         "smoothed": [asdict(g) for g in report.smoothed],
@@ -283,13 +285,11 @@ def report_to_json_dict(report: ResidualReport) -> dict:
             "ranking": report.families.ranking,
             "fits": {name: asdict(f) for name, f in report.families.fits.items()},
         }
-    return doc
+    return json_safe(doc)
 
 
 def save_report_json(report: ResidualReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_to_json_dict(report), fh, indent=2)
-        fh.write("\n")
+    write_json(path, report_to_json_dict(report))
 
 
 def save_groups_csv(report: ResidualReport, path) -> None:

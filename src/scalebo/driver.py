@@ -17,12 +17,12 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import acquisition, glm
 from .errors import DegenerateExponent, DegenerateVariance, EvaluationFailure
+from .jsonio import json_safe, write_json
 from .problems import ObjectiveProblem
 
 TRACE_SCHEMA = "bo-trace/1"
@@ -130,12 +130,11 @@ def log_grid(beta_min: float, beta_max: float, count: int, integer_beta: bool = 
     return grid
 
 
-def initial_design(config: BoConfig, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def initial_design(config: BoConfig) -> np.ndarray:
     """Log-equispaced initial design, endpoints included.
 
-    The design is a deterministic grid (the ``rng`` argument is accepted
-    for signature stability but never consumed): a grid maximizes the
-    rank of the first fit and keeps runs reproducible.
+    The design is a deterministic grid: a grid maximizes the rank of the
+    first fit and keeps runs reproducible.
     """
     return log_grid(config.beta_min, config.beta_max, config.n0, config.integer_beta)
 
@@ -276,11 +275,13 @@ def _evaluate_all(problem, betas, eval_ss, threads, iteration):
 
 
 def _clamped_point_estimate(fit: glm.GlmFit, config: BoConfig) -> float:
-    """Point estimate projected onto the feasible interval (in log space)."""
+    """Point estimate projected onto the feasible interval (in log space);
+    raises :class:`DegenerateExponent` when a_hat is numerically zero."""
     ln_star = acquisition.log_argmin(fit.a_hat, fit.ln_b_hat, fit.s2, config.s0)
-    ln_lo, ln_hi = math.log(config.beta_min), math.log(config.beta_max)
-    beta = math.exp(min(max(ln_star, ln_lo), ln_hi))
-    return min(max(beta, config.beta_min), config.beta_max)
+    beta, _ = acquisition.clamp_log(ln_star, config.bounds)
+    if math.isnan(beta):
+        raise DegenerateExponent(f"exponent a = {fit.a_hat:g} is numerically zero")
+    return float(beta)
 
 
 def _round_into_bounds(beta: float, config: BoConfig) -> float:
@@ -293,19 +294,13 @@ def _posterior_summary(fit: glm.GlmFit, config: BoConfig, rng) -> PosteriorSumma
     if fit.s2 <= 0.0:
         pe = _clamped_point_estimate(fit, config)
         return PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0)
-    ln_lo, ln_hi = math.log(config.beta_min), math.log(config.beta_max)
-    values = []
-    for sample in glm.sample_posterior(fit, SUMMARY_DRAWS, rng):
-        try:
-            ln_star = acquisition.log_argmin(sample.a, sample.ln_b, sample.eps2, config.s0)
-        except DegenerateExponent:
-            continue
-        values.append(math.exp(min(max(ln_star, ln_lo), ln_hi)))
-    if not values:
+    ln_star = acquisition.log_argmin(*glm.sample_posterior(fit, SUMMARY_DRAWS, rng), config.s0)
+    values, _ = acquisition.clamp_log(ln_star[~np.isnan(ln_star)], config.bounds)
+    if values.size == 0:
         pe = _clamped_point_estimate(fit, config)
         return PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0)
     q025, q500, q975 = np.quantile(values, [0.025, 0.5, 0.975])
-    return PosteriorSummary(q025=float(q025), q500=float(q500), q975=float(q975), draws=len(values))
+    return PosteriorSummary(q025=float(q025), q500=float(q500), q975=float(q975), draws=int(values.size))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +308,9 @@ def _posterior_summary(fit: glm.GlmFit, config: BoConfig, rng) -> PosteriorSumma
 
 
 def trace_to_json_dict(trace: BoTrace) -> dict:
-    return {
+    """The trace as strict JSON values: a non-finite number (a rejected
+    statistic) becomes ``None``."""
+    return json_safe({
         "schema": trace.schema,
         "config": asdict(trace.config),
         "problem_label": trace.problem_label,
@@ -329,12 +326,7 @@ def trace_to_json_dict(trace: BoTrace) -> dict:
                 "betas": list(rec.betas),
                 "s_values": list(rec.s_values),
                 "rejected": rec.rejected,
-                "fit": {
-                    "coef_hat": [float(c) for c in rec.fit.coef_hat],
-                    "s2": rec.fit.s2,
-                    "v_theta": [[float(v) for v in row] for row in rec.fit.v_theta],
-                    "dof": rec.fit.dof,
-                },
+                "fit": rec.fit.to_json_dict(),
                 "beta_hat": rec.beta_hat,
                 "posterior": asdict(rec.posterior),
                 "cumulative_evaluations": rec.cumulative_evaluations,
@@ -342,16 +334,16 @@ def trace_to_json_dict(trace: BoTrace) -> dict:
             }
             for rec in trace.iterations
         ],
-    }
+    })
 
 
 def save_trace(trace: BoTrace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(trace_to_json_dict(trace), fh, indent=2)
-        fh.write("\n")
+    write_json(path, trace_to_json_dict(trace))
 
 
 def load_trace(path) -> BoTrace:
+    """Read a trace written by :func:`save_trace`; a ``null`` statistic
+    reads as NaN, and files with bare ``NaN`` tokens still load."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("schema") != TRACE_SCHEMA:
@@ -361,14 +353,9 @@ def load_trace(path) -> BoTrace:
             index=item["index"],
             source=item["source"],
             betas=[float(b) for b in item["betas"]],
-            s_values=[float(s) for s in item["s_values"]],
+            s_values=np.asarray(item["s_values"], dtype=float).tolist(),   # null -> NaN
             rejected=item["rejected"],
-            fit=glm.GlmFit(
-                coef_hat=np.asarray(item["fit"]["coef_hat"], dtype=float),
-                s2=float(item["fit"]["s2"]),
-                v_theta=np.asarray(item["fit"]["v_theta"], dtype=float),
-                dof=int(item["fit"]["dof"]),
-            ),
+            fit=glm.GlmFit.from_json_dict(item["fit"]),
             beta_hat=float(item["beta_hat"]),
             posterior=PosteriorSummary(**item["posterior"]),
             cumulative_evaluations=item["cumulative_evaluations"],
@@ -390,12 +377,18 @@ def load_trace(path) -> BoTrace:
 
 def trace_to_csv(trace: BoTrace, path) -> None:
     """Flat per-observation trace: ``iteration,beta,s,source`` rows."""
+    write_trace_rows(path, ((rec.index, beta, s, rec.source) for rec in trace.iterations
+                            for beta, s in zip(rec.betas, rec.s_values)))
+
+
+def write_trace_rows(path, rows) -> None:
+    """Write ``(iteration, beta, s, source)`` rows as the trace CSV that
+    :func:`load_trace_csv` reads (UTF-8, LF endings, floats by repr)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration", "beta", "s", "source"])
-        for rec in trace.iterations:
-            for beta, s in zip(rec.betas, rec.s_values):
-                writer.writerow([rec.index, repr(float(beta)), repr(float(s)), rec.source])
+        for iteration, beta, s, source in rows:
+            writer.writerow([iteration, repr(float(beta)), repr(float(s)), source])
 
 
 def load_trace_csv(path) -> list[tuple[int, float, float, str]]:

@@ -111,14 +111,24 @@ class GlmFit:
     def ln_b_hat(self) -> float:
         return float(self.coef_hat[1])
 
+    def to_json_dict(self) -> dict:
+        return {
+            "coef_hat": self.coef_hat.tolist(),
+            "s2": self.s2,
+            "v_theta": self.v_theta.tolist(),
+            "dof": self.dof,
+        }
 
-@dataclass(frozen=True)
-class GlmPosteriorSample:
-    """One exact joint posterior draw (a, ln_b, eps2)."""
-
-    a: float
-    ln_b: float
-    eps2: float
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "GlmFit":
+        """Inverse of :meth:`to_json_dict`; a malformed ``doc`` raises
+        ``KeyError``, ``TypeError`` or ``ValueError``."""
+        return cls(
+            coef_hat=np.asarray(doc["coef_hat"], dtype=float),
+            s2=float(doc["s2"]),
+            v_theta=np.asarray(doc["v_theta"], dtype=float),
+            dof=int(doc["dof"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -196,12 +206,15 @@ def fit(data: LogDataset) -> GlmFit:
     return GlmFit(coef_hat=coef, s2=s2, v_theta=v_theta, dof=dof)
 
 
-def sample_posterior(fit: GlmFit, count: int, rng: np.random.Generator) -> list[GlmPosteriorSample]:
+def sample_posterior(
+    fit: GlmFit, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw exact i.i.d. samples from the joint conjugate posterior.
 
-    For each draw, eps2 = dof * s2 / x with x ~ chi2(dof) (generated as
-    Gamma(dof/2, 2)), then theta ~ N(coef_hat, eps2 * V_theta) through the
-    Cholesky factor of V_theta.  The stream is consumed in a fixed order
+    Returns arrays ``(a, ln_b, eps2)`` of shape ``(count,)``, one joint
+    draw per index.  For each draw, eps2 = dof * s2 / x with x ~ chi2(dof)
+    (generated as Gamma(dof/2, 2)), then theta ~ N(coef_hat, eps2 * V_theta)
+    through the Cholesky factor of V_theta.  The stream is consumed in a fixed order
     (all chi-squared variates, then a (count, 2) block of normals), so a
     fixed seed reproduces draws bit for bit.
 
@@ -220,10 +233,7 @@ def sample_posterior(fit: GlmFit, count: int, rng: np.random.Generator) -> list[
     z = rng.standard_normal((count, NUM_COEF))
     root = np.linalg.cholesky(fit.v_theta)
     coefs = fit.coef_hat + np.sqrt(eps2)[:, None] * (z @ root.T)
-    return [
-        GlmPosteriorSample(a=float(c[0]), ln_b=float(c[1]), eps2=float(e))
-        for c, e in zip(coefs, eps2)
-    ]
+    return coefs[:, 0], coefs[:, 1], eps2
 
 
 def predict(fit: GlmFit, new_betas) -> PredictiveDistribution:

@@ -103,16 +103,15 @@ class TestAcceptance:
             coef_hat=np.array([-0.5, 0.2]), s2=1.0,
             v_theta=np.array([[0.02, -0.01], [-0.01, 0.03]]), dof=100,
         )
-        draws = glm.sample_posterior(fit_mean, 100_000, np.random.default_rng(303))
-        eps2 = np.array([d.eps2 for d in draws])
+        _, _, eps2 = glm.sample_posterior(fit_mean, 100_000, np.random.default_rng(303))
         mean_dev = abs(eps2.mean() / (100 * 1.0 / 98) - 1.0)
 
         fit_cov = glm.GlmFit(
             coef_hat=np.array([-0.5, 0.2]), s2=0.25,
             v_theta=np.array([[0.02, -0.01], [-0.01, 0.03]]), dof=20,
         )
-        draws = glm.sample_posterior(fit_cov, 100_000, np.random.default_rng(304))
-        theta = np.array([[d.a, d.ln_b] for d in draws])
+        a, ln_b, _ = glm.sample_posterior(fit_cov, 100_000, np.random.default_rng(304))
+        theta = np.column_stack([a, ln_b])
         target = (20 * 0.25 / 18) * fit_cov.v_theta
         cov_dev = float(np.max(np.abs(np.cov(theta.T) / target - 1.0)))
         report(

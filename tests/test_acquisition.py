@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalebo import acquisition, glm
 from scalebo.acquisition import SurrogateObjective
@@ -242,9 +244,9 @@ class TestThompsonBatch:
     def test_cardinality_and_bounds(self):
         fit = fitted_model(n=60)
         batch = acquisition.thompson_batch(fit, 0.1, 10, (50.0, 200.0), np.random.default_rng(1))
-        assert len(batch.proposals) == 10
+        assert len(batch.betas) == 10
         assert all(50.0 <= b <= 200.0 for b in batch.betas)
-        assert all(p.f_star >= 0.0 for p in batch.proposals)
+        assert np.all(batch.f_star >= 0.0)
 
     def test_clamp_saturation(self):
         # Near-degenerate posterior whose argmin (about 101) sits far above
@@ -285,3 +287,106 @@ class TestThompsonBatch:
         second = acquisition.thompson_batch(fit, 0.1, 8, (1.0, 1e4), np.random.default_rng(3))
         assert first.betas == second.betas
         assert first.clamped_count == second.clamped_count
+
+
+# Array results are compared with the per-draw scalar formulas below; the
+# arithmetic is the same but numpy's exp/log may round differently from
+# math's in the last place, so the tolerance is a fixed multiple of eps.
+EPS_RTOL = 256 * np.finfo(float).eps
+
+
+def scalar_clamped_argmin(a, ln_b, eps2, s0, bounds):
+    """Per-draw reference: (beta, clamped), or None for a degenerate draw."""
+    if abs(a) < acquisition.EXPONENT_TOL:
+        return None
+    ln_star = (math.log(s0) - ln_b - 1.5 * eps2) / a
+    if ln_star < math.log(bounds[0]):
+        return bounds[0], True
+    if ln_star > math.log(bounds[1]):
+        return bounds[1], True
+    return math.exp(ln_star), False
+
+
+def scalar_objective(a, ln_b, eps2, s0, beta):
+    """Per-draw reference f(beta) in log space; inf where it overflows."""
+    t = a * math.log(beta)
+    try:
+        return (math.exp(2.0 * (ln_b + t) + eps2 + math.log(math.expm1(eps2)))
+                + (math.exp(ln_b + 0.5 * eps2 + t) - s0) ** 2)
+    except OverflowError:
+        return math.inf
+
+
+class TestVectorizedCore:
+    def test_batch_is_closed_form_of_one_posterior_block(self):
+        fit = fitted_model(n=60)
+        bounds, s0 = (65.0, 80.0), 0.1   # cuts through the draws' argmins
+        batch = acquisition.thompson_batch(fit, s0, 10, bounds, np.random.default_rng(1))
+        draws = glm.sample_posterior(fit, 10, np.random.default_rng(1))
+        want = [scalar_clamped_argmin(a, ln_b, eps2, s0, bounds) for a, ln_b, eps2 in zip(*draws)]
+        f_want = [scalar_objective(a, ln_b, eps2, s0, beta)
+                  for (a, ln_b, eps2), (beta, _) in zip(zip(*draws), want)]
+        assert all(math.isfinite(f) for f in f_want)   # no slot was redrawn
+        assert 0 < sum(clamped for _, clamped in want) < 10
+        np.testing.assert_allclose(batch.betas, [beta for beta, _ in want], rtol=EPS_RTOL, atol=0)
+        np.testing.assert_allclose(batch.f_star, f_want, rtol=EPS_RTOL, atol=0)
+        assert batch.clamped_count == sum(clamped for _, clamped in want)
+        for got, (beta, clamped) in zip(batch.betas, want):
+            if clamped:
+                assert got == beta
+
+    def test_only_unusable_slots_are_redrawn(self):
+        # ln_b so large that the squared mean term overflows float64 at the
+        # upper bound for part of the draws: those slots are redrawn, the
+        # rest keep their first draw.
+        fit = glm.GlmFit(
+            coef_hat=np.array([-0.5, 356.5]), s2=0.01,
+            v_theta=np.diag([1e-6, 25.0]), dof=50,
+        )
+        bounds, s0, size = (1.0, 10.0), 1.0, 16
+        first = glm.sample_posterior(fit, size, np.random.default_rng(4))
+        f_first = [scalar_objective(a, ln_b, eps2, s0,
+                                    scalar_clamped_argmin(a, ln_b, eps2, s0, bounds)[0])
+                   for a, ln_b, eps2 in zip(*first)]
+        usable = [math.isfinite(f) for f in f_first]
+        assert 0 < sum(usable) < size
+        batch = acquisition.thompson_batch(fit, s0, size, bounds, np.random.default_rng(4))
+        assert np.all(np.isfinite(batch.f_star))
+        assert all(bounds[0] <= b <= bounds[1] for b in batch.betas)
+        kept = [b for b, ok in zip(batch.betas, usable) if ok]
+        want = [scalar_clamped_argmin(a, ln_b, eps2, s0, bounds)[0]
+                for (a, ln_b, eps2), ok in zip(zip(*first), usable) if ok]
+        np.testing.assert_allclose(kept, want, rtol=EPS_RTOL, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(
+                st.one_of(st.floats(-5.0, 5.0), st.floats(-2e-12, 2e-12), st.just(0.0)),
+                st.floats(-30.0, 30.0),
+                st.floats(0.0, 4.0),
+            ),
+            min_size=1, max_size=20,
+        ),
+        s0=st.floats(1e-3, 1e3),
+        beta_min=st.floats(1e-3, 1e3),
+        ratio=st.floats(1.0 + 1e-6, 1e4),
+    )
+    def test_log_argmin_and_clamp_match_scalar_formula(self, draws, s0, beta_min, ratio):
+        bounds = (beta_min, beta_min * ratio)
+        ln_star = acquisition.log_argmin(*np.array(draws).T, s0)
+        beta, clamped = acquisition.clamp_log(ln_star, bounds)
+        for i, (a, ln_b, eps2) in enumerate(draws):
+            want = scalar_clamped_argmin(a, ln_b, eps2, s0, bounds)
+            if want is None:
+                assert math.isnan(ln_star[i]) and math.isnan(beta[i]) and not clamped[i]
+                continue
+            assert ln_star[i] == (math.log(s0) - ln_b - 1.5 * eps2) / a
+            assert clamped[i] == want[1]
+            if want[1]:
+                assert beta[i] == want[0]
+            else:
+                # Inside the closed interval: exp of a log bound may round
+                # onto (or just past) the bound itself.
+                assert bounds[0] <= beta[i] <= bounds[1]
+                assert beta[i] == pytest.approx(want[0], rel=EPS_RTOL, abs=0)

@@ -187,6 +187,22 @@ class TestDiagnose:
         bad.write_text("x,y\n1,2\n")
         assert cli.main(["diagnose", "--data", str(bad), "--out", str(tmp_path / "d")]) == 2
 
+    def test_fit_file_uses_the_trace_fit_format(self, tmp_path, dataset_path):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps(glm.fit(glm.load_csv(dataset_path)[0]).to_json_dict()))
+        own, given = tmp_path / "own", tmp_path / "given"
+        assert cli.main(["diagnose", "--data", str(dataset_path), "--out", str(own)]) == 0
+        assert cli.main(["diagnose", "--data", str(dataset_path), "--fit", str(fit_path),
+                         "--out", str(given)]) == 0
+        assert (own / "report.json").read_bytes() == (given / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("text", ['{"coef_hat": [1.0, 0.0]}', "[1, 2]", "{not json"])
+    def test_malformed_fit_exits_2(self, tmp_path, dataset_path, text):
+        bad = tmp_path / "fit.json"
+        bad.write_text(text)
+        assert cli.main(["diagnose", "--data", str(dataset_path), "--fit", str(bad),
+                         "--out", str(tmp_path / "d")]) == 2
+
     def test_repeat_run_is_byte_identical(self, tmp_path, dataset_path):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
         for out in (out1, out2):

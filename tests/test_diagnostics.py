@@ -1,6 +1,8 @@
 """Tests for the residual diagnostics."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -199,3 +201,24 @@ class TestReport:
         fit = glm.fit(data)
         with pytest.raises(NoEligibleGroups):
             diagnostics.residual_report(fit, data, min_per_beta=1000, fit_beta=999.0)
+
+    def test_undefined_moments_are_null_in_strict_json(self, tmp_path, report_and_data):
+        # Single-row groups have no sample std, skewness or kurtosis.
+        _, data = report_and_data
+        sparse = data.with_observations([5.0, 7.0], [1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = diagnostics.residual_report(glm.fit(sparse), sparse, min_per_beta=1)
+        assert math.isnan(report.per_beta[0].std)
+        path = tmp_path / "report.json"
+        diagnostics.save_report_json(report, path)
+
+        def refuse(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+        assert doc == diagnostics.report_to_json_dict(report)
+        first = doc["per_beta"][0]
+        assert first["beta"] == 5.0 and first["count"] == 1
+        assert first["std"] is None and first["skewness"] is None
+        assert first["mean"] == report.per_beta[0].mean

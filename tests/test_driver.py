@@ -1,6 +1,7 @@
 """Tests for the batch optimization loop and its trace."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,15 @@ def config_for(problem, **overrides):
     defaults = dict(beta_min=10.0, beta_max=1000.0, s0=problem.s0, seed=0)
     defaults.update(overrides)
     return BoConfig(**defaults)
+
+
+def strict_json(path):
+    """Parse ``path`` refusing the non-standard NaN/Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"{path} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
 
 
 def scrub_clocks(trace):
@@ -248,3 +258,69 @@ class TestTraceSerialization:
         driver.save_trace(dataclasses.replace(trace, schema="bo-trace/999"), path)
         with pytest.raises(ValueError):
             driver.load_trace(path)
+
+    def test_rejected_statistics_are_null_and_round_trip(self, tmp_path):
+        inner = calibrated_problem()
+
+        def sometimes_nan(beta, rng):
+            value = inner.evaluate_statistic(beta, rng)
+            return math.nan if rng.random() < 0.2 else value
+
+        prob = problems.ObjectiveProblem(sometimes_nan, s0=inner.s0)
+        trace = driver.run(config_for(prob, n0=20, batch_size=5, max_iterations=3, seed=3), prob)
+        assert trace.rejected_total > 0
+        path = tmp_path / "trace.json"
+        driver.save_trace(trace, path)
+        doc = strict_json(path)
+        loaded = driver.load_trace(path)
+        assert driver.trace_to_json_dict(loaded) == doc
+        nulls = sum(s is None for item in doc["iterations"] for s in item["s_values"])
+        assert nulls == trace.rejected_total
+        for rec, item in zip(loaded.iterations, doc["iterations"]):
+            assert [math.isnan(s) for s in rec.s_values] == [s is None for s in item["s_values"]]
+
+    def test_bare_nan_tokens_still_load(self, tmp_path, trace):
+        doc = driver.trace_to_json_dict(trace)
+        doc["iterations"][0]["s_values"][0] = math.nan
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc, indent=2))   # NaN written as a bare token
+        loaded = driver.load_trace(path)
+        assert math.isnan(loaded.iterations[0].s_values[0])
+        assert loaded.iterations[0].s_values[1:] == trace.iterations[0].s_values[1:]
+
+
+class TestPosteriorSummary:
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            glm.GlmFit(coef_hat=np.array([-0.58, 0.0]), s2=0.25,
+                       v_theta=np.array([[0.02, -0.05], [-0.05, 0.2]]), dof=30),
+            # Exponent draws of about 1e-12: most are degenerate and skipped,
+            # the rest clamp onto a bound.
+            glm.GlmFit(coef_hat=np.array([0.0, 0.0]), s2=1.0,
+                       v_theta=np.diag([1e-24, 1.0]), dof=30),
+        ],
+    )
+    def test_matches_per_draw_loop(self, fit):
+        # Same arithmetic as the array path, except numpy's exp against
+        # math's and the quantile interpolation: a fixed multiple of eps.
+        rtol = 256 * np.finfo(float).eps
+        config = BoConfig(beta_min=10.0, beta_max=1000.0, s0=0.1)
+        summary = driver._posterior_summary(fit, config, np.random.default_rng(8))
+        values = []
+        for a, ln_b, eps2 in zip(*glm.sample_posterior(fit, driver.SUMMARY_DRAWS,
+                                                       np.random.default_rng(8))):
+            if abs(a) < acquisition.EXPONENT_TOL:
+                continue
+            ln_star = (math.log(config.s0) - ln_b - 1.5 * eps2) / a
+            if ln_star < math.log(config.beta_min):
+                values.append(config.beta_min)
+            elif ln_star > math.log(config.beta_max):
+                values.append(config.beta_max)
+            else:
+                values.append(math.exp(ln_star))
+        assert 0 < len(values)
+        assert summary.draws == len(values)
+        want = np.quantile(values, [0.025, 0.5, 0.975])
+        got = [summary.q025, summary.q500, summary.q975]
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
