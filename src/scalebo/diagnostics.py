@@ -72,7 +72,8 @@ def residual_stats(
 
     Residuals are grouped on exact beta values; groups smaller than
     ``min_per_beta`` are dropped and returned separately rather than
-    diluting the moment estimates.
+    diluting the moment estimates.  A moment is NaN in a group too small
+    for its estimator (std below 2 rows, skewness 3, kurtosis 4).
 
     Returns
     -------
@@ -101,9 +102,9 @@ def residual_stats(
                 count=int(r.size),
                 mean=float(r.mean()),
                 median=float(np.median(r)),
-                std=float(r.std(ddof=1)),
-                skewness=float(scipy.stats.skew(r, bias=False)),
-                excess_kurtosis=float(scipy.stats.kurtosis(r, fisher=True, bias=False)),
+                std=float(r.std(ddof=1)) if r.size >= 2 else math.nan,
+                skewness=float(scipy.stats.skew(r, bias=False)) if r.size >= 3 else math.nan,
+                excess_kurtosis=float(scipy.stats.kurtosis(r, bias=False)) if r.size >= 4 else math.nan,
             )
         )
     if not groups:

@@ -13,26 +13,27 @@ noninformative prior p(theta, eps^2) ~ 1/eps^2 the posterior is conjugate:
     theta | eps^2 ~  N(theta_hat, eps^2 * V_theta)
 
 with theta_hat the least-squares estimate, s2 the classical residual
-variance and V_theta = (X^T X)^{-1}.  This module holds the dataset
-container, the classical fit, exact posterior sampling and the Student-t
-predictive distribution.
+variance and V_theta = (X^T X)^{-1}, all closed forms in the centered sums
+of ln beta and ln s.  This module holds the dataset container, the
+classical fit, exact posterior sampling and the Student-t predictive
+distribution.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DegenerateVariance, InsufficientData, RankDeficient
 
 # Number of regression coefficients: slope on ln(beta) plus intercept.
 NUM_COEF = 2
 
-# Relative threshold on the R diagonal below which the design is treated
-# as rank deficient (beta values numerically identical).
+# Relative threshold on the diagonal of the design's QR factor below which
+# the design is treated as rank deficient (beta values numerically identical).
 RANK_RTOL = 1e-10
 
 
@@ -161,25 +162,19 @@ def ingest(points) -> tuple[LogDataset, int]:
     (LogDataset, int)
         The clean dataset and the number of rejected rows.
     """
-    betas, ss = [], []
-    rejected = 0
-    for beta, s in points:
-        beta = float(beta)
-        s = float(s)
-        if not (np.isfinite(beta) and np.isfinite(s)) or beta <= 0 or s <= 0:
-            rejected += 1
-            continue
-        betas.append(beta)
-        ss.append(s)
-    return LogDataset(np.asarray(betas, dtype=float), np.asarray(ss, dtype=float)), rejected
+    rows = np.array([(float(beta), float(s)) for beta, s in points], dtype=float)
+    beta, s = rows.reshape(-1, 2).T
+    keep = np.isfinite(beta) & np.isfinite(s) & (beta > 0) & (s > 0)
+    return LogDataset(beta[keep], s[keep]), int(beta.size - np.count_nonzero(keep))
 
 
 def fit(data: LogDataset) -> GlmFit:
-    """Least-squares fit of the log-log model via QR factorization.
+    """Least-squares fit of the log-log model from centered 2x2 sums.
 
-    QR (rather than normal equations) keeps the solve well conditioned
-    when beta values cluster tightly, which they do near convergence of
-    the optimization loop.
+    Centering x = ln beta and y = ln s first removes the common offset of
+    tightly clustered betas, which is what ruins the uncentered normal
+    equations.  s2 is summed from the explicit residuals: on an exact line
+    it stays at rounding level, where the one-pass Syy - a Sxy does not.
 
     Raises
     ------
@@ -190,20 +185,31 @@ def fit(data: LogDataset) -> GlmFit:
     """
     if data.n < NUM_COEF + 1:
         raise InsufficientData(f"need at least {NUM_COEF + 1} rows, got {data.n}")
-    x = data.x
-    y = data.y
-    q, r = np.linalg.qr(x)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= RANK_RTOL * diag.max():
+    n, x, y = data.n, np.log(data.beta), data.y
+    x_bar, y_bar = float(x.mean()), float(y.mean())
+    xc, yc = x - x_bar, y - y_bar
+    sxx = float(xc @ xc)
+    # QR's rank test on [x, 1], times |x|: |R_11| = |x|, |R_22| = sqrt(n Sxx) / |x|.
+    r_diag = (float(x @ x), math.sqrt(n * sxx))
+    if min(r_diag) <= RANK_RTOL * max(r_diag):
         raise RankDeficient("design matrix is rank deficient: beta values are all equal")
-    coef = solve_triangular(r, q.T @ y)
-    resid = y - x @ coef
-    dof = data.n - NUM_COEF
+    a = float(xc @ yc) / sxx
+    resid = yc - a * xc
+    dof = n - NUM_COEF
     s2 = float(resid @ resid) / dof
-    r_inv = solve_triangular(r, np.eye(NUM_COEF))
-    v_theta = r_inv @ r_inv.T
-    v_theta = 0.5 * (v_theta + v_theta.T)
-    return GlmFit(coef_hat=coef, s2=s2, v_theta=v_theta, dof=dof)
+    v_theta = np.array([[1.0, -x_bar], [-x_bar, sxx / n + x_bar * x_bar]]) / sxx
+    return GlmFit(coef_hat=np.array([a, y_bar - a * x_bar]), s2=s2, v_theta=v_theta, dof=dof)
+
+
+def _cholesky_2x2(v: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a 2x2 matrix from its lower triangle; raises
+    ``np.linalg.LinAlgError`` unless the matrix is positive definite."""
+    l00 = math.sqrt(v[0, 0]) if v[0, 0] > 0.0 else math.nan
+    l10 = float(v[1, 0]) / l00
+    d11 = float(v[1, 1]) - l10 * l10
+    if not d11 > 0.0:  # also when v00 <= 0 or NaN, through l00 = NaN
+        raise np.linalg.LinAlgError("v_theta is not positive definite")
+    return np.array([[l00, 0.0], [l10, math.sqrt(d11)]])
 
 
 def sample_posterior(
@@ -223,6 +229,8 @@ def sample_posterior(
     DegenerateVariance
         ``fit.s2`` is zero: the posterior over eps2 collapses and sampling
         zeros would silently disable exploration.
+    numpy.linalg.LinAlgError
+        ``fit.v_theta`` is not positive definite.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -231,7 +239,7 @@ def sample_posterior(
     chi2 = rng.gamma(shape=0.5 * fit.dof, scale=2.0, size=count)
     eps2 = fit.dof * fit.s2 / chi2
     z = rng.standard_normal((count, NUM_COEF))
-    root = np.linalg.cholesky(fit.v_theta)
+    root = _cholesky_2x2(fit.v_theta)
     coefs = fit.coef_hat + np.sqrt(eps2)[:, None] * (z @ root.T)
     return coefs[:, 0], coefs[:, 1], eps2
 

@@ -262,11 +262,11 @@ def srom_standin(fixture: StaticFixture) -> ObjectiveProblem:
     This is an invented stand-in, NOT a published stochastic reduced-order
     model: it exists purely to exercise the optimization pipeline on a
     structural problem whose statistic empirically follows an approximate
-    power law.  The ROM basis is perturbed as
-    ``W = orthonormalize(V + beta^{-1/2} G)`` with G an i.i.d. standard
-    normal matrix, the reduced system is re-solved with basis W, and the
-    statistic is the Euclidean distance of that solution from the
-    deterministic ROM solution.  The target is the fixture's model error.
+    power law.  The statistic is the Euclidean distance from the deterministic
+    ROM solution of the Galerkin solution ``A (A^T K A)^{-1} A^T f`` on the
+    perturbed basis ``A = V + beta^{-1/2} G``, G an i.i.d. standard normal
+    matrix; it depends only on the span of A, so A is not orthonormalized.
+    The target is the fixture's model error.
 
     Implementation note: everything is computed in the eigenbasis of the
     stiffness.  Because the basis matrix is orthogonal, an i.i.d. normal
@@ -284,10 +284,10 @@ def srom_standin(fixture: StaticFixture) -> ObjectiveProblem:
     def evaluate_statistic(beta, rng):
         beta = _check_beta(beta)
         g = rng.standard_normal((n, m))
-        w, _ = np.linalg.qr(v_eig + g / math.sqrt(beta))
-        reduced = (w * lam[:, None]).T @ w
-        q = np.linalg.solve(reduced, w.T @ f_hdm_eig)
-        return float(np.linalg.norm(w @ q - x_rom_eig))
+        basis = v_eig + g / math.sqrt(beta)
+        reduced = (basis * lam[:, None]).T @ basis
+        q = np.linalg.solve(reduced, basis.T @ f_hdm_eig)
+        return float(np.linalg.norm(basis @ q - x_rom_eig))
 
     return ObjectiveProblem(
         evaluate_statistic,

@@ -5,6 +5,7 @@ artifacts can be asserted directly.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,20 @@ class TestDiagnose:
         bad.write_text(text)
         assert cli.main(["diagnose", "--data", str(dataset_path), "--fit", str(bad),
                          "--out", str(tmp_path / "d")]) == 2
+
+    def test_single_row_groups_write_nothing_to_stderr(self, tmp_path, dataset_path, capsys):
+        data, _ = glm.load_csv(dataset_path)
+        sparse = tmp_path / "sparse.csv"
+        glm.save_csv(data.with_observations([5.0, 7.0], [1.0, 2.0]), sparse)
+        out = tmp_path / "diag"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["diagnose", "--data", str(sparse), "--min-per-beta", "1",
+                             "--out", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        first = json.loads((out / "report.json").read_text())["per_beta"][0]
+        assert first["count"] == 1 and first["std"] is None
 
     def test_repeat_run_is_byte_identical(self, tmp_path, dataset_path):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"

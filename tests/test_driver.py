@@ -324,3 +324,14 @@ class TestPosteriorSummary:
         want = np.quantile(values, [0.025, 0.5, 0.975])
         got = [summary.q025, summary.q500, summary.q975]
         np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+    def test_sorted_quantiles_equal_numpy_quantile(self):
+        # Sizes 1..500, continuous values and values with ties on the
+        # clamp bounds, as the summary sees them.
+        rng = np.random.default_rng(12)
+        probs = [0.025, 0.5, 0.975]
+        for n in range(1, 501):
+            values = np.exp(rng.uniform(np.log(5.0), np.log(2000.0), n))
+            for sample in (values, np.clip(values, 10.0, 1000.0)):
+                got = driver._linear_quantiles(sample, probs)
+                np.testing.assert_array_equal(got, np.quantile(sample, probs))

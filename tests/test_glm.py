@@ -6,10 +6,13 @@ inverse chi-squared law) before being frozen here.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalebo import glm
 from scalebo.errors import DegenerateVariance, InsufficientData, RankDeficient
@@ -42,6 +45,24 @@ class TestIngest:
         np.testing.assert_allclose(data.x[:, 0], [math.log(2), math.log(4)])
         np.testing.assert_allclose(data.x[:, 1], [1.0, 1.0])
         np.testing.assert_allclose(data.y, [math.log(3), math.log(1.5)])
+
+    def test_array_pass_matches_row_loop(self):
+        # Reference: the same reject rule applied row by row.
+        rng = np.random.default_rng(13)
+        pool = [math.inf, -math.inf, math.nan, 0.0, -0.0, -1.5, 1e-300, 2.5, 7.0, 1e300]
+        rows = [(pool[i], pool[j]) for i, j in rng.integers(0, len(pool), (500, 2))]
+        kept = [(float(b), float(s)) for b, s in rows
+                if math.isfinite(b) and math.isfinite(s) and b > 0 and s > 0]
+        data, rejected = glm.ingest(rows)
+        assert rejected == len(rows) - len(kept)
+        np.testing.assert_array_equal(data.beta, [b for b, _ in kept])
+        np.testing.assert_array_equal(data.s, [s for _, s in kept])
+
+    def test_unconvertible_value_raises(self):
+        with pytest.raises(TypeError):
+            glm.ingest([(1.0, 2.0), (None, 1.0)])
+        with pytest.raises(ValueError):
+            glm.ingest([(1.0, "abc")])
 
     def test_nonfinite_and_negative_rows_rejected(self):
         rows = [(1.0, math.inf), (math.nan, 1.0), (-2.0, 1.0), (1.0, -0.5), (3.0, 2.0)]
@@ -107,6 +128,93 @@ class TestFit:
         assert np.all(np.linalg.eigvalsh(fit.v_theta) >= 0)
 
 
+EPS = np.finfo(float).eps
+
+
+def exact_least_squares(x, y):
+    """(a_hat, ln_b_hat, s2) of the float inputs in exact rational arithmetic."""
+    xs = [Fraction(float(v)) for v in x]
+    ys = [Fraction(float(v)) for v in y]
+    n = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    sxx = sum(u * u for u in xs)
+    sxy = sum(u * v for u, v in zip(xs, ys))
+    a = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+    ln_b = (sy - a * sx) / n
+    s2 = sum((v - a * u - ln_b) ** 2 for u, v in zip(xs, ys)) / (n - 2)
+    return a, ln_b, s2
+
+
+def qr_rank_deficient(data):
+    """The rank test on the diagonal of the design's QR factor."""
+    diag = np.abs(np.diag(np.linalg.qr(data.x)[1]))
+    return bool(diag.min() <= glm.RANK_RTOL * diag.max())
+
+
+class TestClosedFormFit:
+    @pytest.mark.parametrize("spread", [1e-2, 1e-4, 1e-6])
+    def test_matches_exact_rational_reference(self, spread):
+        # 200 betas around 1e8 at the given relative spread; the noise is a
+        # tenth of the slope's signal, so the estimates are well conditioned
+        # in the data and only the algorithm's rounding is measured.
+        rng = np.random.default_rng(9)
+        beta = 1e8 * (1.0 + spread * rng.uniform(-1.0, 1.0, 200))
+        s = np.exp(-0.5 * np.log(beta) + 3.0 + 0.1 * spread * rng.standard_normal(200))
+        data = glm.LogDataset(beta, s)
+        fit = glm.fit(data)
+        exact = exact_least_squares(np.log(data.beta), data.y)
+        for got, want in zip((fit.a_hat, fit.ln_b_hat, fit.s2), exact):
+            assert abs(Fraction(got) - want) <= Fraction(64 * EPS) * abs(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        center=st.floats(-20.0, 20.0),
+        log_width=st.floats(-3.0, 1.3),
+        offsets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=38),
+    )
+    def test_v_theta_and_root_match_references(self, center, log_width, offsets):
+        # ln(beta) spans [center - width, center + width]; v_theta must equal
+        # the exact inverse of X^T X, and the closed-form root must equal
+        # LAPACK's Cholesky factor, each within a fixed multiple of eps in
+        # the scale of the matrix (rows of the root: v_ii / L_ii).
+        width = 10.0**log_width
+        ln_beta = center + width * np.array([-1.0, 1.0] + offsets)
+        data = glm.LogDataset(np.exp(ln_beta), np.ones(ln_beta.size))
+        fit = glm.fit(data)
+        xs = [Fraction(float(v)) for v in np.log(data.beta)]
+        n, sx, sxx = len(xs), sum(xs), sum(u * u for u in xs)
+        det = n * sxx - sx * sx
+        exact = np.array([[float(n / det), float(-sx / det)],
+                          [float(-sx / det), float(sxx / det)]])
+        scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
+        assert np.all(np.abs(fit.v_theta - exact) <= 64 * EPS * scale)
+
+        root = glm._cholesky_2x2(fit.v_theta)
+        lapack = np.linalg.cholesky(fit.v_theta)
+        row_tol = 64 * EPS * np.diag(fit.v_theta) / np.diag(lapack)
+        assert np.all(np.abs(root - lapack) <= row_tol[:, None])
+
+    @pytest.mark.parametrize(
+        "center, spread, deficient",
+        [
+            (1e8, 1e-8, True),     # |R_22| / |R_11| about 2e-11
+            (1e8, 1e-6, False),    # about 2e-9
+            (1.0, 1e-12, True),    # ln(beta) near 0: |R_11| / |R_22| about 6e-13
+            (1.0, 1e-8, False),    # about 6e-9
+        ],
+    )
+    def test_rank_test_keeps_the_qr_criterion(self, center, spread, deficient):
+        rng = np.random.default_rng(10)
+        beta = center * (1.0 + spread * rng.uniform(-1.0, 1.0, 50))
+        data = glm.LogDataset(beta, np.exp(0.3 * rng.standard_normal(50)))
+        assert qr_rank_deficient(data) is deficient
+        if deficient:
+            with pytest.raises(RankDeficient):
+                glm.fit(data)
+        else:
+            glm.fit(data)
+
+
 def synthetic_fit(dof=100, s2=1.0):
     return glm.GlmFit(
         coef_hat=np.array([-0.5, 0.2]),
@@ -149,6 +257,24 @@ class TestSamplePosterior:
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             glm.sample_posterior(synthetic_fit(), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "v_theta",
+        [
+            [[0.0, 0.0], [0.0, 1.0]],
+            [[-1.0, 0.0], [0.0, 1.0]],
+            [[1.0, 2.0], [2.0, 1.0]],
+            [[1.0, 1.0], [1.0, 1.0]],
+            # np.linalg.cholesky returns NaN factors for these two.
+            [[math.nan, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, math.nan]],
+        ],
+    )
+    def test_non_positive_definite_v_theta_raises(self, v_theta):
+        fit = glm.GlmFit(coef_hat=np.array([-0.5, 0.2]), s2=1.0,
+                         v_theta=np.array(v_theta), dof=10)
+        with pytest.raises(np.linalg.LinAlgError):
+            glm.sample_posterior(fit, 5, np.random.default_rng(0))
 
 
 class TestPredict:

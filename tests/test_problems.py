@@ -245,6 +245,23 @@ class TestSromStandin:
             literal = float(np.linalg.norm(w @ q - fixture.x_rom))
             assert fast == pytest.approx(literal, rel=1e-8)
 
+    @pytest.mark.parametrize("beta", [1e-2, 1.0, 1e3, 1e6, 3e7, 8e7, 1e9])
+    def test_galerkin_solve_matches_orthonormalized_basis(self, fixture, prob, beta):
+        # The Galerkin solution depends only on the span of the perturbed
+        # basis, so solving on V + G / sqrt(beta) directly must reproduce
+        # the QR-orthonormalized route on the same normal draw.
+        n, m = fixture.n_dof, problems.ROM_DIM
+        lam = fixture.eigvals
+        f_eig = fixture.basis.T @ fixture.f_hdm
+        x_rom_eig = fixture.basis.T @ fixture.x_rom
+        for seed in range(3):
+            got = prob.evaluate_statistic(beta, np.random.default_rng(seed))
+            g = np.random.default_rng(seed).standard_normal((n, m))
+            w, _ = np.linalg.qr(np.eye(n, m) + g / math.sqrt(beta))
+            q = np.linalg.solve((w * lam[:, None]).T @ w, w.T @ f_eig)
+            want = float(np.linalg.norm(w @ q - x_rom_eig))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_statistic_finite_nonnegative_in_window(self, prob):
         rng = np.random.default_rng(2)
         for _ in range(50):
