@@ -11,6 +11,7 @@ smoother provides the nonparametric reference estimate.
 
 from __future__ import annotations
 
+import inspect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -59,6 +60,7 @@ class McObjective:
             raise ValueError("mc_samples must be >= 1")
         self._cache: dict[float, ProbeStats] = {}
         self._eval_ss = np.random.SeedSequence(self.seed)
+        self._sized = _takes_size(self.problem.evaluate_statistic)
 
     @property
     def probes(self) -> list[ProbeStats]:
@@ -89,17 +91,24 @@ class McObjective:
         return stats
 
     def _draw_statistics(self, beta: float) -> np.ndarray:
-        """mc_samples draws of the statistic, chunked over rng substreams."""
+        """mc_samples draws of the statistic, chunked over rng substreams.
+
+        A statistic that takes ``size`` draws each chunk in one call.
+        """
         n_chunks = -(-self.mc_samples // _CHUNK)
         children = self._eval_ss.spawn(n_chunks)
         sizes = [min(_CHUNK, self.mc_samples - i * _CHUNK) for i in range(n_chunks)]
+        statistic = self.problem.evaluate_statistic
 
         def one_chunk(i):
             rng = np.random.default_rng(children[i])
             try:
-                return np.array(
-                    [float(self.problem.evaluate_statistic(beta, rng)) for _ in range(sizes[i])]
-                )
+                if not self._sized:
+                    return np.array([float(statistic(beta, rng)) for _ in range(sizes[i])])
+                draws = np.asarray(statistic(beta, rng, size=sizes[i]), dtype=float)
+                if draws.shape != (sizes[i],):
+                    raise ValueError(f"size={sizes[i]} returned shape {draws.shape}")
+                return draws
             except Exception as exc:
                 raise EvaluationFailure(
                     f"statistic evaluation failed at beta={beta:g}: {exc}", beta=beta
@@ -111,6 +120,14 @@ class McObjective:
             with ThreadPoolExecutor(max_workers=min(self.threads, n_chunks)) as pool:
                 chunks = list(pool.map(one_chunk, range(n_chunks)))
         return np.concatenate(chunks)
+
+
+def _takes_size(statistic) -> bool:
+    """True when the statistic callable accepts numpy's ``size`` keyword."""
+    try:
+        return "size" in inspect.signature(statistic).parameters
+    except (TypeError, ValueError):     # no signature to read: call per draw
+        return False
 
 
 def mc_estimate(obj: McObjective, beta: float) -> float:

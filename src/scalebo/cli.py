@@ -175,7 +175,8 @@ def cmd_baseline(args) -> int:
 
     driver.write_trace_rows(
         outdir / "trace.csv",
-        ((probe.order, probe.beta, s, "mc-probe") for probe in result.probes for s in probe.s_draws),
+        ((probe.order, beta, s, "mc-probe") for probe in result.probes
+         for beta in (repr(probe.beta),) for s in probe.s_draws.tolist()),
     )
     with open(outdir / "probes.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

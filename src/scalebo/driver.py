@@ -286,7 +286,7 @@ def _clamped_point_estimate(fit: glm.GlmFit, config: BoConfig) -> float:
 
 def _round_into_bounds(beta: float, config: BoConfig) -> float:
     rounded = float(np.rint(beta))
-    return min(max(rounded, math.ceil(config.beta_min)), math.floor(config.beta_max))
+    return float(min(max(rounded, math.ceil(config.beta_min)), math.floor(config.beta_max)))
 
 
 def _posterior_summary(fit: glm.GlmFit, config: BoConfig, rng) -> PosteriorSummary:
@@ -394,12 +394,16 @@ def trace_to_csv(trace: BoTrace, path) -> None:
 
 def write_trace_rows(path, rows) -> None:
     """Write ``(iteration, beta, s, source)`` rows as the trace CSV that
-    :func:`load_trace_csv` reads (UTF-8, LF endings, floats by repr)."""
+    :func:`load_trace_csv` reads (UTF-8, LF endings, floats by repr).
+
+    ``s`` is a Python float.  ``beta`` is a Python float or its ``repr``
+    (a float formats as its repr), so a caller writing many rows per beta
+    formats it once.  No field needs CSV quoting: reprs of floats and the
+    source names hold no comma, quote or line break.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "beta", "s", "source"])
-        for iteration, beta, s, source in rows:
-            writer.writerow([iteration, repr(float(beta)), repr(float(s)), source])
+        fh.write("iteration,beta,s,source\n")
+        fh.writelines(f"{iteration},{beta},{s!r},{source}\n" for iteration, beta, s, source in rows)
 
 
 def load_trace_csv(path) -> list[tuple[int, float, float, str]]:

@@ -1,5 +1,7 @@
 """Tests for the Monte-Carlo 1-D optimization baselines."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -7,7 +9,11 @@ import pytest
 
 from scalebo import acquisition, baselines, problems
 from scalebo.baselines import GOLDEN, McObjective
-from scalebo.errors import BudgetExceeded, InsufficientData
+from scalebo.errors import BudgetExceeded, EvaluationFailure, InsufficientData
+
+# np.exp and math.exp may differ by one ulp, so draws of the exp-based kinds
+# agree across the sized and scalar paths to this relative tolerance.
+SIZED_RTOL = 2 * np.finfo(float).eps
 
 
 def noiseless_problem(beta_opt=101.0, a=-0.58):
@@ -71,6 +77,70 @@ class TestMcObjective:
         np.testing.assert_array_equal(
             serial.probe(64.0).s_draws, threaded.probe(64.0).s_draws
         )
+
+
+def gamma_noise_problem():
+    return problems.synthetic_misspecified(
+        "gamma-noise", {"a": -0.5, "ln_b": 0.2, "shape": 4.0, "s0": 0.3}
+    )
+
+
+def scalar_only(problem):
+    """``problem`` with a statistic callable that takes no ``size``."""
+
+    def statistic(beta, rng):
+        return problem.evaluate_statistic(beta, rng)
+
+    return dataclasses.replace(problem, evaluate_statistic=statistic)
+
+
+class TestSizedStatistic:
+    @pytest.mark.parametrize("make", [calibrated_problem, gamma_noise_problem])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_sized_and_scalar_paths_agree(self, make, threads):
+        prob = make()
+        sized = McObjective(problem=prob, mc_samples=300, seed=9, threads=threads)
+        scalar = McObjective(problem=scalar_only(prob), mc_samples=300, seed=9, threads=threads)
+        for beta in (20.0, 64.0, 20.0, 500.0):
+            sized.probe(beta)
+            scalar.probe(beta)
+        assert sized.evaluations_used == scalar.evaluations_used == 900
+        assert [p.beta for p in sized.probes] == [p.beta for p in scalar.probes] == [20.0, 64.0, 500.0]
+        for p, q in zip(sized.probes, scalar.probes):
+            assert p.order == q.order
+            np.testing.assert_allclose(p.s_draws, q.s_draws, rtol=SIZED_RTOL, atol=0.0)
+
+    def test_one_call_per_chunk_through_a_wrapper(self):
+        prob = calibrated_problem()
+        sizes = []
+
+        @functools.wraps(prob.evaluate_statistic)
+        def counted(*args, **kwargs):
+            sizes.append(kwargs.get("size"))
+            return prob.evaluate_statistic(*args, **kwargs)
+
+        obj = McObjective(problem=dataclasses.replace(prob, evaluate_statistic=counted),
+                          mc_samples=300, seed=9)
+        obj.probe(64.0)
+        assert sizes == [64, 64, 64, 64, 44]
+        assert obj.evaluations_used == 300
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize(
+        "output",
+        [lambda size: np.ones(3), lambda size: 1.0, lambda size: np.ones((size, 1))],
+        ids=["short", "scalar", "column"],
+    )
+    def test_wrong_shape_raises_naming_beta(self, output, threads):
+        def statistic(beta, rng, size=None):
+            return 1.0 if size is None else output(size)
+
+        obj = McObjective(problem=problems.ObjectiveProblem(statistic, s0=1.0),
+                          mc_samples=200, threads=threads)
+        with pytest.raises(EvaluationFailure, match="beta=42") as err:
+            obj.probe(42.0)
+        assert err.value.beta == 42.0
+        assert obj.evaluations_used == 0
 
 
 class TestGoldenSection:

@@ -1,5 +1,6 @@
 """Tests for the batch optimization loop and its trace."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -223,6 +224,15 @@ class TestRun:
         assert trace.final_estimate == float(int(trace.final_estimate))
         assert 10.0 <= trace.final_estimate <= 1000.0
 
+    @pytest.mark.parametrize("beta,expected", [(10.5, 11.0), (10.7, 11.0), (20.5, 20.0), (99.4, 20.0)])
+    def test_integer_rounding_clamps_to_floats(self, beta, expected):
+        # Rounding 10.5 to even gives 10, below the bounds; the clamp must
+        # still hand back a float, which the trace CSV writes as "11.0".
+        config = config_for(calibrated_problem(), beta_min=10.5, beta_max=20.5, integer_beta=True)
+        rounded = driver._round_into_bounds(beta, config)
+        assert type(rounded) is float
+        assert rounded == expected
+
 
 class TestTraceSerialization:
     @pytest.fixture()
@@ -246,6 +256,26 @@ class TestTraceSerialization:
         for rec in trace.iterations:
             got = [(b, s) for it, b, s, _ in rows if it == rec.index]
             assert got == list(zip(rec.betas, rec.s_values))
+
+    def test_csv_bytes_match_csv_writer_reference(self, tmp_path):
+        values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, 101.0, 1 / 3]
+        rows = [(i, b, s, source) for i, (b, s) in enumerate(zip(values, reversed(values)))
+                for source in ("init", "mc-probe")]
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["iteration", "beta", "s", "source"])
+            for iteration, beta, s, source in rows:
+                writer.writerow([iteration, repr(float(beta)), repr(float(s)), source])
+        path = tmp_path / "trace.csv"
+        driver.write_trace_rows(path, rows)
+        assert path.read_bytes() == reference.read_bytes()
+        # A beta given as its repr writes the same bytes.
+        driver.write_trace_rows(path, [(i, repr(b), s, source) for i, b, s, source in rows])
+        assert path.read_bytes() == reference.read_bytes()
+        loaded = driver.load_trace_csv(path)
+        assert [(i, repr(b), repr(s), src) for i, b, s, src in loaded] == \
+            [(i, repr(b), repr(s), src) for i, b, s, src in rows]
 
     def test_csv_schema_guard(self, tmp_path):
         path = tmp_path / "junk.csv"

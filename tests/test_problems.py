@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalebo import glm, problems
 from scalebo.errors import UnknownKind
 
 MODEL_ERROR_GOLDEN = 0.0015032718191897864
+EPS = np.finfo(float).eps
 
 
 class TestSyntheticPowerlaw:
@@ -154,6 +157,50 @@ class TestSyntheticMisspecified:
         values = np.array([prob.evaluate_statistic(b, rng) for b in betas])
         assert np.all(np.isfinite(values))
         assert np.all(values >= 0.0)
+
+
+# Built-in kinds whose statistic takes numpy's ``size`` keyword.  Only
+# gamma-noise is computed the same way on both paths; the others round
+# through np.exp instead of math.exp, which may differ by one ulp.
+SIZED_KINDS = {
+    "synthetic-powerlaw": (lambda: problems.synthetic_powerlaw(-0.58, 0.1, 0.25, 0.3), 2 * EPS),
+    "gamma-noise": (lambda: problems.synthetic_misspecified(
+        "gamma-noise", {"a": -0.5, "ln_b": 0.2, "shape": 4.0, "s0": 0.3}), 0.0),
+    "heteroscedastic": (lambda: problems.synthetic_misspecified(
+        "heteroscedastic", {"a": -0.5, "ln_b": 0.0, "s0": 0.3}), 2 * EPS),
+    "shifted-lognormal": (lambda: problems.synthetic_misspecified(
+        "shifted-lognormal", {"a": -0.5, "ln_b": 0.1, "eps2": 0.2, "shift": 0.05, "s0": 0.3}), 2 * EPS),
+}
+
+
+class TestSizedDraws:
+    @pytest.mark.parametrize("kind", sorted(SIZED_KINDS))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        beta=st.floats(1.001, 1e8),
+        k=st.integers(0, 130),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sized_draws_equal_scalar_calls(self, kind, beta, k, seed):
+        make, rtol = SIZED_KINDS[kind]
+        statistic = make().evaluate_statistic
+        scalar_rng = np.random.default_rng(seed)
+        scalar = [statistic(beta, scalar_rng) for _ in range(k)]
+        assert all(type(value) is float for value in scalar)
+        sized = statistic(beta, np.random.default_rng(seed), size=k)
+        assert isinstance(sized, np.ndarray)
+        assert sized.dtype == np.float64
+        assert sized.shape == (k,)
+        if rtol == 0.0:
+            np.testing.assert_array_equal(sized, scalar)
+        else:
+            np.testing.assert_allclose(sized, scalar, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    def test_heteroscedastic_sized_rejects_beta_at_most_one(self, beta):
+        statistic = SIZED_KINDS["heteroscedastic"][0]().evaluate_statistic
+        with pytest.raises(ValueError):
+            statistic(beta, np.random.default_rng(0), size=8)
 
 
 @pytest.fixture(scope="module")
