@@ -175,8 +175,7 @@ def cmd_baseline(args) -> int:
 
     driver.write_trace_rows(
         outdir / "trace.csv",
-        ((probe.order, beta, s, "mc-probe") for probe in result.probes
-         for beta in (repr(probe.beta),) for s in probe.s_draws.tolist()),
+        ((probe.order, probe.beta, probe.s_draws.tolist(), "mc-probe") for probe in result.probes),
     )
     with open(outdir / "probes.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

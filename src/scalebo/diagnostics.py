@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.stats
 
 from . import glm
 from .errors import DegenerateSample, InsufficientData, NoEligibleGroups
@@ -103,8 +102,7 @@ def residual_stats(
                 mean=float(r.mean()),
                 median=float(np.median(r)),
                 std=float(r.std(ddof=1)) if r.size >= 2 else math.nan,
-                skewness=float(scipy.stats.skew(r, bias=False)) if r.size >= 3 else math.nan,
-                excess_kurtosis=float(scipy.stats.kurtosis(r, bias=False)) if r.size >= 4 else math.nan,
+                **_shape_moments(r),
             )
         )
     if not groups:
@@ -113,6 +111,34 @@ def residual_stats(
             f"{max((c for _, c in dropped), default=0)})"
         )
     return groups, dropped
+
+
+def _shape_moments(r: np.ndarray) -> dict[str, float]:
+    """Bias-corrected sample skewness G1 and excess kurtosis G2.
+
+    Both come from the centred moments m2, m3 and m4, as in
+    ``scipy.stats.skew`` and ``scipy.stats.kurtosis`` with ``bias=False``.
+    A moment is NaN in a group too small for it (G1 below 3 rows, G2
+    below 4) or when m2 is at the rounding level of the mean,
+    ``m2 <= (eps * mean)**2``: such a group is constant up to rounding.
+    """
+    n = r.size
+    out = {"skewness": math.nan, "excess_kurtosis": math.nan}
+    if n < 3:
+        return out
+    mean = float(r.mean())
+    d = r - mean
+    m2 = float(d @ d) / n
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        return out
+    z = d / math.sqrt(m2)   # standardized first: |z| <= sqrt(n), so no overflow
+    z2 = z * z
+    g1 = float(np.mean(z2 * z))
+    out["skewness"] = math.sqrt((n - 1.0) * n) / (n - 2.0) * g1
+    if n >= 4:
+        g2 = float(np.mean(z2 * z2))
+        out["excess_kurtosis"] = ((n + 1.0) * g2 - 3.0 * (n - 1.0)) * (n - 1.0) / ((n - 2.0) * (n - 3.0))
+    return out
 
 
 def rolling_smooth(series, window: int = 6) -> np.ndarray:
@@ -180,6 +206,8 @@ def fit_residual_families(residuals) -> FamilyRanking:
         raise ValueError("residuals must be finite")
     if res.std() == 0.0:
         raise DegenerateSample("residual sample has zero variance")
+    import scipy.stats  # only here: its import costs about a second
+
     e = np.exp(res)
     n = e.size
 

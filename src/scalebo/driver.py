@@ -388,22 +388,28 @@ def load_trace(path) -> BoTrace:
 
 def trace_to_csv(trace: BoTrace, path) -> None:
     """Flat per-observation trace: ``iteration,beta,s,source`` rows."""
-    write_trace_rows(path, ((rec.index, beta, s, rec.source) for rec in trace.iterations
+    write_trace_rows(path, ((rec.index, beta, (s,), rec.source) for rec in trace.iterations
                             for beta, s in zip(rec.betas, rec.s_values)))
 
 
-def write_trace_rows(path, rows) -> None:
-    """Write ``(iteration, beta, s, source)`` rows as the trace CSV that
-    :func:`load_trace_csv` reads (UTF-8, LF endings, floats by repr).
+def write_trace_rows(path, blocks) -> None:
+    """Write the trace CSV that :func:`load_trace_csv` reads (UTF-8, LF
+    endings, floats by repr).
 
-    ``s`` is a Python float.  ``beta`` is a Python float or its ``repr``
-    (a float formats as its repr), so a caller writing many rows per beta
-    formats it once.  No field needs CSV quoting: reprs of floats and the
-    source names hold no comma, quote or line break.
+    Each block ``(iteration, beta, s_values, source)`` is the run of rows
+    that share iteration, beta and source; ``s_values`` is a sequence of
+    Python floats.  A block's prefix and suffix are formatted once, so a
+    Monte-Carlo probe of a thousand draws costs one join.  No field needs
+    CSV quoting: reprs of floats and the source names hold no comma, quote
+    or line break.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("iteration,beta,s,source\n")
-        fh.writelines(f"{iteration},{beta},{s!r},{source}\n" for iteration, beta, s, source in rows)
+        for iteration, beta, s_values, source in blocks:
+            if not s_values:
+                continue
+            head, tail = f"{iteration},{float(beta)!r},", f",{source}\n"
+            fh.write(head + (tail + head).join(map(repr, s_values)) + tail)
 
 
 def load_trace_csv(path) -> list[tuple[int, float, float, str]]:

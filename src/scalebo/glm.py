@@ -181,7 +181,9 @@ def fit(data: LogDataset) -> GlmFit:
     InsufficientData
         Fewer than 3 rows (residual degrees of freedom would be < 1).
     RankDeficient
-        All beta values (numerically) identical.
+        All beta values (numerically) identical, or so tightly clustered
+        that V_theta has no Cholesky factor, so the posterior could not be
+        sampled.
     """
     if data.n < NUM_COEF + 1:
         raise InsufficientData(f"need at least {NUM_COEF + 1} rows, got {data.n}")
@@ -198,6 +200,13 @@ def fit(data: LogDataset) -> GlmFit:
     dof = n - NUM_COEF
     s2 = float(resid @ resid) / dof
     v_theta = np.array([[1.0, -x_bar], [-x_bar, sxx / n + x_bar * x_bar]]) / sxx
+    try:
+        _cholesky_2x2(v_theta)
+    except np.linalg.LinAlgError:
+        raise RankDeficient(
+            "beta values are too tightly clustered: the posterior covariance of "
+            "the coefficients is not positive definite in floating point"
+        ) from None
     return GlmFit(coef_hat=np.array([a, y_bar - a * x_bar]), s2=s2, v_theta=v_theta, dof=dof)
 
 

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.io
 
 from .acquisition import EXPONENT_TOL
 from .errors import UnknownKind
@@ -314,6 +313,8 @@ def srom_standin(fixture: StaticFixture) -> ObjectiveProblem:
 
 def export_fixture(fixture: StaticFixture, outdir) -> list[Path]:
     """Write K, V and the two force vectors in Matrix Market format."""
+    import scipy.io  # only here, so that importing scalebo loads no SciPy
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     items = {

@@ -2,9 +2,13 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalebo import diagnostics, glm
 from scalebo.errors import DegenerateSample, InsufficientData, NoEligibleGroups
@@ -52,8 +56,6 @@ class TestResidualStats:
     def test_log_abs_gaussian_noise_is_left_skewed(self):
         # Oracle: ln|z| for standard normal z has negative skewness.
         oracle = np.log(np.abs(np.random.default_rng(9).standard_normal(200_000)))
-        import scipy.stats
-
         assert scipy.stats.skew(oracle) < -0.5
         data = grouped_dataset(
             lambda rng, n: np.log(np.abs(rng.standard_normal(n))) + 0.6351814227860269
@@ -91,6 +93,51 @@ class TestResidualStats:
             assert g.std == pytest.approx(ref[1], rel=1e-10)
             assert g.skewness == pytest.approx(ref[2], rel=1e-10)
             assert g.excess_kurtosis == pytest.approx(ref[3], rel=1e-8, abs=1e-10)
+
+    # Fixed from the dtype before the property ran: a few hundred eps, in
+    # the scale of the standardized moments (hence the absolute part).
+    MOMENT_TOL = dict(rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(4, 1200),
+        offset=st.floats(-50.0, 50.0),
+        scale=st.floats(0.01, 3.0),
+        family=st.sampled_from(["normal", "gamma", "student"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shape_moments_match_scipy(self, n, offset, scale, family, seed):
+        rng = np.random.default_rng(seed)
+        draws = {"normal": rng.standard_normal, "student": lambda k: rng.standard_t(5, k),
+                 "gamma": lambda k: rng.gamma(2.0, 1.0, k)}[family](n)
+        r = offset + scale * draws
+        got = diagnostics._shape_moments(r)
+        assert got["skewness"] == pytest.approx(
+            scipy.stats.skew(r, bias=False), **self.MOMENT_TOL)
+        assert got["excess_kurtosis"] == pytest.approx(
+            scipy.stats.kurtosis(r, bias=False), **self.MOMENT_TOL)
+
+    def test_small_groups_keep_their_nan_thresholds(self):
+        r = np.array([0.3, -1.2, 0.8, 2.0])
+        assert all(math.isnan(v) for v in diagnostics._shape_moments(r[:2]).values())
+        three = diagnostics._shape_moments(r[:3])
+        assert three["skewness"] == pytest.approx(scipy.stats.skew(r[:3], bias=False), rel=1e-12)
+        assert math.isnan(three["excess_kurtosis"])
+        assert math.isfinite(diagnostics._shape_moments(r)["excess_kurtosis"])
+
+    def test_rounding_level_spread_is_nan_without_warning(self):
+        # m2 at the rounding level of the mean: scipy's test m2 <= (eps mean)^2.
+        mean = 7.3
+        r = mean + np.array([0.0, 1.0, -1.0, 0.0, 1.0, 0.0]) * np.spacing(mean)
+        for group in (r, np.zeros(6), np.full(6, mean)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = diagnostics._shape_moments(group)
+            assert all(math.isnan(v) for v in got.values())
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)   # scipy warns here
+                assert math.isnan(scipy.stats.skew(group, bias=False))
+                assert math.isnan(scipy.stats.kurtosis(group, bias=False))
 
 
 class TestRollingSmooth:

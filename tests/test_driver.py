@@ -10,7 +10,7 @@ import pytest
 
 from scalebo import acquisition, driver, glm, problems
 from scalebo.driver import BoConfig
-from scalebo.errors import DegenerateExponent, EvaluationFailure
+from scalebo.errors import DegenerateExponent, EvaluationFailure, RankDeficient
 
 
 def calibrated_problem(beta_opt=101.0, a=-0.58, ln_b=0.0, eps2=0.25):
@@ -198,6 +198,16 @@ class TestRun:
         assert err.value.iteration == 1
         assert err.value.beta is not None
 
+    def test_clustered_bounds_raise_rank_deficient(self):
+        # An even design over [1e8, 1e8 (1 + 3e-7)] passes the rank test,
+        # but V_theta has no Cholesky factor in floating point.  The fit
+        # refuses it, rather than leave the sampler to fail inside the run.
+        prob = calibrated_problem()
+        config = config_for(prob, beta_min=1e8, beta_max=1e8 * (1 + 3e-7),
+                            n0=12, batch_size=4, max_iterations=3)
+        with pytest.raises(RankDeficient, match="clustered"):
+            driver.run(config, prob)
+
     def test_zero_statistics_are_rejected_and_counted(self):
         inner = calibrated_problem()
 
@@ -259,8 +269,14 @@ class TestTraceSerialization:
 
     def test_csv_bytes_match_csv_writer_reference(self, tmp_path):
         values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, 101.0, 1 / 3]
-        rows = [(i, b, s, source) for i, (b, s) in enumerate(zip(values, reversed(values)))
-                for source in ("init", "mc-probe")]
+        # One-row blocks (as trace_to_csv writes) and many-row blocks (as
+        # the baseline writes, one per probe), plus an empty block.
+        blocks = [(i, b, [s], source) for i, (b, s) in enumerate(zip(values, reversed(values)))
+                  for source in ("init", "mc-probe")]
+        blocks += [(len(values) + i, b, values[i:] + values[:i], "mc-probe")
+                   for i, b in enumerate(values)]
+        blocks.append((99, 1.0, [], "mc-probe"))
+        rows = [(i, b, s, source) for i, b, s_values, source in blocks for s in s_values]
         reference = tmp_path / "reference.csv"
         with open(reference, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -268,10 +284,7 @@ class TestTraceSerialization:
             for iteration, beta, s, source in rows:
                 writer.writerow([iteration, repr(float(beta)), repr(float(s)), source])
         path = tmp_path / "trace.csv"
-        driver.write_trace_rows(path, rows)
-        assert path.read_bytes() == reference.read_bytes()
-        # A beta given as its repr writes the same bytes.
-        driver.write_trace_rows(path, [(i, repr(b), s, source) for i, b, s, source in rows])
+        driver.write_trace_rows(path, blocks)
         assert path.read_bytes() == reference.read_bytes()
         loaded = driver.load_trace_csv(path)
         assert [(i, repr(b), repr(s), src) for i, b, s, src in loaded] == \

@@ -214,6 +214,26 @@ class TestClosedFormFit:
         else:
             glm.fit(data)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log10_center=st.floats(-3.0, 13.0),
+        log10_spread=st.floats(-14.0, -2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_accepted_fit_can_be_sampled(self, log10_center, log10_spread, seed):
+        # 200 betas at a relative spread around the center: the fit either
+        # refuses them as rank deficient or its posterior can be sampled.
+        rng = np.random.default_rng(seed)
+        spread = 10.0**log10_spread * rng.uniform(-1.0, 1.0, 200)
+        data = glm.LogDataset(10.0**log10_center * (1.0 + spread),
+                              np.exp(0.3 * rng.standard_normal(200)))
+        try:
+            fit = glm.fit(data)
+        except RankDeficient:
+            return
+        a, ln_b, eps2 = glm.sample_posterior(fit, 16, np.random.default_rng(seed))
+        assert np.all(np.isfinite(a)) and np.all(np.isfinite(ln_b)) and np.all(eps2 > 0)
+
 
 def synthetic_fit(dof=100, s2=1.0):
     return glm.GlmFit(
