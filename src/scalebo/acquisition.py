@@ -164,28 +164,57 @@ def argmin_closed_form(obj: SurrogateObjective) -> tuple[float, float]:
 
 
 def optimal_region(obj: SurrogateObjective, rel: float = 0.10) -> tuple[float, float]:
-    """Interval of beta where f stays within ``(1 + rel)`` of its minimum.
+    """Interval of beta where f stays within ``(1 + rel)`` of its minimum
+    over (0, inf); see :func:`optimal_region_from`."""
+    return optimal_region_from(obj.a, math.log(obj.b), obj.eps2, obj.s0, rel)
+
+
+def optimal_region_from(
+    a: float, ln_b: float, eps2: float, s0: float, rel: float = 0.10,
+    bounds: tuple[float, float] | None = None,
+) -> tuple[float, float]:
+    """Interval of beta where the objective of (a, ln_b, eps2, s0) stays
+    within ``(1 + rel)`` of its minimum.
 
     Substituting u = (beta / beta*)^a turns f into the quadratic
-    ``s0^2 (m u^2 - 2 m u + 1)`` with ``m = c2^2 / (c1 + c2^2)``, so the
-    region boundary solves exactly to ``u = 1 +- sqrt(rel * expm1(eps2))``.
+    ``s0^2 (m (u - 1)^2 + 1 - m)`` with ``m = c2^2 / (c1 + c2^2)`` and
+    ``(1 - m) / m = expm1(eps2)``.  If the minimum sits at ``u_min``,
+    ``f <= (1 + rel) f(u_min)`` solves exactly to
+    ``u = 1 +- sqrt((1 + rel) (u_min - 1)^2 + rel * expm1(eps2))``.
+
+    Over (0, inf) the minimum is beta* itself (``u_min = 1``).  With
+    ``bounds``, f is minimized over ``[beta_min, beta_max]``: at beta* if
+    it lies inside, else at the nearer bound, where the region then
+    starts.  The region is cut to the bounds, and an edge at or beyond a
+    bound is that bound exactly, as :func:`clamp_log` returns it.
+
     A degenerate (eps2 = 0) objective has a single-point region; if the
     lower u root is nonpositive the region is unbounded on one side and
-    the corresponding endpoint is 0 or inf.
+    the corresponding endpoint is 0 or inf (or the bound).  Works in log
+    space from ``ln_b``, so with ``bounds`` a b or beta* beyond float
+    range still has a region.
     """
     if rel < 0:
         raise ValueError("rel must be >= 0")
-    beta_star, _ = argmin_closed_form(obj)
-    du = math.sqrt(rel * math.expm1(obj.eps2))
-    if du == 0.0:
-        return beta_star, beta_star
-    inv_a = 1.0 / obj.a
-    hi_edge = beta_star * (1.0 + du) ** inv_a
-    if 1.0 - du <= 0.0:
-        lo_edge = math.inf if obj.a < 0 else 0.0
+    ln_star = float(log_argmin(a, ln_b, eps2, s0))
+    if math.isnan(ln_star):
+        raise DegenerateExponent(f"exponent a = {a:g} is numerically zero")
+    if bounds is None:
+        if abs(ln_star) > _LOG_MAX:
+            raise SurrogateOverflow(f"argmin exp({ln_star:g}) is not representable")
+        u_min = 1.0
     else:
-        lo_edge = beta_star * (1.0 - du) ** inv_a
-    return min(lo_edge, hi_edge), max(lo_edge, hi_edge)
+        ln_min = min(max(ln_star, math.log(bounds[0])), math.log(bounds[1]))
+        u_min = math.exp(a * (ln_min - ln_star))
+    du = math.sqrt((1.0 + rel) * (u_min - 1.0) ** 2 + rel * math.expm1(eps2))
+    edges = (
+        ln_star + math.log1p(du) / a,
+        ln_star + math.log1p(-du) / a if du < 1.0 else -math.copysign(math.inf, a),
+    )
+    if bounds is None:
+        return math.exp(min(edges)), math.exp(max(edges))
+    lo_edge, hi_edge = clamp_log([min(edges), max(edges)], bounds)[0]
+    return float(lo_edge), float(hi_edge)
 
 
 def thompson_batch(

@@ -139,12 +139,15 @@ def cmd_optimize(args) -> int:
         "beta_hat": trace.final_estimate,
         "evaluations": trace.total_evaluations,
         "wall_clock_seconds": trace.wall_clock_seconds,
+        "flag": trace.flag,
     })
     write_json(outdir / "run.json", _run_metadata(cfg, args, "surrogate-bo", {
         "stop_reason": trace.stop_reason,
+        "flag": trace.flag,
     }))
     print(f"beta_hat = {trace.final_estimate:g} "
-          f"({trace.total_evaluations} evaluations, stop: {trace.stop_reason})")
+          f"({trace.total_evaluations} evaluations, stop: {trace.stop_reason}, "
+          f"flag: {trace.flag or 'none'})")
     return 0
 
 

@@ -3,10 +3,10 @@
 The driver runs the synchronous loop: evaluate a deterministic
 log-equispaced initial design, fit the conjugate log-log model, then per
 iteration draw a Thompson batch, observe the statistic at each proposal,
-augment the dataset and refit.  It stops on an evaluation budget, on
-convergence of the plug-in point estimate, or when the fit becomes an
-exact interpolation (noise-free problems).  Every iteration is recorded
-in a serializable trace.
+augment the dataset and refit.  It stops on an evaluation budget, when
+the posterior of the optimizer has settled (see :func:`run`), or when the
+fit becomes an exact interpolation (noise-free problems).  Every
+iteration is recorded in a serializable trace.
 """
 
 from __future__ import annotations
@@ -34,10 +34,25 @@ DEGENERATE_S2 = 1e-24
 # Posterior draws behind each per-iteration beta* summary.
 SUMMARY_DRAWS = 500
 
+# The exponent a is identified when at most this share of the summary's
+# draws of a falls on one side of 0 (a two-sided 95% test).
+SIGN_SHARE_TOL = 0.025
+
+# Relative width of the plug-in objective's optimal region that the 95%
+# beta* interval must lie inside for a record to count as settled.
+STOP_REGION_REL = 0.10
+
 
 @dataclass(frozen=True)
 class BoConfig:
-    """Settings of one optimization run."""
+    """Settings of one optimization run.
+
+    The run stops as ``converged`` after ``stop_window`` consecutive
+    settled records (the initial fit counts; see :func:`run`); a window
+    above ``max_iterations`` turns the stop off.  ``stop_rel_tol`` is
+    deprecated and read by nothing: it is still accepted, and must be
+    > 0, so that configs written for the earlier drift rule still parse.
+    """
 
     beta_min: float
     beta_max: float
@@ -46,7 +61,7 @@ class BoConfig:
     batch_size: int = 10
     max_iterations: int = 25
     stop_rel_tol: float = 0.01
-    stop_window: int = 3
+    stop_window: int = 2
     seed: int = 0
     integer_beta: bool = False
 
@@ -75,12 +90,19 @@ class BoConfig:
 
 @dataclass(frozen=True)
 class PosteriorSummary:
-    """Quantiles of the clamped optimizer posterior beta* | data."""
+    """Quantiles of the clamped optimizer posterior beta* | data, and the
+    share ``p_a_positive`` of the same joint draws whose exponent a is > 0."""
 
     q025: float
     q500: float
     q975: float
     draws: int
+    p_a_positive: float
+
+    @property
+    def a_identified(self) -> bool:
+        """At most ``SIGN_SHARE_TOL`` of the draws of a lie on one side of 0."""
+        return min(self.p_a_positive, 1.0 - self.p_a_positive) <= SIGN_SHARE_TOL
 
     @property
     def width(self) -> float:
@@ -113,6 +135,7 @@ class BoTrace:
     rejected_total: int
     wall_clock_seconds: float
     problem_label: str = ""
+    flag: str | None = None    # None | "unidentified" | "boundary-min" | "boundary-max"
     schema: str = TRACE_SCHEMA
 
 
@@ -160,6 +183,17 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     Statistic evaluations inside one batch may run concurrently (bounded
     by ``threads``); each evaluation owns a pre-assigned child rng stream,
     so results are bit-identical for any thread count.
+
+    A record (the initial fit counts) is *settled* when the exponent a is
+    identified (:attr:`PosteriorSummary.a_identified`) and the 95% beta*
+    interval ``[q025, q975]`` lies inside the plug-in objective's 10%
+    optimal region within the bounds.  The run stops as ``converged``
+    after ``config.stop_window`` consecutive settled records.  The test
+    draws no random numbers, so a stopped run's records are the leading
+    records of the same-seed run with the stop turned off.  The trace's
+    ``flag`` reads the last record: ``"unidentified"`` when a is not
+    identified, ``"boundary-min"`` or ``"boundary-max"`` when the beta*
+    interval has collapsed onto that bound.
     """
     start = time.perf_counter()
     root = np.random.SeedSequence(config.seed)
@@ -167,74 +201,52 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     acq_rng = np.random.default_rng(acq_ss)
     summary_rng = np.random.default_rng(summary_ss)
 
-    design = [float(b) for b in initial_design(config)]
-    s_init = _evaluate_all(problem, design, eval_ss, threads, iteration=0)
-    data, rejected_total = glm.ingest(zip(design, s_init))
-    evaluations = len(design)
-
-    fit = glm.fit(data)
-    beta_hat = _clamped_point_estimate(fit, config)
-    records = [
-        IterationRecord(
-            index=0,
-            source="init",
-            betas=design,
-            s_values=s_init,
-            rejected=rejected_total,
-            fit=fit,
-            beta_hat=beta_hat,
-            posterior=_posterior_summary(fit, config, summary_rng),
-            cumulative_evaluations=evaluations,
-            wall_clock=time.perf_counter() - start,
-        )
-    ]
-
+    records = []
+    data = fit = None
+    evaluations = rejected_total = streak = 0
     stop_reason = "budget"
-    streak = 0
-    for t in range(1, config.max_iterations + 1):
-        try:
-            batch = acquisition.thompson_batch(
-                fit, config.s0, config.batch_size, config.bounds, acq_rng
-            )
-        except DegenerateVariance:
-            stop_reason = "degenerate-fit"
-            break
-        betas_t = batch.betas
-        if config.integer_beta:
-            betas_t = [_round_into_bounds(b, config) for b in betas_t]
+    for t in range(config.max_iterations + 1):
+        if t == 0:
+            betas_t = [float(b) for b in initial_design(config)]
+        else:
+            try:
+                batch = acquisition.thompson_batch(
+                    fit, config.s0, config.batch_size, config.bounds, acq_rng
+                )
+            except DegenerateVariance:
+                stop_reason = "degenerate-fit"
+                break
+            betas_t = batch.betas
+            if config.integer_beta:
+                betas_t = [_round_into_bounds(b, config) for b in betas_t]
         s_t = _evaluate_all(problem, betas_t, eval_ss, threads, iteration=t)
         evaluations += len(betas_t)
         new_data, rejected = glm.ingest(zip(betas_t, s_t))
         rejected_total += rejected
-        data = data.with_observations(new_data.beta, new_data.s)
+        data = new_data if data is None else data.with_observations(new_data.beta, new_data.s)
         fit = glm.fit(data)
-
-        prev = beta_hat
-        beta_hat = _clamped_point_estimate(fit, config)
+        posterior = _posterior_summary(fit, config, summary_rng)
         records.append(
             IterationRecord(
                 index=t,
-                source="thompson",
+                source="init" if t == 0 else "thompson",
                 betas=betas_t,
                 s_values=s_t,
                 rejected=rejected,
                 fit=fit,
-                beta_hat=beta_hat,
-                posterior=_posterior_summary(fit, config, summary_rng),
+                beta_hat=_clamped_point_estimate(fit, config),
+                posterior=posterior,
                 cumulative_evaluations=evaluations,
                 wall_clock=time.perf_counter() - start,
             )
         )
 
-        if abs(beta_hat - prev) < config.stop_rel_tol * abs(prev):
-            streak += 1
-        else:
-            streak = 0
+        if t > 0 and fit.s2 <= DEGENERATE_S2:
+            stop_reason = "degenerate-fit"
+            break
+        streak = streak + 1 if _settled(fit, posterior, config) else 0
         if streak >= config.stop_window:
             stop_reason = "converged"
-            break
-        if fit.s2 <= DEGENERATE_S2:
-            stop_reason = "degenerate-fit"
             break
 
     final = records[-1].beta_hat
@@ -249,7 +261,29 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
         rejected_total=rejected_total,
         wall_clock_seconds=time.perf_counter() - start,
         problem_label=problem.label,
+        flag=_flag(records[-1].posterior, config),
     )
+
+
+def _settled(fit: glm.GlmFit, posterior: PosteriorSummary, config: BoConfig) -> bool:
+    """a is identified and the 95% beta* interval lies inside the 10% region
+    of the plug-in objective on (a_hat, exp(ln_b_hat), s2) within bounds."""
+    if not posterior.a_identified:
+        return False
+    lo, hi = acquisition.optimal_region_from(
+        fit.a_hat, fit.ln_b_hat, fit.s2, config.s0, STOP_REGION_REL, config.bounds
+    )
+    return lo <= posterior.q025 and posterior.q975 <= hi
+
+
+def _flag(posterior: PosteriorSummary, config: BoConfig) -> str | None:
+    """What the last record says about the answer, or None."""
+    if not posterior.a_identified:
+        return "unidentified"
+    for name, bound in (("boundary-min", config.beta_min), ("boundary-max", config.beta_max)):
+        if posterior.q025 == posterior.q975 == bound:
+            return name
+    return None
 
 
 def _evaluate_all(problem, betas, eval_ss, threads, iteration):
@@ -290,17 +324,21 @@ def _round_into_bounds(beta: float, config: BoConfig) -> float:
 
 
 def _posterior_summary(fit: glm.GlmFit, config: BoConfig, rng) -> PosteriorSummary:
-    """2.5/50/97.5 quantiles of beta* | data, clamped into bounds."""
+    """2.5/50/97.5 quantiles of beta* | data, clamped into bounds, and the
+    share of the draws whose exponent is > 0."""
     if fit.s2 <= 0.0:
         pe = _clamped_point_estimate(fit, config)
-        return PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0)
-    ln_star = acquisition.log_argmin(*glm.sample_posterior(fit, SUMMARY_DRAWS, rng), config.s0)
+        return PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0, p_a_positive=float(fit.a_hat > 0))
+    a, ln_b, eps2 = glm.sample_posterior(fit, SUMMARY_DRAWS, rng)
+    p_a_positive = float(np.count_nonzero(a > 0)) / a.size
+    ln_star = acquisition.log_argmin(a, ln_b, eps2, config.s0)
     values, _ = acquisition.clamp_log(ln_star[~np.isnan(ln_star)], config.bounds)
     if values.size == 0:
         pe = _clamped_point_estimate(fit, config)
-        return PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0)
+        return PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0, p_a_positive=p_a_positive)
     q025, q500, q975 = _linear_quantiles(values, [0.025, 0.5, 0.975])
-    return PosteriorSummary(q025=float(q025), q500=float(q500), q975=float(q975), draws=int(values.size))
+    return PosteriorSummary(q025=float(q025), q500=float(q500), q975=float(q975),
+                            draws=int(values.size), p_a_positive=p_a_positive)
 
 
 def _linear_quantiles(values: np.ndarray, probs) -> np.ndarray:
@@ -327,6 +365,7 @@ def trace_to_json_dict(trace: BoTrace) -> dict:
         "problem_label": trace.problem_label,
         "final_estimate": trace.final_estimate,
         "stop_reason": trace.stop_reason,
+        "flag": trace.flag,
         "total_evaluations": trace.total_evaluations,
         "rejected_total": trace.rejected_total,
         "wall_clock_seconds": trace.wall_clock_seconds,
@@ -354,7 +393,9 @@ def save_trace(trace: BoTrace, path) -> None:
 
 def load_trace(path) -> BoTrace:
     """Read a trace written by :func:`save_trace`; a ``null`` statistic
-    reads as NaN, and files with bare ``NaN`` tokens still load."""
+    reads as NaN, and files with bare ``NaN`` tokens still load.  Files
+    written before the posterior stop rule load without a ``flag`` (None)
+    and with a NaN ``p_a_positive``."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("schema") != TRACE_SCHEMA:
@@ -368,7 +409,7 @@ def load_trace(path) -> BoTrace:
             rejected=item["rejected"],
             fit=glm.GlmFit.from_json_dict(item["fit"]),
             beta_hat=float(item["beta_hat"]),
-            posterior=PosteriorSummary(**item["posterior"]),
+            posterior=PosteriorSummary(**{"p_a_positive": math.nan, **item["posterior"]}),
             cumulative_evaluations=item["cumulative_evaluations"],
             wall_clock=float(item["wall_clock"]),
         )
@@ -379,6 +420,7 @@ def load_trace(path) -> BoTrace:
         iterations=records,
         final_estimate=float(doc["final_estimate"]),
         stop_reason=doc["stop_reason"],
+        flag=doc.get("flag"),
         total_evaluations=int(doc["total_evaluations"]),
         rejected_total=int(doc["rejected_total"]),
         wall_clock_seconds=float(doc["wall_clock_seconds"]),

@@ -224,6 +224,41 @@ class TestOptimalRegion:
         lo, hi = acquisition.optimal_region(obj, 0.10)
         assert lo == hi == pytest.approx(16.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "a,bounds",
+        [
+            (-0.58, (10.0, 1000.0)),    # interior optimum (beta* = 101 on this objective)
+            (-0.58, (200.0, 1000.0)),   # optimum below the bounds
+            (-0.58, (10.0, 60.0)),      # optimum above the bounds
+            (0.7, (150.0, 3000.0)),     # positive exponent, optimum below
+            (-0.58, (90.0, 110.0)),     # region wider than the bounds
+        ],
+    )
+    def test_bounded_region_matches_numeric_scan(self, a, bounds):
+        obj = SurrogateObjective(a=a, b=1.0, eps2=0.25, s0=0.1)
+        lo, hi = acquisition.optimal_region_from(a, 0.0, 0.25, 0.1, 0.10, bounds)
+        grid = np.exp(np.linspace(math.log(bounds[0]), math.log(bounds[1]), 2_000_001))
+        grid[[0, -1]] = bounds
+        values = acquisition.evaluate_on_grid(obj, grid)
+        inside = grid[values <= 1.1 * values.min()]
+        assert lo == pytest.approx(inside.min(), rel=1e-5)
+        assert hi == pytest.approx(inside.max(), rel=1e-5)
+        # An edge on a bound is the bound itself, as clamp_log returns it.
+        for edge, scan_edge, bound in ((lo, inside.min(), bounds[0]), (hi, inside.max(), bounds[1])):
+            assert (edge == bound) == (scan_edge == bound)
+
+    def test_interior_bounded_region_is_the_region_cut_to_bounds(self):
+        lo, hi = acquisition.optimal_region(SurrogateObjective(a=-0.58, b=1.0, eps2=0.25, s0=0.1), 0.10)
+        for bounds, want in [((10.0, 1000.0), (lo, hi)), ((10.0, 120.0), (lo, 120.0))]:
+            got = acquisition.optimal_region_from(-0.58, 0.0, 0.25, 0.1, 0.10, bounds)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_bounded_region_beyond_float_range(self):
+        # ln b far beyond exp's range (as in a fit on clustered bounds):
+        # no SurrogateObjective can hold b, but the region is still defined.
+        lo, hi = acquisition.optimal_region_from(-2.6e6, 4.7e7, 0.18, 0.1, 0.10, (1e8, 1e8 + 30.0))
+        assert 1e8 <= lo <= hi <= 1e8 + 30.0
+
 
 def fitted_model(n=10_000, a=-0.58, eps=0.5, seed=5):
     rng = np.random.default_rng(seed)

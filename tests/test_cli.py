@@ -61,6 +61,24 @@ class TestOptimize:
         assert run_doc["method"] == "surrogate-bo"
         assert len(run_doc["problem_hash"]) == 64
 
+    def test_optimum_below_bounds_is_flagged(self, tmp_path, capsys):
+        # The calibrated optimum (101) lies below [200, 1000].  The config
+        # also sets the deprecated stop_rel_tol, which must still parse.
+        path = write_config(tmp_path / "run.json", bo={
+            "beta_min": 200.0, "beta_max": 1000.0, "n0": 40, "batch_size": 10,
+            "max_iterations": 25, "stop_rel_tol": 0.004,
+        })
+        out = tmp_path / "bo"
+        assert cli.main(["optimize", "--config", str(path), "--threads", "1",
+                         "--out", str(out)]) == 0
+        estimate = json.loads((out / "estimate.json").read_text())
+        assert estimate["beta_hat"] == 200.0
+        assert estimate["flag"] == "boundary-min"
+        run_doc = json.loads((out / "run.json").read_text())
+        assert (run_doc["stop_reason"], run_doc["flag"]) == ("converged", "boundary-min")
+        assert json.loads((out / "trace.json").read_text())["flag"] == "boundary-min"
+        assert "stop: converged, flag: boundary-min" in capsys.readouterr().out
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")

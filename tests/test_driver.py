@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalebo import acquisition, driver, glm, problems
 from scalebo.driver import BoConfig
@@ -40,6 +42,28 @@ def scrub_clocks(trace):
     for item in doc["iterations"]:
         item.pop("wall_clock")
     return doc
+
+
+def sometimes_nan(inner, share):
+    """``inner`` with a share of its statistics replaced by NaN (rejected rows)."""
+
+    def statistic(beta, rng):
+        value = inner.evaluate_statistic(beta, rng)
+        return math.nan if rng.random() < share else value
+
+    return problems.ObjectiveProblem(statistic, s0=inner.s0)
+
+
+# Small runs over random seeds: [200, 1000] puts the calibrated optimum
+# (101) below the bounds, so boundary flags occur among the examples.
+small_runs = dict(
+    seed=st.integers(0, 2**32 - 1),
+    beta_min=st.sampled_from([10.0, 200.0]),
+    n0=st.integers(6, 16),
+    batch_size=st.integers(1, 6),
+    max_iterations=st.integers(1, 6),
+    stop_window=st.integers(1, 3),
+)
 
 
 class TestBoConfig:
@@ -122,7 +146,7 @@ class TestRun:
 
     def test_cumulative_count_invariant(self):
         prob = calibrated_problem()
-        config = config_for(prob, n0=10, batch_size=4, max_iterations=6, stop_rel_tol=1e-9)
+        config = config_for(prob, n0=10, batch_size=4, max_iterations=6, stop_window=7)
         trace = driver.run(config, prob)
         for t, rec in enumerate(trace.iterations):
             assert rec.cumulative_evaluations == 10 + 4 * t
@@ -174,12 +198,68 @@ class TestRun:
         widths = []
         for seed in range(20):
             prob = calibrated_problem()
-            config = config_for(prob, max_iterations=12, seed=seed, stop_rel_tol=1e-12)
+            config = config_for(prob, max_iterations=12, seed=seed, stop_window=13)
             trace = driver.run(config, prob)
             widths.append([rec.posterior.width for rec in trace.iterations])
         med = np.median(np.array(widths), axis=0)
         assert np.all(med[1:] <= med[:-1] * 1.02)
         assert med[-1] < 0.6 * med[0]
+
+    def test_flat_problem_is_never_falsely_converged(self):
+        # a = 0: f is the same at every beta.  The drift rule called such
+        # runs converged at 10 or 1000 with a beta* interval of [10, 1000].
+        # A run may stop as converged only where its posterior says a != 0
+        # and has collapsed onto a bound; otherwise it runs to its budget
+        # and names a as unidentified.
+        prob = problems.synthetic_powerlaw(0.0, 0.0, 0.25, 1.0)
+        outcomes = []
+        for seed in range(3):
+            trace = driver.run(config_for(prob, seed=seed), prob)
+            last = trace.iterations[-1].posterior
+            outcomes.append((trace.stop_reason, trace.flag))
+            assert trace.flag is not None
+            if trace.flag == "unidentified":
+                assert not last.a_identified
+                assert trace.stop_reason == "budget"
+                assert trace.total_evaluations == 40 + 25 * 10
+            else:
+                assert last.a_identified
+                assert last.q025 == last.q975 == trace.final_estimate
+        assert ("budget", "unidentified") in outcomes
+
+    def test_optimum_below_bounds_converges_on_the_bound(self):
+        # The calibrated optimum (101) lies below [200, 1000]: the beta*
+        # interval collapses onto 200, and the flag names the bound.
+        prob = calibrated_problem()
+        for seed in range(3):
+            trace = driver.run(config_for(prob, beta_min=200.0, seed=seed), prob)
+            assert trace.stop_reason == "converged"
+            assert trace.final_estimate == 200.0
+            assert trace.flag == "boundary-min"
+            assert trace.total_evaluations <= 70
+
+    @settings(max_examples=25, deadline=None)
+    @given(**small_runs)
+    def test_stopped_run_is_a_prefix_of_the_unstopped_run(
+        self, seed, beta_min, n0, batch_size, max_iterations, stop_window
+    ):
+        prob = calibrated_problem()
+        config = config_for(prob, seed=seed, beta_min=beta_min, n0=n0, batch_size=batch_size,
+                            max_iterations=max_iterations, stop_window=stop_window)
+        stopped = scrub_clocks(driver.run(config, prob))["iterations"]
+        unstopped = driver.run(dataclasses.replace(config, stop_window=max_iterations + 1), prob)
+        assert stopped == scrub_clocks(unstopped)["iterations"][:len(stopped)]
+
+    @settings(max_examples=15, deadline=None)
+    @given(**small_runs)
+    def test_thread_count_never_changes_the_trace(
+        self, seed, beta_min, n0, batch_size, max_iterations, stop_window
+    ):
+        prob = calibrated_problem()
+        config = config_for(prob, seed=seed, beta_min=beta_min, n0=n0, batch_size=batch_size,
+                            max_iterations=max_iterations, stop_window=stop_window)
+        assert scrub_clocks(driver.run(config, prob, threads=1)) == \
+            scrub_clocks(driver.run(config, prob, threads=3))
 
     def test_simulator_failure_carries_iteration_context(self):
         calls = {"n": 0}
@@ -303,13 +383,7 @@ class TestTraceSerialization:
             driver.load_trace(path)
 
     def test_rejected_statistics_are_null_and_round_trip(self, tmp_path):
-        inner = calibrated_problem()
-
-        def sometimes_nan(beta, rng):
-            value = inner.evaluate_statistic(beta, rng)
-            return math.nan if rng.random() < 0.2 else value
-
-        prob = problems.ObjectiveProblem(sometimes_nan, s0=inner.s0)
+        prob = sometimes_nan(calibrated_problem(), 0.2)
         trace = driver.run(config_for(prob, n0=20, batch_size=5, max_iterations=3, seed=3), prob)
         assert trace.rejected_total > 0
         path = tmp_path / "trace.json"
@@ -330,6 +404,36 @@ class TestTraceSerialization:
         loaded = driver.load_trace(path)
         assert math.isnan(loaded.iterations[0].s_values[0])
         assert loaded.iterations[0].s_values[1:] == trace.iterations[0].s_values[1:]
+
+
+    def test_traces_without_flag_still_load(self, tmp_path, trace):
+        # Traces written before the posterior stop rule have no flag and
+        # no p_a_positive.
+        doc = driver.trace_to_json_dict(trace)
+        doc.pop("flag")
+        for item in doc["iterations"]:
+            item["posterior"].pop("p_a_positive")
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        loaded = driver.load_trace(path)
+        assert loaded.flag is None
+        assert all(math.isnan(rec.posterior.p_a_positive) for rec in loaded.iterations)
+        assert loaded.iterations[-1].posterior.q975 == trace.iterations[-1].posterior.q975
+
+    # At least 12 initial rows, so that a 20% rejection still leaves a fit.
+    @settings(max_examples=25, deadline=None)
+    @given(**{**small_runs, "n0": st.integers(12, 16)}, nan_share=st.sampled_from([0.0, 0.2]))
+    def test_round_trip_is_exact(self, tmp_path_factory, seed, beta_min, n0, batch_size,
+                                 max_iterations, stop_window, nan_share):
+        prob = sometimes_nan(calibrated_problem(), nan_share)
+        config = config_for(prob, seed=seed, beta_min=beta_min, n0=n0, batch_size=batch_size,
+                            max_iterations=max_iterations, stop_window=stop_window)
+        trace = driver.run(config, prob)
+        path = tmp_path_factory.mktemp("trace") / "trace.json"
+        driver.save_trace(trace, path)
+        doc = strict_json(path)
+        assert doc["flag"] == trace.flag
+        assert driver.trace_to_json_dict(driver.load_trace(path)) == driver.trace_to_json_dict(trace) == doc
 
 
 class TestPosteriorSummary:
