@@ -56,10 +56,12 @@ class McObjective:
     evaluations_used: int = field(init=False, default=0)
 
     def __post_init__(self):
+        from .streams import ChildStreams  # only here: it loads numpy.random, import scalebo does not
+
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
         self._cache: dict[float, ProbeStats] = {}
-        self._eval_ss = np.random.SeedSequence(self.seed)
+        self._streams = ChildStreams(np.random.SeedSequence(self.seed))
         self._sized = _takes_size(self.problem.evaluate_statistic)
 
     @property
@@ -96,12 +98,12 @@ class McObjective:
         A statistic that takes ``size`` draws each chunk in one call.
         """
         n_chunks = -(-self.mc_samples // _CHUNK)
-        children = self._eval_ss.spawn(n_chunks)
+        rngs = self._streams.spawn(n_chunks)
         sizes = [min(_CHUNK, self.mc_samples - i * _CHUNK) for i in range(n_chunks)]
         statistic = self.problem.evaluate_statistic
 
         def one_chunk(i):
-            rng = np.random.default_rng(children[i])
+            rng = rngs[i]
             try:
                 if not self._sized:
                     return np.array([float(statistic(beta, rng)) for _ in range(sizes[i])])

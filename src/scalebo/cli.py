@@ -97,11 +97,17 @@ def main(argv=None) -> int:
 
 
 def _load_run_config(args) -> config.RunConfig:
+    """The config with the ``--seed`` override applied; a bad ``--threads``
+    or ``--seed`` is a usage error, raised before anything is written."""
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     cfg = config.load_config(args.config)
     if args.seed is not None:
-        cfg = dataclasses.replace(
-            cfg, seed=args.seed, bo=dataclasses.replace(cfg.bo, seed=args.seed)
-        )
+        try:
+            bo = dataclasses.replace(cfg.bo, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"invalid --seed: {exc}") from exc
+        cfg = dataclasses.replace(cfg, seed=args.seed, bo=bo)
     return cfg
 
 
@@ -132,7 +138,7 @@ def cmd_optimize(args) -> int:
     cfg = _load_run_config(args)
     problem = config.build_problem(cfg.problem_section)
     outdir = _out_dir(args, cfg, "optimize-run")
-    trace = driver.run(cfg.bo, problem, threads=max(1, args.threads))
+    trace = driver.run(cfg.bo, problem, threads=args.threads)
     driver.save_trace(trace, outdir / "trace.json")
     driver.trace_to_csv(trace, outdir / "trace.csv")
     write_json(outdir / "estimate.json", {
@@ -159,7 +165,7 @@ def cmd_baseline(args) -> int:
         problem=problem,
         mc_samples=cfg.baseline.mc_samples,
         seed=cfg.seed,
-        threads=max(1, args.threads),
+        threads=args.threads,
     )
     optimizer = (
         baselines.golden_section

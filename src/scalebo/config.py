@@ -127,6 +127,8 @@ def parse_config(doc: dict) -> RunConfig:
     seed = doc["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("seed must be an integer")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     problem_section = doc["problem"]
     problem = build_problem(problem_section)   # validates; also resolves s0

@@ -80,6 +80,8 @@ class BoConfig:
             raise ValueError("stop_rel_tol must be > 0")
         if self.stop_window < 1:
             raise ValueError("stop_window must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.integer_beta and math.floor(self.beta_max) < math.ceil(self.beta_min):
             raise ValueError("integer_beta requires an integer inside [beta_min, beta_max]")
 
@@ -195,11 +197,14 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     identified, ``"boundary-min"`` or ``"boundary-max"`` when the beta*
     interval has collapsed onto that bound.
     """
+    from .streams import ChildStreams  # only here: it loads numpy.random, import scalebo does not
+
     start = time.perf_counter()
     root = np.random.SeedSequence(config.seed)
     acq_ss, eval_ss, summary_ss = root.spawn(3)
     acq_rng = np.random.default_rng(acq_ss)
     summary_rng = np.random.default_rng(summary_ss)
+    eval_streams = ChildStreams(eval_ss)
 
     records = []
     data = fit = None
@@ -219,7 +224,7 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
             betas_t = batch.betas
             if config.integer_beta:
                 betas_t = [_round_into_bounds(b, config) for b in betas_t]
-        s_t = _evaluate_all(problem, betas_t, eval_ss, threads, iteration=t)
+        s_t = _evaluate_all(problem, betas_t, eval_streams.spawn(len(betas_t)), threads, iteration=t)
         evaluations += len(betas_t)
         new_data, rejected = glm.ingest(zip(betas_t, s_t))
         rejected_total += rejected
@@ -286,10 +291,8 @@ def _flag(posterior: PosteriorSummary, config: BoConfig) -> str | None:
     return None
 
 
-def _evaluate_all(problem, betas, eval_ss, threads, iteration):
-    """Evaluate the statistic at each beta with per-point rng streams."""
-    children = eval_ss.spawn(len(betas))
-    rngs = [np.random.default_rng(child) for child in children]
+def _evaluate_all(problem, betas, rngs, threads, iteration):
+    """Evaluate the statistic at each beta, ``betas[i]`` on ``rngs[i]``."""
 
     def one(i):
         try:

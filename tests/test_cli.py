@@ -177,6 +177,38 @@ class TestCompare:
         assert "different problems" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["optimize", "baseline"])
+class TestRunArguments:
+    def test_negative_config_seed_exits_2_before_writing(self, tmp_path, command, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "run.json", seed=-3, out=str(out))
+        assert cli.main([command, "--config", str(path), "--threads", "1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_override_exits_2_before_writing(self, tmp_path, config_path,
+                                                            command, capsys):
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(config_path), "--seed", "-1",
+                         "--threads", "1", "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_exit_2(self, tmp_path, config_path, command, threads, capsys):
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(config_path), "--threads", threads,
+                         "--out", str(out)]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_json_records_the_thread_count(self, tmp_path, config_path, command):
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(config_path), "--threads", "2",
+                         "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["threads"] == 2
+
+
 class TestDiagnose:
     @pytest.fixture()
     def dataset_path(self, tmp_path):

@@ -79,6 +79,7 @@ class TestBoConfig:
             dict(stop_rel_tol=0.0),
             dict(stop_window=0),
             dict(beta_min=2.2, beta_max=2.8, integer_beta=True),
+            dict(seed=-1),
         ],
     )
     def test_invalid_settings(self, overrides):

@@ -68,3 +68,16 @@ def test_package_and_run_commands_load_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert loaded == [], f"SciPy modules loaded: {loaded[:10]} ({len(loaded)} in all)"
+
+
+def test_import_loads_no_numpy_random():
+    # numpy loads numpy.random on first use; a run needs it, an import
+    # does not, and loading it costs about 25 ms of every cold start.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, scalebo, scalebo.cli; print('numpy.random' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
