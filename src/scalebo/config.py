@@ -109,7 +109,7 @@ def build_problem(problem_section: dict) -> problems.ObjectiveProblem:
                 s0 = float(section.pop("s0"))
             return problems.synthetic_powerlaw(a, ln_b, eps2, s0)
         if kind == "srom-standin":
-            return problems.srom_standin(problems.build_static_fixture())
+            return problems.srom_standin()
         return problems.synthetic_misspecified(kind, section)
     except ConfigError:
         raise

@@ -3,9 +3,9 @@
 Synthetic problems draw the statistic from a known generating law so that
 ground truth (exponent, scale, noise, optimizer) is available to tests.
 The structural fixture is a 1-D fixed-fixed static system with a spectral
-stiffness matrix; ``srom_standin`` wraps it in a randomized-basis
-reduced-order model so the full optimization pipeline can be exercised on
-a structural problem.
+stiffness matrix; ``srom_standin`` poses a randomized-basis reduced-order
+model on the same system, built from its modal closed form, so the full
+optimization pipeline can be exercised on a structural problem.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from .acquisition import EXPONENT_TOL
 from .errors import UnknownKind
 
 ROM_DIM = 8
+# The force vectors' highest mode is 32, and only modes 1..n-2 of the
+# fixture are sine modes (see StaticFixture).
+MIN_DOF = 34
 
 
 @dataclass(frozen=True)
@@ -191,6 +194,16 @@ class StaticFixture:
     ``x_exp`` and a high-dimensional-model solution ``x_hdm``; both are
     solved with the end degrees of freedom eliminated.  An 8-mode
     reduced-order model yields ``x_rom``.
+
+    The sine matrix has rank n-2: column n-1 is ``sin(pi j) = 0`` and
+    column n is minus column n-2.  So Phi's first n-2 columns are the
+    normalized sine modes, which vanish at both ends, and its last two
+    are whatever orthonormal pair LAPACK's QR completes them with, a
+    basis of the two end DoFs (about ``e_{n-1}`` and ``e_0`` with numpy's
+    LAPACK at n = 1000).  The endpoint block of K, and with it the
+    exported ``K.mtx``, depends on that choice; the forces, solutions and
+    model error do not.  ``n_dof`` must be at least ``MIN_DOF`` so that
+    every force mode is a sine mode.
     """
 
     n_dof: int
@@ -216,6 +229,15 @@ class StaticFixture:
         return float(np.linalg.norm(self.x_exp - self.x_rom))
 
 
+def _check_n_dof(n_dof: int) -> int:
+    if n_dof < MIN_DOF:
+        raise ValueError(
+            f"n_dof must be >= {MIN_DOF}, so that force mode 32 is an interior "
+            f"sine mode (32 <= n_dof - 2), got {n_dof}"
+        )
+    return n_dof
+
+
 def _solve_fixed_ends(k_mat: np.ndarray, force: np.ndarray) -> np.ndarray:
     """Solve K x = f with x[0] = x[-1] = 0 by eliminating the end DoFs."""
     n = k_mat.shape[0]
@@ -232,7 +254,7 @@ def build_static_fixture(n_dof: int = 1000) -> StaticFixture:
     The mode combinations and their normalizing constants for the two
     force vectors are fixed properties of the benchmark problem.
     """
-    n = n_dof
+    n = _check_n_dof(n_dof)
     j = np.arange(n, dtype=float)[:, None]       # row index j-1 = 0..n-1
     k = np.arange(1, n + 1, dtype=float)[None, :]
     p = np.sin(k * np.pi * j / (n - 1))
@@ -270,8 +292,39 @@ def build_static_fixture(n_dof: int = 1000) -> StaticFixture:
     return StaticFixture(n_dof=n, **arrays)
 
 
-def srom_standin(fixture: StaticFixture) -> ObjectiveProblem:
-    """Randomized-basis ROM problem on the static fixture.
+def _srom_modal(n_dof: int):
+    """The stand-in's data in stiffness eigencoordinates, in closed form.
+
+    Returns ``(lam, f_hdm, x_exp, x_rom)``: the eigenvalues and the
+    coordinates ``Phi^T v`` of the fixture's vectors, without forming Phi.
+
+    Each force vector is a fixed combination of sine modes 1..32 (see
+    ``build_static_fixture``), so its coordinates are the combination's
+    weights over its normalizing constant.  The sine modes vanish at both
+    ends, so with the end DoFs eliminated they span the free DoFs, K acts
+    on them as ``diag(lambda)``, and a fixed-end solve divides each
+    coordinate by its eigenvalue: ``x_exp = f_exp / lambda``.  The ROM
+    basis is the first ``ROM_DIM`` modes, so its reduced operator is
+    ``diag(lambda[:ROM_DIM])`` and ``x_rom`` keeps the first ``ROM_DIM``
+    coordinates of ``f_hdm / lambda`` and zeros the rest.  Signs of the
+    modes do not matter: a flipped mode flips its weight and its
+    coordinate alike.
+    """
+    n = _check_n_dof(n_dof)
+    lam = 4.0 * np.pi**2 * np.arange(1, n + 1, dtype=float) ** 2
+    f_exp = np.zeros(n)
+    f_exp[[1, 4, 7, 30, 31, 0]] = [0.1, 0.4, 0.6, 2.5, 2.5, -0.015]
+    f_exp /= 0.261466
+    f_hdm = np.zeros(n)
+    f_hdm[[1, 4, 7, 28, 29, 30]] = [0.1, 0.4, 0.6, 2.5, 2.5, 2.5]
+    f_hdm /= 0.27702
+    x_rom = np.zeros(n)
+    x_rom[:ROM_DIM] = f_hdm[:ROM_DIM] / lam[:ROM_DIM]
+    return lam, f_hdm, f_exp / lam, x_rom
+
+
+def srom_standin(n_dof: int = 1000) -> ObjectiveProblem:
+    """Randomized-basis ROM problem on the static fixture's system.
 
     This is an invented stand-in, NOT a published stochastic reduced-order
     model: it exists purely to exercise the optimization pipeline on a
@@ -280,20 +333,21 @@ def srom_standin(fixture: StaticFixture) -> ObjectiveProblem:
     ROM solution of the Galerkin solution ``A (A^T K A)^{-1} A^T f`` on the
     perturbed basis ``A = V + beta^{-1/2} G``, G an i.i.d. standard normal
     matrix; it depends only on the span of A, so A is not orthonormalized.
-    The target is the fixture's model error.
+    The target is the model error ``||x_exp - x_rom||`` of
+    ``build_static_fixture(n_dof)``.
 
     Implementation note: everything is computed in the eigenbasis of the
-    stiffness.  Because the basis matrix is orthogonal, an i.i.d. normal
+    stiffness, where K is ``diag(lambda)`` and every vector the problem
+    needs is closed form (``_srom_modal``), so the dense fixture is never
+    built.  Because the basis matrix is orthogonal, an i.i.d. normal
     perturbation drawn in eigen coordinates equals (in law, and exactly
     under ``G_phys = Phi @ G_eig``) one drawn in physical coordinates, and
     Euclidean distances are preserved; the rotated form avoids a dense
     1000x1000 product per draw.
     """
-    n, m = fixture.n_dof, ROM_DIM
-    lam = fixture.eigvals
+    lam, f_hdm_eig, x_exp_eig, x_rom_eig = _srom_modal(n_dof)
+    n, m = lam.size, ROM_DIM
     v_eig = np.eye(n, m)
-    f_hdm_eig = fixture.basis.T @ fixture.f_hdm
-    x_rom_eig = fixture.basis.T @ fixture.x_rom
 
     def evaluate_statistic(beta, rng):
         beta = _check_beta(beta)
@@ -305,7 +359,7 @@ def srom_standin(fixture: StaticFixture) -> ObjectiveProblem:
 
     return ObjectiveProblem(
         evaluate_statistic,
-        s0=fixture.model_error,
+        s0=float(np.linalg.norm(x_exp_eig - x_rom_eig)),
         truth=None,
         label="srom-standin",
     )

@@ -182,8 +182,7 @@ class TestAcceptance:
         # window.  The verification pairs both estimates on common random
         # numbers so the comparison is not dominated by Monte-Carlo noise.
         start = time.perf_counter()
-        fixture = problems.build_static_fixture()
-        prob = problems.srom_standin(fixture)
+        prob = problems.srom_standin()
         bounds = (3e7, 8e7)
 
         def f_paired(beta_a, beta_b, seed, n=500):

@@ -209,8 +209,8 @@ def fixture():
 
 
 @pytest.fixture(scope="module")
-def prob(fixture):
-    return problems.srom_standin(fixture)
+def prob():
+    return problems.srom_standin()
 
 
 class TestStaticFixture:
@@ -246,6 +246,46 @@ class TestStaticFixture:
     def test_reduced_operator_is_leading_spectrum(self, fixture):
         reduced = fixture.rom_basis.T @ fixture.stiffness @ fixture.rom_basis
         np.testing.assert_allclose(reduced, np.diag(fixture.eigvals[:8]), atol=1e-6)
+
+
+def max_rel_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.fixture(scope="module", params=[34, 35, 100, 1000])
+def dense_and_modal(request):
+    return problems.build_static_fixture(request.param), problems._srom_modal(request.param)
+
+
+class TestModalForm:
+    """The stand-in's closed-form modal data against the dense QR fixture."""
+
+    def test_eigenvalues_equal(self, dense_and_modal):
+        fixture, (lam, *_) = dense_and_modal
+        np.testing.assert_array_equal(lam, fixture.eigvals)
+
+    def test_vectors_are_the_fixture_in_eigencoordinates(self, dense_and_modal):
+        # Measured gaps at n = 1000: 5.3e-15 of a max of 9.02 for f_hdm,
+        # 5.4e-14 of 2.29e-3 for x_rom.  They are the dense route's
+        # rounding: the closed form has exact zeros where it has 1e-14.
+        fixture, (_, f_hdm, x_exp, x_rom) = dense_and_modal
+        assert max_rel_gap(f_hdm, fixture.basis.T @ fixture.f_hdm) < 1e-14
+        assert max_rel_gap(x_exp, fixture.basis.T @ fixture.x_exp) < 1e-9
+        assert max_rel_gap(x_rom, fixture.basis.T @ fixture.x_rom) < 1e-9
+
+    def test_target_is_the_fixture_model_error(self, dense_and_modal):
+        fixture, _ = dense_and_modal
+        s0 = problems.srom_standin(fixture.n_dof).s0
+        assert s0 == pytest.approx(fixture.model_error, rel=1e-10, abs=0.0)
+
+    def test_target_golden_value(self, prob):
+        assert prob.s0 == pytest.approx(MODEL_ERROR_GOLDEN, rel=1e-6)
+
+    @pytest.mark.parametrize("build", [problems.build_static_fixture, problems.srom_standin])
+    @pytest.mark.parametrize("n_dof", [2, 31, 32, 33])
+    def test_rejects_force_modes_beyond_the_sine_modes(self, build, n_dof):
+        with pytest.raises(ValueError, match="interior sine mode"):
+            build(n_dof)
 
 
 class TestSromStandin:
@@ -293,14 +333,12 @@ class TestSromStandin:
             assert fast == pytest.approx(literal, rel=1e-8)
 
     @pytest.mark.parametrize("beta", [1e-2, 1.0, 1e3, 1e6, 3e7, 8e7, 1e9])
-    def test_galerkin_solve_matches_orthonormalized_basis(self, fixture, prob, beta):
+    def test_galerkin_solve_matches_orthonormalized_basis(self, prob, beta):
         # The Galerkin solution depends only on the span of the perturbed
         # basis, so solving on V + G / sqrt(beta) directly must reproduce
         # the QR-orthonormalized route on the same normal draw.
-        n, m = fixture.n_dof, problems.ROM_DIM
-        lam = fixture.eigvals
-        f_eig = fixture.basis.T @ fixture.f_hdm
-        x_rom_eig = fixture.basis.T @ fixture.x_rom
+        lam, f_eig, _, x_rom_eig = problems._srom_modal(1000)
+        n, m = lam.size, problems.ROM_DIM
         for seed in range(3):
             got = prob.evaluate_statistic(beta, np.random.default_rng(seed))
             g = np.random.default_rng(seed).standard_normal((n, m))

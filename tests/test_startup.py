@@ -3,8 +3,10 @@
 Importing SciPy's ``stats`` and ``io`` costs over a second of a fresh
 process, against about 10 ms for a whole calibrated optimization run.
 Only ``diagnose``'s family fits and ``fixture export`` need SciPy, and
-they import it when called.  The check runs in a fresh interpreter,
-because the test process itself has long imported SciPy.
+they import it when called.  Nor does any run path build the dense
+1000-DoF static fixture: ``srom-standin`` is built from its closed form.
+The check runs in a fresh interpreter, because the test process itself
+has long imported SciPy.
 """
 
 import json
@@ -20,7 +22,7 @@ import json, sys
 from pathlib import Path
 
 import scalebo
-from scalebo import baselines, cli, config, driver
+from scalebo import baselines, cli, config, driver, problems
 
 outdir = Path(sys.argv[1])
 sections = [
@@ -53,6 +55,8 @@ common = ["--config", str(config_path), "--threads", "2"]
 assert cli.main(["optimize", *common, "--out", str(outdir / "bo")]) == 0
 assert cli.main(["baseline", *common, "--out", str(outdir / "gs")]) == 0
 assert cli.main(["compare", str(outdir / "bo"), str(outdir / "gs")]) == 0
+# No run path builds the dense 1000-DoF fixture; srom-standin is closed form.
+assert problems.build_static_fixture.cache_info().misses == 0
 
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """

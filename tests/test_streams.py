@@ -127,7 +127,7 @@ def gamma_noise_problem():
 
 @pytest.fixture(scope="module")
 def srom_problem():
-    return problems.srom_standin(problems.build_static_fixture())
+    return problems.srom_standin()
 
 
 def trace_doc(trace):
