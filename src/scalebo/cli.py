@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -38,7 +39,11 @@ from .jsonio import write_json
 RUN_SCHEMA = "scalebo-run/1"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (it costs about as
+    much as a small command) and shared, so callers must not change it.
+    Commands are bound to their functions in :func:`main`."""
     parser = argparse.ArgumentParser(prog="scalebo")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -49,17 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="max concurrent statistic evaluations")
     common.add_argument("--out", default=None, help="output directory")
 
-    p_opt = sub.add_parser("optimize", parents=[common], help="run the surrogate optimizer")
-    p_opt.set_defaults(func=cmd_optimize)
-
-    p_base = sub.add_parser("baseline", parents=[common], help="run the MC 1-D baseline")
-    p_base.set_defaults(func=cmd_baseline)
+    sub.add_parser("optimize", parents=[common], help="run the surrogate optimizer")
+    sub.add_parser("baseline", parents=[common], help="run the MC 1-D baseline")
 
     p_cmp = sub.add_parser("compare", help="compare an optimize run with a baseline run")
     p_cmp.add_argument("bo_dir", help="directory written by 'optimize'")
     p_cmp.add_argument("baseline_dir", help="directory written by 'baseline'")
     p_cmp.add_argument("--out", default=None, help="also write comparison.json here")
-    p_cmp.set_defaults(func=cmd_compare)
 
     p_diag = sub.add_parser("diagnose", help="residual diagnostics for a beta,s dataset")
     p_diag.add_argument("--data", required=True, help="dataset CSV with header beta,s")
@@ -70,21 +71,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--beta", type=float, default=None,
                         help="beta slice for the family fits (default: largest group)")
     p_diag.add_argument("--out", default=None, help="output directory")
-    p_diag.set_defaults(func=cmd_diagnose)
 
     p_fix = sub.add_parser("fixture", help="static structural fixture utilities")
     fix_sub = p_fix.add_subparsers(dest="action", required=True)
     p_exp = fix_sub.add_parser("export", help="write K, V, f_E, f_H as Matrix Market files")
     p_exp.add_argument("--out", default=None, help="output directory")
-    p_exp.set_defaults(func=cmd_fixture_export)
-
     return parser
+
+
+def _command(args):
+    """The ``cmd_*`` function of the parsed command.  It is looked up at
+    call time, so a replaced ``cmd_*`` attribute (a test double, a tracing
+    wrapper) runs even though the parser is cached."""
+    if args.command == "fixture":  # its one action is export
+        return cmd_fixture_export
+    return {
+        "optimize": cmd_optimize,
+        "baseline": cmd_baseline,
+        "compare": cmd_compare,
+        "diagnose": cmd_diagnose,
+    }[args.command]
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _command(args)(args)
     except (ConfigError, MismatchedProblem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,9 @@ from .errors import DegenerateSample, InsufficientData, NoEligibleGroups
 from .jsonio import json_safe, write_json
 
 SHIFT_GRID_POINTS = 50
+# Most elements per block of the shift profile, 16 MB of float64 (all 50
+# shifts at once up to n = 40,000 residuals).
+SHIFT_BLOCK_ELEMENTS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ class ResidualReport:
 
 
 def residual_stats(
-    fit: glm.GlmFit, data: glm.LogDataset, min_per_beta: int = 1000
+    fit: glm.GlmFit, data: glm.LogDataset, min_per_beta: int = 1000, residuals=None
 ) -> tuple[list[GroupStats], list[tuple[float, int]]]:
     """Per-beta residual moments with unbiased estimators.
 
@@ -73,6 +76,8 @@ def residual_stats(
     ``min_per_beta`` are dropped and returned separately rather than
     diluting the moment estimates.  A moment is NaN in a group too small
     for its estimator (std below 2 rows, skewness 3, kurtosis 4).
+    ``residuals``, when given, are the fit's residuals on ``data``,
+    ``data.y - data.x @ fit.coef_hat``; otherwise they are computed.
 
     Returns
     -------
@@ -87,17 +92,21 @@ def residual_stats(
     """
     if min_per_beta < 1:
         raise ValueError("min_per_beta must be >= 1")
-    resid = data.y - data.x @ fit.coef_hat
+    if residuals is None:
+        residuals = data.y - data.x @ fit.coef_hat
+    # One stable sort splits the rows into beta groups, each in its rows'
+    # original order, so every moment sums exactly what a mask would pick.
+    order = np.argsort(data.beta, kind="stable")
+    betas, starts = np.unique(data.beta[order], return_index=True)
     groups: list[GroupStats] = []
     dropped: list[tuple[float, int]] = []
-    for beta in np.unique(data.beta):
-        r = resid[data.beta == beta]
+    for beta, r in zip(betas.tolist(), np.split(residuals[order], starts[1:])):
         if r.size < min_per_beta:
-            dropped.append((float(beta), int(r.size)))
+            dropped.append((beta, int(r.size)))
             continue
         groups.append(
             GroupStats(
-                beta=float(beta),
+                beta=beta,
                 count=int(r.size),
                 mean=float(r.mean()),
                 median=float(np.median(r)),
@@ -219,18 +228,26 @@ def fit_residual_families(residuals) -> FamilyRanking:
     gamma_ll = float(np.sum(scipy.stats.gamma.logpdf(e, shape, loc=0.0, scale=scale)))
     gamma = FamilyFit("gamma", {"shape": float(shape), "scale": float(scale)}, gamma_ll)
 
+    # Profile likelihood over the shift grid: log, mean, std and sums of
+    # each shift's sample as rows of (shifts, n) blocks.
     e_min, e_std = float(e.min()), float(e.std())
+    shifts = np.linspace(e_min - 2.0 * e_std, e_min, SHIFT_GRID_POINTS, endpoint=False)
+    mu, sig, t_sum, t_ss = (np.empty(shifts.size) for _ in range(4))
+    step = max(1, SHIFT_BLOCK_ELEMENTS // n)
+    for lo in range(0, shifts.size, step):
+        rows = slice(lo, lo + step)
+        t = np.log(e - shifts[rows, None])
+        mu[rows], sig[rows], t_sum[rows] = t.mean(axis=1), t.std(axis=1), t.sum(axis=1)
+        t_ss[rows] = np.sum((t - mu[rows, None]) ** 2, axis=1)
     best_shift, best_ll, best_mu, best_sig = None, -math.inf, None, None
-    for shift in np.linspace(e_min - 2.0 * e_std, e_min, SHIFT_GRID_POINTS, endpoint=False):
-        t = np.log(e - shift)
-        mu, sig = float(t.mean()), float(t.std())
-        if sig == 0.0:
+    for shift, m, s, ts, ss in zip(shifts.tolist(), mu.tolist(), sig.tolist(),
+                                   t_sum.tolist(), t_ss.tolist()):
+        if s == 0.0:
             continue
-        # log-normal log-likelihood of (e - shift) with parameters (mu, sig)
-        ll = float(-n * math.log(sig) - 0.5 * n * math.log(2.0 * math.pi)
-                   - t.sum() - 0.5 * np.sum((t - mu) ** 2) / sig**2)
-        if ll > best_ll:
-            best_shift, best_ll, best_mu, best_sig = float(shift), ll, mu, sig
+        # log-normal log-likelihood of (e - shift) with parameters (m, s)
+        ll = -n * math.log(s) - 0.5 * n * math.log(2.0 * math.pi) - ts - 0.5 * ss / s**2
+        if ll > best_ll:  # the first maximum; NaN never wins
+            best_shift, best_ll, best_mu, best_sig = shift, ll, m, s
     if best_shift is None:
         raise DegenerateSample("shifted log-normal profile likelihood is degenerate")
     shifted = FamilyFit(
@@ -266,7 +283,8 @@ def residual_report(
     Family fitting is skipped (with the slot left empty) when the slice
     is too small or degenerate.
     """
-    groups, dropped = residual_stats(fit, data, min_per_beta)
+    resid = data.y - data.x @ fit.coef_hat
+    groups, dropped = residual_stats(fit, data, min_per_beta, residuals=resid)
     smoothed = smooth_groups(groups, window)
 
     if fit_beta is None:
@@ -275,7 +293,6 @@ def residual_report(
         target = float(fit_beta)
         if not any(g.beta == target for g in groups):
             raise NoEligibleGroups(f"no retained group at beta = {target}")
-    resid = data.y - data.x @ fit.coef_hat
     slice_resid = resid[data.beta == target]
 
     families = None

@@ -22,6 +22,7 @@ distribution.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -162,7 +163,12 @@ def ingest(points) -> tuple[LogDataset, int]:
     (LogDataset, int)
         The clean dataset and the number of rejected rows.
     """
-    rows = np.array([(float(beta), float(s)) for beta, s in points], dtype=float)
+    return _keep_usable(np.array([(float(beta), float(s)) for beta, s in points], dtype=float))
+
+
+def _keep_usable(rows: np.ndarray) -> tuple[LogDataset, int]:
+    """The dataset of the usable rows of a ``(n, 2)`` float array of
+    (beta, s) pairs, and the number of rows left out."""
     beta, s = rows.reshape(-1, 2).T
     keep = np.isfinite(beta) & np.isfinite(s) & (beta > 0) & (s > 0)
     return LogDataset(beta[keep], s[keep]), int(beta.size - np.count_nonzero(keep))
@@ -279,19 +285,34 @@ def save_csv(data: LogDataset, path) -> None:
 def load_csv(path) -> tuple[LogDataset, int]:
     """Read a ``beta,s`` CSV written by :func:`save_csv` (or by hand).
 
-    Returns the dataset plus the count of rejected rows, exactly as
-    :func:`ingest` does.
+    The grammar:
+
+    - The first line is a header whose first two fields are ``beta`` and
+      ``s`` (surrounding spaces and quotes allowed, no byte-order mark).
+    - Each further line is a row: its first two comma-separated fields
+      are beta and s, optionally quoted and space-padded; further fields
+      are ignored, and rows may differ in their number of fields.
+    - Blank lines are skipped; LF and CRLF line ends are both accepted.
+    - Rows with a non-finite or non-positive value are counted as
+      rejected, as :func:`ingest` does.
+    - Numbers use numpy's parser: ASCII decimal or exponent notation,
+      ``nan`` and ``inf``, without digit separators.
+
+    Returns the dataset plus the count of rejected rows.
+
+    Raises
+    ------
+    ValueError
+        A wrong header, or a row with fewer than two fields or a field
+        that is not a number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader([fh.readline()]), None)
         if header is None or [h.strip() for h in header[:2]] != ["beta", "s"]:
             raise ValueError(f"{path}: expected header 'beta,s'")
-        pairs = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}: malformed row {row!r}")
-            pairs.append((float(row[0]), float(row[1])))
-    return ingest(pairs)
+        body = fh.read()
+    if not body.strip("\r\n"):  # header only: loadtxt would warn of no data
+        return _keep_usable(np.empty((0, 2)))
+    rows = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", usecols=(0, 1), ndmin=2,
+                      comments=None, quotechar='"')
+    return _keep_usable(rows)

@@ -276,6 +276,24 @@ class TestDiagnose:
         assert (out1 / "histogram.csv").read_bytes() == (out2 / "histogram.csv").read_bytes()
 
 
+class TestDispatch:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_patched_command_runs_after_the_parser_is_cached(self, tmp_path, monkeypatch):
+        missing = str(tmp_path / "missing")
+        assert cli.main(["compare", missing, missing]) == 3
+        calls = []
+
+        def fake_compare(args):
+            calls.append((args.bo_dir, args.baseline_dir))
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_compare", fake_compare)
+        assert cli.main(["compare", "bo", "base"]) == 0
+        assert calls == [("bo", "base")]
+
+
 class TestStandinProblemDispatch:
     def test_optimize_on_structural_standin(self, tmp_path):
         config = write_config(

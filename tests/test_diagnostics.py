@@ -94,6 +94,28 @@ class TestResidualStats:
             assert g.skewness == pytest.approx(ref[2], rel=1e-10)
             assert g.excess_kurtosis == pytest.approx(ref[3], rel=1e-8, abs=1e-10)
 
+    def test_interleaved_groups_match_masked_moments(self):
+        # Many groups, rows in random order: each group's moments equal those
+        # of its residuals picked out by a mask, in their original order.
+        rng = np.random.default_rng(5)
+        beta = rng.choice(np.exp(np.linspace(1.0, 6.0, 97)), size=9000)
+        s = np.exp(-0.4 * np.log(beta) + 0.3 * rng.standard_t(4.0, beta.size))
+        data, _ = glm.ingest(zip(beta, s))
+        fit = glm.fit(data)
+        groups, dropped = diagnostics.residual_stats(fit, data, min_per_beta=90)
+        resid = data.y - data.x @ fit.coef_hat
+        assert [g.beta for g in groups] + [b for b, _ in dropped] != []
+        assert sorted([g.beta for g in groups] + [b for b, _ in dropped]) == list(np.unique(beta))
+        for b, count in dropped:
+            assert count == np.count_nonzero(data.beta == b) < 90
+        for g in groups:
+            r = resid[data.beta == g.beta]
+            assert g.count == r.size >= 90
+            assert (g.mean, g.median, g.std) == (float(r.mean()), float(np.median(r)),
+                                                 float(r.std(ddof=1)))
+            shape = diagnostics._shape_moments(r)
+            assert (g.skewness, g.excess_kurtosis) == (shape["skewness"], shape["excess_kurtosis"])
+
     # Fixed from the dtype before the property ran: a few hundred eps, in
     # the scale of the standardized moments (hence the absolute part).
     MOMENT_TOL = dict(rel=1e-12, abs=1e-12)
@@ -191,6 +213,55 @@ class TestFitResidualFamilies:
     def test_too_few_residuals(self):
         with pytest.raises(InsufficientData):
             diagnostics.fit_residual_families(np.random.default_rng(0).standard_normal(99))
+
+
+def shift_profile_loop(res):
+    """Reference: the shifted log-normal profile as one scalar pass per shift."""
+    e = np.exp(np.asarray(res, dtype=float))
+    n = e.size
+    e_min, e_std = float(e.min()), float(e.std())
+    best_shift, best_ll, best_mu, best_sig = None, -math.inf, None, None
+    grid = np.linspace(e_min - 2.0 * e_std, e_min, diagnostics.SHIFT_GRID_POINTS, endpoint=False)
+    for shift in grid:
+        t = np.log(e - shift)
+        mu, sig = float(t.mean()), float(t.std())
+        if sig == 0.0:
+            continue
+        ll = float(-n * math.log(sig) - 0.5 * n * math.log(2.0 * math.pi)
+                   - t.sum() - 0.5 * np.sum((t - mu) ** 2) / sig**2)
+        if ll > best_ll:
+            best_shift, best_ll, best_mu, best_sig = float(shift), ll, mu, sig
+    return {"shift": best_shift, "mu": best_mu, "sigma": best_sig}, best_ll
+
+
+class TestShiftProfile:
+    """The shifted log-normal fit equals the per-shift loop bit for bit."""
+
+    @pytest.mark.parametrize("sample", [
+        lambda rng: np.log(rng.gamma(4.0, 0.25, 1200)),
+        lambda rng: rng.normal(0.0, 0.5, 1200),
+        lambda rng: 1e-3 * rng.standard_normal(300),
+        lambda rng: 0.2 * rng.standard_t(2.0, 2000),
+        lambda rng: np.log(rng.gamma(1.0, 1.0, 5001)),
+    ], ids=["gamma", "normal", "small-spread", "student-t2", "exponential"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_loop(self, sample, seed):
+        res = sample(np.random.default_rng(seed))
+        fit = diagnostics.fit_residual_families(res)["shifted_lognormal"]
+        params, ll = shift_profile_loop(res)
+        assert fit.params == params
+        assert fit.log_likelihood == ll
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 49])
+    def test_grid_split_into_blocks(self, monkeypatch, rows_per_block):
+        res = np.log(np.random.default_rng(4).gamma(2.0, 0.5, 800))
+        monkeypatch.setattr(diagnostics, "SHIFT_BLOCK_ELEMENTS", rows_per_block * res.size)
+        fit = diagnostics.fit_residual_families(res)["shifted_lognormal"]
+        assert (fit.params, fit.log_likelihood) == shift_profile_loop(res)
+
+    def test_constant_sample_still_degenerate(self):
+        with pytest.raises(DegenerateSample):
+            diagnostics.fit_residual_families(np.full(500, 0.25))
 
 
 class TestReport:

@@ -6,6 +6,7 @@ inverse chi-squared law) before being frozen here.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -393,3 +394,67 @@ class TestCsvRoundTrip:
         path.write_text("b,s\n1.0,2.0\n")
         with pytest.raises(ValueError):
             glm.load_csv(path)
+
+
+class TestLoadCsv:
+    """The dataset grammar of :func:`glm.load_csv`, case by case."""
+
+    @staticmethod
+    def load(tmp_path, text, newline="\n"):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        return glm.load_csv(path)
+
+    @pytest.mark.parametrize("body, beta, s, rejected", [
+        ("1.5,2.5\n3,4\n", [1.5, 3.0], [2.5, 4.0], 0),
+        ("\n1.5,2.5\n\n\n3,4\n\n", [1.5, 3.0], [2.5, 4.0], 0),
+        ('"1.5","2.5"\n3,"4"\n', [1.5, 3.0], [2.5, 4.0], 0),
+        ("1.5,2.5,note\n3,4,5,6\n", [1.5, 3.0], [2.5, 4.0], 0),
+        ("1.5,2.5\n3,4,5\n5,6\n", [1.5, 3.0, 5.0], [2.5, 4.0, 6.0], 0),
+        ("1.5,2.5,\n", [1.5], [2.5], 0),
+        (" 1.5 , 2.5 \n\t3\t,\t4\n", [1.5, 3.0], [2.5, 4.0], 0),
+        ("+1.5,2e3\n1E-3,.5\n", [1.5, 1e-3], [2e3, 0.5], 0),
+        ("1.5,2.5", [1.5], [2.5], 0),
+        ("nan,2\n1,inf\n-1,2\n1,-0.0\n0,3\n2,3\nNaN,-Infinity\n", [2.0], [3.0], 6),
+    ], ids=["plain", "blank-lines", "quoted", "extra-columns", "ragged", "trailing-comma",
+            "whitespace", "number-forms", "no-final-newline", "rejected-rows"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_body_grammar(self, tmp_path, body, beta, s, rejected, newline):
+        data, count = self.load(tmp_path, "beta,s\n" + body, newline)
+        assert count == rejected
+        np.testing.assert_array_equal(data.beta, beta)
+        np.testing.assert_array_equal(data.s, s)
+
+    @pytest.mark.parametrize("body", ["1.5,2.5\n3\n", "1.5\n", "1.5,abc\n", "1.5,\n", ",\n",
+                                      "1,2\n   \n", "# comment\n1,2\n", "0x10,2\n", "1 0,2\n"],
+                             ids=["short-row", "one-column", "non-numeric", "empty-field",
+                                  "empty-row", "whitespace-row", "comment", "hex", "inner-space"])
+    def test_malformed_rows_raise(self, tmp_path, body):
+        with pytest.raises(ValueError):
+            self.load(tmp_path, "beta,s\n" + body)
+
+    @pytest.mark.parametrize("body", ["1_000,2\n", "\u0661,2\n"], ids=["digit-separator", "non-ascii-digit"])
+    def test_number_forms_only_python_accepts_raise(self, tmp_path, body):
+        # float() takes these; the dataset grammar is numpy's parser, which does not.
+        with pytest.raises(ValueError):
+            self.load(tmp_path, "beta,s\n" + body)
+
+    @pytest.mark.parametrize("text", ["beta,s\n", "beta,s", "beta,s\n\n\n", "beta,s\r\n\r\n"])
+    def test_header_only_is_empty_without_warnings(self, tmp_path, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data, rejected = self.load(tmp_path, text)
+        assert (data.n, rejected) == (0, 0)
+
+    @pytest.mark.parametrize("header", ["beta,s", " beta , s ", '"beta","s"', "beta,s,note"])
+    def test_header_forms_accepted(self, tmp_path, header):
+        data, _ = self.load(tmp_path, header + "\n2,3\n")
+        assert data.n == 1
+
+    @pytest.mark.parametrize("text", ["", "\n", "b,s\n1,2\n", "beta\n1,2\n", "s,beta\n1,2\n",
+                                      "\ufeffbeta,s\n1,2\n", "\nbeta,s\n1,2\n"],
+                             ids=["empty-file", "blank-first-line", "wrong-name", "one-name",
+                                  "swapped", "byte-order-mark", "header-after-blank"])
+    def test_header_rejected(self, tmp_path, text):
+        with pytest.raises(ValueError, match="expected header"):
+            self.load(tmp_path, text)
