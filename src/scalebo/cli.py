@@ -41,9 +41,10 @@ RUN_SCHEMA = "scalebo-run/1"
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process (it costs about as
-    much as a small command) and shared, so callers must not change it.
-    Commands are bound to their functions in :func:`main`."""
+    """The command-line parser, built once per process and shared, so
+    callers must not change it.  Building it costs about as much as a small
+    command; the cache pays off only when :func:`main` runs repeatedly in
+    one process.  Commands are bound to their functions in :func:`main`."""
     parser = argparse.ArgumentParser(prog="scalebo")
     sub = parser.add_subparsers(dest="command", required=True)
 

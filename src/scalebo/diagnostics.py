@@ -68,7 +68,7 @@ class ResidualReport:
 
 
 def residual_stats(
-    fit: glm.GlmFit, data: glm.LogDataset, min_per_beta: int = 1000, residuals=None
+    fit: glm.GlmFit, data: glm.LogDataset, min_per_beta: int = 1000
 ) -> tuple[list[GroupStats], list[tuple[float, int]]]:
     """Per-beta residual moments with unbiased estimators.
 
@@ -76,8 +76,6 @@ def residual_stats(
     ``min_per_beta`` are dropped and returned separately rather than
     diluting the moment estimates.  A moment is NaN in a group too small
     for its estimator (std below 2 rows, skewness 3, kurtosis 4).
-    ``residuals``, when given, are the fit's residuals on ``data``,
-    ``data.y - data.x @ fit.coef_hat``; otherwise they are computed.
 
     Returns
     -------
@@ -92,15 +90,14 @@ def residual_stats(
     """
     if min_per_beta < 1:
         raise ValueError("min_per_beta must be >= 1")
-    if residuals is None:
-        residuals = data.y - data.x @ fit.coef_hat
+    resid = data.y - data.x @ fit.coef_hat
     # One stable sort splits the rows into beta groups, each in its rows'
     # original order, so every moment sums exactly what a mask would pick.
     order = np.argsort(data.beta, kind="stable")
     betas, starts = np.unique(data.beta[order], return_index=True)
     groups: list[GroupStats] = []
     dropped: list[tuple[float, int]] = []
-    for beta, r in zip(betas.tolist(), np.split(residuals[order], starts[1:])):
+    for beta, r in zip(betas.tolist(), np.split(resid[order], starts[1:])):
         if r.size < min_per_beta:
             dropped.append((beta, int(r.size)))
             continue
@@ -283,8 +280,7 @@ def residual_report(
     Family fitting is skipped (with the slot left empty) when the slice
     is too small or degenerate.
     """
-    resid = data.y - data.x @ fit.coef_hat
-    groups, dropped = residual_stats(fit, data, min_per_beta, residuals=resid)
+    groups, dropped = residual_stats(fit, data, min_per_beta)
     smoothed = smooth_groups(groups, window)
 
     if fit_beta is None:
@@ -293,6 +289,7 @@ def residual_report(
         target = float(fit_beta)
         if not any(g.beta == target for g in groups):
             raise NoEligibleGroups(f"no retained group at beta = {target}")
+    resid = data.y - data.x @ fit.coef_hat
     slice_resid = resid[data.beta == target]
 
     families = None
