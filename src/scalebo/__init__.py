@@ -22,12 +22,10 @@ from .acquisition import (
 from .baselines import (
     McObjective,
     golden_section,
-    local_regression_estimate,
-    mc_estimate,
     parabolic_interpolation,
 )
-from .driver import BoConfig, BoTrace, initial_design, point_estimate, run
-from .glm import GlmFit, LogDataset, fit, ingest, predict, sample_posterior
+from .driver import BoConfig, BoTrace, initial_design, run
+from .glm import GlmFit, LogDataset, fit, ingest, sample_posterior
 from .problems import (
     ObjectiveProblem,
     build_static_fixture,
@@ -55,12 +53,8 @@ __all__ = [
     "golden_section",
     "ingest",
     "initial_design",
-    "local_regression_estimate",
-    "mc_estimate",
     "optimal_region",
     "parabolic_interpolation",
-    "point_estimate",
-    "predict",
     "run",
     "sample_posterior",
     "srom_standin",

@@ -5,9 +5,7 @@ For fixed parameters (a, b, eps2) the conditional model
 objective with an exact expectation:
 
     f(beta) = E[|s - s0|^2 | beta]
-            = c1 * beta^(2a) + (c2 * beta^a - s0)^2,
-
-    c1 = b^2 * (exp(2*eps2) - exp(eps2)),   c2 = b * exp(eps2 / 2).
+            = b^2 exp(eps2) expm1(eps2) beta^(2a) + (b exp(eps2/2) beta^a - s0)^2.
 
 f has a single interior critical point on (0, inf), which is its global
 minimum for either sign of a:
@@ -22,7 +20,7 @@ above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,16 +41,14 @@ MAX_RESAMPLE_ATTEMPTS = 100
 class SurrogateObjective:
     """The induced objective f(beta) for one fixed parameter triple.
 
-    ``eps2 = 0`` is allowed (deterministic surrogate, c1 = 0) even though
-    posterior draws never produce it.
+    ``eps2 = 0`` is allowed (deterministic surrogate: the variance term
+    vanishes) even though posterior draws never produce it.
     """
 
     a: float
     b: float
     eps2: float
     s0: float
-    c1: float = field(init=False)
-    c2: float = field(init=False)
 
     def __post_init__(self):
         if not math.isfinite(self.a):
@@ -63,9 +59,6 @@ class SurrogateObjective:
             raise ValueError("noise variance eps2 must be finite and >= 0")
         if not (self.s0 > 0 and math.isfinite(self.s0)):
             raise ValueError("target statistic s0 must be finite and > 0")
-        # exp(eps2)*expm1(eps2) keeps c1 exactly 0 at eps2 = 0 and >= 0 always.
-        object.__setattr__(self, "c1", self.b * self.b * math.exp(self.eps2) * math.expm1(self.eps2))
-        object.__setattr__(self, "c2", self.b * math.exp(0.5 * self.eps2))
 
 
 @dataclass(frozen=True)
@@ -77,36 +70,20 @@ class ThompsonBatch:
     clamped_count: int
 
 
-def evaluate(obj: SurrogateObjective, beta: float) -> float:
-    """Evaluate f(beta) analytically.
+def evaluate(obj: SurrogateObjective, beta):
+    """f(beta), elementwise over a scalar (giving a float) or an array.
 
-    Works in log space first (a * ln beta is formed once) so that the
-    overflow case |a * ln beta| beyond float range surfaces as an explicit
-    :class:`SurrogateOverflow` instead of a silent infinity.
+    Formed in log space by :func:`_objective`, so that a value float64
+    cannot represent surfaces as an explicit :class:`SurrogateOverflow`
+    instead of a silent infinity.
     """
-    if not (beta > 0 and math.isfinite(beta)):
+    arr = np.asarray(beta, dtype=float)
+    if not np.all((arr > 0) & np.isfinite(arr)):
         raise ValueError("beta must be finite and > 0")
-    t = obj.a * math.log(beta)
-    try:
-        mean_term = math.exp(math.log(obj.c2) + t)
-        var_term = math.exp(math.log(obj.c1) + 2.0 * t) if obj.c1 > 0 else 0.0
-        value = var_term + (mean_term - obj.s0) ** 2
-    except OverflowError:
-        raise SurrogateOverflow(f"f({beta:g}) overflows float64 (a*ln beta = {t:g})") from None
-    if not math.isfinite(value):
-        raise SurrogateOverflow(f"f({beta:g}) is not finite (a*ln beta = {t:g})")
-    return value
-
-
-def evaluate_on_grid(obj: SurrogateObjective, betas) -> np.ndarray:
-    """Vectorized :func:`evaluate` over an array of beta values."""
-    arr = np.asarray(betas, dtype=float)
-    if arr.size and (np.any(arr <= 0) or not np.all(np.isfinite(arr))):
-        raise ValueError("beta values must be finite and > 0")
     values = _objective(obj.a, math.log(obj.b), obj.eps2, obj.s0, arr)
     if not np.all(np.isfinite(values)):
-        raise SurrogateOverflow("objective overflows float64 on the given grid")
-    return values
+        raise SurrogateOverflow(f"f(beta) overflows float64 (a = {obj.a:g}, b = {obj.b:g})")
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _objective(a, ln_b, eps2, s0: float, beta) -> np.ndarray:
@@ -177,7 +154,7 @@ def optimal_region_from(
     within ``(1 + rel)`` of its minimum.
 
     Substituting u = (beta / beta*)^a turns f into the quadratic
-    ``s0^2 (m (u - 1)^2 + 1 - m)`` with ``m = c2^2 / (c1 + c2^2)`` and
+    ``s0^2 (m (u - 1)^2 + 1 - m)`` with ``m = exp(-eps2)``, so
     ``(1 - m) / m = expm1(eps2)``.  If the minimum sits at ``u_min``,
     ``f <= (1 + rel) f(u_min)`` solves exactly to
     ``u = 1 +- sqrt((1 + rel) (u_min - 1)^2 + rel * expm1(eps2))``.

@@ -5,8 +5,7 @@ against: estimate the objective at a probe point by averaging
 ``|s - s0|^2`` over many statistic draws, then drive a scalar optimizer
 (golden section, or safeguarded successive parabolic interpolation) over
 ``ln beta``.  Every probe's draws are cached so the audited cost is
-exactly ``mc_samples x distinct probes``.  A locally weighted linear
-smoother provides the nonparametric reference estimate.
+exactly ``mc_samples x distinct probes``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, EvaluationFailure, InsufficientData
+from .errors import BudgetExceeded, EvaluationFailure
 from .problems import ObjectiveProblem
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0          # bracket shrink factor
@@ -130,11 +129,6 @@ def _takes_size(statistic) -> bool:
         return "size" in inspect.signature(statistic).parameters
     except (TypeError, ValueError):     # no signature to read: call per draw
         return False
-
-
-def mc_estimate(obj: McObjective, beta: float) -> float:
-    """Cached Monte-Carlo mean of ``|s - s0|^2`` at the given beta."""
-    return obj.probe(beta).mean
 
 
 @dataclass(frozen=True)
@@ -313,70 +307,3 @@ def parabolic_interpolation(
         else:
             pts = candidates[idx - 1 : idx + 2]
     return _finish(obj, "parabolic", stop_reason, history)
-
-
-@dataclass(frozen=True)
-class LocalRegressionFit:
-    """Smoothed objective curve with its minimizer and flat region."""
-
-    betas: np.ndarray
-    values: np.ndarray
-    beta_hat: float
-    optimal_region: tuple[float, float]   # values within 10% of the minimum
-    bandwidth: float
-
-
-def local_regression_estimate(
-    data, bandwidth: float = 0.3, grid_size: int = 400, region_rel: float = 0.10
-) -> LocalRegressionFit:
-    """Tricube-weighted local linear regression of (beta, mse) pairs.
-
-    The smoother works in ln beta with the bandwidth given as a fraction
-    of the points; the returned minimizer is the argmin of the smoothed
-    curve on a dense log grid, together with the region where the curve
-    stays within ``region_rel`` of its minimum.
-    """
-    pts = [(float(b), float(v)) for b, v in data]
-    if len(pts) < 10:
-        raise InsufficientData(f"local regression needs >= 10 points, got {len(pts)}")
-    if not (0 < bandwidth <= 1):
-        raise ValueError("bandwidth must be in (0, 1]")
-    pts.sort()
-    x = np.log(np.array([p[0] for p in pts]))
-    y = np.array([p[1] for p in pts])
-    if x[0] == x[-1]:
-        raise InsufficientData("local regression needs at least two distinct beta values")
-
-    n = x.size
-    r = min(n - 1, max(3, math.ceil(bandwidth * n)))
-    grid = np.linspace(x[0], x[-1], grid_size)
-    # Weighted degree-1 fit at every grid point via the closed-form 2x2
-    # normal equations; t is centered at the grid point so the intercept
-    # is the smoothed value.
-    t = x[None, :] - grid[:, None]
-    d = np.abs(t)
-    h = np.maximum(np.partition(d, r, axis=1)[:, r], 1e-12)
-    w = (1.0 - np.clip(d / h[:, None], 0.0, 1.0) ** 3) ** 3
-    s0 = w.sum(axis=1)
-    s1 = (w * t).sum(axis=1)
-    s2 = (w * t * t).sum(axis=1)
-    t0 = (w * y).sum(axis=1)
-    t1 = (w * t * y).sum(axis=1)
-    denom = s0 * s2 - s1 * s1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        curve = (s2 * t0 - s1 * t1) / denom
-        flat = ~np.isfinite(curve) | (denom <= 1e-300 * np.maximum(s0 * s2, 1.0))
-        curve = np.where(flat, t0 / s0, curve)
-
-    imin = int(np.argmin(curve))
-    cmin = curve[imin]
-    threshold = (1.0 + region_rel) * cmin + 1e-12 * max(1.0, abs(cmin))
-    inside = np.flatnonzero(curve <= threshold)
-    region = (float(np.exp(grid[inside[0]])), float(np.exp(grid[inside[-1]])))
-    return LocalRegressionFit(
-        betas=np.exp(grid),
-        values=curve,
-        beta_hat=float(np.exp(grid[imin])),
-        optimal_region=region,
-        bandwidth=bandwidth,
-    )

@@ -38,6 +38,18 @@ from .jsonio import write_json
 
 RUN_SCHEMA = "scalebo-run/1"
 
+# Per baseline method: the name of its optimizer in ``baselines`` (read at
+# call time, so a replaced function such as a tracing wrapper runs), its
+# probe schedule over ln beta, and its stop reasons, with the probe budget
+# whose exhaustion is an error.
+_BASELINES = {
+    "golden": ("golden_section", "ln-beta golden bracket from [beta_min, beta_max]",
+               "bracket < {tol} | noise-floor | {max_iter} probes"),
+    "parabolic": ("parabolic_interpolation",
+                  "ln-beta parabolic triple from [beta_min, beta_max], golden-safeguarded",
+                  "bracket < {tol} | converged | noise-floor | {max_iter} probes"),
+}
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -180,13 +192,9 @@ def cmd_baseline(args) -> int:
         seed=cfg.seed,
         threads=args.threads,
     )
-    optimizer = (
-        baselines.golden_section
-        if cfg.baseline.method == "golden"
-        else baselines.parabolic_interpolation
-    )
+    optimizer, bracketing, stopping = _BASELINES[cfg.baseline.method]
     start = time.perf_counter()
-    result = optimizer(
+    result = getattr(baselines, optimizer)(
         objective,
         cfg.bo.bounds,
         tol=cfg.baseline.tol,
@@ -212,11 +220,8 @@ def cmd_baseline(args) -> int:
     })
     write_json(outdir / "run.json", _run_metadata(cfg, args, result.method, {
         "stop_reason": result.stop_reason,
-        # The probe schedule below is this implementation's concretization:
-        # golden bracketing over ln beta from the configured bounds, stopping
-        # on bracket width, probe budget, or the MC noise floor.
-        "bracketing": "ln-beta golden bracket from [beta_min, beta_max]",
-        "stopping": f"bracket < {cfg.baseline.tol} | noise-floor | {cfg.baseline.max_iter} probes",
+        "bracketing": bracketing,
+        "stopping": stopping.format(tol=cfg.baseline.tol, max_iter=cfg.baseline.max_iter),
     }))
     print(f"beta_hat = {result.beta_hat:g} "
           f"({result.evaluations_used} evaluations, stop: {result.stop_reason})")
@@ -224,8 +229,11 @@ def cmd_baseline(args) -> int:
 
 
 def _read_run_dir(run_dir: Path) -> tuple[dict, dict]:
-    run_doc = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
-    estimate = json.loads((run_dir / "estimate.json").read_text(encoding="utf-8"))
+    try:
+        run_doc = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+        estimate = json.loads((run_dir / "estimate.json").read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read run directory {run_dir}: {exc}") from exc
     return run_doc, estimate
 
 
@@ -270,6 +278,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    for flag, value in (("--min-per-beta", args.min_per_beta), ("--window", args.window)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     data_path = Path(args.data)
     try:
         data, rejected = glm.load_csv(data_path)

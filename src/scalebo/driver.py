@@ -164,21 +164,6 @@ def initial_design(config: BoConfig) -> np.ndarray:
     return log_grid(config.beta_min, config.beta_max, config.n0, config.integer_beta)
 
 
-def point_estimate(fit: glm.GlmFit, s0: float) -> float:
-    """Plug-in optimizer from the classical estimate.
-
-    Builds the induced objective from (a_hat, exp(ln_b_hat)) with the
-    residual variance standing in for eps2 and returns its closed-form
-    argmin.  Raises :class:`DegenerateExponent` when a_hat is numerically
-    zero.
-    """
-    obj = acquisition.SurrogateObjective(
-        a=fit.a_hat, b=math.exp(fit.ln_b_hat), eps2=fit.s2, s0=s0
-    )
-    beta_star, _ = acquisition.argmin_closed_form(obj)
-    return beta_star
-
-
 def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrace:
     """Execute the full optimization loop and return its trace.
 

@@ -15,8 +15,7 @@ noninformative prior p(theta, eps^2) ~ 1/eps^2 the posterior is conjugate:
 with theta_hat the least-squares estimate, s2 the classical residual
 variance and V_theta = (X^T X)^{-1}, all closed forms in the centered sums
 of ln beta and ln s.  This module holds the dataset container, the
-classical fit, exact posterior sampling and the Student-t predictive
-distribution.
+classical fit and exact posterior sampling.
 """
 
 from __future__ import annotations
@@ -133,19 +132,6 @@ class GlmFit:
         )
 
 
-@dataclass(frozen=True)
-class PredictiveDistribution:
-    """Multivariate Student-t predictive law of ln s at new beta values.
-
-    ``mean`` is X~ theta_hat, ``scale`` is s2 * (I + X~ V_theta X~^T) and
-    ``dof`` the residual degrees of freedom.
-    """
-
-    mean: np.ndarray
-    scale: np.ndarray
-    dof: int
-
-
 def ingest(points) -> tuple[LogDataset, int]:
     """Build a dataset from (beta, s) pairs, rejecting unusable rows.
 
@@ -257,20 +243,6 @@ def sample_posterior(
     root = _cholesky_2x2(fit.v_theta)
     coefs = fit.coef_hat + np.sqrt(eps2)[:, None] * (z @ root.T)
     return coefs[:, 0], coefs[:, 1], eps2
-
-
-def predict(fit: GlmFit, new_betas) -> PredictiveDistribution:
-    """Joint Student-t predictive distribution of ln s at new beta values."""
-    arr = np.atleast_1d(np.asarray(new_betas, dtype=float))
-    if arr.size == 0:
-        raise ValueError("new_betas must be non-empty")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValueError("new beta values must be finite and > 0")
-    xt = np.column_stack([np.log(arr), np.ones(arr.size)])
-    mean = xt @ fit.coef_hat
-    scale = fit.s2 * (np.eye(arr.size) + xt @ fit.v_theta @ xt.T)
-    scale = 0.5 * (scale + scale.T)
-    return PredictiveDistribution(mean=mean, scale=scale, dof=fit.dof)
 
 
 def save_csv(data: LogDataset, path) -> None:

@@ -27,7 +27,7 @@ def report(criterion, ok, detail):
 def brute_force_argmin(obj, ln_lo=-70.0, ln_hi=70.0, grid_size=100_001):
     """Dense log grid followed by golden-section refinement of evaluate()."""
     grid = np.exp(np.linspace(ln_lo, ln_hi, grid_size))
-    values = acquisition.evaluate_on_grid(obj, grid)
+    values = acquisition.evaluate(obj, grid)
     idx = int(np.argmin(values))
     lo = math.log(grid[max(idx - 1, 0)])
     hi = math.log(grid[min(idx + 1, grid_size - 1)])

@@ -54,13 +54,25 @@ def random_triples(count, rng, eps2_low=0.0):
 
 class TestSurrogateObjective:
     def test_cached_coefficients(self):
+        # f = c1 beta^2a + (c2 beta^a - s0)^2 with c1 = b^2 (e^2eps2 - e^eps2)
+        # and c2 = b e^(eps2/2), written out term by term.
         obj = SurrogateObjective(a=-0.5, b=2.0, eps2=0.1, s0=0.5)
-        assert obj.c1 == pytest.approx(4.0 * (math.exp(0.2) - math.exp(0.1)), rel=1e-14)
-        assert obj.c2 == pytest.approx(2.0 * math.exp(0.05), rel=1e-14)
+        c1, c2 = 4.0 * (math.exp(0.2) - math.exp(0.1)), 2.0 * math.exp(0.05)
+        for beta in (0.3, 4.0, 250.0):
+            want = c1 * beta**-1.0 + (c2 * beta**-0.5 - 0.5) ** 2
+            assert acquisition.evaluate(obj, beta) == pytest.approx(want, rel=1e-13)
 
     def test_variance_coefficient_vanishes_only_without_noise(self):
-        assert SurrogateObjective(a=1.0, b=1.0, eps2=0.0, s0=1.0).c1 == 0.0
-        assert SurrogateObjective(a=1.0, b=1.0, eps2=1e-300, s0=1.0).c1 > 0.0
+        # At eps2 = 0, f is (b beta^a - s0)^2: exactly 0 where b beta^a = s0.
+        # Any eps2 > 0 adds a positive variance term.
+        at_target = SurrogateObjective(a=1.0, b=1.0, eps2=0.0, s0=1.0)
+        assert acquisition.evaluate(at_target, 1.0) == 0.0
+        at_target = SurrogateObjective(a=1.0, b=1.0, eps2=1e-300, s0=1.0)
+        assert acquisition.evaluate(at_target, 1.0) == pytest.approx(1e-300, rel=1e-12)
+        for eps2 in (0.0, 1e-300):
+            obj = SurrogateObjective(a=0.8, b=1.5, eps2=eps2, s0=1.0)
+            assert acquisition.evaluate(obj, 3.0) == pytest.approx((1.5 * 3.0**0.8 - 1.0) ** 2,
+                                                                   rel=1e-14)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -99,21 +111,15 @@ class TestEvaluate:
             beta = float(np.exp(rng.uniform(-3.0, 5.0)))
             value = acquisition.evaluate(obj, beta)
             assert value >= 0.0
-            assert value >= (obj.c2 * beta**obj.a - obj.s0) ** 2 - 1e-12 * value
+            mean = obj.b * math.exp(0.5 * obj.eps2) * beta**obj.a
+            assert value >= (mean - obj.s0) ** 2 - 1e-12 * value
 
     def test_overflow_is_an_error_not_infinity(self):
         obj = SurrogateObjective(a=100.0, b=1.0, eps2=0.5, s0=1.0)
         with pytest.raises(SurrogateOverflow):
             acquisition.evaluate(obj, 1e10)
         with pytest.raises(SurrogateOverflow):
-            acquisition.evaluate_on_grid(obj, [1.0, 1e10])
-
-    def test_grid_matches_scalar(self):
-        obj = SurrogateObjective(a=-0.7, b=3.0, eps2=0.4, s0=2.0)
-        betas = np.exp(np.linspace(-2.0, 4.0, 17))
-        grid = acquisition.evaluate_on_grid(obj, betas)
-        scalar = [acquisition.evaluate(obj, b) for b in betas]
-        np.testing.assert_allclose(grid, scalar, rtol=1e-13)
+            acquisition.evaluate(obj, [1.0, 1e10])
 
 
 class TestArgminClosedForm:
@@ -144,7 +150,7 @@ class TestArgminClosedForm:
             )
             beta_star, _ = acquisition.argmin_closed_form(obj)
             grid = np.exp(np.linspace(math.log(beta_star) - 3, math.log(beta_star) + 3, 100_001))
-            values = acquisition.evaluate_on_grid(obj, grid)
+            values = acquisition.evaluate(obj, grid)
             coarse = grid[int(np.argmin(values))]
 
             def slope(u):
@@ -197,8 +203,8 @@ class TestArgminClosedForm:
             beta_star, _ = acquisition.argmin_closed_form(obj)
             left = beta_star * np.exp(np.linspace(-2.0, -1e-3, 50))
             right = beta_star * np.exp(np.linspace(1e-3, 2.0, 50))
-            assert np.all(np.diff(acquisition.evaluate_on_grid(obj, left)) < 0)
-            assert np.all(np.diff(acquisition.evaluate_on_grid(obj, right)) > 0)
+            assert np.all(np.diff(acquisition.evaluate(obj, left)) < 0)
+            assert np.all(np.diff(acquisition.evaluate(obj, right)) > 0)
 
     def test_argmin_invariant_under_joint_rescaling(self):
         obj = SurrogateObjective(a=-0.8, b=1.7, eps2=0.3, s0=2.2)
@@ -214,7 +220,7 @@ class TestOptimalRegion:
         obj = SurrogateObjective(a=-0.58, b=1.0, eps2=0.25, s0=0.1)
         lo, hi = acquisition.optimal_region(obj, 0.10)
         grid = np.exp(np.linspace(math.log(1.0), math.log(1e4), 2_000_001))
-        values = acquisition.evaluate_on_grid(obj, grid)
+        values = acquisition.evaluate(obj, grid)
         inside = grid[values <= 1.1 * values.min()]
         assert lo == pytest.approx(inside.min(), rel=1e-4)
         assert hi == pytest.approx(inside.max(), rel=1e-4)
@@ -239,7 +245,7 @@ class TestOptimalRegion:
         lo, hi = acquisition.optimal_region_from(a, 0.0, 0.25, 0.1, 0.10, bounds)
         grid = np.exp(np.linspace(math.log(bounds[0]), math.log(bounds[1]), 2_000_001))
         grid[[0, -1]] = bounds
-        values = acquisition.evaluate_on_grid(obj, grid)
+        values = acquisition.evaluate(obj, grid)
         inside = grid[values <= 1.1 * values.min()]
         assert lo == pytest.approx(inside.min(), rel=1e-5)
         assert hi == pytest.approx(inside.max(), rel=1e-5)

@@ -9,7 +9,7 @@ import pytest
 
 from scalebo import acquisition, baselines, problems
 from scalebo.baselines import GOLDEN, McObjective
-from scalebo.errors import BudgetExceeded, EvaluationFailure, InsufficientData
+from scalebo.errors import BudgetExceeded, EvaluationFailure
 
 # np.exp and math.exp may differ by one ulp, so draws of the exp-based kinds
 # agree across the sized and scalar paths to this relative tolerance.
@@ -40,22 +40,22 @@ class TestMcObjective:
     def test_deterministic_problem_is_exact(self):
         prob = noiseless_problem()
         obj = McObjective(problem=prob, mc_samples=7, seed=0)
-        value = baselines.mc_estimate(obj, 50.0)
+        value = obj.probe(50.0).mean
         expected = (50.0**-0.58 - prob.s0) ** 2
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_cache_prevents_recounting(self):
         obj = McObjective(problem=calibrated_problem(), mc_samples=100, seed=1)
-        first = baselines.mc_estimate(obj, 80.0)
+        first = obj.probe(80.0).mean
         used = obj.evaluations_used
-        second = baselines.mc_estimate(obj, 80.0)
+        second = obj.probe(80.0).mean
         assert second == first
         assert obj.evaluations_used == used == 100
 
     def test_audited_cost_is_exact(self):
         obj = McObjective(problem=calibrated_problem(), mc_samples=250, seed=2)
         for beta in (20.0, 40.0, 20.0, 333.0, 40.0):
-            baselines.mc_estimate(obj, beta)
+            obj.probe(beta)
         assert obj.evaluations_used == 250 * 3
         assert len(obj.probes) == 3
 
@@ -219,39 +219,3 @@ class TestParabolicInterpolation:
         result = baselines.parabolic_interpolation(obj, (10.0, 1000.0), tol=0.02)
         for lo, hi, beta in result.history:
             assert lo * (1 - 1e-12) <= beta <= hi * (1 + 1e-12)
-
-
-class TestLocalRegression:
-    def test_recovers_quadratic_vertex(self):
-        # Dense data: the smoother's curvature bias is symmetric around an
-        # interior vertex, so only the half-spacing placement artifact
-        # remains, well below 1% at this density.
-        betas = np.exp(np.linspace(math.log(5.0), math.log(500.0), 400))
-        values = (np.log(betas) - math.log(50.0)) ** 2 + 2.0
-        for bandwidth in (0.2, 0.3, 0.5):
-            fit = baselines.local_regression_estimate(list(zip(betas, values)), bandwidth)
-            assert fit.beta_hat == pytest.approx(50.0, rel=0.01)
-
-    def test_estimate_lands_in_true_optimal_region(self):
-        prob = calibrated_problem()
-        truth = prob.truth
-        region = acquisition.optimal_region(
-            acquisition.SurrogateObjective(a=truth.a, b=truth.b, eps2=truth.eps2, s0=prob.s0),
-            0.10,
-        )
-        obj = McObjective(problem=prob, mc_samples=400, seed=9)
-        betas = np.exp(np.linspace(math.log(10.0), math.log(1000.0), 30))
-        data = [(b, baselines.mc_estimate(obj, b)) for b in betas]
-        fit = baselines.local_regression_estimate(data)
-        assert region[0] <= fit.beta_hat <= region[1]
-        assert fit.optimal_region[0] < fit.beta_hat < fit.optimal_region[1]
-
-    def test_constant_data_flat_region(self):
-        betas = np.exp(np.linspace(0.0, 5.0, 20))
-        fit = baselines.local_regression_estimate([(b, 3.5) for b in betas])
-        assert fit.optimal_region[0] == pytest.approx(betas[0], rel=1e-9)
-        assert fit.optimal_region[1] == pytest.approx(betas[-1], rel=1e-9)
-
-    def test_too_few_points(self):
-        with pytest.raises(InsufficientData):
-            baselines.local_regression_estimate([(float(i + 1), 1.0) for i in range(9)])

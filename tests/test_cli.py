@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from scalebo import cli, glm
+from scalebo import baselines, cli, glm
 from scalebo.problems import synthetic_powerlaw, target_for_optimum
 
 
@@ -131,6 +131,21 @@ class TestBaseline:
         assert cli.main(["baseline", "--config", str(path), "--out", str(out)]) == 0
         assert json.loads((out / "run.json").read_text())["method"] == "parabolic"
 
+    @pytest.mark.parametrize("method,stop_reason", [("golden", "bracket"),
+                                                   ("parabolic", "converged")])
+    def test_run_json_names_the_stop_reason(self, tmp_path, method, stop_reason):
+        path = write_config(
+            tmp_path / "run.json", seed=1,
+            baseline={"method": method, "mc_samples": 1000, "tol": 0.04, "max_iter": 60},
+        )
+        out = tmp_path / "base"
+        assert cli.main(["baseline", "--config", str(path), "--threads", "1",
+                         "--out", str(out)]) == 0
+        run_doc = json.loads((out / "run.json").read_text())
+        assert run_doc["stop_reason"] == stop_reason
+        assert stop_reason in run_doc["stopping"]
+        assert method in run_doc["bracketing"]
+
     def test_repeat_run_is_byte_identical(self, tmp_path, config_path):
         out1, out2 = tmp_path / "b1", tmp_path / "b2"
         for out in (out1, out2):
@@ -162,6 +177,16 @@ class TestCompare:
         assert cli.main(["compare", str(bo), str(bo), "--out", str(out)]) == 0
         doc = json.loads((out / "comparison.json").read_text())
         assert doc["ratios"]["data_points"] == 1.0
+
+    def test_missing_run_json_exits_2(self, tmp_path, config_path, capsys):
+        bo = tmp_path / "bo"
+        assert cli.main(["optimize", "--config", str(config_path), "--out", str(bo)]) == 0
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", str(bo), str(empty), "--out", str(out)]) == 2
+        assert "cannot read run directory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mismatched_problems_exit_2(self, tmp_path, config_path, capsys):
         bo = tmp_path / "bo"
@@ -238,6 +263,15 @@ class TestDiagnose:
         bad.write_text("x,y\n1,2\n")
         assert cli.main(["diagnose", "--data", str(bad), "--out", str(tmp_path / "d")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--min-per-beta", "--window"])
+    def test_non_positive_count_exits_2_before_writing(self, tmp_path, dataset_path, flag,
+                                                       capsys):
+        out = tmp_path / "diag"
+        assert cli.main(["diagnose", "--data", str(dataset_path), flag, "0",
+                         "--out", str(out)]) == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_file_uses_the_trace_fit_format(self, tmp_path, dataset_path):
         fit_path = tmp_path / "fit.json"
         fit_path.write_text(json.dumps(glm.fit(glm.load_csv(dataset_path)[0]).to_json_dict()))
@@ -282,7 +316,7 @@ class TestDispatch:
 
     def test_patched_command_runs_after_the_parser_is_cached(self, tmp_path, monkeypatch):
         missing = str(tmp_path / "missing")
-        assert cli.main(["compare", missing, missing]) == 3
+        assert cli.main(["compare", missing, missing]) == 2   # the real command ran
         calls = []
 
         def fake_compare(args):
@@ -292,6 +326,25 @@ class TestDispatch:
         monkeypatch.setattr(cli, "cmd_compare", fake_compare)
         assert cli.main(["compare", "bo", "base"]) == 0
         assert calls == [("bo", "base")]
+
+    @pytest.mark.parametrize("method,name", [("golden", "golden_section"),
+                                             ("parabolic", "parabolic_interpolation")])
+    def test_patched_baseline_optimizer_runs(self, tmp_path, monkeypatch, method, name):
+        path = write_config(
+            tmp_path / "run.json",
+            baseline={"method": method, "mc_samples": 100, "tol": 0.05, "max_iter": 40},
+        )
+        calls = []
+        real = getattr(baselines, name)
+
+        def traced(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, name, traced)
+        assert cli.main(["baseline", "--config", str(path), "--threads", "1",
+                         "--out", str(tmp_path / "base")]) == 0
+        assert calls == [name]
 
 
 class TestStandinProblemDispatch:

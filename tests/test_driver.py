@@ -111,6 +111,12 @@ class TestInitialDesign:
 
 
 class TestPointEstimate:
+    """The run's plug-in estimate, with bounds wide enough not to bind."""
+
+    @staticmethod
+    def config(s0):
+        return BoConfig(beta_min=1e-3, beta_max=1e6, s0=s0)
+
     def test_reference_case(self):
         fit = glm.GlmFit(
             coef_hat=np.array([-0.5, math.log(2.0)]),
@@ -118,7 +124,8 @@ class TestPointEstimate:
             v_theta=np.eye(2),
             dof=10,
         )
-        assert driver.point_estimate(fit, 0.5) == pytest.approx(16.0 * math.exp(0.3), rel=1e-12)
+        estimate = driver._clamped_point_estimate(fit, self.config(0.5))
+        assert estimate == pytest.approx(16.0 * math.exp(0.3), rel=1e-12)
 
     def test_noise_free_line(self):
         fit = glm.GlmFit(
@@ -127,12 +134,12 @@ class TestPointEstimate:
             v_theta=np.eye(2),
             dof=10,
         )
-        assert driver.point_estimate(fit, 2.0) == pytest.approx(1.0, rel=1e-12)
+        assert driver._clamped_point_estimate(fit, self.config(2.0)) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_exponent_is_degenerate(self):
         fit = glm.GlmFit(coef_hat=np.array([0.0, 1.0]), s2=0.1, v_theta=np.eye(2), dof=10)
         with pytest.raises(DegenerateExponent):
-            driver.point_estimate(fit, 1.0)
+            driver._clamped_point_estimate(fit, self.config(1.0))
 
 
 class TestRun:

@@ -298,42 +298,6 @@ class TestSamplePosterior:
             glm.sample_posterior(fit, 5, np.random.default_rng(0))
 
 
-class TestPredict:
-    def test_interpolates_noiseless_line(self):
-        fit = glm.fit(line_dataset())
-        pred = glm.predict(fit, [7.0, 31.0])
-        expected = -0.5 * np.log([7.0, 31.0]) + math.log(2.0)
-        np.testing.assert_allclose(pred.mean, expected, atol=1e-12)
-
-    def test_scale_shrinks_to_s2_with_many_points(self):
-        rng = np.random.default_rng(5)
-        beta = np.exp(rng.uniform(0.0, 6.0, 20_000))
-        s = np.exp(-0.5 * np.log(beta) + 0.3 * rng.standard_normal(20_000))
-        data, _ = glm.ingest(zip(beta, s))
-        fit = glm.fit(data)
-        pred = glm.predict(fit, [20.0])
-        ratio = pred.scale[0, 0] / fit.s2
-        assert 1.0 < ratio < 1.001
-
-    def test_shape_contract(self):
-        rng = np.random.default_rng(6)
-        beta = np.exp(rng.uniform(0.0, 6.0, 40))
-        s = np.exp(-0.5 * np.log(beta) + 0.3 * rng.standard_normal(40))
-        data, _ = glm.ingest(zip(beta, s))
-        fit = glm.fit(data)
-        pred = glm.predict(fit, [5.0, 50.0])
-        assert pred.dof == 38
-        np.testing.assert_allclose(pred.scale, pred.scale.T, atol=1e-15)
-        assert np.all(np.linalg.eigvalsh(pred.scale) > 0)
-
-    def test_rejects_bad_inputs(self):
-        fit = glm.fit(line_dataset())
-        with pytest.raises(ValueError):
-            glm.predict(fit, [-1.0])
-        with pytest.raises(ValueError):
-            glm.predict(fit, [])
-
-
 class TestPosteriorConsistency:
     def test_errors_shrink_with_sample_size(self):
         # Mean absolute estimation errors over 20 replications must fall
