@@ -6,10 +6,15 @@ against: estimate the objective at a probe point by averaging
 (golden section, or safeguarded successive parabolic interpolation) over
 ``ln beta``.  Every probe's draws are cached so the audited cost is
 exactly ``mc_samples x distinct probes``.
+
+Both methods share one search loop and its stop rules; each adds only
+its step rule.  Every stop, a spent probe budget included, returns the
+best probe.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, EvaluationFailure
+from .errors import EvaluationFailure
 from .problems import ObjectiveProblem
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0          # bracket shrink factor
@@ -138,16 +143,7 @@ class BaselineResult:
     f_hat: float
     evaluations_used: int
     probes: list[ProbeStats]
-    stop_reason: str                     # "bracket" | "noise-floor" | "converged"
-    history: list[tuple[float, float, float]]  # (beta_lo, beta_hi, probe beta)
-
-
-def _probe_beta(u: float, bounds, integer_beta: bool) -> float:
-    beta = math.exp(u)
-    if integer_beta:
-        beta = float(np.rint(beta))
-        beta = min(max(beta, math.ceil(bounds[0])), math.floor(bounds[1]))
-    return min(max(beta, bounds[0]), bounds[1])
+    stop_reason: str                     # "bracket" | "noise-floor" | "budget" | "converged"
 
 
 # A single noisy triple can fake a flat objective; require two detections
@@ -171,17 +167,92 @@ def _noise_floor(obj: McObjective) -> bool:
     return avg_se > spread
 
 
-def _finish(obj, method, stop_reason, history) -> BaselineResult:
+def _search(obj, bounds, tol, max_iter, integer_beta, method, steps) -> BaselineResult:
+    """Run the generator ``steps(probe, u_lo, u_hi)``, which probes ln beta
+    and yields its bracket before each further step, until, in this order,
+    the bracket is no wider than ``tol``, the noise floor is seen twice in a
+    row, or ``max_iter`` probes are spent; a step rule that returns has
+    converged."""
+    beta_lo, beta_hi = bounds
+    if not (0 < beta_lo < beta_hi < math.inf):
+        raise ValueError("bounds must satisfy 0 < beta_min < beta_max < inf")
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+
+    def probe(u):  # the MC mean at beta = e^u, rounded if integer_beta, within bounds
+        beta = math.exp(u)
+        if integer_beta:
+            beta = min(max(float(np.rint(beta)), math.ceil(beta_lo)), math.floor(beta_hi))
+        return obj.probe(min(max(beta, beta_lo), beta_hi)).mean
+
+    stop_reason = "converged"
+    floor_hits = 0
+    for lo, hi in steps(probe, math.log(beta_lo), math.log(beta_hi)):
+        if hi - lo <= tol:
+            stop_reason = "bracket"
+            break
+        floor_hits = floor_hits + 1 if _noise_floor(obj) else 0
+        if floor_hits >= _FLOOR_CONSECUTIVE:
+            stop_reason = "noise-floor"
+            break
+        if len(obj.probes) >= max_iter:
+            stop_reason = "budget"
+            break
     best = min(obj.probes, key=lambda p: (p.mean, p.order))
-    return BaselineResult(
-        method=method,
-        beta_hat=best.beta,
-        f_hat=best.mean,
-        evaluations_used=obj.evaluations_used,
-        probes=obj.probes,
-        stop_reason=stop_reason,
-        history=history,
-    )
+    return BaselineResult(method=method, beta_hat=best.beta, f_hat=best.mean,
+                          evaluations_used=obj.evaluations_used, probes=obj.probes,
+                          stop_reason=stop_reason)
+
+
+def _golden_steps(probe, u_lo, u_hi):
+    """Golden-section steps: keep the sub-interval around the lower of the
+    two interior points; ties keep the left one, for determinism."""
+    x1 = u_hi - GOLDEN * (u_hi - u_lo)
+    x2 = u_lo + GOLDEN * (u_hi - u_lo)
+    f1 = probe(x1)
+    f2 = probe(x2)
+    while True:
+        yield u_lo, u_hi
+        if f1 <= f2:
+            u_hi, x2, f2 = x2, x1, f1
+            x1 = u_hi - GOLDEN * (u_hi - u_lo)
+            f1 = probe(x1)
+        else:
+            u_lo, x1, f1 = x1, x2, f2
+            x2 = u_lo + GOLDEN * (u_hi - u_lo)
+            f2 = probe(x2)
+
+
+def _parabolic_steps(probe, u_lo, u_hi, tol):
+    """Parabolic steps on a three-point bracket, golden-safeguarded.
+
+    Each step probes the vertex of the parabola through the current
+    triple, or takes a golden step into the larger sub-interval when the
+    vertex is ill-defined, leaves the bracket or lands on an existing
+    point.  Returns when the vertex lies within ``tol`` of the best point.
+    """
+    pts = sorted((u, probe(u)) for u in (u_lo, 0.5 * (u_lo + u_hi), u_hi))
+    while True:
+        (u1, f1), (u2, f2), (u3, f3) = pts
+        yield u1, u3
+        denom = (u2 - u1) * (f2 - f3) - (u2 - u3) * (f2 - f1)
+        vertex = None
+        if denom != 0 and math.isfinite(denom):
+            v = u2 - 0.5 * ((u2 - u1) ** 2 * (f2 - f3) - (u2 - u3) ** 2 * (f2 - f1)) / denom
+            if math.isfinite(v) and u1 < v < u3:
+                vertex = v
+        u_best = min(pts, key=lambda p: p[1])[0]
+        if vertex is not None and abs(vertex - u_best) <= tol:
+            return
+        if vertex is None or any(abs(vertex - u) <= 1e-3 * (u3 - u1) for u, _ in pts):
+            if (u2 - u1) >= (u3 - u2):
+                vertex = u2 - _PARABOLIC_FALLBACK * (u2 - u1)
+            else:
+                vertex = u2 + _PARABOLIC_FALLBACK * (u3 - u2)
+        candidates = sorted(pts + [(vertex, probe(vertex))])
+        idx = min(range(4), key=lambda i: candidates[i][1])
+        first = min(max(idx - 1, 0), 1)     # the lowest point and its neighbours
+        pts = candidates[first : first + 3]
 
 
 def golden_section(
@@ -193,47 +264,12 @@ def golden_section(
 ) -> BaselineResult:
     """Golden-section search on the cached MC objective over ln beta.
 
-    ``tol`` is the bracket width in ln beta at which to stop (i.e. a
-    relative tolerance on beta).  Ties keep the left sub-interval, for
-    determinism.  Terminates early at the noise floor; raises
-    :class:`BudgetExceeded` if ``max_iter`` distinct probes are exhausted
-    with no stopping rule met.
+    ``tol`` is the bracket width in ln beta at which to stop (a relative
+    tolerance on beta).  Stops as ``bracket``, ``noise-floor`` or, once
+    ``max_iter`` distinct probes are spent, ``budget``; every stop returns
+    the best probe.
     """
-    beta_lo, beta_hi = bounds
-    if not (0 < beta_lo < beta_hi < math.inf):
-        raise ValueError("bounds must satisfy 0 < beta_min < beta_max < inf")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    u_lo, u_hi = math.log(beta_lo), math.log(beta_hi)
-    history: list[tuple[float, float, float]] = []
-
-    def probe(u):
-        beta = _probe_beta(u, bounds, integer_beta)
-        history.append((math.exp(u_lo), math.exp(u_hi), beta))
-        return obj.probe(beta).mean
-
-    x1 = u_hi - GOLDEN * (u_hi - u_lo)
-    x2 = u_lo + GOLDEN * (u_hi - u_lo)
-    f1 = probe(x1)
-    f2 = probe(x2)
-    stop_reason = "bracket"
-    floor_hits = 0
-    while u_hi - u_lo > tol:
-        floor_hits = floor_hits + 1 if _noise_floor(obj) else 0
-        if floor_hits >= _FLOOR_CONSECUTIVE:
-            stop_reason = "noise-floor"
-            break
-        if len(obj.probes) >= max_iter:
-            raise BudgetExceeded(f"golden section exhausted {max_iter} probes")
-        if f1 <= f2:
-            u_hi, x2, f2 = x2, x1, f1
-            x1 = u_hi - GOLDEN * (u_hi - u_lo)
-            f1 = probe(x1)
-        else:
-            u_lo, x1, f1 = x1, x2, f2
-            x2 = u_lo + GOLDEN * (u_hi - u_lo)
-            f2 = probe(x2)
-    return _finish(obj, "golden-section", stop_reason, history)
+    return _search(obj, bounds, tol, max_iter, integer_beta, "golden-section", _golden_steps)
 
 
 def parabolic_interpolation(
@@ -245,65 +281,10 @@ def parabolic_interpolation(
 ) -> BaselineResult:
     """Successive parabolic interpolation over ln beta, golden-safeguarded.
 
-    Keeps a three-point bracket; each step probes the parabola vertex of
-    the current triple, falling back to a golden-section step into the
-    larger sub-interval whenever the vertex is ill-defined, leaves the
-    bracket, or lands on an existing point.  Stops when the bracket is
-    narrower than ``tol``, when the proposed vertex coincides with the
-    current best point (converged), or at the noise floor.
+    Stops as ``bracket`` when the three-point bracket is no wider than
+    ``tol``, ``converged`` when the next vertex lies within ``tol`` of the
+    best point, ``noise-floor``, or, once ``max_iter`` distinct probes are
+    spent, ``budget``; every stop returns the best probe.
     """
-    beta_lo, beta_hi = bounds
-    if not (0 < beta_lo < beta_hi < math.inf):
-        raise ValueError("bounds must satisfy 0 < beta_min < beta_max < inf")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    u_a, u_b = math.log(beta_lo), math.log(beta_hi)
-    history: list[tuple[float, float, float]] = []
-
-    def probe(u, lo, hi):
-        beta = _probe_beta(u, bounds, integer_beta)
-        history.append((math.exp(lo), math.exp(hi), beta))
-        return obj.probe(beta).mean
-
-    pts = [(u, probe(u, u_a, u_b)) for u in (u_a, 0.5 * (u_a + u_b), u_b)]
-    pts.sort()
-    stop_reason = None
-    floor_hits = 0
-    while stop_reason is None:
-        (u1, f1), (u2, f2), (u3, f3) = pts
-        if u3 - u1 <= tol:
-            stop_reason = "bracket"
-            break
-        floor_hits = floor_hits + 1 if _noise_floor(obj) else 0
-        if floor_hits >= _FLOOR_CONSECUTIVE:
-            stop_reason = "noise-floor"
-            break
-        if len(obj.probes) >= max_iter:
-            raise BudgetExceeded(f"parabolic interpolation exhausted {max_iter} probes")
-
-        denom = (u2 - u1) * (f2 - f3) - (u2 - u3) * (f2 - f1)
-        vertex = None
-        if denom != 0 and math.isfinite(denom):
-            v = u2 - 0.5 * ((u2 - u1) ** 2 * (f2 - f3) - (u2 - u3) ** 2 * (f2 - f1)) / denom
-            if math.isfinite(v) and u1 < v < u3:
-                vertex = v
-        u_best = min(pts, key=lambda p: p[1])[0]
-        if vertex is not None and abs(vertex - u_best) <= tol:
-            stop_reason = "converged"
-            break
-        if vertex is None or any(abs(vertex - u) <= 1e-3 * (u3 - u1) for u, _ in pts):
-            # Golden step into the larger sub-interval.
-            if (u2 - u1) >= (u3 - u2):
-                vertex = u2 - _PARABOLIC_FALLBACK * (u2 - u1)
-            else:
-                vertex = u2 + _PARABOLIC_FALLBACK * (u3 - u2)
-        fv = probe(vertex, u1, u3)
-        candidates = sorted(pts + [(vertex, fv)])
-        idx = min(range(4), key=lambda i: candidates[i][1])
-        if idx == 0:
-            pts = candidates[:3]
-        elif idx == 3:
-            pts = candidates[1:]
-        else:
-            pts = candidates[idx - 1 : idx + 2]
-    return _finish(obj, "parabolic", stop_reason, history)
+    return _search(obj, bounds, tol, max_iter, integer_beta, "parabolic",
+                   functools.partial(_parabolic_steps, tol=tol))

@@ -23,7 +23,6 @@ config and seed produce byte-identical CSV artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -34,20 +33,20 @@ from pathlib import Path
 
 from . import baselines, config, diagnostics, driver, glm, problems
 from .errors import ConfigError, MismatchedProblem, ScaleboError
-from .jsonio import write_json
+from .jsonio import write_csv, write_json
 
 RUN_SCHEMA = "scalebo-run/1"
 
 # Per baseline method: the name of its optimizer in ``baselines`` (read at
 # call time, so a replaced function such as a tracing wrapper runs), its
-# probe schedule over ln beta, and its stop reasons, with the probe budget
-# whose exhaustion is an error.
+# probe schedule over ln beta, and its stop reasons, as ``run.json`` names
+# them.
 _BASELINES = {
     "golden": ("golden_section", "ln-beta golden bracket from [beta_min, beta_max]",
-               "bracket < {tol} | noise-floor | {max_iter} probes"),
+               "bracket < {tol} | noise-floor | budget ({max_iter} probes)"),
     "parabolic": ("parabolic_interpolation",
                   "ln-beta parabolic triple from [beta_min, beta_max], golden-safeguarded",
-                  "bracket < {tol} | converged | noise-floor | {max_iter} probes"),
+                  "bracket < {tol} | converged | noise-floor | budget ({max_iter} probes)"),
 }
 
 
@@ -207,12 +206,8 @@ def cmd_baseline(args) -> int:
         outdir / "trace.csv",
         ((probe.order, probe.beta, probe.s_draws.tolist(), "mc-probe") for probe in result.probes),
     )
-    with open(outdir / "probes.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["order", "beta", "mean", "se", "count"])
-        for probe in result.probes:
-            writer.writerow([probe.order, repr(probe.beta), repr(probe.mean),
-                             repr(probe.se), probe.count])
+    write_csv(outdir / "probes.csv", ["order", "beta", "mean", "se", "count"],
+              ([p.order, p.beta, p.mean, p.se, p.count] for p in result.probes))
     write_json(outdir / "estimate.json", {
         "beta_hat": result.beta_hat,
         "evaluations": result.evaluations_used,
@@ -229,12 +224,23 @@ def cmd_baseline(args) -> int:
 
 
 def _read_run_dir(run_dir: Path) -> tuple[dict, dict]:
-    try:
-        run_doc = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
-        estimate = json.loads((run_dir / "estimate.json").read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read run directory {run_dir}: {exc}") from exc
-    return run_doc, estimate
+    """``run.json`` and ``estimate.json`` of a run directory.  A file that
+    cannot be read, is not a JSON object or lacks a key that ``compare``
+    reads is a usage error."""
+    docs = []
+    for name, keys in (("run.json", ("problem_hash", "method")),
+                       ("estimate.json", ("evaluations", "wall_clock_seconds"))):
+        path = run_dir / name
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read run directory {run_dir}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"malformed {path}: {exc}") from exc
+        if not (isinstance(doc, dict) and all(key in doc for key in keys)):
+            raise ConfigError(f"malformed {path}: expected a JSON object with {', '.join(keys)}")
+        docs.append(doc)
+    return docs[0], docs[1]
 
 
 def cmd_compare(args) -> int:

@@ -9,7 +9,6 @@ parametric families (Gaussian reference, Gamma, shifted log-normal).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import glm
 from .errors import DegenerateSample, InsufficientData, NoEligibleGroups
-from .jsonio import json_safe, write_json
+from .jsonio import json_safe, write_csv, write_json
 
 SHIFT_GRID_POINTS = 50
 # Most elements per block of the shift profile, 16 MB of float64 (all 50
@@ -338,27 +337,19 @@ def save_report_json(report: ResidualReport, path) -> None:
 def save_groups_csv(report: ResidualReport, path) -> None:
     """Raw and smoothed moment series, one row per retained beta group."""
     stat_names = ("mean", "median", "std", "skewness", "excess_kurtosis")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["beta", "count"]
-            + list(stat_names)
-            + [f"smoothed_{name}" for name in stat_names]
-        )
-        for raw, smooth in zip(report.per_beta, report.smoothed):
-            writer.writerow(
-                [repr(raw.beta), raw.count]
-                + [repr(getattr(raw, name)) for name in stat_names]
-                + [repr(getattr(smooth, name)) for name in stat_names]
-            )
+    write_csv(
+        path,
+        ["beta", "count", *stat_names, *(f"smoothed_{name}" for name in stat_names)],
+        ([raw.beta, raw.count]
+         + [getattr(raw, name) for name in stat_names]
+         + [getattr(smooth, name) for name in stat_names]
+         for raw, smooth in zip(report.per_beta, report.smoothed)),
+    )
 
 
 def save_histogram_csv(report: ResidualReport, path) -> None:
     if report.histogram is None:
         raise ValueError("report has no histogram (family fitting was skipped)")
     edges, counts = report.histogram
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for left, right, count in zip(edges[:-1], edges[1:], counts):
-            writer.writerow([repr(float(left)), repr(float(right)), int(count)])
+    write_csv(path, ["bin_left", "bin_right", "count"],
+              zip(edges[:-1], edges[1:], counts))

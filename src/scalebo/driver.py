@@ -106,10 +106,6 @@ class PosteriorSummary:
         """At most ``SIGN_SHARE_TOL`` of the draws of a lie on one side of 0."""
         return min(self.p_a_positive, 1.0 - self.p_a_positive) <= SIGN_SHARE_TOL
 
-    @property
-    def width(self) -> float:
-        return self.q975 - self.q025
-
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -141,27 +137,18 @@ class BoTrace:
     schema: str = TRACE_SCHEMA
 
 
-def log_grid(beta_min: float, beta_max: float, count: int, integer_beta: bool = False) -> np.ndarray:
-    """Geometric grid of ``count`` points on [beta_min, beta_max], endpoints
-    included; with ``integer_beta`` each point is rounded to the nearest
-    integer, duplicates retained."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    grid = np.exp(np.linspace(math.log(beta_min), math.log(beta_max), count))
-    grid[0] = beta_min
-    grid[-1] = beta_max
-    if integer_beta:
-        grid = np.rint(grid)
-    return grid
-
-
 def initial_design(config: BoConfig) -> np.ndarray:
-    """Log-equispaced initial design, endpoints included.
+    """Log-equispaced initial design of ``n0`` points, endpoints included;
+    with ``integer_beta`` each point is rounded to the nearest integer,
+    duplicates retained.
 
     The design is a deterministic grid: a grid maximizes the rank of the
     first fit and keeps runs reproducible.
     """
-    return log_grid(config.beta_min, config.beta_max, config.n0, config.integer_beta)
+    grid = np.exp(np.linspace(math.log(config.beta_min), math.log(config.beta_max), config.n0))
+    grid[0] = config.beta_min
+    grid[-1] = config.beta_max
+    return np.rint(grid) if config.integer_beta else grid
 
 
 def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrace:

@@ -50,10 +50,6 @@ class DegenerateSample(ScaleboError):
     """Sample has zero variance; distribution fits are undefined."""
 
 
-class BudgetExceeded(ScaleboError):
-    """Probe budget exhausted before any stopping rule was met."""
-
-
 class MismatchedProblem(ScaleboError):
     """Two run directories refer to different problems."""
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariance, InsufficientData, RankDeficient
+from .jsonio import write_csv
 
 # Number of regression coefficients: slope on ln(beta) plus intercept.
 NUM_COEF = 2
@@ -247,11 +248,7 @@ def sample_posterior(
 
 def save_csv(data: LogDataset, path) -> None:
     """Write the raw observations as ``beta,s`` CSV (UTF-8, LF endings)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["beta", "s"])
-        for beta, s in zip(data.beta, data.s):
-            writer.writerow([repr(float(beta)), repr(float(s))])
+    write_csv(path, ["beta", "s"], zip(data.beta.tolist(), data.s.tolist()))
 
 
 def load_csv(path) -> tuple[LogDataset, int]:

@@ -1,10 +1,12 @@
-"""Strict JSON artifacts.
+"""Strict JSON and CSV artifacts.
 
 Every JSON file the package writes must parse under a strict reader,
 whatever the simulator returned: NaN and infinities have no JSON token,
-so they are written as ``null`` and read back as NaN.
+so they are written as ``null`` and read back as NaN.  CSV files write
+floats by ``repr``, which round-trips ``nan`` and ``inf`` too.
 """
 
+import csv
 import json
 import math
 
@@ -28,3 +30,16 @@ def write_json(path, doc) -> None:
     text = json.dumps(json_safe(doc), indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV (UTF-8, LF endings).
+
+    Floats, numpy's included, are written by ``repr(float(v))``; other
+    values by ``str``.  ``csv.writer`` quotes any field that needs it.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)

@@ -2,14 +2,17 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalebo import acquisition, baselines, problems
 from scalebo.baselines import GOLDEN, McObjective
-from scalebo.errors import BudgetExceeded, EvaluationFailure
+from scalebo.errors import EvaluationFailure
 
 # np.exp and math.exp may differ by one ulp, so draws of the exp-based kinds
 # agree across the sized and scalar paths to this relative tolerance.
@@ -153,9 +156,11 @@ class TestGoldenSection:
 
     def test_bracket_shrinks_by_golden_ratio(self):
         obj = McObjective(problem=noiseless_problem(), mc_samples=1, seed=0)
-        result = baselines.golden_section(obj, (10.0, 1000.0), tol=0.05)
-        widths = [math.log(hi) - math.log(lo) for lo, hi, _ in result.history]
-        for prev, cur in zip(widths[2:], widths[3:]):
+        steps = baselines._golden_steps(lambda u: obj.probe(math.exp(u)).mean,
+                                        math.log(10.0), math.log(1000.0))
+        widths = [hi - lo for lo, hi in itertools.islice(steps, 12)]
+        assert widths[0] == pytest.approx(math.log(100.0), rel=1e-12)
+        for prev, cur in zip(widths, widths[1:]):
             assert cur / prev == pytest.approx(GOLDEN, rel=1e-9)
 
     def test_noisy_run_costs_about_a_dozen_probes(self):
@@ -166,10 +171,13 @@ class TestGoldenSection:
         assert 6000 <= result.evaluations_used <= 18_000
         assert result.evaluations_used == 1000 * len(result.probes)
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_stops(self):
         obj = McObjective(problem=noiseless_problem(), mc_samples=1, seed=6)
-        with pytest.raises(BudgetExceeded):
-            baselines.golden_section(obj, (10.0, 1000.0), tol=1e-9, max_iter=5)
+        result = baselines.golden_section(obj, (10.0, 1000.0), tol=1e-9, max_iter=5)
+        assert result.stop_reason == "budget"
+        assert len(result.probes) == 5
+        best = min(result.probes, key=lambda p: p.mean)
+        assert (result.beta_hat, result.f_hat) == (best.beta, best.mean)
 
     def test_integer_mode_probes_integers(self):
         obj = McObjective(problem=calibrated_problem(), mc_samples=50, seed=7)
@@ -216,6 +224,53 @@ class TestParabolicInterpolation:
 
     def test_probes_never_leave_current_bracket(self):
         obj = McObjective(problem=calibrated_problem(), mc_samples=200, seed=8)
-        result = baselines.parabolic_interpolation(obj, (10.0, 1000.0), tol=0.02)
-        for lo, hi, beta in result.history:
-            assert lo * (1 - 1e-12) <= beta <= hi * (1 + 1e-12)
+        probed = []
+
+        def probe(u):
+            probed.append(u)
+            return obj.probe(math.exp(u)).mean
+
+        bracket = (math.log(10.0), math.log(1000.0))
+        steps = baselines._parabolic_steps(probe, *bracket, tol=0.02)
+        checked = 0
+        while bracket[1] - bracket[0] > 0.02:
+            first = len(probed)
+            following = next(steps, None)
+            assert all(bracket[0] <= u <= bracket[1] for u in probed[first:])
+            checked += len(probed) - first
+            if following is None:
+                break
+            bracket = following
+        assert checked >= 6
+
+    def test_budget_exhaustion_stops(self):
+        obj = McObjective(problem=noiseless_problem(), mc_samples=1, seed=6)
+        result = baselines.parabolic_interpolation(obj, (10.0, 1000.0), tol=1e-9, max_iter=5)
+        assert result.stop_reason == "budget"
+        assert len(result.probes) == 5
+
+
+class TestSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method=st.sampled_from(["golden_section", "parabolic_interpolation"]),
+        slope=st.sampled_from([-0.58, 0.0]),
+        tol=st.floats(min_value=1e-6, max_value=2.0),
+        max_iter=st.integers(min_value=3, max_value=40),
+        mc_samples=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_every_run_stops_with_a_named_reason(self, method, slope, tol, max_iter,
+                                                 mc_samples, seed):
+        # Parabolic interpolation probes a triple before its first stop
+        # check, so its runs spend at least three probes whatever max_iter.
+        prob = problems.synthetic_powerlaw(slope, 0.0, 0.25, 1.0)
+        obj = McObjective(problem=prob, mc_samples=mc_samples, seed=seed)
+        result = getattr(baselines, method)(obj, (10.0, 1000.0), tol=tol, max_iter=max_iter)
+        assert result.stop_reason in {"bracket", "noise-floor", "budget", "converged"}
+        assert not (method == "golden_section" and result.stop_reason == "converged")
+        assert len(result.probes) <= max(max_iter, 3)
+        if result.stop_reason == "budget":
+            assert len(result.probes) == max_iter
+        assert result.evaluations_used == mc_samples * len(result.probes)
+        assert min(p.mean for p in result.probes) == result.f_hat

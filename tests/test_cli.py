@@ -146,6 +146,23 @@ class TestBaseline:
         assert stop_reason in run_doc["stopping"]
         assert method in run_doc["bracketing"]
 
+    @pytest.mark.parametrize("method", ["golden", "parabolic"])
+    def test_spent_budget_writes_all_artifacts(self, tmp_path, method):
+        path = write_config(
+            tmp_path / "run.json", seed=1,
+            baseline={"method": method, "mc_samples": 1000, "tol": 0.04, "max_iter": 5},
+        )
+        out = tmp_path / "base"
+        assert cli.main(["baseline", "--config", str(path), "--threads", "1",
+                         "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "estimate.json", "probes.csv", "run.json", "trace.csv"]
+        run_doc = json.loads((out / "run.json").read_text())
+        assert run_doc["stop_reason"] == "budget"
+        assert "budget" in run_doc["stopping"]
+        assert json.loads((out / "estimate.json").read_text())["evaluations"] == 5 * 1000
+        assert len((out / "probes.csv").read_text().splitlines()) == 1 + 5
+
     def test_repeat_run_is_byte_identical(self, tmp_path, config_path):
         out1, out2 = tmp_path / "b1", tmp_path / "b2"
         for out in (out1, out2):
@@ -186,6 +203,30 @@ class TestCompare:
         out = tmp_path / "cmp"
         assert cli.main(["compare", str(bo), str(empty), "--out", str(out)]) == 2
         assert "cannot read run directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,edit", [
+        ("run.json", lambda doc: "{not json"),
+        ("run.json", lambda doc: "[]"),
+        ("run.json", lambda doc: json.dumps({k: v for k, v in doc.items() if k != "problem_hash"})),
+        ("run.json", lambda doc: json.dumps({k: v for k, v in doc.items() if k != "method"})),
+        ("estimate.json",
+         lambda doc: json.dumps({k: v for k, v in doc.items() if k != "evaluations"})),
+        ("estimate.json",
+         lambda doc: json.dumps({k: v for k, v in doc.items() if k != "wall_clock_seconds"})),
+    ], ids=["not-json", "not-an-object", "no-problem-hash", "no-method", "no-evaluations",
+            "no-wall-clock"])
+    def test_malformed_run_dir_exits_2(self, tmp_path, config_path, capsys, name, edit):
+        bo = tmp_path / "bo"
+        assert cli.main(["optimize", "--config", str(config_path), "--out", str(bo)]) == 0
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for artifact in ("run.json", "estimate.json"):
+            text = (bo / artifact).read_text()
+            (broken / artifact).write_text(edit(json.loads(text)) if artifact == name else text)
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", str(bo), str(broken), "--out", str(out)]) == 2
+        assert f"malformed {broken / name}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_mismatched_problems_exit_2(self, tmp_path, config_path, capsys):

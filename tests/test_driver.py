@@ -90,9 +90,11 @@ class TestBoConfig:
 
 
 class TestInitialDesign:
-    def test_three_point_log_grid(self):
-        design = driver.log_grid(1.0, math.e**2, 3)
-        np.testing.assert_allclose(design, [1.0, math.e, math.e**2], rtol=1e-14)
+    def test_five_point_log_grid(self):
+        config = BoConfig(beta_min=1.0, beta_max=math.e**4, s0=1.0, n0=5)
+        design = driver.initial_design(config)
+        np.testing.assert_allclose(design, [1.0, math.e, math.e**2, math.e**3, math.e**4],
+                                   rtol=1e-14)
 
     def test_geometric_progression(self):
         config = BoConfig(beta_min=10.0, beta_max=1000.0, s0=1.0, n0=40)
@@ -208,7 +210,7 @@ class TestRun:
             prob = calibrated_problem()
             config = config_for(prob, max_iterations=12, seed=seed, stop_window=13)
             trace = driver.run(config, prob)
-            widths.append([rec.posterior.width for rec in trace.iterations])
+            widths.append([rec.posterior.q975 - rec.posterior.q025 for rec in trace.iterations])
         med = np.median(np.array(widths), axis=0)
         assert np.all(med[1:] <= med[:-1] * 1.02)
         assert med[-1] < 0.6 * med[0]

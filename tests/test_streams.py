@@ -143,7 +143,7 @@ def result_doc(result):
     """Everything a baseline result holds, draws as bytes."""
     return {
         "fields": (result.method, result.beta_hat, result.f_hat, result.evaluations_used,
-                   result.stop_reason, result.history),
+                   result.stop_reason),
         "probes": [(p.beta, p.mean, p.se, p.count, p.order, p.s_draws.tobytes())
                    for p in result.probes],
     }
