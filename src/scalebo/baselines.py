@@ -15,15 +15,12 @@ best probe.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationFailure
-from .problems import ObjectiveProblem
+from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0          # bracket shrink factor
 _PARABOLIC_FALLBACK = 1.0 - GOLDEN             # golden step fraction, ~0.382
@@ -66,7 +63,6 @@ class McObjective:
             raise ValueError("mc_samples must be >= 1")
         self._cache: dict[float, ProbeStats] = {}
         self._streams = ChildStreams(np.random.SeedSequence(self.seed))
-        self._sized = _takes_size(self.problem.evaluate_statistic)
 
     @property
     def probes(self) -> list[ProbeStats]:
@@ -80,7 +76,10 @@ class McObjective:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        draws = self._draw_statistics(key)
+        sizes = [min(_CHUNK, self.mc_samples - i) for i in range(0, self.mc_samples, _CHUNK)]
+        rngs = self._streams.spawn(len(sizes))
+        draws = np.concatenate(draw_statistics(self.problem, [key] * len(sizes), rngs,
+                                               self.threads, sizes))
         g = (draws - self.problem.s0) ** 2
         mean = float(g.mean())
         se = float(g.std(ddof=1) / math.sqrt(g.size)) if g.size > 1 else 0.0
@@ -95,45 +94,6 @@ class McObjective:
         self._cache[key] = stats
         self.evaluations_used += g.size
         return stats
-
-    def _draw_statistics(self, beta: float) -> np.ndarray:
-        """mc_samples draws of the statistic, chunked over rng substreams.
-
-        A statistic that takes ``size`` draws each chunk in one call.
-        """
-        n_chunks = -(-self.mc_samples // _CHUNK)
-        rngs = self._streams.spawn(n_chunks)
-        sizes = [min(_CHUNK, self.mc_samples - i * _CHUNK) for i in range(n_chunks)]
-        statistic = self.problem.evaluate_statistic
-
-        def one_chunk(i):
-            rng = rngs[i]
-            try:
-                if not self._sized:
-                    return np.array([float(statistic(beta, rng)) for _ in range(sizes[i])])
-                draws = np.asarray(statistic(beta, rng, size=sizes[i]), dtype=float)
-                if draws.shape != (sizes[i],):
-                    raise ValueError(f"size={sizes[i]} returned shape {draws.shape}")
-                return draws
-            except Exception as exc:
-                raise EvaluationFailure(
-                    f"statistic evaluation failed at beta={beta:g}: {exc}", beta=beta
-                ) from exc
-
-        if self.threads <= 1 or n_chunks == 1:
-            chunks = [one_chunk(i) for i in range(n_chunks)]
-        else:
-            with ThreadPoolExecutor(max_workers=min(self.threads, n_chunks)) as pool:
-                chunks = list(pool.map(one_chunk, range(n_chunks)))
-        return np.concatenate(chunks)
-
-
-def _takes_size(statistic) -> bool:
-    """True when the statistic callable accepts numpy's ``size`` keyword."""
-    try:
-        return "size" in inspect.signature(statistic).parameters
-    except (TypeError, ValueError):     # no signature to read: call per draw
-        return False
 
 
 @dataclass(frozen=True)
@@ -182,7 +142,7 @@ def _search(obj, bounds, tol, max_iter, integer_beta, method, steps) -> Baseline
     def probe(u):  # the MC mean at beta = e^u, rounded if integer_beta, within bounds
         beta = math.exp(u)
         if integer_beta:
-            beta = min(max(float(np.rint(beta)), math.ceil(beta_lo)), math.floor(beta_hi))
+            beta = round_into_bounds(beta, bounds)
         return obj.probe(min(max(beta, beta_lo), beta_hi)).mean
 
     stop_reason = "converged"

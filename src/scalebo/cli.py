@@ -26,7 +26,7 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
+import math
 import sys
 import time
 from pathlib import Path
@@ -62,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the run config (JSON)")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="max concurrent statistic evaluations")
+    common.add_argument("--threads", type=int, default=1,
+                        help="max concurrent statistic evaluations (default 1)")
     common.add_argument("--out", default=None, help="output directory")
 
     sub.add_parser("optimize", parents=[common], help="run the surrogate optimizer")
@@ -223,13 +223,27 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+# The keys ``compare`` reads from each file of a run directory, with the
+# JSON values it accepts (a JSON boolean is a bool, not an int).
+_RUN_DIR_KEYS = {
+    "run.json": {
+        "problem_hash": ("a string", lambda v: isinstance(v, str)),
+        "method": ("a string", lambda v: isinstance(v, str)),
+    },
+    "estimate.json": {
+        "evaluations": ("a positive integer", lambda v: type(v) is int and v > 0),
+        "wall_clock_seconds": ("a finite number >= 0",
+                               lambda v: type(v) in (int, float) and math.isfinite(v) and v >= 0),
+    },
+}
+
+
 def _read_run_dir(run_dir: Path) -> tuple[dict, dict]:
     """``run.json`` and ``estimate.json`` of a run directory.  A file that
-    cannot be read, is not a JSON object or lacks a key that ``compare``
-    reads is a usage error."""
+    cannot be read, is not a JSON object, or lacks or holds a bad value of
+    a key that ``compare`` reads is a usage error."""
     docs = []
-    for name, keys in (("run.json", ("problem_hash", "method")),
-                       ("estimate.json", ("evaluations", "wall_clock_seconds"))):
+    for name, keys in _RUN_DIR_KEYS.items():
         path = run_dir / name
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
@@ -239,6 +253,9 @@ def _read_run_dir(run_dir: Path) -> tuple[dict, dict]:
             raise ConfigError(f"malformed {path}: {exc}") from exc
         if not (isinstance(doc, dict) and all(key in doc for key in keys)):
             raise ConfigError(f"malformed {path}: expected a JSON object with {', '.join(keys)}")
+        for key, (expected, valid) in keys.items():
+            if not valid(doc[key]):
+                raise ConfigError(f"malformed {path}: {key} must be {expected}, got {doc[key]!r}")
         docs.append(doc)
     return docs[0], docs[1]
 

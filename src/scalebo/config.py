@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,6 +55,12 @@ class BaselineSettings:
     def __post_init__(self):
         if self.method not in ("golden", "parabolic"):
             raise ConfigError(f"baseline.method must be 'golden' or 'parabolic', got {self.method!r}")
+        for name in ("mc_samples", "max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"baseline.{name} must be an integer, got {value!r}")
+        if isinstance(self.tol, bool):
+            raise ConfigError(f"baseline.tol must be a number, got {self.tol!r}")
         if self.mc_samples < 1:
             raise ConfigError("baseline.mc_samples must be >= 1")
         if self.tol <= 0:

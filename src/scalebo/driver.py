@@ -14,16 +14,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import acquisition, glm
-from .errors import DegenerateExponent, DegenerateVariance, EvaluationFailure
+from .errors import DegenerateExponent, DegenerateVariance
 from .jsonio import json_safe, write_json
-from .problems import ObjectiveProblem
+from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 
 TRACE_SCHEMA = "bo-trace/1"
 
@@ -66,6 +66,12 @@ class BoConfig:
     integer_beta: bool = False
 
     def __post_init__(self):
+        for name in ("n0", "batch_size", "max_iterations", "stop_window", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.integer_beta, (bool, np.bool_)):
+            raise ValueError(f"integer_beta must be true or false, got {self.integer_beta!r}")
         if not (0 < self.beta_min < self.beta_max < math.inf):
             raise ValueError("bounds must satisfy 0 < beta_min < beta_max < inf")
         if not (self.s0 > 0 and math.isfinite(self.s0)):
@@ -195,8 +201,9 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
                 break
             betas_t = batch.betas
             if config.integer_beta:
-                betas_t = [_round_into_bounds(b, config) for b in betas_t]
-        s_t = _evaluate_all(problem, betas_t, eval_streams.spawn(len(betas_t)), threads, iteration=t)
+                betas_t = [round_into_bounds(b, config.bounds) for b in betas_t]
+        s_t = draw_statistics(problem, betas_t, eval_streams.spawn(len(betas_t)), threads,
+                              iteration=t)
         evaluations += len(betas_t)
         new_data, rejected = glm.ingest(zip(betas_t, s_t))
         rejected_total += rejected
@@ -228,7 +235,7 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
 
     final = records[-1].beta_hat
     if config.integer_beta:
-        final = _round_into_bounds(final, config)
+        final = round_into_bounds(final, config.bounds)
     return BoTrace(
         config=config,
         iterations=records,
@@ -263,26 +270,6 @@ def _flag(posterior: PosteriorSummary, config: BoConfig) -> str | None:
     return None
 
 
-def _evaluate_all(problem, betas, rngs, threads, iteration):
-    """Evaluate the statistic at each beta, ``betas[i]`` on ``rngs[i]``."""
-
-    def one(i):
-        try:
-            value = float(problem.evaluate_statistic(betas[i], rngs[i]))
-        except Exception as exc:
-            raise EvaluationFailure(
-                f"statistic evaluation failed at beta={betas[i]:g} (iteration {iteration}): {exc}",
-                iteration=iteration,
-                beta=betas[i],
-            ) from exc
-        return value
-
-    if threads <= 1 or len(betas) == 1:
-        return [one(i) for i in range(len(betas))]
-    with ThreadPoolExecutor(max_workers=min(threads, len(betas))) as pool:
-        return list(pool.map(one, range(len(betas))))
-
-
 def _clamped_point_estimate(fit: glm.GlmFit, config: BoConfig) -> float:
     """Point estimate projected onto the feasible interval (in log space);
     raises :class:`DegenerateExponent` when a_hat is numerically zero."""
@@ -291,11 +278,6 @@ def _clamped_point_estimate(fit: glm.GlmFit, config: BoConfig) -> float:
     if math.isnan(beta):
         raise DegenerateExponent(f"exponent a = {fit.a_hat:g} is numerically zero")
     return float(beta)
-
-
-def _round_into_bounds(beta: float, config: BoConfig) -> float:
-    rounded = float(np.rint(beta))
-    return float(min(max(rounded, math.ceil(config.beta_min)), math.floor(config.beta_max)))
 
 
 def _posterior_summary(fit: glm.GlmFit, config: BoConfig, rng) -> PosteriorSummary:

@@ -10,16 +10,18 @@ optimization pipeline can be exercised on a structural problem.
 
 from __future__ import annotations
 
+import inspect
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from .acquisition import EXPONENT_TOL
-from .errors import UnknownKind
+from .errors import EvaluationFailure, UnknownKind
 
 ROM_DIM = 8
 # The force vectors' highest mode is 32, and only modes 1..n-2 of the
@@ -48,9 +50,10 @@ class ObjectiveProblem:
     A callable may also accept numpy's ``size`` keyword:
     ``evaluate_statistic(beta, rng, size=k)`` then returns ``k`` draws as
     a float array, taken from ``rng`` in the same order as ``k`` scalar
-    calls.  The Monte-Carlo baseline reads this from the signature and
-    draws each rng substream in one call; callables without it are called
-    once per draw.  The built-in ``synthetic-powerlaw``, ``gamma-noise``,
+    calls.  :func:`draw_statistics`, which both optimizers call, reads this
+    from the signature once per problem; the baseline then draws each rng
+    substream in one call, and calls a callable without it once per draw.
+    The built-in ``synthetic-powerlaw``, ``gamma-noise``,
     ``heteroscedastic`` and ``shifted-lognormal`` kinds take ``size``.
     ``srom-standin`` does not: most of a draw's cost is its 8000 standard
     normals, which one call per chunk cannot save, and a version solving
@@ -65,6 +68,53 @@ class ObjectiveProblem:
     def __post_init__(self):
         if not (self.s0 > 0 and math.isfinite(self.s0)):
             raise ValueError("target statistic s0 must be finite and > 0")
+
+    @cached_property
+    def _takes_size(self) -> bool:
+        """True when ``evaluate_statistic`` accepts numpy's ``size`` keyword."""
+        try:
+            return "size" in inspect.signature(self.evaluate_statistic).parameters
+        except (TypeError, ValueError):     # no signature to read: call per draw
+            return False
+
+
+def draw_statistics(problem: ObjectiveProblem, betas, rngs, threads: int = 1,
+                    sizes=None, iteration=None) -> list:
+    """The statistic at ``betas[i]`` on ``rngs[i]`` for each task i: a float
+    per task, or with ``sizes`` an array of ``sizes[i]`` draws, from one
+    ``size=k`` call when the problem takes ``size``, else from k scalar calls.
+    Tasks run in order, or on a pool of at most ``threads`` workers.  A
+    failure is raised as :class:`EvaluationFailure` naming beta and, when
+    given, ``iteration``."""
+    statistic = problem.evaluate_statistic
+    sized = sizes is not None and problem._takes_size
+
+    def one(i):
+        beta, rng = betas[i], rngs[i]
+        try:
+            if sizes is None:
+                return float(statistic(beta, rng))
+            if not sized:
+                return np.array([float(statistic(beta, rng)) for _ in range(sizes[i])])
+            draws = np.asarray(statistic(beta, rng, size=sizes[i]), dtype=float)
+            if draws.shape != (sizes[i],):
+                raise ValueError(f"size={sizes[i]} returned shape {draws.shape}")
+            return draws
+        except Exception as exc:
+            context = "" if iteration is None else f" (iteration {iteration})"
+            raise EvaluationFailure(f"statistic evaluation failed at beta={beta:g}{context}: {exc}",
+                                    iteration=iteration, beta=beta) from exc
+
+    if threads <= 1 or len(rngs) == 1:
+        return [one(i) for i in range(len(rngs))]
+    with ThreadPoolExecutor(max_workers=min(threads, len(rngs))) as pool:
+        return list(pool.map(one, range(len(rngs))))
+
+
+def round_into_bounds(beta: float, bounds: tuple[float, float]) -> float:
+    """The integer nearest ``beta`` (ties to even), clamped to the integers
+    inside ``bounds``, as a float."""
+    return float(min(max(float(np.rint(beta)), math.ceil(bounds[0])), math.floor(bounds[1])))
 
 
 def target_for_optimum(a: float, ln_b: float, eps2: float, beta_opt: float) -> float:

@@ -214,8 +214,20 @@ class TestCompare:
          lambda doc: json.dumps({k: v for k, v in doc.items() if k != "evaluations"})),
         ("estimate.json",
          lambda doc: json.dumps({k: v for k, v in doc.items() if k != "wall_clock_seconds"})),
+        ("run.json", lambda doc: json.dumps({**doc, "problem_hash": 7})),
+        ("run.json", lambda doc: json.dumps({**doc, "method": None})),
+        ("estimate.json", lambda doc: json.dumps({**doc, "evaluations": 0})),
+        ("estimate.json", lambda doc: json.dumps({**doc, "evaluations": "12"})),
+        ("estimate.json", lambda doc: json.dumps({**doc, "evaluations": 12.0})),
+        ("estimate.json", lambda doc: json.dumps({**doc, "evaluations": True})),
+        ("estimate.json", lambda doc: json.dumps({**doc, "wall_clock_seconds": -1.0})),
+        ("estimate.json", lambda doc: json.dumps({**doc, "wall_clock_seconds": "1.0"})),
+        ("estimate.json", lambda doc: json.dumps({**doc, "wall_clock_seconds": True})),
+        ("estimate.json", lambda doc: json.dumps({**doc, "wall_clock_seconds": float("nan")})),
     ], ids=["not-json", "not-an-object", "no-problem-hash", "no-method", "no-evaluations",
-            "no-wall-clock"])
+            "no-wall-clock", "hash-not-string", "method-not-string", "zero-evaluations",
+            "string-evaluations", "float-evaluations", "bool-evaluations", "negative-wall-clock",
+            "string-wall-clock", "bool-wall-clock", "nan-wall-clock"])
     def test_malformed_run_dir_exits_2(self, tmp_path, config_path, capsys, name, edit):
         bo = tmp_path / "bo"
         assert cli.main(["optimize", "--config", str(config_path), "--out", str(bo)]) == 0
@@ -273,6 +285,31 @@ class TestRunArguments:
         assert cli.main([command, "--config", str(config_path), "--threads", "2",
                          "--out", str(out)]) == 0
         assert json.loads((out / "run.json").read_text())["threads"] == 2
+
+    def test_threads_default_to_one(self, tmp_path, config_path, command):
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["threads"] == 1
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("bo", "integer_beta", "false"),
+        ("bo", "max_iterations", True),
+        ("bo", "n0", 40.5),
+        ("bo", "batch_size", 2.5),
+        ("bo", "stop_window", 2.5),
+        ("baseline", "max_iter", 10.5),
+        ("baseline", "mc_samples", 50.5),
+        ("baseline", "tol", True),
+    ])
+    def test_mistyped_setting_exits_2_before_writing(self, tmp_path, command, section, key,
+                                                      value, capsys):
+        doc = json.loads(write_config(tmp_path / "base.json").read_text())
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "run.json", out=str(out),
+                            **{section: {**doc[section], key: value}})
+        assert cli.main([command, "--config", str(path), "--threads", "1"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDiagnose:

@@ -80,6 +80,13 @@ class TestBoConfig:
             dict(stop_window=0),
             dict(beta_min=2.2, beta_max=2.8, integer_beta=True),
             dict(seed=-1),
+            dict(n0=40.5),
+            dict(batch_size=2.5),
+            dict(max_iterations=True),
+            dict(stop_window=2.5),
+            dict(seed=1.0),
+            dict(integer_beta="false"),
+            dict(integer_beta=1),
         ],
     )
     def test_invalid_settings(self, overrides):
@@ -87,6 +94,11 @@ class TestBoConfig:
         settings.update(overrides)
         with pytest.raises(ValueError):
             BoConfig(**settings)
+
+    def test_numpy_integers_and_bools_accepted(self):
+        config = BoConfig(beta_min=10.0, beta_max=1000.0, s0=1.0, n0=np.int64(12),
+                          batch_size=np.int32(4), seed=np.uint8(3), integer_beta=np.bool_(True))
+        assert driver.initial_design(config).size == 12
 
 
 class TestInitialDesign:
@@ -271,20 +283,20 @@ class TestRun:
         assert scrub_clocks(driver.run(config, prob, threads=1)) == \
             scrub_clocks(driver.run(config, prob, threads=3))
 
-    def test_simulator_failure_carries_iteration_context(self):
-        calls = {"n": 0}
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_simulator_failure_carries_iteration_context(self, threads):
+        config = BoConfig(beta_min=10.0, beta_max=1000.0, s0=0.3, n0=12, batch_size=4,
+                          max_iterations=3, seed=0)
+        design = set(driver.initial_design(config).tolist())
 
-        def flaky(beta, rng):
-            calls["n"] += 1
-            if calls["n"] > 12:
+        def flaky(beta, rng):  # fails at every Thompson proposal
+            if beta not in design:
                 raise RuntimeError("solver blew up")
             return math.exp(-0.5 * math.log(beta) + 0.1 * rng.standard_normal())
 
         prob = problems.ObjectiveProblem(flaky, s0=0.3)
-        config = BoConfig(beta_min=10.0, beta_max=1000.0, s0=0.3, n0=12, batch_size=4,
-                          max_iterations=3, seed=0)
-        with pytest.raises(EvaluationFailure) as err:
-            driver.run(config, prob)
+        with pytest.raises(EvaluationFailure, match=r"\(iteration 1\): solver blew up") as err:
+            driver.run(config, prob, threads=threads)
         assert err.value.iteration == 1
         assert err.value.beta is not None
 
@@ -329,7 +341,7 @@ class TestRun:
         # Rounding 10.5 to even gives 10, below the bounds; the clamp must
         # still hand back a float, which the trace CSV writes as "11.0".
         config = config_for(calibrated_problem(), beta_min=10.5, beta_max=20.5, integer_beta=True)
-        rounded = driver._round_into_bounds(beta, config)
+        rounded = problems.round_into_bounds(beta, config.bounds)
         assert type(rounded) is float
         assert rounded == expected
 

@@ -172,7 +172,7 @@ class TestReferenceRuns:
         def search(threads):
             objective = baselines.McObjective(problem=problem, mc_samples=1000, seed=23,
                                               threads=threads)
-            assert objective._sized
+            assert problem._takes_size
             return result_doc(baselines.golden_section(objective, (10.0, 1000.0), tol=0.04))
 
         new = [search(t) for t in (1, 3)]
@@ -184,7 +184,7 @@ class TestReferenceRuns:
     def test_golden_section_scalar_srom(self, srom_problem, monkeypatch):
         def search():
             objective = baselines.McObjective(problem=srom_problem, mc_samples=100, seed=29)
-            assert not objective._sized
+            assert not srom_problem._takes_size
             return result_doc(baselines.golden_section(objective, (3e7, 8e7), tol=0.3))
 
         new = search()
