@@ -109,6 +109,15 @@ def log_argmin(a, ln_b, eps2, s0: float) -> np.ndarray:
     return np.where(np.abs(a) < EXPONENT_TOL, np.nan, ln_star)
 
 
+def log_argmin_float(a: float, ln_b: float, eps2: float, s0: float) -> float:
+    """:func:`log_argmin` of one parameter triple, as a float with the same
+    bits; raises :class:`DegenerateExponent` where that gives NaN."""
+    ln_star = (math.log(s0) - ln_b - 1.5 * eps2) / a if abs(a) >= EXPONENT_TOL else math.nan
+    if math.isnan(ln_star):
+        raise DegenerateExponent(f"exponent a = {a:g} is numerically zero")
+    return ln_star
+
+
 def clamp_log(ln_beta, bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """``(beta, clamped)``: ``exp(ln_beta)`` projected in log space onto
     ``[beta_min, beta_max]``, elementwise.  Clamped entries are exactly the
@@ -118,8 +127,21 @@ def clamp_log(ln_beta, bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndar
     ln_beta = np.asarray(ln_beta, dtype=float)
     below, above = ln_beta < ln_lo, ln_beta > ln_hi
     # exp of a log inside the bounds can still round to just outside them.
-    inside = np.clip(np.exp(np.clip(ln_beta, ln_lo, ln_hi)), beta_min, beta_max)
+    # minimum/maximum clip as np.clip does, NaN included, at half its cost.
+    inside = np.minimum(np.maximum(np.exp(np.minimum(np.maximum(ln_beta, ln_lo), ln_hi)),
+                                   beta_min), beta_max)
     return np.where(below, beta_min, np.where(above, beta_max, inside)), below | above
+
+
+def clamp_log_float(ln_beta: float, bounds: tuple[float, float]) -> float:
+    """:func:`clamp_log`'s beta for one float, with the same bits (numpy's
+    exp, not ``math.exp``, whose last bit can differ)."""
+    beta_min, beta_max = bounds
+    if ln_beta < math.log(beta_min):
+        return float(beta_min)
+    if ln_beta > math.log(beta_max):
+        return float(beta_max)
+    return float(min(max(float(np.exp(ln_beta)), beta_min), beta_max))
 
 
 def argmin_closed_form(obj: SurrogateObjective) -> tuple[float, float]:
@@ -129,9 +151,7 @@ def argmin_closed_form(obj: SurrogateObjective) -> tuple[float, float]:
     ``beta_star = (s0 / (b * exp(1.5 eps2)))^(1/a)``; this is the unique
     interior critical point for either sign of a.
     """
-    ln_beta_star = float(log_argmin(obj.a, math.log(obj.b), obj.eps2, obj.s0))
-    if math.isnan(ln_beta_star):
-        raise DegenerateExponent(f"exponent a = {obj.a:g} is numerically zero")
+    ln_beta_star = log_argmin_float(obj.a, math.log(obj.b), obj.eps2, obj.s0)
     if abs(ln_beta_star) > _LOG_MAX:
         raise SurrogateOverflow(f"argmin exp({ln_beta_star:g}) is not representable")
     beta_star = math.exp(ln_beta_star)
@@ -169,13 +189,12 @@ def optimal_region_from(
     lower u root is nonpositive the region is unbounded on one side and
     the corresponding endpoint is 0 or inf (or the bound).  Works in log
     space from ``ln_b``, so with ``bounds`` a b or beta* beyond float
-    range still has a region.
+    range still has a region.  Scalar arithmetic throughout, with
+    :func:`clamp_log`'s bits.
     """
     if rel < 0:
         raise ValueError("rel must be >= 0")
-    ln_star = float(log_argmin(a, ln_b, eps2, s0))
-    if math.isnan(ln_star):
-        raise DegenerateExponent(f"exponent a = {a:g} is numerically zero")
+    ln_star = log_argmin_float(a, ln_b, eps2, s0)
     if bounds is None:
         if abs(ln_star) > _LOG_MAX:
             raise SurrogateOverflow(f"argmin exp({ln_star:g}) is not representable")
@@ -190,8 +209,7 @@ def optimal_region_from(
     )
     if bounds is None:
         return math.exp(min(edges)), math.exp(max(edges))
-    lo_edge, hi_edge = clamp_log([min(edges), max(edges)], bounds)[0]
-    return float(lo_edge), float(hi_edge)
+    return clamp_log_float(min(edges), bounds), clamp_log_float(max(edges), bounds)
 
 
 def thompson_batch(

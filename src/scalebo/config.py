@@ -103,6 +103,9 @@ def build_problem(problem_section: dict) -> problems.ObjectiveProblem:
         raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {kind!r}")
     _check_keys("problem", problem_section, _PROBLEM_KEYS[kind])
     section = {k: v for k, v in problem_section.items() if k != "kind"}
+    for key, value in section.items():
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ConfigError(f"problem.{key} must be a number, got {value!r}")
     try:
         if kind == "synthetic-powerlaw":
             a = float(section.pop("a"))

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import acquisition, glm
-from .errors import DegenerateExponent, DegenerateVariance
+from .errors import DegenerateVariance
 from .jsonio import json_safe, write_json
 from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 
@@ -66,6 +66,10 @@ class BoConfig:
     integer_beta: bool = False
 
     def __post_init__(self):
+        for name in ("beta_min", "beta_max", "s0", "stop_rel_tol"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         for name in ("n0", "batch_size", "max_iterations", "stop_window", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -205,7 +209,7 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
         s_t = draw_statistics(problem, betas_t, eval_streams.spawn(len(betas_t)), threads,
                               iteration=t)
         evaluations += len(betas_t)
-        new_data, rejected = glm.ingest(zip(betas_t, s_t))
+        new_data, rejected = glm.ingest(np.array((betas_t, s_t), dtype=float).T)
         rejected_total += rejected
         data = new_data if data is None else data.with_observations(new_data.beta, new_data.s)
         fit = glm.fit(data)
@@ -273,40 +277,43 @@ def _flag(posterior: PosteriorSummary, config: BoConfig) -> str | None:
 def _clamped_point_estimate(fit: glm.GlmFit, config: BoConfig) -> float:
     """Point estimate projected onto the feasible interval (in log space);
     raises :class:`DegenerateExponent` when a_hat is numerically zero."""
-    ln_star = acquisition.log_argmin(fit.a_hat, fit.ln_b_hat, fit.s2, config.s0)
-    beta, _ = acquisition.clamp_log(ln_star, config.bounds)
-    if math.isnan(beta):
-        raise DegenerateExponent(f"exponent a = {fit.a_hat:g} is numerically zero")
-    return float(beta)
+    ln_star = acquisition.log_argmin_float(fit.a_hat, fit.ln_b_hat, fit.s2, config.s0)
+    return acquisition.clamp_log_float(ln_star, config.bounds)
 
 
 def _posterior_summary(fit: glm.GlmFit, config: BoConfig, rng) -> PosteriorSummary:
     """2.5/50/97.5 quantiles of beta* | data, clamped into bounds, and the
-    share of the draws whose exponent is > 0."""
+    share of the draws whose exponent is > 0.  Without usable draws every
+    quantile is the clamped point estimate.
+
+    The quantiles are ``np.quantile``'s (method ``linear``) of the clamped
+    draws, read from order statistics: clamping is monotone, so the draws
+    of ln beta* are sorted once unclamped (a NaN, from a degenerate
+    exponent, sorts last and is not a draw), and only the at most six
+    order statistics the quantiles interpolate between are clamped.
+    """
     if fit.s2 <= 0.0:
         pe = _clamped_point_estimate(fit, config)
         return PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0, p_a_positive=float(fit.a_hat > 0))
     a, ln_b, eps2 = glm.sample_posterior(fit, SUMMARY_DRAWS, rng)
     p_a_positive = float(np.count_nonzero(a > 0)) / a.size
-    ln_star = acquisition.log_argmin(a, ln_b, eps2, config.s0)
-    values, _ = acquisition.clamp_log(ln_star[~np.isnan(ln_star)], config.bounds)
-    if values.size == 0:
+    ordered = np.sort(acquisition.log_argmin(a, ln_b, eps2, config.s0))
+    draws = a.size - int(np.count_nonzero(np.isnan(ordered)))
+    if draws == 0:
         pe = _clamped_point_estimate(fit, config)
         return PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0, p_a_positive=p_a_positive)
-    q025, q500, q975 = _linear_quantiles(values, [0.025, 0.5, 0.975])
-    return PosteriorSummary(q025=float(q025), q500=float(q500), q975=float(q975),
-                            draws=int(values.size), p_a_positive=p_a_positive)
-
-
-def _linear_quantiles(values: np.ndarray, probs) -> np.ndarray:
-    """``np.quantile(values, probs)`` bit for bit (method ``linear``), from one sort."""
-    ordered = np.sort(values)
-    virtual = (ordered.size - 1) * np.asarray(probs, dtype=float)
-    lo = np.floor(virtual).astype(np.intp)
-    t = virtual - lo
-    below, above = ordered[lo], ordered[np.minimum(lo + 1, ordered.size - 1)]
-    diff = above - below
-    return np.where(t >= 0.5, above - diff * (1 - t), below + diff * t)
+    quantiles = []
+    for prob in (0.025, 0.5, 0.975):
+        virtual = (draws - 1) * prob
+        lo = math.floor(virtual)
+        t = virtual - lo
+        below = acquisition.clamp_log_float(ordered[lo], config.bounds)
+        above = acquisition.clamp_log_float(ordered[min(lo + 1, draws - 1)], config.bounds)
+        diff = above - below
+        quantiles.append(above - diff * (1 - t) if t >= 0.5 else below + diff * t)
+    q025, q500, q975 = quantiles
+    return PosteriorSummary(q025=q025, q500=q500, q975=q975, draws=draws,
+                            p_a_positive=p_a_positive)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,14 +52,7 @@ class LogDataset:
     s: np.ndarray
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        s = np.asarray(self.s, dtype=float)
-        if beta.ndim != 1 or s.ndim != 1 or beta.size != s.size:
-            raise ValueError("beta and s must be 1-D arrays of equal length")
-        if beta.size and (not np.all(np.isfinite(beta)) or np.any(beta <= 0)):
-            raise ValueError("all beta values must be finite and > 0")
-        if s.size and (not np.all(np.isfinite(s)) or np.any(s <= 0)):
-            raise ValueError("all s values must be finite and > 0")
+        beta, s = _checked_rows(self.beta, self.s)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "s", s)
 
@@ -77,11 +71,33 @@ class LogDataset:
         return np.log(self.s)
 
     def with_observations(self, beta, s) -> "LogDataset":
-        """Return a new dataset with the given rows appended."""
-        return LogDataset(
-            np.concatenate([self.beta, np.asarray(beta, dtype=float)]),
-            np.concatenate([self.s, np.asarray(s, dtype=float)]),
-        )
+        """Return a new dataset with the given rows appended.  Only those
+        rows are checked: this dataset's own rows already were."""
+        beta, s = _checked_rows(beta, s)
+        return _unchecked(np.concatenate([self.beta, beta]), np.concatenate([self.s, s]))
+
+
+def _unchecked(beta: np.ndarray, s: np.ndarray) -> LogDataset:
+    """The dataset of float rows already known to be valid, not checked again."""
+    data = object.__new__(LogDataset)
+    object.__setattr__(data, "beta", beta)
+    object.__setattr__(data, "s", s)
+    return data
+
+
+def _checked_rows(beta, s) -> tuple[np.ndarray, np.ndarray]:
+    """``beta`` and ``s`` as float arrays; raises ``ValueError`` unless they
+    are 1-D, of equal length, and every value is finite and > 0."""
+    beta = np.asarray(beta, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if beta.ndim != 1 or s.ndim != 1 or beta.size != s.size:
+        raise ValueError("beta and s must be 1-D arrays of equal length")
+    # min > 0 fails on a NaN too, which min propagates.
+    if beta.size and not (beta.min() > 0 and beta.max() < math.inf):
+        raise ValueError("all beta values must be finite and > 0")
+    if s.size and not (s.min() > 0 and s.max() < math.inf):
+        raise ValueError("all s values must be finite and > 0")
+    return beta, s
 
 
 @dataclass(frozen=True)
@@ -113,6 +129,13 @@ class GlmFit:
     def ln_b_hat(self) -> float:
         return float(self.coef_hat[1])
 
+    @cached_property
+    def cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor of ``v_theta``, computed once per fit;
+        raises ``np.linalg.LinAlgError`` unless ``v_theta`` is positive
+        definite."""
+        return _cholesky_2x2(self.v_theta)
+
     def to_json_dict(self) -> dict:
         return {
             "coef_hat": self.coef_hat.tolist(),
@@ -142,14 +165,16 @@ def ingest(points) -> tuple[LogDataset, int]:
 
     Parameters
     ----------
-    points : iterable of (float, float)
-        Raw (beta, s) observations.
+    points : iterable of (float, float), or float ndarray of shape (n, 2)
+        Raw (beta, s) observations; an array is used as it is.
 
     Returns
     -------
     (LogDataset, int)
         The clean dataset and the number of rejected rows.
     """
+    if isinstance(points, np.ndarray):
+        return _keep_usable(np.asarray(points, dtype=float))
     return _keep_usable(np.array([(float(beta), float(s)) for beta, s in points], dtype=float))
 
 
@@ -158,7 +183,7 @@ def _keep_usable(rows: np.ndarray) -> tuple[LogDataset, int]:
     (beta, s) pairs, and the number of rows left out."""
     beta, s = rows.reshape(-1, 2).T
     keep = np.isfinite(beta) & np.isfinite(s) & (beta > 0) & (s > 0)
-    return LogDataset(beta[keep], s[keep]), int(beta.size - np.count_nonzero(keep))
+    return _unchecked(beta[keep], s[keep]), int(beta.size - np.count_nonzero(keep))
 
 
 def fit(data: LogDataset) -> GlmFit:
@@ -181,7 +206,7 @@ def fit(data: LogDataset) -> GlmFit:
     if data.n < NUM_COEF + 1:
         raise InsufficientData(f"need at least {NUM_COEF + 1} rows, got {data.n}")
     n, x, y = data.n, np.log(data.beta), data.y
-    x_bar, y_bar = float(x.mean()), float(y.mean())
+    x_bar, y_bar = float(x.sum()) / n, float(y.sum()) / n   # x.mean(), y.mean() bit for bit
     xc, yc = x - x_bar, y - y_bar
     sxx = float(xc @ xc)
     # QR's rank test on [x, 1], times |x|: |R_11| = |x|, |R_22| = sqrt(n Sxx) / |x|.
@@ -193,14 +218,15 @@ def fit(data: LogDataset) -> GlmFit:
     dof = n - NUM_COEF
     s2 = float(resid @ resid) / dof
     v_theta = np.array([[1.0, -x_bar], [-x_bar, sxx / n + x_bar * x_bar]]) / sxx
+    result = GlmFit(coef_hat=np.array([a, y_bar - a * x_bar]), s2=s2, v_theta=v_theta, dof=dof)
     try:
-        _cholesky_2x2(v_theta)
+        result.cholesky  # validates v_theta, and keeps the factor for sampling
     except np.linalg.LinAlgError:
         raise RankDeficient(
             "beta values are too tightly clustered: the posterior covariance of "
             "the coefficients is not positive definite in floating point"
         ) from None
-    return GlmFit(coef_hat=np.array([a, y_bar - a * x_bar]), s2=s2, v_theta=v_theta, dof=dof)
+    return result
 
 
 def _cholesky_2x2(v: np.ndarray) -> np.ndarray:
@@ -241,8 +267,7 @@ def sample_posterior(
     chi2 = rng.gamma(shape=0.5 * fit.dof, scale=2.0, size=count)
     eps2 = fit.dof * fit.s2 / chi2
     z = rng.standard_normal((count, NUM_COEF))
-    root = _cholesky_2x2(fit.v_theta)
-    coefs = fit.coef_hat + np.sqrt(eps2)[:, None] * (z @ root.T)
+    coefs = fit.coef_hat + np.sqrt(eps2)[:, None] * (z @ fit.cholesky.T)
     return coefs[:, 0], coefs[:, 1], eps2
 
 

@@ -12,9 +12,12 @@ All children of one parent hash the same words first: the parent's
 entropy, zero-padded to the pool size, then the parent's spawn key.  Only
 the last word, the child's index, differs.  The prefix is mixed once, in
 Python ints, when the object is built (O'Neill's ``seed_seq`` mixing, as
-numpy implements it).  For a batch, the index word's mixing and the eight
-output words that seed PCG64 are a few uint32 array operations over all
-children at once.  numpy's own PCG64 seeds itself from those words.
+numpy implements it).  The index word's mixing and the eight output words
+that seed PCG64 are a few uint32 array operations, run once per block of
+``BLOCK`` consecutive child indices; a batch slices its seed words from
+the blocks it spans.  So a run that spawns a few children at a time pays
+the array pass once per block, not once per batch.  numpy's own PCG64
+seeds itself from those words.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ _XSHIFT = 16
 
 # PCG64 seeds itself from generate_state(4, uint64): eight uint32 words.
 _STATE_WORDS = 8
+
+# Child indices whose seed words one array pass derives.  A power of two,
+# so that no block runs past the last 32-bit index.
+BLOCK = 256
 
 
 def _words(value) -> list[int]:
@@ -117,6 +124,7 @@ class ChildStreams:
         self._mix_r = np.full(_STATE_WORDS, _MIX_MULT_R, dtype=np.uint32)
         self._state_xor = np.array(state_const[:-1], dtype=np.uint32)
         self._state_mul = np.array(state_const[1:], dtype=np.uint32)
+        self._block_first, self._block = None, None
 
     def spawn(self, n: int) -> list[np.random.Generator]:
         """The next ``n`` children, each as ``np.random.default_rng(child)``."""
@@ -124,21 +132,32 @@ class ChildStreams:
         if stop > _MASK32 + 1:
             raise OverflowError("a child index must fit in one 32-bit word")
         self._next = stop
-        index = np.arange(start, stop, dtype=np.uint32)[:, None]
-        word = (index ^ self._index_xor) * self._index_mul
-        word ^= word >> _XSHIFT
-        word = self._pool_l - self._mix_r * word
-        word ^= word >> _XSHIFT
-        word = (word ^ self._state_xor) * self._state_mul
-        word ^= word >> _XSHIFT
-        # Word pairs as little-endian uint64, as generate_state returns them.
-        seeds = word.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-        return [
-            np.random.Generator(np.random.PCG64(_Child(
-                seeds[i], self._entropy, self._spawn_key + (start + i,), self._pool_size
-            )))
-            for i in range(n)
-        ]
+        children = []
+        for first in range(start - start % BLOCK, stop, BLOCK):
+            seeds = self._block_seeds(first)
+            children += [
+                np.random.Generator(np.random.PCG64(_Child(
+                    seeds[i - first], self._entropy, self._spawn_key + (i,), self._pool_size
+                )))
+                for i in range(max(start, first), min(stop, first + BLOCK))
+            ]
+        return children
+
+    def _block_seeds(self, first: int) -> np.ndarray:
+        """PCG64's seed words, ``(BLOCK, 4)`` uint64, of the children
+        ``first, ..., first + BLOCK - 1``; the last block is kept."""
+        if self._block_first != first:
+            index = np.arange(first, first + BLOCK, dtype=np.uint32)[:, None]
+            word = (index ^ self._index_xor) * self._index_mul
+            word ^= word >> _XSHIFT
+            word = self._pool_l - self._mix_r * word
+            word ^= word >> _XSHIFT
+            word = (word ^ self._state_xor) * self._state_mul
+            word ^= word >> _XSHIFT
+            # Word pairs as little-endian uint64, as generate_state returns them.
+            self._block = word.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+            self._block_first = first
+        return self._block
 
 
 class _Child(ISpawnableSeedSequence):

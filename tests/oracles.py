@@ -1,0 +1,128 @@
+"""Reference versions of the BO record's helpers and of the rng streams.
+
+``driver.run`` computes each record's point estimate, beta* summary and
+stop region on floats and order statistics, and grows its dataset by
+appending checked rows.  The functions below are the straightforward
+array forms those replace, kept as test oracles: each must give the same
+bits as the code it stands for.  ``install`` puts them back into the
+package, so whole runs can be compared as well.  :class:`NumpyChildren`
+is numpy's own construction of the per-evaluation streams.
+"""
+
+import math
+
+import numpy as np
+
+from scalebo import acquisition, driver, glm
+from scalebo.errors import DegenerateExponent
+
+
+class NumpyChildren:
+    """``streams.ChildStreams`` as numpy builds it: one SeedSequence and
+    generator per child."""
+
+    def __init__(self, parent):
+        self._parent = parent
+
+    def spawn(self, n):
+        return [np.random.default_rng(child) for child in self._parent.spawn(n)]
+
+
+def clamp_log(ln_beta, bounds):
+    """``acquisition.clamp_log`` through ``np.clip``."""
+    beta_min, beta_max = bounds
+    ln_lo, ln_hi = math.log(beta_min), math.log(beta_max)
+    ln_beta = np.asarray(ln_beta, dtype=float)
+    below, above = ln_beta < ln_lo, ln_beta > ln_hi
+    inside = np.clip(np.exp(np.clip(ln_beta, ln_lo, ln_hi)), beta_min, beta_max)
+    return np.where(below, beta_min, np.where(above, beta_max, inside)), below | above
+
+
+def linear_quantiles(values, probs):
+    """``np.quantile(values, probs)`` bit for bit (method ``linear``), from one sort."""
+    ordered = np.sort(values)
+    virtual = (ordered.size - 1) * np.asarray(probs, dtype=float)
+    lo = np.floor(virtual).astype(np.intp)
+    t = virtual - lo
+    below, above = ordered[lo], ordered[np.minimum(lo + 1, ordered.size - 1)]
+    diff = above - below
+    return np.where(t >= 0.5, above - diff * (1 - t), below + diff * t)
+
+
+def clamped_point_estimate(fit, config):
+    ln_star = acquisition.log_argmin(fit.a_hat, fit.ln_b_hat, fit.s2, config.s0)
+    beta, _ = clamp_log(ln_star, config.bounds)
+    if math.isnan(beta):
+        raise DegenerateExponent(f"exponent a = {fit.a_hat:g} is numerically zero")
+    return float(beta)
+
+
+def posterior_summary(fit, config, rng):
+    """Every draw of ln beta* clamped and exponentiated, then the quantiles."""
+    if fit.s2 <= 0.0:
+        pe = clamped_point_estimate(fit, config)
+        return driver.PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0,
+                                       p_a_positive=float(fit.a_hat > 0))
+    a, ln_b, eps2 = glm.sample_posterior(fit, driver.SUMMARY_DRAWS, rng)
+    p_a_positive = float(np.count_nonzero(a > 0)) / a.size
+    ln_star = acquisition.log_argmin(a, ln_b, eps2, config.s0)
+    values, _ = clamp_log(ln_star[~np.isnan(ln_star)], config.bounds)
+    if values.size == 0:
+        pe = clamped_point_estimate(fit, config)
+        return driver.PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0,
+                                       p_a_positive=p_a_positive)
+    q025, q500, q975 = linear_quantiles(values, [0.025, 0.5, 0.975])
+    return driver.PosteriorSummary(q025=float(q025), q500=float(q500), q975=float(q975),
+                                   draws=int(values.size), p_a_positive=p_a_positive)
+
+
+def optimal_region_from(a, ln_b, eps2, s0, rel, bounds):
+    """``acquisition.optimal_region_from`` with bounds, through 0-d and
+    2-element arrays."""
+    ln_star = float(acquisition.log_argmin(a, ln_b, eps2, s0))
+    if math.isnan(ln_star):
+        raise DegenerateExponent(f"exponent a = {a:g} is numerically zero")
+    ln_min = min(max(ln_star, math.log(bounds[0])), math.log(bounds[1]))
+    u_min = math.exp(a * (ln_min - ln_star))
+    du = math.sqrt((1.0 + rel) * (u_min - 1.0) ** 2 + rel * math.expm1(eps2))
+    edges = (
+        ln_star + math.log1p(du) / a,
+        ln_star + math.log1p(-du) / a if du < 1.0 else -math.copysign(math.inf, a),
+    )
+    lo_edge, hi_edge = clamp_log([min(edges), max(edges)], bounds)[0]
+    return float(lo_edge), float(hi_edge)
+
+
+def settled(fit, posterior, config):
+    if not posterior.a_identified:
+        return False
+    lo, hi = optimal_region_from(fit.a_hat, fit.ln_b_hat, fit.s2, config.s0,
+                                 driver.STOP_REGION_REL, config.bounds)
+    return lo <= posterior.q025 and posterior.q975 <= hi
+
+
+def ingest(points):
+    """``glm.ingest`` through a tuple per row, whatever ``points`` is."""
+    rows = np.array([(float(beta), float(s)) for beta, s in points], dtype=float)
+    beta, s = rows.reshape(-1, 2).T
+    keep = np.isfinite(beta) & np.isfinite(s) & (beta > 0) & (s > 0)
+    return glm.LogDataset(beta[keep], s[keep]), int(beta.size - np.count_nonzero(keep))
+
+
+def with_observations(self, beta, s):
+    """``LogDataset.with_observations`` checking every row again."""
+    return glm.LogDataset(np.concatenate([self.beta, np.asarray(beta, dtype=float)]),
+                          np.concatenate([self.s, np.asarray(s, dtype=float)]))
+
+
+def install(monkeypatch):
+    """Run the package on the oracles: each record's helpers, the clamp,
+    dataset growth and a Cholesky factor computed at every draw."""
+    monkeypatch.setattr(acquisition, "clamp_log", clamp_log)
+    monkeypatch.setattr(driver, "_clamped_point_estimate", clamped_point_estimate)
+    monkeypatch.setattr(driver, "_posterior_summary", posterior_summary)
+    monkeypatch.setattr(driver, "_settled", settled)
+    monkeypatch.setattr(glm, "ingest", ingest)
+    monkeypatch.setattr(glm.LogDataset, "with_observations", with_observations)
+    monkeypatch.setattr(glm.GlmFit, "cholesky",
+                        property(lambda fit: glm._cholesky_2x2(fit.v_theta)))

@@ -311,6 +311,31 @@ class TestRunArguments:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("bo", "beta_min", True),
+        ("bo", "beta_max", False),
+        ("bo", "stop_rel_tol", True),
+        ("problem", "a", True),
+        ("problem", "ln_b", False),
+        ("problem", "eps2", "0.25"),
+        ("problem", "beta_opt", True),
+        ("gamma-noise", "shape", True),
+        ("gamma-noise", "s0", False),
+    ])
+    def test_non_number_setting_exits_2_before_writing(self, tmp_path, command, section, key,
+                                                       value, capsys):
+        doc = json.loads(write_config(tmp_path / "base.json").read_text())
+        if section == "gamma-noise":
+            doc["problem"] = {"kind": "gamma-noise", "a": -0.5, "ln_b": 0.2, "shape": 4.0,
+                              "s0": 0.3}
+            section = "problem"
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "run.json", out=str(out),
+                            **{**doc, section: {**doc[section], key: value}})
+        assert cli.main([command, "--config", str(path), "--threads", "1"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiagnose:
     @pytest.fixture()

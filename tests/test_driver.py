@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalebo import acquisition, driver, glm, problems
+import oracles
+from scalebo import acquisition, driver, glm, problems, streams
 from scalebo.driver import BoConfig
 from scalebo.errors import DegenerateExponent, EvaluationFailure, RankDeficient
 
@@ -87,6 +88,11 @@ class TestBoConfig:
             dict(seed=1.0),
             dict(integer_beta="false"),
             dict(integer_beta=1),
+            dict(beta_min=True),
+            dict(beta_max=np.bool_(True), beta_min=0.5),
+            dict(s0=True),
+            dict(stop_rel_tol=True),
+            dict(beta_min="10"),
         ],
     )
     def test_invalid_settings(self, overrides):
@@ -502,5 +508,123 @@ class TestPosteriorSummary:
         for n in range(1, 501):
             values = np.exp(rng.uniform(np.log(5.0), np.log(2000.0), n))
             for sample in (values, np.clip(values, 10.0, 1000.0)):
-                got = driver._linear_quantiles(sample, probs)
+                got = oracles.linear_quantiles(sample, probs)
                 np.testing.assert_array_equal(got, np.quantile(sample, probs))
+
+
+# ---------------------------------------------------------------------------
+# The record's float and order-statistic paths against their array oracles
+
+
+def fit_from(a, ln_b, s2, root, dof):
+    """A fit whose v_theta is ``root @ root.T`` for a lower-triangular
+    ``root = (l00, l10, l11)``."""
+    l00, l10, l11 = root
+    v_theta = np.array([[l00 * l00, l00 * l10], [l00 * l10, l10 * l10 + l11 * l11]])
+    return glm.GlmFit(coef_hat=np.array([a, ln_b]), s2=s2, v_theta=v_theta, dof=dof)
+
+
+# Slopes include 0 and |a| near EXPONENT_TOL, with a spread of a (l00) down
+# to 1e-13, so some or all draws are degenerate; narrow bounds far from
+# beta* clamp every draw.
+record_fits = dict(
+    a=st.sampled_from([0.0, 1e-12, -5e-13]) | st.floats(-3.0, 3.0),
+    ln_b=st.floats(-5.0, 5.0),
+    s2=st.sampled_from([0.0]) | st.floats(1e-4, 4.0),
+    root=st.tuples(st.sampled_from([1e-13, 1e-12, 1e-6, 0.05, 1.0]),
+                   st.floats(-3.0, 3.0), st.floats(0.01, 3.0)),
+    dof=st.integers(1, 200),
+    ln_s0=st.floats(-10.0, 10.0),
+    beta_min=st.sampled_from([1e-3, 1.0, 10.0, 3e7]),
+    ratio=st.sampled_from([1.5, 100.0, 1e4]),
+)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the message of the DegenerateExponent it raises."""
+    try:
+        return fn(*args)
+    except DegenerateExponent as exc:
+        return f"DegenerateExponent: {exc}"
+
+
+class TestRecordOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(**record_fits, seed=st.integers(0, 2**32 - 1))
+    def test_summary_equals_array_oracle(self, a, ln_b, s2, root, dof, ln_s0, beta_min,
+                                         ratio, seed):
+        fit = fit_from(a, ln_b, s2, root, dof)
+        config = BoConfig(beta_min=beta_min, beta_max=beta_min * ratio, s0=math.exp(ln_s0))
+        new = outcome(driver._posterior_summary, fit, config, np.random.default_rng(seed))
+        old = outcome(oracles.posterior_summary, fit, config, np.random.default_rng(seed))
+        assert new == old
+
+    def test_summary_oracle_covers_degenerate_and_clamped_draws(self):
+        config = BoConfig(beta_min=10.0, beta_max=15.0, s0=0.1)
+        # Some draws of a degenerate, the rest clamped onto a bound.
+        some = fit_from(0.0, 0.0, 1.0, (1e-12, 0.0, 1.0), 30)
+        summary = driver._posterior_summary(some, config, np.random.default_rng(3))
+        assert 0 < summary.draws < driver.SUMMARY_DRAWS
+        assert summary == oracles.posterior_summary(some, config, np.random.default_rng(3))
+        # beta* far above the bounds: every draw clamps onto beta_max.
+        clamped = fit_from(-0.5, 0.0, 0.01, (0.01, 0.0, 0.01), 30)
+        summary = driver._posterior_summary(clamped, config, np.random.default_rng(3))
+        assert summary.q025 == summary.q975 == 15.0
+        assert summary == oracles.posterior_summary(clamped, config, np.random.default_rng(3))
+        # Every draw degenerate: the point estimate raises, as it did.
+        flat = fit_from(0.0, 0.0, 1.0, (1e-30, 0.0, 1.0), 30)
+        with pytest.raises(DegenerateExponent):
+            driver._posterior_summary(flat, config, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("usable", [1, 2, 3, 40])
+    def test_summary_of_few_usable_draws(self, usable, monkeypatch):
+        # The order statistics of the few draws whose a is not degenerate,
+        # wherever those draws sit among the degenerate ones.
+        rng = np.random.default_rng(usable)
+        a = np.zeros(driver.SUMMARY_DRAWS)
+        a[rng.choice(a.size, usable, replace=False)] = rng.uniform(-1.0, -0.2, usable)
+        draws = (a, rng.normal(0.0, 1.0, a.size), rng.uniform(0.01, 1.0, a.size))
+        monkeypatch.setattr(glm, "sample_posterior", lambda fit, count, rng: draws)
+        fit = fit_from(-0.5, 0.0, 0.25, (0.1, 0.0, 0.1), 30)
+        config = BoConfig(beta_min=10.0, beta_max=1000.0, s0=0.1)
+        summary = driver._posterior_summary(fit, config, None)
+        assert summary.draws == usable
+        assert summary == oracles.posterior_summary(fit, config, None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(**record_fits, seed=st.integers(0, 2**32 - 1))
+    def test_point_estimate_and_region_equal_array_oracles(self, a, ln_b, s2, root, dof, ln_s0,
+                                                           beta_min, ratio, seed):
+        fit = fit_from(a, ln_b, s2, root, dof)
+        config = BoConfig(beta_min=beta_min, beta_max=beta_min * ratio, s0=math.exp(ln_s0))
+        assert (outcome(driver._clamped_point_estimate, fit, config)
+                == outcome(oracles.clamped_point_estimate, fit, config))
+        region = (fit.a_hat, fit.ln_b_hat, fit.s2, config.s0, driver.STOP_REGION_REL,
+                  config.bounds)
+        assert (outcome(acquisition.optimal_region_from, *region)
+                == outcome(oracles.optimal_region_from, *region))
+        posterior = outcome(oracles.posterior_summary, fit, config, np.random.default_rng(seed))
+        if isinstance(posterior, driver.PosteriorSummary):
+            assert (outcome(driver._settled, fit, posterior, config)
+                    == outcome(oracles.settled, fit, posterior, config))
+
+    @pytest.mark.parametrize("name", ["calibrated", "gamma-noise", "srom", "integer_beta"])
+    def test_whole_runs_equal_oracle_runs(self, name, monkeypatch):
+        if name == "srom":
+            problem, bounds = problems.srom_standin(), (3e7, 8e7)
+        elif name == "gamma-noise":
+            problem = problems.synthetic_misspecified(
+                "gamma-noise", {"a": -0.5, "ln_b": 0.2, "shape": 4.0, "s0": 0.3})
+            bounds = (10.0, 1000.0)
+        else:
+            problem, bounds = calibrated_problem(), (10.0, 1000.0)
+        configs = [BoConfig(beta_min=bounds[0], beta_max=bounds[1], s0=problem.s0, seed=seed,
+                            n0=20, batch_size=10, max_iterations=25,
+                            integer_beta=name == "integer_beta")
+                   for seed in range(4 if name == "srom" else 12)]
+        new = [scrub_clocks(driver.run(config, problem)) for config in configs]
+        oracles.install(monkeypatch)
+        monkeypatch.setattr(streams, "ChildStreams", oracles.NumpyChildren)
+        old = [scrub_clocks(driver.run(config, problem)) for config in configs]
+        assert {doc["stop_reason"] for doc in old} >= {"converged"}
+        assert new == old

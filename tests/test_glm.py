@@ -78,6 +78,32 @@ class TestIngest:
         assert grown.n == 2
         assert data.n == 1
 
+    @pytest.mark.parametrize("beta,s", [
+        ([4.0, math.nan], [5.0, 1.0]),
+        ([4.0, 6.0], [5.0, math.nan]),
+        ([0.0], [5.0]),
+        ([4.0], [0.0]),
+        ([-4.0], [5.0]),
+        ([4.0], [-5.0]),
+        ([math.inf], [5.0]),
+        ([4.0, 5.0], [1.0]),
+    ])
+    def test_with_observations_checks_the_appended_rows(self, beta, s):
+        data, _ = glm.ingest([(2.0, 3.0), (3.0, 4.0)])
+        with pytest.raises(ValueError):
+            data.with_observations(beta, s)
+
+    def test_array_rows_ingest_as_tuples_do(self):
+        rows = [(2.0, 3.0), (math.nan, 1.0), (4.0, 0.0), (5.0, -1.0), (6.0, math.inf),
+                (7.0, 2.5), (-1.0, 2.0), (8.0, 0.5)]
+        by_tuple, rejected = glm.ingest(rows)
+        # The driver's layout: a transposed (2, n) block.
+        by_array, rejected_array = glm.ingest(np.array(list(zip(*rows))).T)
+        assert rejected_array == rejected == 5
+        assert by_array.beta.tobytes() == by_tuple.beta.tobytes()
+        assert by_array.s.tobytes() == by_tuple.s.tobytes()
+        assert glm.ingest(np.empty((0, 2)))[0].n == 0
+
 
 class TestFit:
     def test_noiseless_line_is_interpolated_exactly(self):

@@ -4,7 +4,7 @@
 instead of building a ``SeedSequence`` per child.  numpy itself is the
 reference throughout: :class:`NumpyChildren` below is the construction the
 driver and the baselines used before, one ``default_rng(child)`` per
-child of ``parent.spawn(n)``.  The thread-count tests elsewhere compare the
+child of ``parent.spawn(n)`` (kept in ``oracles``).  The thread-count tests elsewhere compare the
 package with itself, so only these tests catch a change of stream.
 """
 
@@ -13,19 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import NumpyChildren
 from scalebo import baselines, driver, problems, streams
 from scalebo.driver import BoConfig
 from scalebo.streams import ChildStreams
-
-
-class NumpyChildren:
-    """The reference construction: one SeedSequence and generator per child."""
-
-    def __init__(self, parent):
-        self._parent = parent
-
-    def spawn(self, n):
-        return [np.random.default_rng(child) for child in self._parent.spawn(n)]
 
 
 def assert_same_generators(new, old):
@@ -43,13 +34,17 @@ def parent_pair(entropy, spawn_key, already, pool_size=4):
 
 
 class TestIdentity:
+    # Seed words come a block of indices at a time: ``already`` lands near
+    # block edges as well as anywhere, and batches up to 300 span blocks.
     @settings(max_examples=150, deadline=None)
     @given(
         entropy=st.integers(0, 2**128),
         spawn_key=st.lists(st.integers(0, 2**40), max_size=2),
-        already=st.integers(0, 2000),
+        already=st.integers(0, 2000) | st.builds(
+            lambda block, offset: max(block * streams.BLOCK + offset, 0),
+            st.integers(0, 6), st.integers(-3, 3)),
         pool_size=st.sampled_from([4, 8]),
-        batches=st.lists(st.integers(1, 70), min_size=1, max_size=3),
+        batches=st.lists(st.integers(1, 300), min_size=1, max_size=3),
     )
     def test_batches_equal_numpy_spawn_and_default_rng(
         self, entropy, spawn_key, already, pool_size, batches
@@ -57,6 +52,13 @@ class TestIdentity:
         parent, reference = parent_pair(entropy, tuple(spawn_key), already, pool_size)
         new, old = ChildStreams(parent), NumpyChildren(reference)
         for n in batches:
+            assert_same_generators(new.spawn(n), old.spawn(n))
+
+    @pytest.mark.parametrize("already", [0, 1, 255, 256, 509])
+    def test_batches_across_block_edges(self, already):
+        parent, reference = parent_pair(41, (2,), already)
+        new, old = ChildStreams(parent), NumpyChildren(reference)
+        for n in (1, 254, 1, 0, 1, streams.BLOCK, 0, 2 * streams.BLOCK + 1, 3):
             assert_same_generators(new.spawn(n), old.spawn(n))
 
     def test_spawned_parents_at_depth_two(self):
