@@ -29,6 +29,18 @@ _PARABOLIC_FALLBACK = 1.0 - GOLDEN             # golden step fraction, ~0.382
 # any thread count.
 _CHUNK = 64
 
+# Per baseline method: the name of its optimizer in this module (read at
+# call time, so a replaced function such as a tracing wrapper runs), its
+# probe schedule over ln beta, and its stop reasons, as ``run.json`` names
+# them.
+METHODS = {
+    "golden": ("golden_section", "ln-beta golden bracket from [beta_min, beta_max]",
+               "bracket < {tol} | noise-floor | budget ({max_iter} probes)"),
+    "parabolic": ("parabolic_interpolation",
+                  "ln-beta parabolic triple from [beta_min, beta_max], golden-safeguarded",
+                  "bracket < {tol} | converged | noise-floor | budget ({max_iter} probes)"),
+}
+
 
 @dataclass(frozen=True)
 class ProbeStats:
@@ -66,8 +78,9 @@ class McObjective:
 
     @property
     def probes(self) -> list[ProbeStats]:
-        """All cached probes in evaluation order."""
-        return sorted(self._cache.values(), key=lambda p: p.order)
+        """All cached probes in evaluation order, which is the cache's
+        insertion order: a probe is never removed or re-drawn."""
+        return list(self._cache.values())
 
     def probe(self, beta: float) -> ProbeStats:
         key = float(beta)

@@ -32,22 +32,10 @@ import time
 from pathlib import Path
 
 from . import baselines, config, diagnostics, driver, glm, problems
-from .errors import ConfigError, MismatchedProblem, ScaleboError
+from .errors import ConfigError, MismatchedProblem, NoEligibleGroups, ScaleboError
 from .jsonio import write_csv, write_json
 
 RUN_SCHEMA = "scalebo-run/1"
-
-# Per baseline method: the name of its optimizer in ``baselines`` (read at
-# call time, so a replaced function such as a tracing wrapper runs), its
-# probe schedule over ln beta, and its stop reasons, as ``run.json`` names
-# them.
-_BASELINES = {
-    "golden": ("golden_section", "ln-beta golden bracket from [beta_min, beta_max]",
-               "bracket < {tol} | noise-floor | budget ({max_iter} probes)"),
-    "parabolic": ("parabolic_interpolation",
-                  "ln-beta parabolic triple from [beta_min, beta_max], golden-safeguarded",
-                  "bracket < {tol} | converged | noise-floor | budget ({max_iter} probes)"),
-}
 
 
 @functools.cache
@@ -128,10 +116,9 @@ def _load_run_config(args) -> config.RunConfig:
     cfg = config.load_config(args.config)
     if args.seed is not None:
         try:
-            bo = dataclasses.replace(cfg.bo, seed=args.seed)
+            cfg = dataclasses.replace(cfg, bo=dataclasses.replace(cfg.bo, seed=args.seed))
         except ValueError as exc:
             raise ConfigError(f"invalid --seed: {exc}") from exc
-        cfg = dataclasses.replace(cfg, seed=args.seed, bo=bo)
     return cfg
 
 
@@ -146,7 +133,7 @@ def _run_metadata(cfg: config.RunConfig, args, method: str, extra=None) -> dict:
     doc = {
         "schema": RUN_SCHEMA,
         "method": method,
-        "seed": cfg.seed,
+        "seed": cfg.bo.seed,
         "threads": args.threads,
         "problem": cfg.problem_section,
         "problem_hash": cfg.problem_hash,
@@ -188,10 +175,10 @@ def cmd_baseline(args) -> int:
     objective = baselines.McObjective(
         problem=problem,
         mc_samples=cfg.baseline.mc_samples,
-        seed=cfg.seed,
+        seed=cfg.bo.seed,
         threads=args.threads,
     )
-    optimizer, bracketing, stopping = _BASELINES[cfg.baseline.method]
+    optimizer, bracketing, stopping = baselines.METHODS[cfg.baseline.method]
     start = time.perf_counter()
     result = getattr(baselines, optimizer)(
         objective,
@@ -320,10 +307,13 @@ def cmd_diagnose(args) -> int:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot load fit from {args.fit}: {exc}") from exc
 
+    try:
+        report = diagnostics.residual_report(
+            fit, data, min_per_beta=args.min_per_beta, window=args.window, fit_beta=args.beta
+        )
+    except NoEligibleGroups as exc:  # --beta or --min-per-beta selects no group
+        raise ConfigError(str(exc)) from exc
     outdir = _out_dir(args, None, "diagnose-run")
-    report = diagnostics.residual_report(
-        fit, data, min_per_beta=args.min_per_beta, window=args.window, fit_beta=args.beta
-    )
     diagnostics.save_report_json(report, outdir / "report.json")
     diagnostics.save_groups_csv(report, outdir / "groups.csv")
     if report.histogram is not None:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .acquisition import EXPONENT_TOL
+from .acquisition import EXPONENT_TOL, log_argmin_float
 from .errors import EvaluationFailure, UnknownKind
 
 ROM_DIM = 8
@@ -153,83 +153,80 @@ def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: float) -> Objecti
         beta = _check_beta(beta)
         return _exp(a * math.log(beta) + ln_b + sigma * rng.standard_normal(size))
 
-    beta_opt = None
-    if abs(a) >= EXPONENT_TOL:
-        beta_opt = math.exp((math.log(s0) - ln_b - 1.5 * eps2) / a)
+    beta_opt = math.exp(log_argmin_float(a, ln_b, eps2, s0)) if abs(a) >= EXPONENT_TOL else None
     truth = ProblemTruth(a=a, b=math.exp(ln_b), eps2=eps2, beta_opt=beta_opt)
     return ObjectiveProblem(evaluate_statistic, s0=s0, truth=truth, label="synthetic-powerlaw")
 
 
+# The misspecified kinds below keep the power-law mean but break the
+# Gaussian residual law.  No ground-truth optimizer is recorded: these laws
+# are outside the surrogate family, so tests locate their optima by brute
+# force.
+
+def gamma_noise(a: float, ln_b: float, s0: float, shape: float = 4.0) -> ObjectiveProblem:
+    """Multiplicative Gamma(shape, 1/shape) noise (unit mean); the
+    log-residual is left-skewed."""
+    if not shape > 0:
+        raise ValueError("gamma-noise: shape must be > 0")
+
+    def evaluate_statistic(beta, rng, size=None):
+        beta = _check_beta(beta)
+        return math.exp(a * math.log(beta) + ln_b) * rng.gamma(shape, 1.0 / shape, size)
+
+    return ObjectiveProblem(evaluate_statistic, s0=s0, label="gamma-noise")
+
+
+def heteroscedastic(a: float, ln_b: float, s0: float, eps_base: float = 0.2,
+                    eps_slope: float = 0.1) -> ObjectiveProblem:
+    """Gaussian log-noise with beta-dependent spread
+    ``eps(beta) = eps_base + eps_slope / ln(beta)`` (domain beta > 1)."""
+
+    def evaluate_statistic(beta, rng, size=None):
+        beta = _check_beta(beta)
+        if beta <= 1.0:
+            raise ValueError("heteroscedastic kind is defined for beta > 1")
+        ln_beta = math.log(beta)
+        eps = eps_base + eps_slope / ln_beta
+        return _exp(a * ln_beta + ln_b + eps * rng.standard_normal(size))
+
+    return ObjectiveProblem(evaluate_statistic, s0=s0, label="heteroscedastic")
+
+
+def shifted_lognormal(a: float, ln_b: float, eps2: float, s0: float,
+                      shift: float = 0.0) -> ObjectiveProblem:
+    """An additive offset on top of the log-normal statistic; shift 0
+    reduces exactly to :func:`synthetic_powerlaw`."""
+    if eps2 < 0:
+        raise ValueError("shifted-lognormal: eps2 must be >= 0")
+    if shift < 0:
+        raise ValueError("shifted-lognormal: shift must be >= 0")
+    sigma = math.sqrt(eps2)
+
+    def evaluate_statistic(beta, rng, size=None):
+        beta = _check_beta(beta)
+        return shift + _exp(a * math.log(beta) + ln_b + sigma * rng.standard_normal(size))
+
+    return ObjectiveProblem(evaluate_statistic, s0=s0, label="shifted-lognormal")
+
+
+MISSPECIFIED = {
+    "gamma-noise": gamma_noise,
+    "heteroscedastic": heteroscedastic,
+    "shifted-lognormal": shifted_lognormal,
+}
+
+
 def synthetic_misspecified(kind: str, params: dict) -> ObjectiveProblem:
-    """Power-law-mean simulators whose residual law breaks the Gaussian model.
-
-    Kinds
-    -----
-    ``gamma-noise``
-        Multiplicative Gamma(shape, 1/shape) noise (unit mean); the
-        log-residual is left-skewed.
-    ``heteroscedastic``
-        Gaussian log-noise with beta-dependent spread
-        ``eps(beta) = eps_base + eps_slope / ln(beta)`` (domain beta > 1).
-    ``shifted-lognormal``
-        An additive offset on top of the log-normal statistic; shift 0
-        reduces exactly to :func:`synthetic_powerlaw`.
-
-    No ground-truth optimizer is recorded: these laws are outside the
-    surrogate family, so tests locate their optima by brute force.
-    """
-    opts = dict(params)
-    required = object()
-
-    def take(name, default=required):
-        if name in opts:
-            return float(opts.pop(name))
-        if default is required:
-            raise ValueError(f"{kind}: missing parameter {name!r}")
-        return float(default)
-
-    if kind == "gamma-noise":
-        a, ln_b, s0 = take("a"), take("ln_b"), take("s0")
-        shape = take("shape", 4.0)
-        if shape <= 0:
-            raise ValueError("gamma-noise: shape must be > 0")
-
-        def evaluate_statistic(beta, rng, size=None):
-            beta = _check_beta(beta)
-            return math.exp(a * math.log(beta) + ln_b) * rng.gamma(shape, 1.0 / shape, size)
-
-    elif kind == "heteroscedastic":
-        a, ln_b, s0 = take("a"), take("ln_b"), take("s0")
-        eps_base = take("eps_base", 0.2)
-        eps_slope = take("eps_slope", 0.1)
-
-        def evaluate_statistic(beta, rng, size=None):
-            beta = _check_beta(beta)
-            if beta <= 1.0:
-                raise ValueError("heteroscedastic kind is defined for beta > 1")
-            ln_beta = math.log(beta)
-            eps = eps_base + eps_slope / ln_beta
-            return _exp(a * ln_beta + ln_b + eps * rng.standard_normal(size))
-
-    elif kind == "shifted-lognormal":
-        a, ln_b, eps2, s0 = take("a"), take("ln_b"), take("eps2"), take("s0")
-        if eps2 < 0:
-            raise ValueError("shifted-lognormal: eps2 must be >= 0")
-        shift = take("shift", 0.0)
-        if shift < 0:
-            raise ValueError("shifted-lognormal: shift must be >= 0")
-        sigma = math.sqrt(eps2)
-
-        def evaluate_statistic(beta, rng, size=None):
-            beta = _check_beta(beta)
-            return shift + _exp(a * math.log(beta) + ln_b + sigma * rng.standard_normal(size))
-
-    else:
+    """The :data:`MISSPECIFIED` problem ``kind``, built from the keyword
+    ``params`` (numbers, taken as floats).  Raises :class:`UnknownKind` for
+    an unknown kind and ``ValueError`` for a missing, unknown or invalid
+    parameter."""
+    if kind not in MISSPECIFIED:
         raise UnknownKind(f"unknown misspecified kind {kind!r}")
-
-    if opts:
-        raise ValueError(f"{kind}: unknown parameters {sorted(opts)}")
-    return ObjectiveProblem(evaluate_statistic, s0=s0, truth=None, label=kind)
+    try:
+        return MISSPECIFIED[kind](**{name: float(value) for name, value in params.items()})
+    except TypeError as exc:
+        raise ValueError(f"{kind}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,13 @@ class TestRunArguments:
         ("problem", "beta_opt", True),
         ("gamma-noise", "shape", True),
         ("gamma-noise", "s0", False),
+        # Python's json reads the NaN and Infinity that json.dumps writes.
+        ("problem", "a", float("nan")),
+        ("problem", "eps2", float("nan")),
+        ("problem", "beta_opt", float("inf")),
+        ("gamma-noise", "shape", float("nan")),
+        ("baseline", "tol", float("nan")),
+        ("baseline", "tol", float("inf")),
     ])
     def test_non_number_setting_exits_2_before_writing(self, tmp_path, command, section, key,
                                                        value, capsys):
@@ -373,6 +380,18 @@ class TestDiagnose:
         assert cli.main(["diagnose", "--data", str(dataset_path), flag, "0",
                          "--out", str(out)]) == 2
         assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["--beta", "40"], "no retained group at beta = 40"),
+        (["--min-per-beta", "5000"], "no beta group has 5000 residuals"),
+    ])
+    def test_no_selected_group_exits_2_before_writing(self, tmp_path, dataset_path, args,
+                                                      message, capsys):
+        out = tmp_path / "diag"
+        assert cli.main(["diagnose", "--data", str(dataset_path), *args,
+                         "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_fit_file_uses_the_trace_fit_format(self, tmp_path, dataset_path):

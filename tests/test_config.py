@@ -1,0 +1,160 @@
+"""The run-config schema: which keys each section takes, and what a bad one
+raises.
+
+Every mistake below must be a :class:`ConfigError` whose message names the
+offending key, so that ``scalebo optimize`` and ``scalebo baseline`` exit 2
+with a message the user can act on.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from scalebo import config
+from scalebo.errors import ConfigError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Each kind with only its required keys: every default is left out.
+MINIMAL = {
+    "synthetic-powerlaw": {"a": -0.58, "ln_b": 0.0, "eps2": 0.25, "beta_opt": 101.0},
+    "gamma-noise": {"a": -0.5, "ln_b": 0.2, "s0": 0.3},
+    "heteroscedastic": {"a": -0.5, "ln_b": 0.0, "s0": 0.3},
+    "shifted-lognormal": {"a": -0.5, "ln_b": 0.1, "eps2": 0.2, "s0": 0.3},
+    "srom-standin": {},
+}
+
+# The documented default of each optional key.
+DEFAULTS = {
+    "gamma-noise": {"shape": 4.0},
+    "heteroscedastic": {"eps_base": 0.2, "eps_slope": 0.1},
+    "shifted-lognormal": {"shift": 0.0},
+}
+
+BO = {"beta_min": 10.0, "beta_max": 1000.0}
+
+
+def doc(**overrides):
+    base = {"seed": 3, "problem": {"kind": "synthetic-powerlaw", **MINIMAL["synthetic-powerlaw"]},
+            "bo": dict(BO)}
+    base.update(overrides)
+    return base
+
+
+def draws(problem, beta=7.0, n=16):
+    rng = np.random.default_rng(5)
+    return [problem.evaluate_statistic(beta, rng) for _ in range(n)]
+
+
+def raises_naming(key, fn, *args):
+    with pytest.raises(ConfigError) as info:
+        fn(*args)
+    assert key in str(info.value)
+
+
+class TestProblemKinds:
+    def test_every_kind_is_listed(self):
+        assert set(config.PROBLEM_KINDS) == set(MINIMAL)
+
+    @pytest.mark.parametrize("kind", sorted(MINIMAL))
+    def test_builds_from_required_keys(self, kind):
+        problem = config.build_problem({"kind": kind, **MINIMAL[kind]})
+        assert problem.label == kind
+        assert problem.s0 > 0
+
+    @pytest.mark.parametrize("kind", sorted(DEFAULTS))
+    def test_left_out_keys_take_their_defaults(self, kind):
+        implicit = config.build_problem({"kind": kind, **MINIMAL[kind]})
+        explicit = config.build_problem({"kind": kind, **MINIMAL[kind], **DEFAULTS[kind]})
+        assert draws(implicit) == draws(explicit)
+
+    def test_powerlaw_takes_s0_or_beta_opt(self):
+        via_opt = config.build_problem({"kind": "synthetic-powerlaw",
+                                        **MINIMAL["synthetic-powerlaw"]})
+        params = {k: v for k, v in MINIMAL["synthetic-powerlaw"].items() if k != "beta_opt"}
+        via_s0 = config.build_problem({"kind": "synthetic-powerlaw", **params, "s0": via_opt.s0})
+        assert via_s0.s0 == via_opt.s0
+        assert via_opt.truth.beta_opt == pytest.approx(101.0, rel=1e-12)
+
+    def test_integer_values_are_numbers(self):
+        problem = config.build_problem({"kind": "gamma-noise", "a": -1, "ln_b": 0, "s0": 1})
+        assert problem.s0 == 1.0
+
+
+class TestProblemErrors:
+    @pytest.mark.parametrize("kind", sorted(MINIMAL))
+    def test_unknown_key_is_named(self, kind):
+        raises_naming("bogus", config.build_problem, {"kind": kind, **MINIMAL[kind], "bogus": 1.0})
+
+    def test_srom_takes_no_n_dof(self):
+        raises_naming("n_dof", config.build_problem, {"kind": "srom-standin", "n_dof": 100})
+
+    @pytest.mark.parametrize("kind", sorted(set(MINIMAL) - {"srom-standin"}))
+    def test_missing_a_is_named(self, kind):
+        section = {k: v for k, v in MINIMAL[kind].items() if k != "a"}
+        raises_naming("'a'", config.build_problem, {"kind": kind, **section})
+
+    @pytest.mark.parametrize("extra", [{"s0": 0.3}, {}])
+    def test_powerlaw_needs_exactly_one_target(self, extra):
+        section = {"kind": "synthetic-powerlaw", "a": -0.58, "ln_b": 0.0, "eps2": 0.25}
+        if extra:
+            section.update(extra, beta_opt=101.0)
+        with pytest.raises(ConfigError) as info:
+            config.build_problem(section)
+        assert "s0" in str(info.value) and "beta_opt" in str(info.value)
+
+    def test_unknown_kind_is_named(self):
+        raises_naming("cauchy", config.build_problem, {"kind": "cauchy", "a": -0.5})
+
+    def test_missing_kind(self):
+        with pytest.raises(ConfigError):
+            config.build_problem({"a": -0.5})
+
+
+class TestSections:
+    @pytest.mark.parametrize("key", ["seed", "s0"])
+    def test_seed_or_s0_inside_bo_is_named(self, key):
+        raises_naming(key, config.parse_config, doc(bo={**BO, key: 1}))
+
+    @pytest.mark.parametrize("key", ["beta_min", "beta_max"])
+    def test_missing_bound_is_named(self, key):
+        bo = {k: v for k, v in BO.items() if k != key}
+        raises_naming(key, config.parse_config, doc(bo=bo))
+
+    @pytest.mark.parametrize("section", ["bo", "baseline"])
+    def test_unknown_key_is_named(self, section):
+        base = doc()
+        raises_naming("bogus", config.parse_config,
+                      doc(**{section: {**base.get(section, {}), "bogus": 1}}))
+
+    def test_unknown_top_level_key_is_named(self):
+        raises_naming("bogus", config.parse_config, doc(bogus=1))
+
+    def test_unknown_baseline_method_is_named(self):
+        raises_naming("newton", config.parse_config, doc(baseline={"method": "newton"}))
+
+    @pytest.mark.parametrize("key", ["seed", "problem", "bo"])
+    def test_missing_required_section_is_named(self, key):
+        d = doc()
+        del d[key]
+        raises_naming(key, config.parse_config, d)
+
+    def test_seed_reaches_the_bo_settings(self):
+        cfg = config.parse_config(doc(seed=9))
+        assert cfg.bo.seed == 9
+        assert cfg.bo.s0 == config.build_problem(cfg.problem_section).s0
+
+    def test_baseline_section_is_optional(self):
+        cfg = config.parse_config(doc())
+        assert cfg.baseline == config.BaselineSettings()
+
+
+def test_readme_example_parses():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line.*?```json\n(.*?)```", text, re.S)
+    assert block is not None
+    cfg = config.parse_config(json.loads(block.group(1)))
+    assert cfg.bo.seed == json.loads(block.group(1))["seed"]

@@ -141,6 +141,10 @@ class TestSyntheticMisspecified:
                 "gamma-noise", {"a": -0.5, "ln_b": 0.0, "s0": 0.3, "scale": 2.0}
             )
 
+    def test_missing_parameter_rejected(self):
+        with pytest.raises(ValueError, match="'a'"):
+            problems.synthetic_misspecified("gamma-noise", {"ln_b": 0.0, "s0": 0.3})
+
     @pytest.mark.parametrize(
         "kind,params,beta_lo",
         [
