@@ -140,6 +140,9 @@ def parse_config(doc: dict) -> RunConfig:
         bo = BoConfig(seed=doc["seed"], s0=problem.s0, **bo_section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid bo section or seed: {exc}") from exc
+    if not bo.beta_min > problem.beta_floor:
+        raise ConfigError(f"bo.beta_min must be > {problem.beta_floor:g}, where "
+                          f"{problem.label} is defined, got {bo.beta_min!r}")
     try:
         baseline = BaselineSettings(**baseline_section)
     except TypeError as exc:

@@ -5,6 +5,7 @@ helpers quantify how well that holds on real data: per-beta conditional
 moments of the residuals, rolling-window smoothing of those moment
 series, and maximum-likelihood fits of the exponentiated residuals to
 parametric families (Gaussian reference, Gamma, shifted log-normal).
+Every fit is closed form or a short scalar iteration; no SciPy.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ SHIFT_GRID_POINTS = 50
 # Most elements per block of the shift profile, 16 MB of float64 (all 50
 # shifts at once up to n = 40,000 residuals).
 SHIFT_BLOCK_ELEMENTS = 1 << 21
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -188,6 +190,103 @@ def smooth_groups(groups: list[GroupStats], window: int = 6) -> list[GroupStats]
     ]
 
 
+# Bernoulli numbers B2, B4, ..., B20.  The asymptotic series below use them
+# from x = 6 up, where the first term left out is below 1e-14.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+              43867 / 798, -174611 / 330)
+_DIGAMMA_SERIES = tuple(b / (2 * j) for j, b in enumerate(_BERNOULLI, 1))
+_STIRLING_SERIES = tuple(b / (2 * j * (2 * j - 1)) for j, b in enumerate(_BERNOULLI, 1))
+ASYMPTOTIC_MIN = 6.0
+
+
+def _even_series(coefs, x: float) -> float:
+    """sum_j coefs[j-1] * x**(-2j), by Horner's rule in 1/x**2."""
+    w = 1.0 / (x * x)
+    acc = 0.0
+    for c in reversed(coefs):
+        acc = acc * w + c
+    return acc * w
+
+
+def _asymptotic_gaps(x: float) -> tuple[float, float]:
+    """``(ln x - psi(x), psi'(x) - 1/x)`` at x >= 6 by their asymptotic
+    series, sum_j B_2j / (2j x**2j) + 1/(2x) and sum_j B_2j / x**(2j+1)
+    + 1/(2x**2).  Summed directly, they keep full precision where the
+    differences of psi and psi' from ln x and 1/x would cancel."""
+    return 0.5 / x + _even_series(_DIGAMMA_SERIES, x), (0.5 / x + _even_series(_BERNOULLI, x)) / x
+
+
+def digamma(x: float) -> float:
+    """psi(x) = d ln Gamma(x) / dx for x > 0: the recurrence
+    psi(x) = psi(x + 1) - 1/x up to x >= 6, then the asymptotic series."""
+    shift = 0.0
+    while x < ASYMPTOTIC_MIN:
+        shift += 1.0 / x
+        x += 1.0
+    return math.log(x) - _asymptotic_gaps(x)[0] - shift
+
+
+def trigamma(x: float) -> float:
+    """psi'(x) for x > 0: the recurrence psi'(x) = psi'(x + 1) + 1/x**2 up
+    to x >= 6, then the asymptotic series."""
+    shift = 0.0
+    while x < ASYMPTOTIC_MIN:
+        shift += 1.0 / (x * x)
+        x += 1.0
+    return 1.0 / x + _asymptotic_gaps(x)[1] + shift
+
+
+def _gamma_fit(e: np.ndarray) -> FamilyFit:
+    """Maximum-likelihood Gamma(shape k, scale theta) fit of a positive
+    sample, with location 0.
+
+    The shape solves ln k - psi(k) = s, s = ln(mean e) - mean(ln e), by
+    Minka's generalized Newton step on 1/k from his closed-form start
+    (T. Minka, "Estimating a Gamma distribution", 2002); the scale is
+    mean / k.  The iteration stops when a step is below 4 eps k or no
+    shorter than the one before (rounding noise).  At the MLE the sum of
+    e / theta is n k, so the log-likelihood is
+    n (k ln k - k - ln Gamma(k) - k s - mean(ln e)); from k = 6 up, the
+    first three terms come from Stirling's series, which does not lose
+    the digits their difference would.
+
+    Raises
+    ------
+    DegenerateSample
+        s is not above its rounding level, 8 eps (1 + |ln mean e|): both of
+        its terms are rounded to about eps (1 + |ln mean e|), so a smaller
+        s is rounding noise and says nothing of the shape.
+    """
+    n = e.size
+    mean = float(e.mean())
+    log_mean = math.log(mean)
+    mean_log = float(np.log(e).mean())
+    s = log_mean - mean_log
+    if not s > 8.0 * EPS * (1.0 + abs(log_mean)):
+        raise DegenerateSample(
+            f"residual spread is at the rounding level: ln(mean) - mean(ln) = {s:.3g}")
+    k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    last_step = math.inf
+    while True:
+        if k >= ASYMPTOTIC_MIN:
+            gap, slope_gap = _asymptotic_gaps(k)
+        else:
+            gap, slope_gap = math.log(k) - digamma(k), trigamma(k) - 1.0 / k
+        # Newton on 1/k for ln k - psi(k) = s; d/dk (ln k - psi(k)) = -slope_gap.
+        k_next = 1.0 / (1.0 / k - (gap - s) / (k * k * slope_gap))
+        step = abs(k_next - k)
+        k = k_next
+        if not step > 4.0 * EPS * k or step >= last_step:
+            break
+        last_step = step
+    if k >= ASYMPTOTIC_MIN:
+        stirling = 0.5 * math.log(k / (2.0 * math.pi)) - k * _even_series(_STIRLING_SERIES, k)
+    else:
+        stirling = k * math.log(k) - k - math.lgamma(k)
+    log_likelihood = n * (stirling - k * s - mean_log)
+    return FamilyFit("gamma", {"shape": k, "scale": mean / k}, log_likelihood)
+
+
 def fit_residual_families(residuals) -> FamilyRanking:
     """Maximum-likelihood fits of exp(residual) to parametric families.
 
@@ -202,32 +301,27 @@ def fit_residual_families(residuals) -> FamilyRanking:
     InsufficientData
         Fewer than 100 residuals.
     DegenerateSample
-        Zero-variance sample.
+        A spread at the rounding level (see :func:`_gamma_fit`); a
+        zero-variance sample is one.
     """
     res = np.asarray(residuals, dtype=float)
     if res.size < 100:
         raise InsufficientData(f"family fitting needs >= 100 residuals, got {res.size}")
     if not np.all(np.isfinite(res)):
         raise ValueError("residuals must be finite")
-    if res.std() == 0.0:
-        raise DegenerateSample("residual sample has zero variance")
-    import scipy.stats  # only here: its import costs about a second
-
     e = np.exp(res)
     n = e.size
+    gamma = _gamma_fit(e)
 
+    # At the MLE the squared deviations sum to n sigma^2.
     mean, sigma = float(e.mean()), float(e.std())
-    gauss_ll = float(np.sum(scipy.stats.norm.logpdf(e, loc=mean, scale=sigma)))
+    gauss_ll = -n * (math.log(sigma) + 0.5 * (1.0 + math.log(2.0 * math.pi)))
     gaussian = FamilyFit("gaussian", {"mean": mean, "std": sigma}, gauss_ll)
-
-    shape, _, scale = scipy.stats.gamma.fit(e, floc=0.0)
-    gamma_ll = float(np.sum(scipy.stats.gamma.logpdf(e, shape, loc=0.0, scale=scale)))
-    gamma = FamilyFit("gamma", {"shape": float(shape), "scale": float(scale)}, gamma_ll)
 
     # Profile likelihood over the shift grid: log, mean, std and sums of
     # each shift's sample as rows of (shifts, n) blocks.
-    e_min, e_std = float(e.min()), float(e.std())
-    shifts = np.linspace(e_min - 2.0 * e_std, e_min, SHIFT_GRID_POINTS, endpoint=False)
+    e_min = float(e.min())
+    shifts = np.linspace(e_min - 2.0 * sigma, e_min, SHIFT_GRID_POINTS, endpoint=False)
     mu, sig, t_sum, t_ss = (np.empty(shifts.size) for _ in range(4))
     step = max(1, SHIFT_BLOCK_ELEMENTS // n)
     for lo in range(0, shifts.size, step):

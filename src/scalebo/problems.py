@@ -58,12 +58,16 @@ class ObjectiveProblem:
     ``srom-standin`` does not: most of a draw's cost is its 8000 standard
     normals, which one call per chunk cannot save, and a version solving
     the chunk's draws as one stacked array was measured slower.
+
+    The statistic is defined for beta > ``beta_floor``: 0 for every
+    built-in kind but ``heteroscedastic``, whose floor is 1.
     """
 
     evaluate_statistic: Callable[..., float]
     s0: float
     truth: Optional[ProblemTruth] = None
     label: str = ""
+    beta_floor: float = 0.0
 
     def __post_init__(self):
         if not (self.s0 > 0 and math.isfinite(self.s0)):
@@ -189,7 +193,7 @@ def heteroscedastic(a: float, ln_b: float, s0: float, eps_base: float = 0.2,
         eps = eps_base + eps_slope / ln_beta
         return _exp(a * ln_beta + ln_b + eps * rng.standard_normal(size))
 
-    return ObjectiveProblem(evaluate_statistic, s0=s0, label="heteroscedastic")
+    return ObjectiveProblem(evaluate_statistic, s0=s0, label="heteroscedastic", beta_floor=1.0)
 
 
 def shifted_lognormal(a: float, ln_b: float, eps2: float, s0: float,
@@ -412,10 +416,21 @@ def srom_standin(n_dof: int = 1000) -> ObjectiveProblem:
     )
 
 
+def write_matrix_market(path, arr: np.ndarray) -> None:
+    """A dense real matrix in Matrix Market ``array real general`` format:
+    the header line, an empty ``%`` comment line, the dimensions, then one
+    value per line in column-major order.  Each value is Python's shortest
+    repr that reads back to the same float, ``-0.0`` included."""
+    rows, cols = arr.shape
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"%%MatrixMarket matrix array real general\n%\n{rows} {cols}\n")
+        for column in arr.T:   # .tolist() gives floats: a numpy scalar's repr is np.float64(...)
+            fh.write("\n".join(map(float.__repr__, column.tolist())))
+            fh.write("\n")
+
+
 def export_fixture(fixture: StaticFixture, outdir) -> list[Path]:
     """Write K, V and the two force vectors in Matrix Market format."""
-    import scipy.io  # only here, so that importing scalebo loads no SciPy
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     items = {
@@ -427,6 +442,6 @@ def export_fixture(fixture: StaticFixture, outdir) -> list[Path]:
     written = []
     for name, arr in items.items():
         path = outdir / f"{name}.mtx"
-        scipy.io.mmwrite(str(path), arr)
+        write_matrix_market(path, arr)
         written.append(path)
     return written

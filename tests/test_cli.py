@@ -344,6 +344,23 @@ class TestRunArguments:
         assert not out.exists()
 
 
+class TestProblemDomain:
+    @pytest.mark.parametrize("command", ["optimize", "baseline"])
+    @pytest.mark.parametrize("beta_min", [0.5, 1.0])
+    def test_bounds_outside_the_kind_domain_exit_2_before_writing(self, tmp_path, command,
+                                                                 beta_min, capsys):
+        # The heteroscedastic kind is defined for beta > 1 only.
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path / "run.json", out=str(out),
+            problem={"kind": "heteroscedastic", "a": -0.5, "ln_b": 0.0, "s0": 0.3},
+            bo={"beta_min": beta_min, "beta_max": 1000.0, "n0": 10, "max_iterations": 2},
+        )
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert "beta_min must be > 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDiagnose:
     @pytest.fixture()
     def dataset_path(self, tmp_path):
@@ -423,6 +440,22 @@ class TestDiagnose:
         assert capsys.readouterr().err == ""
         first = json.loads((out / "report.json").read_text())["per_beta"][0]
         assert first["count"] == 1 and first["std"] is None
+
+    def test_rounding_level_spread_reports_no_families(self, tmp_path, capsys):
+        # s = beta^-0.5 exp(1e-9 z): the residual spread is at the rounding
+        # level, where no family can be fitted.
+        rng = np.random.default_rng(0)
+        beta = np.repeat([10.0, 100.0, 1000.0], 1200)
+        s = beta ** -0.5 * np.exp(1e-9 * rng.standard_normal(beta.size))
+        path = tmp_path / "tiny.csv"
+        glm.save_csv(glm.ingest(zip(beta, s))[0], path)
+        out = tmp_path / "diag"
+        assert cli.main(["diagnose", "--data", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["families"] is None
+        assert len(report["per_beta"]) == 3
+        assert not (out / "histogram.csv").exists()
+        assert "family ranking" not in capsys.readouterr().out
 
     def test_repeat_run_is_byte_identical(self, tmp_path, dataset_path):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"

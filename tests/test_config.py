@@ -142,6 +142,14 @@ class TestSections:
         del d[key]
         raises_naming(key, config.parse_config, d)
 
+    @pytest.mark.parametrize("beta_min", [0.5, 1.0])
+    def test_bounds_must_lie_in_the_kind_domain(self, beta_min):
+        problem = {"kind": "heteroscedastic", **MINIMAL["heteroscedastic"]}
+        raises_naming("beta_min", config.parse_config,
+                      doc(problem=problem, bo={**BO, "beta_min": beta_min}))
+        cfg = config.parse_config(doc(problem=problem, bo={**BO, "beta_min": 1.5}))
+        assert cfg.bo.beta_min == 1.5
+
     def test_seed_reaches_the_bo_settings(self):
         cfg = config.parse_config(doc(seed=9))
         assert cfg.bo.seed == 9

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,6 +192,81 @@ class TestRollingSmooth:
         np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-12)
 
 
+class TestSpecialFunctions:
+    """digamma and trigamma against scipy.special, the test-only oracle."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(0.01, 1e6))
+    def test_digamma_and_trigamma_match_scipy(self, x):
+        for got, want in ((diagnostics.digamma(x), float(scipy.special.digamma(x))),
+                          (diagnostics.trigamma(x), float(scipy.special.polygamma(1, x)))):
+            assert abs(got - want) <= 1e-12 + 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("x", [0.01, 1.0, 1.4616321449683622, 5.999999, 6.0, 6.5, 1e6])
+    def test_recurrence_and_series_edges(self, x):
+        assert diagnostics.digamma(x) == pytest.approx(scipy.special.digamma(x), rel=1e-13, abs=1e-13)
+        assert diagnostics.trigamma(x) == pytest.approx(scipy.special.polygamma(1, x), rel=1e-13)
+
+
+class TestGammaFit:
+    """The closed-form Gamma fit against scipy.stats.gamma.fit(floc=0)."""
+
+    @staticmethod
+    def sample(kind, shape, n, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "gamma":
+            return np.log(rng.gamma(shape, 1.0 / shape, n))
+        shift = 0.3 if kind == "shifted" else 0.0
+        return np.log(shift + np.exp(rng.normal(0.0, 0.5, n)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["gamma", "lognormal", "shifted"]),
+        shape=st.floats(0.3, 1e4),
+        n=st.integers(100, 5000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scipy_mle(self, kind, shape, n, seed):
+        res = self.sample(kind, shape, n, seed)
+        got = diagnostics.fit_residual_families(res)["gamma"]
+        e = np.exp(res)
+        k, _, theta = scipy.stats.gamma.fit(e, floc=0.0)
+        assert got.params["shape"] == pytest.approx(k, rel=1e-9)
+        assert got.params["scale"] == pytest.approx(theta, rel=1e-9)
+        # SciPy's log-likelihood, at its own less converged MLE, is never
+        # above ours by more than 1e-12 relative plus its own rounding: each
+        # of its n log-pdf terms sums (k - 1) ln(e / theta) and ln Gamma(k),
+        # about k ln k each, so it rounds to a few eps k ln k (7e-12
+        # relative at k = 9000, n = 100, where ours matched a 50-digit sum).
+        scipy_ll = float(np.sum(scipy.stats.gamma.logpdf(e, k, scale=theta)))
+        rounding = 4 * n * np.finfo(float).eps * (1.0 + k * abs(math.log(k)) + abs(math.lgamma(k)))
+        assert got.log_likelihood >= scipy_ll - 1e-12 * abs(scipy_ll) - rounding
+
+    def test_gaussian_log_likelihood_is_the_closed_form(self):
+        res = np.random.default_rng(12).normal(0.0, 0.3, 2000)
+        e = np.exp(res)
+        got = diagnostics.fit_residual_families(res)["gaussian"]
+        want = float(np.sum(scipy.stats.norm.logpdf(e, loc=e.mean(), scale=e.std())))
+        assert got.log_likelihood == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("spread", [1e-9, 1e-12, 0.0])
+    @pytest.mark.parametrize("offset", [0.0, -1.2, 30.0])
+    def test_rounding_level_spread_is_degenerate(self, spread, offset):
+        # ln(mean e) - mean(ln e) is about spread^2 / 2, below 8 eps.
+        res = offset + spread * np.random.default_rng(4).standard_normal(1200)
+        with pytest.raises(DegenerateSample, match="rounding level"):
+            diagnostics.fit_residual_families(res)
+
+    def test_spread_just_above_rounding_level_still_fits(self):
+        # s = sigma^2 / 2 = 5e-13, thousands of eps: shape about 1/(2 s).
+        res = 1e-6 * np.random.default_rng(4).standard_normal(1200)
+        fit = diagnostics.fit_residual_families(res)["gamma"]
+        e = np.exp(res)
+        s = math.log(e.mean()) - float(np.log(e).mean())
+        assert fit.params["shape"] == pytest.approx(1.0 / (2.0 * s), rel=1e-3)
+        assert math.isfinite(fit.log_likelihood)
+
+
 class TestFitResidualFamilies:
     def test_gamma_sample_ranks_gamma_first(self):
         draws = np.random.default_rng(77).gamma(4.0, 1.0, size=5000)
@@ -312,6 +388,12 @@ class TestReport:
             hrows = list(csvmod.reader(fh))
         assert hrows[0] == ["bin_left", "bin_right", "count"]
         assert sum(int(r[2]) for r in hrows[1:]) == int(sum(report.histogram[1]))
+
+    def test_rounding_level_spread_skips_the_families(self):
+        data = grouped_dataset(lambda rng, n: 1e-9 * rng.standard_normal(n), per_group=1200)
+        report = diagnostics.residual_report(glm.fit(data), data, min_per_beta=1000)
+        assert report.families is None and report.histogram is None
+        assert len(report.per_beta) == 3
 
     def test_explicit_slice_must_exist(self, report_and_data):
         _, data = report_and_data

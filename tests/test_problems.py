@@ -364,7 +364,24 @@ class TestFixtureExport:
         fixture = problems.build_static_fixture()
         written = problems.export_fixture(fixture, tmp_path)
         assert sorted(p.name for p in written) == ["K.mtx", "V.mtx", "f_E.mtx", "f_H.mtx"]
-        v_back = scipy.io.mmread(tmp_path / "V.mtx")
-        np.testing.assert_allclose(np.asarray(v_back), fixture.rom_basis, rtol=1e-12)
-        f_back = np.asarray(scipy.io.mmread(tmp_path / "f_E.mtx")).ravel()
-        np.testing.assert_allclose(f_back, fixture.f_exp, rtol=1e-12)
+        arrays = {"K": fixture.stiffness, "V": fixture.rom_basis,
+                  "f_E": fixture.f_exp.reshape(-1, 1), "f_H": fixture.f_hdm.reshape(-1, 1)}
+        for name, want in arrays.items():
+            path = tmp_path / f"{name}.mtx"
+            back = np.asarray(scipy.io.mmread(path))
+            assert back.dtype == np.float64 and back.shape == want.shape
+            # Equal as values; scipy's reader drops the sign of -0.0 (V has
+            # one), so the bits are checked on the text below.
+            np.testing.assert_array_equal(back, want)
+            lines = path.read_text(encoding="ascii").split("\n")
+            assert lines[:3] == ["%%MatrixMarket matrix array real general", "%",
+                                 f"{want.shape[0]} {want.shape[1]}"]
+            assert lines[-1] == ""   # the file ends in a newline
+            values = np.array([float(v) for v in lines[3:-1]]).reshape(want.shape, order="F")
+            assert values.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_values_are_shortest_float_reprs(self, tmp_path):
+        arr = np.array([[-0.0, 1e-300], [0.1, -2.5e16]])
+        problems.write_matrix_market(tmp_path / "z.mtx", arr)
+        assert (tmp_path / "z.mtx").read_text().split("\n")[3:-1] == [
+            "-0.0", "0.1", "1e-300", "-2.5e+16"]

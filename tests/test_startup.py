@@ -1,12 +1,13 @@
-"""Start-up cost: the package and its run commands load no SciPy.
+"""Start-up cost: the package and every command load no SciPy.
 
 Importing SciPy's ``stats`` and ``io`` costs over a second of a fresh
 process, against about 10 ms for a whole calibrated optimization run.
-Only ``diagnose``'s family fits and ``fixture export`` need SciPy, and
-they import it when called.  Nor does any run path build the dense
-1000-DoF static fixture: ``srom-standin`` is built from its closed form.
-The check runs in a fresh interpreter, because the test process itself
-has long imported SciPy.
+SciPy is a test-only oracle: ``diagnose``'s family fits are closed form
+and ``fixture export`` has its own Matrix Market writer.  Nor does any
+run path build the dense 1000-DoF static fixture: ``srom-standin`` is
+built from its closed form; only ``fixture export`` builds it, so it
+runs after that check.  The checks run in a fresh interpreter, because
+the test process itself has long imported SciPy.
 """
 
 import json
@@ -21,8 +22,9 @@ SCRIPT = r"""
 import json, sys
 from pathlib import Path
 
+import numpy as np
 import scalebo
-from scalebo import baselines, cli, config, driver, problems
+from scalebo import baselines, cli, config, driver, glm, problems
 
 outdir = Path(sys.argv[1])
 sections = [
@@ -57,6 +59,16 @@ assert cli.main(["baseline", *common, "--out", str(outdir / "gs")]) == 0
 assert cli.main(["compare", str(outdir / "bo"), str(outdir / "gs")]) == 0
 # No run path builds the dense 1000-DoF fixture; srom-standin is closed form.
 assert problems.build_static_fixture.cache_info().misses == 0
+
+gamma = built[1]
+rng = np.random.default_rng(2)
+betas = [beta for beta in (20.0, 60.0, 180.0) for _ in range(200)]
+data, _ = glm.ingest((beta, gamma.evaluate_statistic(beta, rng)) for beta in betas)
+glm.save_csv(data, outdir / "data.csv")
+assert cli.main(["diagnose", "--data", str(outdir / "data.csv"), "--min-per-beta", "100",
+                 "--out", str(outdir / "diag")]) == 0
+assert json.loads((outdir / "diag" / "report.json").read_text())["families"] is not None
+assert cli.main(["fixture", "export", "--out", str(outdir / "fixture")]) == 0
 
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
