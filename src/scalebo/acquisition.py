@@ -66,7 +66,6 @@ class ThompsonBatch:
     """One synchronous batch of Thompson proposals."""
 
     betas: list[float]
-    f_star: np.ndarray         # each proposal's own draw of f at the proposal
     clamped_count: int
 
 
@@ -245,12 +244,11 @@ def thompson_batch(
     a, ln_b, eps2 = glm.sample_posterior(fit, batch_size, rng)
     for _round in range(MAX_RESAMPLE_ATTEMPTS):
         beta, clamped = clamp_log(log_argmin(a, ln_b, eps2, s0), bounds)
-        f_star = _objective(a, ln_b, eps2, s0, beta)
         # NaN for a degenerate exponent; inf for a wild early-iteration draw
         # whose objective is astronomically large in bounds.
-        unusable = ~np.isfinite(f_star)
+        unusable = ~np.isfinite(_objective(a, ln_b, eps2, s0, beta))
         if not unusable.any():
-            return ThompsonBatch(betas=beta.tolist(), f_star=f_star, clamped_count=int(clamped.sum()))
+            return ThompsonBatch(betas=beta.tolist(), clamped_count=int(clamped.sum()))
         a[unusable], ln_b[unusable], eps2[unusable] = glm.sample_posterior(
             fit, int(unusable.sum()), rng
         )

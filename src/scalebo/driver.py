@@ -20,9 +20,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import acquisition, glm
+from . import acquisition, glm, posterior
 from .errors import DegenerateVariance
 from .jsonio import json_safe, write_json
+from .posterior import PosteriorSummary
 from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 
 TRACE_SCHEMA = "bo-trace/1"
@@ -30,17 +31,6 @@ TRACE_SCHEMA = "bo-trace/1"
 # s2 below this is an exact interpolation in float64: the surrogate is
 # deterministic and further sampling cannot add information.
 DEGENERATE_S2 = 1e-24
-
-# Posterior draws behind each per-iteration beta* summary.
-SUMMARY_DRAWS = 500
-
-# The exponent a is identified when at most this share of the summary's
-# draws of a falls on one side of 0 (a two-sided 95% test).
-SIGN_SHARE_TOL = 0.025
-
-# Relative width of the plug-in objective's optimal region that the 95%
-# beta* interval must lie inside for a record to count as settled.
-STOP_REGION_REL = 0.10
 
 
 @dataclass(frozen=True)
@@ -101,23 +91,6 @@ class BoConfig:
 
 
 @dataclass(frozen=True)
-class PosteriorSummary:
-    """Quantiles of the clamped optimizer posterior beta* | data, and the
-    share ``p_a_positive`` of the same joint draws whose exponent a is > 0."""
-
-    q025: float
-    q500: float
-    q975: float
-    draws: int
-    p_a_positive: float
-
-    @property
-    def a_identified(self) -> bool:
-        """At most ``SIGN_SHARE_TOL`` of the draws of a lie on one side of 0."""
-        return min(self.p_a_positive, 1.0 - self.p_a_positive) <= SIGN_SHARE_TOL
-
-
-@dataclass(frozen=True)
 class IterationRecord:
     index: int                 # 0 = initial design, then 1..T
     source: str                # "init" or "thompson"
@@ -168,16 +141,17 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     by ``threads``); each evaluation owns a pre-assigned child rng stream,
     so results are bit-identical for any thread count.
 
-    A record (the initial fit counts) is *settled* when the exponent a is
-    identified (:attr:`PosteriorSummary.a_identified`) and the 95% beta*
-    interval ``[q025, q975]`` lies inside the plug-in objective's 10%
-    optimal region within the bounds.  The run stops as ``converged``
-    after ``config.stop_window`` consecutive settled records.  The test
-    draws no random numbers, so a stopped run's records are the leading
-    records of the same-seed run with the stop turned off.  The trace's
-    ``flag`` reads the last record: ``"unidentified"`` when a is not
-    identified, ``"boundary-min"`` or ``"boundary-max"`` when the beta*
-    interval has collapsed onto that bound.
+    A record (the initial fit counts) is *settled*
+    (:func:`posterior.settled`) when the exponent a is identified by its
+    exact t tail and the 95% beta* interval ``[q025, q975]`` lies inside
+    the plug-in objective's 10% optimal region within the bounds.  The run
+    stops as ``converged`` after ``config.stop_window`` consecutive settled
+    records.  The test draws no random numbers, so a stopped run's records
+    are the leading records of the same-seed run with the stop turned off.
+    The trace's ``flag`` (:func:`posterior.flag`) reads the last record:
+    ``"unidentified"`` when a is not identified, ``"boundary-min"`` or
+    ``"boundary-max"`` when the beta* interval has collapsed onto that
+    bound.
     """
     from .streams import ChildStreams  # only here: it loads numpy.random, import scalebo does not
 
@@ -213,7 +187,7 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
         rejected_total += rejected
         data = new_data if data is None else data.with_observations(new_data.beta, new_data.s)
         fit = glm.fit(data)
-        posterior = _posterior_summary(fit, config, summary_rng)
+        summary = posterior.summarize(fit, config.s0, config.bounds, summary_rng)
         records.append(
             IterationRecord(
                 index=t,
@@ -222,8 +196,8 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
                 s_values=s_t,
                 rejected=rejected,
                 fit=fit,
-                beta_hat=_clamped_point_estimate(fit, config),
-                posterior=posterior,
+                beta_hat=posterior.point_estimate(fit, config.s0, config.bounds),
+                posterior=summary,
                 cumulative_evaluations=evaluations,
                 wall_clock=time.perf_counter() - start,
             )
@@ -232,7 +206,7 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
         if t > 0 and fit.s2 <= DEGENERATE_S2:
             stop_reason = "degenerate-fit"
             break
-        streak = streak + 1 if _settled(fit, posterior, config) else 0
+        streak = streak + 1 if posterior.settled(fit, summary, config.s0, config.bounds) else 0
         if streak >= config.stop_window:
             stop_reason = "converged"
             break
@@ -249,71 +223,8 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
         rejected_total=rejected_total,
         wall_clock_seconds=time.perf_counter() - start,
         problem_label=problem.label,
-        flag=_flag(records[-1].posterior, config),
+        flag=posterior.flag(records[-1].posterior, config.bounds),
     )
-
-
-def _settled(fit: glm.GlmFit, posterior: PosteriorSummary, config: BoConfig) -> bool:
-    """a is identified and the 95% beta* interval lies inside the 10% region
-    of the plug-in objective on (a_hat, exp(ln_b_hat), s2) within bounds."""
-    if not posterior.a_identified:
-        return False
-    lo, hi = acquisition.optimal_region_from(
-        fit.a_hat, fit.ln_b_hat, fit.s2, config.s0, STOP_REGION_REL, config.bounds
-    )
-    return lo <= posterior.q025 and posterior.q975 <= hi
-
-
-def _flag(posterior: PosteriorSummary, config: BoConfig) -> str | None:
-    """What the last record says about the answer, or None."""
-    if not posterior.a_identified:
-        return "unidentified"
-    for name, bound in (("boundary-min", config.beta_min), ("boundary-max", config.beta_max)):
-        if posterior.q025 == posterior.q975 == bound:
-            return name
-    return None
-
-
-def _clamped_point_estimate(fit: glm.GlmFit, config: BoConfig) -> float:
-    """Point estimate projected onto the feasible interval (in log space);
-    raises :class:`DegenerateExponent` when a_hat is numerically zero."""
-    ln_star = acquisition.log_argmin_float(fit.a_hat, fit.ln_b_hat, fit.s2, config.s0)
-    return acquisition.clamp_log_float(ln_star, config.bounds)
-
-
-def _posterior_summary(fit: glm.GlmFit, config: BoConfig, rng) -> PosteriorSummary:
-    """2.5/50/97.5 quantiles of beta* | data, clamped into bounds, and the
-    share of the draws whose exponent is > 0.  Without usable draws every
-    quantile is the clamped point estimate.
-
-    The quantiles are ``np.quantile``'s (method ``linear``) of the clamped
-    draws, read from order statistics: clamping is monotone, so the draws
-    of ln beta* are sorted once unclamped (a NaN, from a degenerate
-    exponent, sorts last and is not a draw), and only the at most six
-    order statistics the quantiles interpolate between are clamped.
-    """
-    if fit.s2 <= 0.0:
-        pe = _clamped_point_estimate(fit, config)
-        return PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0, p_a_positive=float(fit.a_hat > 0))
-    a, ln_b, eps2 = glm.sample_posterior(fit, SUMMARY_DRAWS, rng)
-    p_a_positive = float(np.count_nonzero(a > 0)) / a.size
-    ordered = np.sort(acquisition.log_argmin(a, ln_b, eps2, config.s0))
-    draws = a.size - int(np.count_nonzero(np.isnan(ordered)))
-    if draws == 0:
-        pe = _clamped_point_estimate(fit, config)
-        return PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0, p_a_positive=p_a_positive)
-    quantiles = []
-    for prob in (0.025, 0.5, 0.975):
-        virtual = (draws - 1) * prob
-        lo = math.floor(virtual)
-        t = virtual - lo
-        below = acquisition.clamp_log_float(ordered[lo], config.bounds)
-        above = acquisition.clamp_log_float(ordered[min(lo + 1, draws - 1)], config.bounds)
-        diff = above - below
-        quantiles.append(above - diff * (1 - t) if t >= 0.5 else below + diff * t)
-    q025, q500, q975 = quantiles
-    return PosteriorSummary(q025=q025, q500=q500, q975=q975, draws=draws,
-                            p_a_positive=p_a_positive)
 
 
 # ---------------------------------------------------------------------------

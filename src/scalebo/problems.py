@@ -268,17 +268,6 @@ class StaticFixture:
     rom_basis: np.ndarray   # V, (n, ROM_DIM)
     x_rom: np.ndarray
 
-    @property
-    def model_error(self) -> float:
-        """Euclidean distance between the reference and ROM solutions.
-
-        This is the target statistic the stand-in stochastic ROM is tuned
-        against.  The plain (unscaled) Euclidean norm is used throughout;
-        any fixed norm scaling shifts scale and target equally and leaves
-        the optimizer unchanged.
-        """
-        return float(np.linalg.norm(self.x_exp - self.x_rom))
-
 
 def _check_n_dof(n_dof: int) -> int:
     if n_dof < MIN_DOF:

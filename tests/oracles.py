@@ -1,10 +1,10 @@
 """Reference versions of the BO record's helpers and of the rng streams.
 
 ``driver.run`` computes each record's point estimate, beta* summary and
-stop region on floats and order statistics, and grows its dataset by
-appending checked rows.  The functions below are the straightforward
-array forms those replace, kept as test oracles: each must give the same
-bits as the code it stands for.  ``install`` puts them back into the
+stop region through ``posterior``, on floats and order statistics, and
+grows its dataset by appending checked rows.  The functions below are the
+straightforward array forms those replace, kept as test oracles: each must
+give the same bits as the code it stands for.  ``install`` puts them back into the
 package, so whole runs can be compared as well.  :class:`NumpyChildren`
 is numpy's own construction of the per-evaluation streams.
 """
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from scalebo import acquisition, driver, glm
+from scalebo import acquisition, glm, posterior
 from scalebo.errors import DegenerateExponent
 
 
@@ -49,31 +49,33 @@ def linear_quantiles(values, probs):
     return np.where(t >= 0.5, above - diff * (1 - t), below + diff * t)
 
 
-def clamped_point_estimate(fit, config):
-    ln_star = acquisition.log_argmin(fit.a_hat, fit.ln_b_hat, fit.s2, config.s0)
-    beta, _ = clamp_log(ln_star, config.bounds)
+def point_estimate(fit, s0, bounds):
+    ln_star = acquisition.log_argmin(fit.a_hat, fit.ln_b_hat, fit.s2, s0)
+    beta, _ = clamp_log(ln_star, bounds)
     if math.isnan(beta):
         raise DegenerateExponent(f"exponent a = {fit.a_hat:g} is numerically zero")
     return float(beta)
 
 
-def posterior_summary(fit, config, rng):
-    """Every draw of ln beta* clamped and exponentiated, then the quantiles."""
+def posterior_summary(fit, s0, bounds, rng):
+    """Every draw of ln beta* clamped and exponentiated, then the quantiles.
+    P(a > 0 | data) is ``posterior.p_a_positive``'s: the oracle stands in
+    for the quantiles only."""
+    p_a_positive = posterior.p_a_positive(fit)
     if fit.s2 <= 0.0:
-        pe = clamped_point_estimate(fit, config)
-        return driver.PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0,
-                                       p_a_positive=float(fit.a_hat > 0))
-    a, ln_b, eps2 = glm.sample_posterior(fit, driver.SUMMARY_DRAWS, rng)
-    p_a_positive = float(np.count_nonzero(a > 0)) / a.size
-    ln_star = acquisition.log_argmin(a, ln_b, eps2, config.s0)
-    values, _ = clamp_log(ln_star[~np.isnan(ln_star)], config.bounds)
+        pe = point_estimate(fit, s0, bounds)
+        return posterior.PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0,
+                                          p_a_positive=p_a_positive)
+    a, ln_b, eps2 = glm.sample_posterior(fit, posterior.SUMMARY_DRAWS, rng)
+    ln_star = acquisition.log_argmin(a, ln_b, eps2, s0)
+    values, _ = clamp_log(ln_star[~np.isnan(ln_star)], bounds)
     if values.size == 0:
-        pe = clamped_point_estimate(fit, config)
-        return driver.PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0,
-                                       p_a_positive=p_a_positive)
+        pe = point_estimate(fit, s0, bounds)
+        return posterior.PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0,
+                                          p_a_positive=p_a_positive)
     q025, q500, q975 = linear_quantiles(values, [0.025, 0.5, 0.975])
-    return driver.PosteriorSummary(q025=float(q025), q500=float(q500), q975=float(q975),
-                                   draws=int(values.size), p_a_positive=p_a_positive)
+    return posterior.PosteriorSummary(q025=float(q025), q500=float(q500), q975=float(q975),
+                                      draws=int(values.size), p_a_positive=p_a_positive)
 
 
 def optimal_region_from(a, ln_b, eps2, s0, rel, bounds):
@@ -93,12 +95,12 @@ def optimal_region_from(a, ln_b, eps2, s0, rel, bounds):
     return float(lo_edge), float(hi_edge)
 
 
-def settled(fit, posterior, config):
-    if not posterior.a_identified:
+def settled(fit, summary, s0, bounds):
+    if not summary.a_identified:
         return False
-    lo, hi = optimal_region_from(fit.a_hat, fit.ln_b_hat, fit.s2, config.s0,
-                                 driver.STOP_REGION_REL, config.bounds)
-    return lo <= posterior.q025 and posterior.q975 <= hi
+    lo, hi = optimal_region_from(fit.a_hat, fit.ln_b_hat, fit.s2, s0,
+                                 posterior.STOP_REGION_REL, bounds)
+    return lo <= summary.q025 and summary.q975 <= hi
 
 
 def ingest(points):
@@ -119,9 +121,9 @@ def install(monkeypatch):
     """Run the package on the oracles: each record's helpers, the clamp,
     dataset growth and a Cholesky factor computed at every draw."""
     monkeypatch.setattr(acquisition, "clamp_log", clamp_log)
-    monkeypatch.setattr(driver, "_clamped_point_estimate", clamped_point_estimate)
-    monkeypatch.setattr(driver, "_posterior_summary", posterior_summary)
-    monkeypatch.setattr(driver, "_settled", settled)
+    monkeypatch.setattr(posterior, "point_estimate", point_estimate)
+    monkeypatch.setattr(posterior, "summarize", posterior_summary)
+    monkeypatch.setattr(posterior, "settled", settled)
     monkeypatch.setattr(glm, "ingest", ingest)
     monkeypatch.setattr(glm.LogDataset, "with_observations", with_observations)
     monkeypatch.setattr(glm.GlmFit, "cholesky",

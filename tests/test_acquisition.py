@@ -287,7 +287,13 @@ class TestThompsonBatch:
         batch = acquisition.thompson_batch(fit, 0.1, 10, (50.0, 200.0), np.random.default_rng(1))
         assert len(batch.betas) == 10
         assert all(50.0 <= b <= 200.0 for b in batch.betas)
-        assert np.all(batch.f_star >= 0.0)
+        # The batch is this block's argmins (no slot was redrawn), and each
+        # proposal's own draw of the objective there is finite and >= 0.
+        draws = list(zip(*glm.sample_posterior(fit, 10, np.random.default_rng(1))))
+        want = [scalar_clamped_argmin(*draw, 0.1, (50.0, 200.0))[0] for draw in draws]
+        np.testing.assert_allclose(batch.betas, want, rtol=EPS_RTOL, atol=0)
+        f = [scalar_objective(*draw, 0.1, beta) for draw, beta in zip(draws, batch.betas)]
+        assert all(0.0 <= value < math.inf for value in f)
 
     def test_clamp_saturation(self):
         # Near-degenerate posterior whose argmin (about 101) sits far above
@@ -370,13 +376,14 @@ class TestVectorizedCore:
         assert all(math.isfinite(f) for f in f_want)   # no slot was redrawn
         assert 0 < sum(clamped for _, clamped in want) < 10
         np.testing.assert_allclose(batch.betas, [beta for beta, _ in want], rtol=EPS_RTOL, atol=0)
-        np.testing.assert_allclose(batch.f_star, f_want, rtol=EPS_RTOL, atol=0)
+        f_got = acquisition._objective(*draws, s0, np.array(batch.betas))
+        np.testing.assert_allclose(f_got, f_want, rtol=EPS_RTOL, atol=0)
         assert batch.clamped_count == sum(clamped for _, clamped in want)
         for got, (beta, clamped) in zip(batch.betas, want):
             if clamped:
                 assert got == beta
 
-    def test_only_unusable_slots_are_redrawn(self):
+    def test_only_unusable_slots_are_redrawn(self, monkeypatch):
         # ln_b so large that the squared mean term overflows float64 at the
         # upper bound for part of the draws: those slots are redrawn, the
         # rest keep their first draw.
@@ -391,8 +398,29 @@ class TestVectorizedCore:
                    for a, ln_b, eps2 in zip(*first)]
         usable = [math.isfinite(f) for f in f_first]
         assert 0 < sum(usable) < size
+        blocks, sample = [], glm.sample_posterior
+
+        def recording(fit, count, rng):
+            block = sample(fit, count, rng)
+            blocks.append([x.copy() for x in block])
+            return block
+
+        monkeypatch.setattr(glm, "sample_posterior", recording)
         batch = acquisition.thompson_batch(fit, s0, size, bounds, np.random.default_rng(4))
-        assert np.all(np.isfinite(batch.f_star))
+        # Replay the redraws: each later block fills, in order, the slots
+        # whose objective at their own argmin is not finite.  Then every
+        # proposal's own draw of f at that proposal is finite.
+        slots = list(zip(*blocks[0]))
+        for block in blocks[1:]:
+            bad = [i for i, (a, ln_b, eps2) in enumerate(slots)
+                   if not math.isfinite(scalar_objective(
+                       a, ln_b, eps2, s0, scalar_clamped_argmin(a, ln_b, eps2, s0, bounds)[0]))]
+            assert len(bad) == block[0].size
+            for i, redraw in zip(bad, zip(*block)):
+                slots[i] = redraw
+        assert len(blocks) > 1
+        assert all(math.isfinite(scalar_objective(a, ln_b, eps2, s0, beta))
+                   for (a, ln_b, eps2), beta in zip(slots, batch.betas))
         assert all(bounds[0] <= b <= bounds[1] for b in batch.betas)
         kept = [b for b, ok in zip(batch.betas, usable) if ok]
         want = [scalar_clamped_argmin(a, ln_b, eps2, s0, bounds)[0]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from scalebo import acquisition, driver, glm, problems, streams
+from scalebo import acquisition, driver, glm, posterior, problems, streams
 from scalebo.driver import BoConfig
 from scalebo.errors import DegenerateExponent, EvaluationFailure, RankDeficient
 
@@ -133,9 +133,7 @@ class TestInitialDesign:
 class TestPointEstimate:
     """The run's plug-in estimate, with bounds wide enough not to bind."""
 
-    @staticmethod
-    def config(s0):
-        return BoConfig(beta_min=1e-3, beta_max=1e6, s0=s0)
+    bounds = (1e-3, 1e6)
 
     def test_reference_case(self):
         fit = glm.GlmFit(
@@ -144,7 +142,7 @@ class TestPointEstimate:
             v_theta=np.eye(2),
             dof=10,
         )
-        estimate = driver._clamped_point_estimate(fit, self.config(0.5))
+        estimate = posterior.point_estimate(fit, 0.5, self.bounds)
         assert estimate == pytest.approx(16.0 * math.exp(0.3), rel=1e-12)
 
     def test_noise_free_line(self):
@@ -154,12 +152,12 @@ class TestPointEstimate:
             v_theta=np.eye(2),
             dof=10,
         )
-        assert driver._clamped_point_estimate(fit, self.config(2.0)) == pytest.approx(1.0, rel=1e-12)
+        assert posterior.point_estimate(fit, 2.0, self.bounds) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_exponent_is_degenerate(self):
         fit = glm.GlmFit(coef_hat=np.array([0.0, 1.0]), s2=0.1, v_theta=np.eye(2), dof=10)
         with pytest.raises(DegenerateExponent):
-            driver._clamped_point_estimate(fit, self.config(1.0))
+            posterior.point_estimate(fit, 1.0, self.bounds)
 
 
 class TestRun:
@@ -481,9 +479,9 @@ class TestPosteriorSummary:
         # math's and the quantile interpolation: a fixed multiple of eps.
         rtol = 256 * np.finfo(float).eps
         config = BoConfig(beta_min=10.0, beta_max=1000.0, s0=0.1)
-        summary = driver._posterior_summary(fit, config, np.random.default_rng(8))
+        summary = posterior.summarize(fit, config.s0, config.bounds, np.random.default_rng(8))
         values = []
-        for a, ln_b, eps2 in zip(*glm.sample_posterior(fit, driver.SUMMARY_DRAWS,
+        for a, ln_b, eps2 in zip(*glm.sample_posterior(fit, posterior.SUMMARY_DRAWS,
                                                        np.random.default_rng(8))):
             if abs(a) < acquisition.EXPONENT_TOL:
                 continue
@@ -555,41 +553,41 @@ class TestRecordOracles:
                                          ratio, seed):
         fit = fit_from(a, ln_b, s2, root, dof)
         config = BoConfig(beta_min=beta_min, beta_max=beta_min * ratio, s0=math.exp(ln_s0))
-        new = outcome(driver._posterior_summary, fit, config, np.random.default_rng(seed))
-        old = outcome(oracles.posterior_summary, fit, config, np.random.default_rng(seed))
+        where = (config.s0, config.bounds)
+        new = outcome(posterior.summarize, fit, *where, np.random.default_rng(seed))
+        old = outcome(oracles.posterior_summary, fit, *where, np.random.default_rng(seed))
         assert new == old
 
     def test_summary_oracle_covers_degenerate_and_clamped_draws(self):
-        config = BoConfig(beta_min=10.0, beta_max=15.0, s0=0.1)
+        where = (0.1, (10.0, 15.0))   # s0, bounds
         # Some draws of a degenerate, the rest clamped onto a bound.
         some = fit_from(0.0, 0.0, 1.0, (1e-12, 0.0, 1.0), 30)
-        summary = driver._posterior_summary(some, config, np.random.default_rng(3))
-        assert 0 < summary.draws < driver.SUMMARY_DRAWS
-        assert summary == oracles.posterior_summary(some, config, np.random.default_rng(3))
+        summary = posterior.summarize(some, *where, np.random.default_rng(3))
+        assert 0 < summary.draws < posterior.SUMMARY_DRAWS
+        assert summary == oracles.posterior_summary(some, *where, np.random.default_rng(3))
         # beta* far above the bounds: every draw clamps onto beta_max.
         clamped = fit_from(-0.5, 0.0, 0.01, (0.01, 0.0, 0.01), 30)
-        summary = driver._posterior_summary(clamped, config, np.random.default_rng(3))
+        summary = posterior.summarize(clamped, *where, np.random.default_rng(3))
         assert summary.q025 == summary.q975 == 15.0
-        assert summary == oracles.posterior_summary(clamped, config, np.random.default_rng(3))
+        assert summary == oracles.posterior_summary(clamped, *where, np.random.default_rng(3))
         # Every draw degenerate: the point estimate raises, as it did.
         flat = fit_from(0.0, 0.0, 1.0, (1e-30, 0.0, 1.0), 30)
         with pytest.raises(DegenerateExponent):
-            driver._posterior_summary(flat, config, np.random.default_rng(3))
+            posterior.summarize(flat, *where, np.random.default_rng(3))
 
     @pytest.mark.parametrize("usable", [1, 2, 3, 40])
     def test_summary_of_few_usable_draws(self, usable, monkeypatch):
         # The order statistics of the few draws whose a is not degenerate,
         # wherever those draws sit among the degenerate ones.
         rng = np.random.default_rng(usable)
-        a = np.zeros(driver.SUMMARY_DRAWS)
+        a = np.zeros(posterior.SUMMARY_DRAWS)
         a[rng.choice(a.size, usable, replace=False)] = rng.uniform(-1.0, -0.2, usable)
         draws = (a, rng.normal(0.0, 1.0, a.size), rng.uniform(0.01, 1.0, a.size))
         monkeypatch.setattr(glm, "sample_posterior", lambda fit, count, rng: draws)
         fit = fit_from(-0.5, 0.0, 0.25, (0.1, 0.0, 0.1), 30)
-        config = BoConfig(beta_min=10.0, beta_max=1000.0, s0=0.1)
-        summary = driver._posterior_summary(fit, config, None)
+        summary = posterior.summarize(fit, 0.1, (10.0, 1000.0), None)
         assert summary.draws == usable
-        assert summary == oracles.posterior_summary(fit, config, None)
+        assert summary == oracles.posterior_summary(fit, 0.1, (10.0, 1000.0), None)
 
     @settings(max_examples=300, deadline=None)
     @given(**record_fits, seed=st.integers(0, 2**32 - 1))
@@ -597,16 +595,17 @@ class TestRecordOracles:
                                                            beta_min, ratio, seed):
         fit = fit_from(a, ln_b, s2, root, dof)
         config = BoConfig(beta_min=beta_min, beta_max=beta_min * ratio, s0=math.exp(ln_s0))
-        assert (outcome(driver._clamped_point_estimate, fit, config)
-                == outcome(oracles.clamped_point_estimate, fit, config))
-        region = (fit.a_hat, fit.ln_b_hat, fit.s2, config.s0, driver.STOP_REGION_REL,
+        where = (config.s0, config.bounds)
+        assert (outcome(posterior.point_estimate, fit, *where)
+                == outcome(oracles.point_estimate, fit, *where))
+        region = (fit.a_hat, fit.ln_b_hat, fit.s2, config.s0, posterior.STOP_REGION_REL,
                   config.bounds)
         assert (outcome(acquisition.optimal_region_from, *region)
                 == outcome(oracles.optimal_region_from, *region))
-        posterior = outcome(oracles.posterior_summary, fit, config, np.random.default_rng(seed))
-        if isinstance(posterior, driver.PosteriorSummary):
-            assert (outcome(driver._settled, fit, posterior, config)
-                    == outcome(oracles.settled, fit, posterior, config))
+        summary = outcome(oracles.posterior_summary, fit, *where, np.random.default_rng(seed))
+        if isinstance(summary, posterior.PosteriorSummary):
+            assert (outcome(posterior.settled, fit, summary, *where)
+                    == outcome(oracles.settled, fit, summary, *where))
 
     @pytest.mark.parametrize("name", ["calibrated", "gamma-noise", "srom", "integer_beta"])
     def test_whole_runs_equal_oracle_runs(self, name, monkeypatch):

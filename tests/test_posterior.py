@@ -1,0 +1,80 @@
+"""Tests for the posterior readings: the Student-t tail and the exact
+identification test of the exponent a."""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scalebo import driver, glm, posterior, problems
+
+dofs = st.integers(1, 1000)
+t_values = (st.sampled_from([0.0, -0.0, math.inf, -math.inf])
+            | st.builds(lambda sign, mag: sign * mag, st.sampled_from([-1.0, 1.0]),
+                        st.floats(1e-3, 1e2)))
+
+
+class TestTailFunction:
+    @settings(max_examples=2000, deadline=None)
+    @given(t=t_values, dof=dofs)
+    def test_matches_scipy(self, t, dof):
+        got = posterior.t_sf(t, dof)
+        assert 0.0 <= got <= 1.0
+        assert abs(got - float(scipy.stats.t.sf(t, dof))) <= 1e-12
+
+    @settings(max_examples=500, deadline=None)
+    @given(t=t_values, dof=dofs)
+    def test_tails_sum_to_one(self, t, dof):
+        assert abs(posterior.t_sf(t, dof) + posterior.t_sf(-t, dof) - 1.0) <= 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=t_values)
+    def test_closed_forms_of_one_and_two_dof(self, t):
+        assert posterior.t_sf(t, 1) == pytest.approx(0.5 - math.atan(t) / math.pi,
+                                                     rel=0, abs=1e-15)
+        two = 0.5 - math.copysign(0.5, t) if math.isinf(t) else 0.5 - t / (2 * math.sqrt(t * t + 2))
+        assert posterior.t_sf(t, 2) == pytest.approx(two, rel=0, abs=1e-15)
+
+
+def fit_with(a_hat, s2=0.25, v00=0.01, dof=30):
+    return glm.GlmFit(coef_hat=np.array([a_hat, 0.0]), s2=s2,
+                      v_theta=np.array([[v00, 0.0], [0.0, 1.0]]), dof=dof)
+
+
+class TestIdentification:
+    def test_draws_nothing(self):
+        fit = fit_with(-0.11)
+        bounds = (10.0, 1000.0)
+        first = posterior.summarize(fit, 0.88, bounds, np.random.default_rng(1))
+        second = posterior.summarize(fit, 0.88, bounds, np.random.default_rng(2))
+        assert first.q500 != second.q500   # the quantiles do read their draws
+        assert first.p_a_positive == second.p_a_positive == posterior.p_a_positive(fit)
+
+    @pytest.mark.parametrize("dof", [1, 2, 5, 38, 288])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_flips_at_the_two_sided_critical_value(self, dof, sign):
+        # a is identified exactly when |a_hat| / sqrt(s2 V00) reaches the
+        # t quantile of the two-sided 95% test.
+        crit = -float(scipy.stats.t.ppf(posterior.SIGN_LEVEL, dof))
+        scale = math.sqrt(0.25 * 0.01)
+        for rel, identified in ((1 + 1e-8, True), (1 - 1e-8, False)):
+            fit = fit_with(sign * crit * scale * rel, dof=dof)
+            summary = posterior.summarize(fit, 0.1, (10.0, 1000.0), np.random.default_rng(0))
+            assert summary.a_identified is identified
+            assert (posterior.flag(summary, (10.0, 1000.0)) == "unidentified") is not identified
+
+    @pytest.mark.parametrize("a_hat, want", [(-0.5, 0.0), (0.5, 1.0), (0.0, 0.0)])
+    def test_step_at_a_hat_without_noise(self, a_hat, want):
+        assert posterior.p_a_positive(fit_with(a_hat, s2=0.0)) == want
+
+    def test_every_record_reports_the_exact_tail(self):
+        s0 = problems.target_for_optimum(-0.58, 0.0, 0.25, 101.0)
+        prob = problems.synthetic_powerlaw(-0.58, 0.0, 0.25, s0)
+        for seed in range(3):
+            config = driver.BoConfig(beta_min=10.0, beta_max=1000.0, s0=s0, seed=seed)
+            trace = driver.run(config, prob)
+            assert all(rec.posterior.p_a_positive == posterior.p_a_positive(rec.fit)
+                       for rec in trace.iterations)
