@@ -352,9 +352,17 @@ def fit_residual_families(residuals) -> FamilyRanking:
 
 
 def histogram_fd(values) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram with Freedman-Diaconis bin widths; returns (edges, counts)."""
+    """Histogram with Freedman-Diaconis bin widths, at most one bin per
+    value; returns (edges, counts).
+
+    The FD width scales with the interquartile range, so a tight sample with
+    one far outlier asks for range / width bins, billions of them; a sample
+    that would get more bins than values gets as many equal bins as values.
+    """
     arr = np.asarray(values, dtype=float)
-    edges = np.histogram_bin_edges(arr, bins="fd")
+    width = 2.0 * np.subtract(*np.percentile(arr, [75, 25])) * arr.size ** (-1.0 / 3.0)
+    capped = np.ptp(arr) > arr.size * width > 0
+    edges = np.histogram_bin_edges(arr, bins=arr.size if capped else "fd")
     counts, edges = np.histogram(arr, bins=edges)
     return edges, counts
 

@@ -82,8 +82,9 @@ class BoConfig:
             raise ValueError("stop_window must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.integer_beta and math.floor(self.beta_max) < math.ceil(self.beta_min):
-            raise ValueError("integer_beta requires an integer inside [beta_min, beta_max]")
+        # One integer would make every design point the same beta: a rank-1 first fit.
+        if self.integer_beta and math.floor(self.beta_max) - math.ceil(self.beta_min) < 1:
+            raise ValueError("integer_beta requires two integers inside [beta_min, beta_max]")
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -122,8 +123,8 @@ class BoTrace:
 
 def initial_design(config: BoConfig) -> np.ndarray:
     """Log-equispaced initial design of ``n0`` points, endpoints included;
-    with ``integer_beta`` each point is rounded to the nearest integer,
-    duplicates retained.
+    with ``integer_beta`` each point is rounded by
+    :func:`~scalebo.problems.round_into_bounds`, duplicates retained.
 
     The design is a deterministic grid: a grid maximizes the rank of the
     first fit and keeps runs reproducible.
@@ -131,7 +132,9 @@ def initial_design(config: BoConfig) -> np.ndarray:
     grid = np.exp(np.linspace(math.log(config.beta_min), math.log(config.beta_max), config.n0))
     grid[0] = config.beta_min
     grid[-1] = config.beta_max
-    return np.rint(grid) if config.integer_beta else grid
+    if config.integer_beta:
+        return np.array([round_into_bounds(b, config.bounds) for b in grid])
+    return grid
 
 
 def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrace:

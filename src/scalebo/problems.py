@@ -2,9 +2,10 @@
 
 Synthetic problems draw the statistic from a known generating law so that
 ground truth (exponent, scale, noise, optimizer) is available to tests.
-The structural fixture is a 1-D fixed-fixed static system with a spectral
-stiffness matrix; ``srom_standin`` poses a randomized-basis reduced-order
-model on the same system, built from its modal closed form, so the full
+The structural system, a 1-D fixed-fixed static system with a spectral
+stiffness matrix, is defined once in its modal closed form: the static
+fixture is its image in physical coordinates, and ``srom_standin`` poses a
+randomized-basis reduced-order model on it in eigencoordinates, so the full
 optimization pipeline can be exercised on a structural problem.
 """
 
@@ -238,23 +239,22 @@ class StaticFixture:
     """1-D fixed-fixed static system with a spectrally defined stiffness.
 
     The stiffness is ``K = Phi diag(lambda) Phi^T`` with
-    ``lambda_i = 4 pi^2 i^2`` and ``Phi`` the orthonormal Q-factor of the
-    sine matrix ``P[j, k] = sin(k pi (j-1)/(n-1))`` (columns sign-fixed so
-    the largest-magnitude entry is positive).  Two force vectors built
-    from different eigenvector combinations produce a reference solution
-    ``x_exp`` and a high-dimensional-model solution ``x_hdm``; both are
-    solved with the end degrees of freedom eliminated.  An 8-mode
-    reduced-order model yields ``x_rom``.
+    ``lambda_k = 4 pi^2 k^2``.  Phi is orthonormal and written down: its
+    columns 1..n-2 are the normalized sine modes
+    ``sqrt(2/(n-1)) sin(k pi j/(n-1))``, j = 0..n-1, and its last two are
+    ``e_{n-1}`` and ``e_0``.  This is the Q factor, with a positive R
+    diagonal, of the sine matrix ``P[j, k] = sin(k pi j/(n-1))``, k = 1..n,
+    whose rank is n-2 (column n-1 is zero, column n is minus column n-2):
+    each sine mode is exactly 0.0 where ``k j`` is a multiple of n-1, the
+    end rows included, and its first interior entry is positive.
 
-    The sine matrix has rank n-2: column n-1 is ``sin(pi j) = 0`` and
-    column n is minus column n-2.  So Phi's first n-2 columns are the
-    normalized sine modes, which vanish at both ends, and its last two
-    are whatever orthonormal pair LAPACK's QR completes them with, a
-    basis of the two end DoFs (about ``e_{n-1}`` and ``e_0`` with numpy's
-    LAPACK at n = 1000).  The endpoint block of K, and with it the
-    exported ``K.mtx``, depends on that choice; the forces, solutions and
-    model error do not.  ``n_dof`` must be at least ``MIN_DOF`` so that
-    every force mode is a sine mode.
+    Every other array is Phi times its modal vector (``_modal_system``): two
+    force vectors, built from different combinations of sine modes, their
+    fixed-end solutions ``x_exp`` (the reference) and ``x_hdm`` (the
+    high-dimensional model), and the solution ``x_rom`` of the reduced-order
+    model on the first ``ROM_DIM`` modes ``V``.  The sine modes vanish at
+    both ends, so the solutions do too.  ``n_dof`` must be at least
+    ``MIN_DOF`` so that every force mode is a sine mode.
     """
 
     n_dof: int
@@ -278,77 +278,22 @@ def _check_n_dof(n_dof: int) -> int:
     return n_dof
 
 
-def _solve_fixed_ends(k_mat: np.ndarray, force: np.ndarray) -> np.ndarray:
-    """Solve K x = f with x[0] = x[-1] = 0 by eliminating the end DoFs."""
-    n = k_mat.shape[0]
-    free = slice(1, n - 1)
-    x = np.zeros(n)
-    x[free] = np.linalg.solve(k_mat[free, free], force[free])
-    return x
+def _modal_system(n_dof: int) -> dict:
+    """The structural system in stiffness eigencoordinates, in closed form.
 
+    Returns the eigenvalues ``eigvals`` and the coordinates ``Phi^T v`` of
+    the fixture's vectors ``f_exp``, ``f_hdm``, ``x_exp``, ``x_hdm`` and
+    ``x_rom``, keyed by their :class:`StaticFixture` field names.
 
-@lru_cache(maxsize=1)
-def build_static_fixture(n_dof: int = 1000) -> StaticFixture:
-    """Construct the static fixture (cached; instances are immutable).
-
-    The mode combinations and their normalizing constants for the two
-    force vectors are fixed properties of the benchmark problem.
-    """
-    n = _check_n_dof(n_dof)
-    j = np.arange(n, dtype=float)[:, None]       # row index j-1 = 0..n-1
-    k = np.arange(1, n + 1, dtype=float)[None, :]
-    p = np.sin(k * np.pi * j / (n - 1))
-    phi, _ = np.linalg.qr(p)
-    # QR leaves column signs arbitrary; fix them so the force-vector
-    # mode combinations are well defined.
-    flip = phi[np.abs(phi).argmax(axis=0), np.arange(n)] < 0
-    phi[:, flip] *= -1.0
-
-    lam = 4.0 * np.pi**2 * np.arange(1, n + 1, dtype=float) ** 2
-    stiffness = (phi * lam) @ phi.T
-    stiffness = 0.5 * (stiffness + stiffness.T)
-
-    def mode(i):
-        return phi[:, i - 1]
-
-    f_exp = (0.1 * mode(2) + 0.4 * mode(5) + 0.6 * mode(8)
-             + 2.5 * (mode(31) + mode(32)) - 0.015 * mode(1)) / 0.261466
-    f_hdm = (0.1 * mode(2) + 0.4 * mode(5) + 0.6 * mode(8)
-             + 2.5 * (mode(29) + mode(30) + mode(31))) / 0.27702
-
-    x_exp = _solve_fixed_ends(stiffness, f_exp)
-    x_hdm = _solve_fixed_ends(stiffness, f_hdm)
-
-    rom_basis = phi[:, :ROM_DIM].copy()
-    reduced = rom_basis.T @ stiffness @ rom_basis
-    q = np.linalg.solve(reduced, rom_basis.T @ f_hdm)
-    x_rom = rom_basis @ q
-
-    arrays = dict(stiffness=stiffness, basis=phi, eigvals=lam, f_exp=f_exp,
-                  f_hdm=f_hdm, x_exp=x_exp, x_hdm=x_hdm, rom_basis=rom_basis,
-                  x_rom=x_rom)
-    for arr in arrays.values():
-        arr.setflags(write=False)
-    return StaticFixture(n_dof=n, **arrays)
-
-
-def _srom_modal(n_dof: int):
-    """The stand-in's data in stiffness eigencoordinates, in closed form.
-
-    Returns ``(lam, f_hdm, x_exp, x_rom)``: the eigenvalues and the
-    coordinates ``Phi^T v`` of the fixture's vectors, without forming Phi.
-
-    Each force vector is a fixed combination of sine modes 1..32 (see
-    ``build_static_fixture``), so its coordinates are the combination's
-    weights over its normalizing constant.  The sine modes vanish at both
-    ends, so with the end DoFs eliminated they span the free DoFs, K acts
-    on them as ``diag(lambda)``, and a fixed-end solve divides each
-    coordinate by its eigenvalue: ``x_exp = f_exp / lambda``.  The ROM
-    basis is the first ``ROM_DIM`` modes, so its reduced operator is
-    ``diag(lambda[:ROM_DIM])`` and ``x_rom`` keeps the first ``ROM_DIM``
-    coordinates of ``f_hdm / lambda`` and zeros the rest.  Signs of the
-    modes do not matter: a flipped mode flips its weight and its
-    coordinate alike.
+    Each force vector is a fixed combination of sine modes 1..32 over a
+    normalizing constant, so its coordinates are the combination's weights
+    over that constant.  The sine modes vanish at both ends, so with the end
+    DoFs eliminated they span the free DoFs, K acts on them as
+    ``diag(lambda)``, and a fixed-end solve divides each coordinate by its
+    eigenvalue: ``x_exp = f_exp / lambda``.  The ROM basis is the first
+    ``ROM_DIM`` modes, so its reduced operator is ``diag(lambda[:ROM_DIM])``
+    and ``x_rom`` keeps the first ``ROM_DIM`` coordinates of
+    ``f_hdm / lambda`` and zeros the rest.
     """
     n = _check_n_dof(n_dof)
     lam = 4.0 * np.pi**2 * np.arange(1, n + 1, dtype=float) ** 2
@@ -358,9 +303,42 @@ def _srom_modal(n_dof: int):
     f_hdm = np.zeros(n)
     f_hdm[[1, 4, 7, 28, 29, 30]] = [0.1, 0.4, 0.6, 2.5, 2.5, 2.5]
     f_hdm /= 0.27702
+    x_hdm = f_hdm / lam
     x_rom = np.zeros(n)
-    x_rom[:ROM_DIM] = f_hdm[:ROM_DIM] / lam[:ROM_DIM]
-    return lam, f_hdm, f_exp / lam, x_rom
+    x_rom[:ROM_DIM] = x_hdm[:ROM_DIM]
+    return dict(eigvals=lam, f_exp=f_exp, f_hdm=f_hdm, x_exp=f_exp / lam,
+                x_hdm=x_hdm, x_rom=x_rom)
+
+
+@lru_cache(maxsize=1)
+def build_static_fixture(n_dof: int = 1000) -> StaticFixture:
+    """The structural system in physical coordinates: Phi, K and Phi times
+    each modal vector (cached; instances are immutable)."""
+    modal = _modal_system(n_dof)
+    lam = modal.pop("eigvals")
+    n = lam.size
+    # k j reduced mod 2(n-1) is exact in integers, so each sine's argument
+    # lies in [0, 2 pi) and its zeros are set, not left to rounding.
+    kj = np.outer(np.arange(n), np.arange(1, n - 1)) % (2 * (n - 1))
+    sines = np.where(kj % (n - 1) == 0, 0.0, np.sin(kj * (np.pi / (n - 1))))
+    phi = np.zeros((n, n))
+    phi[:, :n - 2] = math.sqrt(2.0 / (n - 1)) * sines
+    phi[n - 1, n - 2] = phi[0, n - 1] = 1.0
+
+    stiffness = (phi * lam) @ phi.T
+    stiffness = 0.5 * (stiffness + stiffness.T)
+    arrays = {name: phi @ v for name, v in modal.items()}
+    arrays.update(stiffness=stiffness, basis=phi, eigvals=lam, rom_basis=phi[:, :ROM_DIM].copy())
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    return StaticFixture(n_dof=n, **arrays)
+
+
+def _srom_modal(n_dof: int):
+    """The stand-in's data from :func:`_modal_system`:
+    ``(lam, f_hdm, x_exp, x_rom)`` in stiffness eigencoordinates."""
+    modal = _modal_system(n_dof)
+    return modal["eigvals"], modal["f_hdm"], modal["x_exp"], modal["x_rom"]
 
 
 def srom_standin(n_dof: int = 1000) -> ObjectiveProblem:
@@ -378,12 +356,12 @@ def srom_standin(n_dof: int = 1000) -> ObjectiveProblem:
 
     Implementation note: everything is computed in the eigenbasis of the
     stiffness, where K is ``diag(lambda)`` and every vector the problem
-    needs is closed form (``_srom_modal``), so the dense fixture is never
-    built.  Because the basis matrix is orthogonal, an i.i.d. normal
-    perturbation drawn in eigen coordinates equals (in law, and exactly
-    under ``G_phys = Phi @ G_eig``) one drawn in physical coordinates, and
-    Euclidean distances are preserved; the rotated form avoids a dense
-    1000x1000 product per draw.
+    needs is the modal data that ``build_static_fixture`` multiplies by
+    Phi (``_srom_modal``), so the dense fixture is never built.  Because
+    Phi is orthogonal, an i.i.d. normal perturbation drawn in eigen
+    coordinates equals (in law, and exactly under ``G_phys = Phi @ G_eig``)
+    one drawn in physical coordinates, and Euclidean distances are
+    preserved; the rotated form avoids a dense 1000x1000 product per draw.
     """
     lam, f_hdm_eig, x_exp_eig, x_rom_eig = _srom_modal(n_dof)
     n, m = lam.size, ROM_DIM

@@ -1,4 +1,5 @@
-"""Reference versions of the BO record's helpers and of the rng streams.
+"""Reference versions of the BO record's helpers, of the rng streams and
+of the static fixture.
 
 ``driver.run`` computes each record's point estimate, beta* summary and
 stop region through ``posterior``, on floats and order statistics, and
@@ -7,6 +8,9 @@ straightforward array forms those replace, kept as test oracles: each must
 give the same bits as the code it stands for.  ``install`` puts them back into the
 package, so whole runs can be compared as well.  :class:`NumpyChildren`
 is numpy's own construction of the per-evaluation streams.
+``qr_sine_basis`` and ``solve_fixed_ends`` build the static fixture's
+basis and solutions through LAPACK, as ``problems.build_static_fixture``
+once did, for its closed form to be checked against.
 """
 
 import math
@@ -128,3 +132,21 @@ def install(monkeypatch):
     monkeypatch.setattr(glm.LogDataset, "with_observations", with_observations)
     monkeypatch.setattr(glm.GlmFit, "cholesky",
                         property(lambda fit: glm._cholesky_2x2(fit.v_theta)))
+
+
+def qr_sine_basis(n):
+    """The Q factor of the sine matrix ``P[j, k] = sin(k pi j/(n-1))``,
+    j = 0..n-1, k = 1..n, through LAPACK's QR; column signs as LAPACK
+    leaves them."""
+    j = np.arange(n, dtype=float)[:, None]
+    k = np.arange(1, n + 1, dtype=float)[None, :]
+    q, _ = np.linalg.qr(np.sin(k * np.pi * j / (n - 1)))
+    return q
+
+
+def solve_fixed_ends(k_mat, force):
+    """Solve K x = f with x[0] = x[-1] = 0 by eliminating the end DoFs."""
+    n = k_mat.shape[0]
+    x = np.zeros(n)
+    x[1:n - 1] = np.linalg.solve(k_mat[1:n - 1, 1:n - 1], force[1:n - 1])
+    return x

@@ -457,6 +457,23 @@ class TestDiagnose:
         assert not (out / "histogram.csv").exists()
         assert "family ranking" not in capsys.readouterr().out
 
+    def test_outlier_on_a_tight_slice_caps_the_histogram(self, tmp_path):
+        # One 5x outlier among 1,200 values with 1e-4 log-noise: the
+        # Freedman-Diaconis width would give about 160,000 bins, and at
+        # 1e-9 noise an allocation of 120 GiB.
+        rng = np.random.default_rng(0)
+        beta = np.repeat([20.0, 60.0, 180.0], 1200)
+        s = beta ** -0.5 * np.exp(1e-4 * rng.standard_normal(beta.size))
+        s[0] *= 5.0
+        path = tmp_path / "outlier.csv"
+        glm.save_csv(glm.ingest(zip(beta, s))[0], path)
+        out = tmp_path / "diag"
+        assert cli.main(["diagnose", "--data", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["fit_beta"] == 20.0
+        rows = (out / "histogram.csv").read_text().splitlines()[1:]
+        assert len(rows) <= 1200
+        assert sum(int(row.split(",")[2]) for row in rows) == 1200
+
     def test_repeat_run_is_byte_identical(self, tmp_path, dataset_path):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
         for out in (out1, out2):

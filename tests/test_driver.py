@@ -93,6 +93,7 @@ class TestBoConfig:
             dict(s0=True),
             dict(stop_rel_tol=True),
             dict(beta_min="10"),
+            dict(beta_min=9.6, beta_max=10.4, integer_beta=True),
         ],
     )
     def test_invalid_settings(self, overrides):
@@ -123,11 +124,14 @@ class TestInitialDesign:
         assert design[0] == 10.0 and design[-1] == 1000.0
 
     def test_integer_rounding_keeps_duplicates(self):
-        config = BoConfig(beta_min=2.0, beta_max=300.0, s0=1.0, n0=40, integer_beta=True)
-        design = driver.initial_design(config)
-        assert design.size == 40
-        assert np.all(design == np.rint(design))
-        assert np.all((design >= 2.0) & (design <= 300.0))
+        # Bare rounding took the non-integer bounds' endpoints to 10 and 1000.
+        for beta_min, beta_max in ((2.0, 300.0), (10.4, 999.6)):
+            config = BoConfig(beta_min=beta_min, beta_max=beta_max, s0=1.0, n0=40,
+                              integer_beta=True)
+            design = driver.initial_design(config)
+            assert design.size == 40
+            assert np.all(design == np.rint(design))
+            assert np.all((design >= beta_min) & (design <= beta_max))
 
 
 class TestPointEstimate:

@@ -13,6 +13,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from scalebo import glm, problems
 from scalebo.errors import UnknownKind
 
@@ -262,7 +263,7 @@ def dense_and_modal(request):
 
 
 class TestModalForm:
-    """The stand-in's closed-form modal data against the dense QR fixture."""
+    """The stand-in's closed-form modal data against the dense fixture."""
 
     def test_eigenvalues_equal(self, dense_and_modal):
         fixture, (lam, *_) = dense_and_modal
@@ -270,8 +271,7 @@ class TestModalForm:
 
     def test_vectors_are_the_fixture_in_eigencoordinates(self, dense_and_modal):
         # Measured gaps at n = 1000: 5.3e-15 of a max of 9.02 for f_hdm,
-        # 5.4e-14 of 2.29e-3 for x_rom.  They are the dense route's
-        # rounding: the closed form has exact zeros where it has 1e-14.
+        # 1.7e-18 of 2.29e-3 for x_rom, the rounding of Phi^T Phi v.
         fixture, (_, f_hdm, x_exp, x_rom) = dense_and_modal
         assert max_rel_gap(f_hdm, fixture.basis.T @ fixture.f_hdm) < 1e-14
         assert max_rel_gap(x_exp, fixture.basis.T @ fixture.x_exp) < 1e-9
@@ -291,6 +291,36 @@ class TestModalForm:
     def test_rejects_force_modes_beyond_the_sine_modes(self, build, n_dof):
         with pytest.raises(ValueError, match="interior sine mode"):
             build(n_dof)
+
+
+class TestClosedFormBasis:
+    """The fixture's written-down Phi and solutions against the LAPACK route."""
+
+    def test_sine_columns_are_the_qr_factor_up_to_sign(self, dense_and_modal):
+        fixture, _ = dense_and_modal
+        n = fixture.n_dof
+        sines, q = fixture.basis[:, :n - 2], oracles.qr_sine_basis(n)[:, :n - 2]
+        gap = np.minimum(np.abs(sines - q).max(axis=0), np.abs(sines + q).max(axis=0))
+        assert gap.max() <= 1e-12
+
+    def test_first_interior_entry_is_positive(self, dense_and_modal):
+        fixture, _ = dense_and_modal
+        assert np.all(fixture.basis[1, :fixture.n_dof - 2] > 0.0)
+
+    def test_sine_end_rows_are_zero_and_last_columns_are_the_ends(self, dense_and_modal):
+        fixture, _ = dense_and_modal
+        n = fixture.n_dof
+        sines = fixture.basis[:, :n - 2]
+        assert np.all(sines[[0, n - 1]] == 0.0)
+        # sin(k pi j/(n-1)) vanishes wherever k j is a multiple of n-1.
+        nodes = np.outer(np.arange(n), np.arange(1, n - 1)) % (n - 1) == 0
+        assert np.all(sines[nodes] == 0.0) and np.all(sines[~nodes] != 0.0)
+        np.testing.assert_array_equal(fixture.basis[:, n - 2:], np.eye(n)[:, [n - 1, 0]])
+
+    def test_solutions_are_the_dense_fixed_end_solves(self, dense_and_modal):
+        fixture, _ = dense_and_modal
+        for x, f in ((fixture.x_exp, fixture.f_exp), (fixture.x_hdm, fixture.f_hdm)):
+            assert max_rel_gap(x, oracles.solve_fixed_ends(fixture.stiffness, f)) < 1e-9
 
 
 class TestSromStandin:
@@ -371,8 +401,8 @@ class TestFixtureExport:
             path = tmp_path / f"{name}.mtx"
             back = np.asarray(scipy.io.mmread(path))
             assert back.dtype == np.float64 and back.shape == want.shape
-            # Equal as values; scipy's reader drops the sign of -0.0 (V has
-            # one), so the bits are checked on the text below.
+            # Equal as values; scipy's reader drops the sign of -0.0, so the
+            # bits are checked on the text below.
             np.testing.assert_array_equal(back, want)
             lines = path.read_text(encoding="ascii").split("\n")
             assert lines[:3] == ["%%MatrixMarket matrix array real general", "%",
