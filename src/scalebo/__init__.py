@@ -30,7 +30,6 @@ from .problems import (
     ObjectiveProblem,
     build_static_fixture,
     srom_standin,
-    synthetic_misspecified,
     synthetic_powerlaw,
     target_for_optimum,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "run",
     "sample_posterior",
     "srom_standin",
-    "synthetic_misspecified",
     "synthetic_powerlaw",
     "target_for_optimum",
     "thompson_batch",

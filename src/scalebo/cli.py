@@ -137,8 +137,8 @@ def _run_metadata(cfg: config.RunConfig, args, method: str, extra=None) -> dict:
         "threads": args.threads,
         "problem": cfg.problem_section,
         "problem_hash": cfg.problem_hash,
-        "bo": dataclasses.asdict(cfg.bo),
-        "baseline": dataclasses.asdict(cfg.baseline),
+        "bo": cfg.bo,
+        "baseline": cfg.baseline,
     }
     if extra:
         doc.update(extra)

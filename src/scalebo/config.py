@@ -41,7 +41,13 @@ def _srom() -> problems.ObjectiveProblem:
 
 # Problem kind -> builder.  A builder's keyword parameters are the kind's
 # config keys, and its defaults are theirs.
-PROBLEM_KINDS = {"synthetic-powerlaw": _powerlaw, **problems.MISSPECIFIED, "srom-standin": _srom}
+PROBLEM_KINDS = {
+    "synthetic-powerlaw": _powerlaw,
+    "gamma-noise": problems.gamma_noise,
+    "heteroscedastic": problems.heteroscedastic,
+    "shifted-lognormal": problems.shifted_lognormal,
+    "srom-standin": _srom,
+}
 
 _TOP_KEYS = {"seed", "problem", "bo", "baseline", "out"}
 

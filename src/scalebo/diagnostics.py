@@ -11,7 +11,7 @@ Every fit is closed form or a short scalar iteration; no SciPy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,13 +49,12 @@ class FamilyFit:
 
 @dataclass(frozen=True)
 class FamilyRanking:
-    """Parametric fits of the exponentiated residuals, best first."""
+    """Parametric fits of the exponentiated residuals; ``ranking`` names
+    them best first.  The fields are ``report.json``'s ``families`` keys,
+    in order."""
 
-    fits: dict[str, FamilyFit]
     ranking: list[str]
-
-    def __getitem__(self, name: str) -> FamilyFit:
-        return self.fits[name]
+    fits: dict[str, FamilyFit]
 
 
 @dataclass(frozen=True)
@@ -348,7 +347,7 @@ def fit_residual_families(residuals) -> FamilyRanking:
 
     fits = {f.name: f for f in (shifted, gamma, gaussian)}
     ranking = sorted(fits, key=lambda name: fits[name].log_likelihood, reverse=True)
-    return FamilyRanking(fits=fits, ranking=ranking)
+    return FamilyRanking(ranking=ranking, fits=fits)
 
 
 def histogram_fd(values) -> tuple[np.ndarray, np.ndarray]:
@@ -417,19 +416,13 @@ def residual_report(
 def report_to_json_dict(report: ResidualReport) -> dict:
     """The report as strict JSON values: an undefined moment (a group too
     small for it) becomes ``None``."""
-    doc = {
-        "per_beta": [asdict(g) for g in report.per_beta],
-        "smoothed": [asdict(g) for g in report.smoothed],
+    return json_safe({
+        "per_beta": report.per_beta,
+        "smoothed": report.smoothed,
         "dropped": [{"beta": b, "count": c} for b, c in report.dropped],
         "fit_beta": report.fit_beta,
-        "families": None,
-    }
-    if report.families is not None:
-        doc["families"] = {
-            "ranking": report.families.ranking,
-            "fits": {name: asdict(f) for name, f in report.families.fits.items()},
-        }
-    return json_safe(doc)
+        "families": report.families,
+    })
 
 
 def save_report_json(report: ResidualReport, path) -> None:

@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,20 +105,21 @@ class IterationRecord:
     wall_clock: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BoTrace:
-    """Complete optimization history."""
+    """Complete optimization history.  The fields are ``trace.json``'s
+    keys, in order."""
 
+    schema: str = TRACE_SCHEMA
     config: BoConfig
-    iterations: list[IterationRecord]
+    problem_label: str = ""
     final_estimate: float
     stop_reason: str           # "budget" | "converged" | "degenerate-fit"
+    flag: str | None = None    # None | "unidentified" | "boundary-min" | "boundary-max"
     total_evaluations: int
     rejected_total: int
     wall_clock_seconds: float
-    problem_label: str = ""
-    flag: str | None = None    # None | "unidentified" | "boundary-min" | "boundary-max"
-    schema: str = TRACE_SCHEMA
+    iterations: list[IterationRecord]
 
 
 def initial_design(config: BoConfig) -> np.ndarray:
@@ -235,75 +236,35 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
 
 
 def trace_to_json_dict(trace: BoTrace) -> dict:
-    """The trace as strict JSON values: a non-finite number (a rejected
-    statistic) becomes ``None``."""
-    return json_safe({
-        "schema": trace.schema,
-        "config": asdict(trace.config),
-        "problem_label": trace.problem_label,
-        "final_estimate": trace.final_estimate,
-        "stop_reason": trace.stop_reason,
-        "flag": trace.flag,
-        "total_evaluations": trace.total_evaluations,
-        "rejected_total": trace.rejected_total,
-        "wall_clock_seconds": trace.wall_clock_seconds,
-        "iterations": [
-            {
-                "index": rec.index,
-                "source": rec.source,
-                "betas": list(rec.betas),
-                "s_values": list(rec.s_values),
-                "rejected": rec.rejected,
-                "fit": rec.fit.to_json_dict(),
-                "beta_hat": rec.beta_hat,
-                "posterior": asdict(rec.posterior),
-                "cumulative_evaluations": rec.cumulative_evaluations,
-                "wall_clock": rec.wall_clock,
-            }
-            for rec in trace.iterations
-        ],
-    })
+    """The trace as strict JSON values (:func:`~scalebo.jsonio.json_safe`):
+    a non-finite number (a rejected statistic) becomes ``None``."""
+    return json_safe(trace)
 
 
 def save_trace(trace: BoTrace, path) -> None:
-    write_json(path, trace_to_json_dict(trace))
+    write_json(path, trace)
 
 
 def load_trace(path) -> BoTrace:
     """Read a trace written by :func:`save_trace`; a ``null`` statistic
     reads as NaN, and files with bare ``NaN`` tokens still load.  Files
     written before the posterior stop rule load without a ``flag`` (None)
-    and with a NaN ``p_a_positive``."""
+    and with a NaN ``p_a_positive``.  A key that no field has raises
+    ``TypeError``."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("schema") != TRACE_SCHEMA:
         raise ValueError(f"{path}: unsupported trace schema {doc.get('schema')!r}")
     records = [
-        IterationRecord(
-            index=item["index"],
-            source=item["source"],
-            betas=[float(b) for b in item["betas"]],
-            s_values=np.asarray(item["s_values"], dtype=float).tolist(),   # null -> NaN
-            rejected=item["rejected"],
-            fit=glm.GlmFit.from_json_dict(item["fit"]),
-            beta_hat=float(item["beta_hat"]),
-            posterior=PosteriorSummary(**{"p_a_positive": math.nan, **item["posterior"]}),
-            cumulative_evaluations=item["cumulative_evaluations"],
-            wall_clock=float(item["wall_clock"]),
-        )
+        IterationRecord(**{
+            **item,
+            "s_values": np.asarray(item["s_values"], dtype=float).tolist(),   # null -> NaN
+            "fit": glm.GlmFit.from_json_dict(item["fit"]),
+            "posterior": PosteriorSummary(**{"p_a_positive": math.nan, **item["posterior"]}),
+        })
         for item in doc["iterations"]
     ]
-    return BoTrace(
-        config=BoConfig(**doc["config"]),
-        iterations=records,
-        final_estimate=float(doc["final_estimate"]),
-        stop_reason=doc["stop_reason"],
-        flag=doc.get("flag"),
-        total_evaluations=int(doc["total_evaluations"]),
-        rejected_total=int(doc["rejected_total"]),
-        wall_clock_seconds=float(doc["wall_clock_seconds"]),
-        problem_label=doc.get("problem_label", ""),
-    )
+    return BoTrace(**{**doc, "config": BoConfig(**doc["config"]), "iterations": records})
 
 
 def trace_to_csv(trace: BoTrace, path) -> None:

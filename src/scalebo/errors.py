@@ -38,10 +38,6 @@ class EvaluationFailure(ScaleboError):
         self.beta = beta
 
 
-class UnknownKind(ScaleboError):
-    """Unrecognized synthetic-problem kind."""
-
-
 class NoEligibleGroups(ScaleboError):
     """No residual group meets the minimum per-group size."""
 

@@ -136,17 +136,10 @@ class GlmFit:
         definite."""
         return _cholesky_2x2(self.v_theta)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "coef_hat": self.coef_hat.tolist(),
-            "s2": self.s2,
-            "v_theta": self.v_theta.tolist(),
-            "dof": self.dof,
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GlmFit":
-        """Inverse of :meth:`to_json_dict`; a malformed ``doc`` raises
+        """The fit whose JSON form (:func:`~scalebo.jsonio.json_safe` of
+        it, as in ``trace.json``) is ``doc``; a malformed ``doc`` raises
         ``KeyError``, ``TypeError`` or ``ValueError``."""
         return cls(
             coef_hat=np.asarray(doc["coef_hat"], dtype=float),

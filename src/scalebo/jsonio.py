@@ -2,26 +2,40 @@
 
 Every JSON file the package writes must parse under a strict reader,
 whatever the simulator returned: NaN and infinities have no JSON token,
-so they are written as ``null`` and read back as NaN.  CSV files write
-floats by ``repr``, which round-trips ``nan`` and ``inf`` too.
+so they are written as ``null`` and read back as NaN.  :func:`json_safe`
+is the one encoder: a dataclass is written as an object of its fields, in
+declaration order, so an artifact's dataclasses are its schema.  CSV
+files write floats by ``repr``, which round-trips ``nan`` and ``inf`` too.
 """
 
 import csv
+import dataclasses
 import json
 import math
 
+import numpy as np
+
 
 def json_safe(doc):
-    """``doc`` with every non-finite float replaced by ``None``.
+    """``doc`` as JSON values, with every non-finite float replaced by ``None``.
 
-    Dicts, lists and tuples are walked; other values pass through.
+    Dicts, lists, tuples and dataclass instances (their fields, in order)
+    are walked; an ndarray or a numpy scalar is its ``tolist()`` (for a
+    scalar, the plain Python number).  Other values pass through.
     """
     if isinstance(doc, float):
         return doc if math.isfinite(doc) else None
+    if doc is None or isinstance(doc, (str, int)):   # bool is an int
+        return doc
     if isinstance(doc, dict):
         return {key: json_safe(value) for key, value in doc.items()}
     if isinstance(doc, (list, tuple)):
         return [json_safe(value) for value in doc]
+    if hasattr(type(doc), "__dataclass_fields__"):   # an instance, not a dataclass type
+        return {field.name: json_safe(getattr(doc, field.name))
+                for field in dataclasses.fields(doc)}
+    if isinstance(doc, (np.ndarray, np.generic)):
+        return json_safe(doc.tolist())
     return doc
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .acquisition import EXPONENT_TOL, log_argmin_float
-from .errors import EvaluationFailure, UnknownKind
+from .errors import EvaluationFailure
 
 ROM_DIM = 8
 # The force vectors' highest mode is 32, and only modes 1..n-2 of the
@@ -214,26 +214,6 @@ def shifted_lognormal(a: float, ln_b: float, eps2: float, s0: float,
     return ObjectiveProblem(evaluate_statistic, s0=s0, label="shifted-lognormal")
 
 
-MISSPECIFIED = {
-    "gamma-noise": gamma_noise,
-    "heteroscedastic": heteroscedastic,
-    "shifted-lognormal": shifted_lognormal,
-}
-
-
-def synthetic_misspecified(kind: str, params: dict) -> ObjectiveProblem:
-    """The :data:`MISSPECIFIED` problem ``kind``, built from the keyword
-    ``params`` (numbers, taken as floats).  Raises :class:`UnknownKind` for
-    an unknown kind and ``ValueError`` for a missing, unknown or invalid
-    parameter."""
-    if kind not in MISSPECIFIED:
-        raise UnknownKind(f"unknown misspecified kind {kind!r}")
-    try:
-        return MISSPECIFIED[kind](**{name: float(value) for name, value in params.items()})
-    except TypeError as exc:
-        raise ValueError(f"{kind}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class StaticFixture:
     """1-D fixed-fixed static system with a spectrally defined stiffness.
@@ -334,13 +314,6 @@ def build_static_fixture(n_dof: int = 1000) -> StaticFixture:
     return StaticFixture(n_dof=n, **arrays)
 
 
-def _srom_modal(n_dof: int):
-    """The stand-in's data from :func:`_modal_system`:
-    ``(lam, f_hdm, x_exp, x_rom)`` in stiffness eigencoordinates."""
-    modal = _modal_system(n_dof)
-    return modal["eigvals"], modal["f_hdm"], modal["x_exp"], modal["x_rom"]
-
-
 def srom_standin(n_dof: int = 1000) -> ObjectiveProblem:
     """Randomized-basis ROM problem on the static fixture's system.
 
@@ -357,13 +330,14 @@ def srom_standin(n_dof: int = 1000) -> ObjectiveProblem:
     Implementation note: everything is computed in the eigenbasis of the
     stiffness, where K is ``diag(lambda)`` and every vector the problem
     needs is the modal data that ``build_static_fixture`` multiplies by
-    Phi (``_srom_modal``), so the dense fixture is never built.  Because
+    Phi (``_modal_system``), so the dense fixture is never built.  Because
     Phi is orthogonal, an i.i.d. normal perturbation drawn in eigen
     coordinates equals (in law, and exactly under ``G_phys = Phi @ G_eig``)
     one drawn in physical coordinates, and Euclidean distances are
     preserved; the rotated form avoids a dense 1000x1000 product per draw.
     """
-    lam, f_hdm_eig, x_exp_eig, x_rom_eig = _srom_modal(n_dof)
+    modal = _modal_system(n_dof)
+    lam, f_hdm_eig, x_rom_eig = modal["eigvals"], modal["f_hdm"], modal["x_rom"]
     n, m = lam.size, ROM_DIM
     v_eig = np.eye(n, m)
 
@@ -377,7 +351,7 @@ def srom_standin(n_dof: int = 1000) -> ObjectiveProblem:
 
     return ObjectiveProblem(
         evaluate_statistic,
-        s0=float(np.linalg.norm(x_exp_eig - x_rom_eig)),
+        s0=float(np.linalg.norm(modal["x_exp"] - x_rom_eig)),
         truth=None,
         label="srom-standin",
     )

@@ -8,16 +8,17 @@ baselines) draws from its own child of one parent ``SeedSequence``.
 
 returns, bit for bit, without building a ``SeedSequence`` per child.
 
-All children of one parent hash the same words first: the parent's
-entropy, zero-padded to the pool size, then the parent's spawn key.  Only
-the last word, the child's index, differs.  The prefix is mixed once, in
-Python ints, when the object is built (O'Neill's ``seed_seq`` mixing, as
-numpy implements it).  The index word's mixing and the eight output words
-that seed PCG64 are a few uint32 array operations, run once per block of
-``BLOCK`` consecutive child indices; a batch slices its seed words from
-the blocks it spans.  So a run that spawns a few children at a time pays
-the array pass once per block, not once per batch.  numpy's own PCG64
-seeds itself from those words.
+A child hashes the parent's words (its entropy, zero-padded to the pool
+size, then its spawn key) and then its own index.  The parent's words
+are exactly what the parent itself hashed, so the pool after them is
+``parent.pool``; hashing them ran hashmix once per pool word per word, so
+the hash constant after them is a closed form (O'Neill's ``seed_seq``
+mixing, as numpy implements it).  Only the index word and the eight
+output words that seed PCG64 are left: a few uint32 array operations, run
+once per block of ``BLOCK`` consecutive child indices; a batch slices its
+seed words from the blocks it spans.  So a run that spawns a few children
+at a time pays the array pass once per block, not once per batch.  numpy's
+own PCG64 seeds itself from those words.
 """
 
 from __future__ import annotations
@@ -57,11 +58,6 @@ def _words(value) -> list[int]:
     return [w for item in value for w in _words(item)]
 
 
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> _XSHIFT)
-
-
 def _successive(hash_const: int, mult: int, count: int) -> list[int]:
     """``count`` successive values of a hash constant.  Hash step k xors
     value k and multiplies by value k + 1."""
@@ -69,29 +65,6 @@ def _successive(hash_const: int, mult: int, count: int) -> list[int]:
     for _ in range(count - 1):
         values.append((values[-1] * mult) & _MASK32)
     return values
-
-
-def _mixed_prefix(words: list[int], pool_size: int) -> tuple[list[int], int]:
-    """The pool after ``words`` (at least ``pool_size`` of them) and the
-    hash constant the next word's hashmix starts from."""
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> _XSHIFT)
-
-    pool = [hashmix(w) for w in words[:pool_size]]
-    for src in range(pool_size):
-        for dst in range(pool_size):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[pool_size:]:
-        for dst in range(pool_size):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return pool, hash_const
 
 
 class ChildStreams:
@@ -109,9 +82,10 @@ class ChildStreams:
         self._spawn_key = tuple(parent.spawn_key)
         self._pool_size = parent.pool_size
         self._next = parent.n_children_spawned
-        entropy = _words(parent.entropy)
-        entropy += [0] * (self._pool_size - len(entropy))
-        pool, hash_const = _mixed_prefix(entropy + _words(self._spawn_key), self._pool_size)
+        # The parent's words: its entropy padded to the pool, then its spawn key.
+        words = max(len(_words(parent.entropy)), self._pool_size) + len(_words(self._spawn_key))
+        hash_const = (_INIT_A * pow(_MULT_A, self._pool_size * words, _MASK32 + 1)) & _MASK32
+        pool = parent.pool.tolist()
         # The index word is mixed in the (n, 8) layout of generate_state's
         # output, each column with the pool word that output word reads
         # (the pool is cycled), so no gather is needed.

@@ -215,9 +215,7 @@ class TestAcceptance:
     def test_c7_diagnostics_rank_gamma_noise(self):
         wins = 0
         for rep in range(20):
-            prob = problems.synthetic_misspecified(
-                "gamma-noise", {"a": -0.5, "ln_b": 0.2, "shape": 4.0, "s0": 0.3}
-            )
+            prob = problems.gamma_noise(a=-0.5, ln_b=0.2, shape=4.0, s0=0.3)
             rng = np.random.default_rng(300 + rep)
             betas, ss = [], []
             for beta in (20.0, 60.0, 180.0):
@@ -228,7 +226,7 @@ class TestAcceptance:
             fit = glm.fit(data)
             rep_report = diagnostics.residual_report(fit, data, min_per_beta=1000)
             fams = rep_report.families
-            wins += fams["gamma"].log_likelihood > fams["gaussian"].log_likelihood
+            wins += fams.fits["gamma"].log_likelihood > fams.fits["gaussian"].log_likelihood
         report(
             "C7 diagnostics ranking",
             wins >= 19,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from scalebo import baselines, cli, glm
+from scalebo import baselines, cli, glm, jsonio
 from scalebo.problems import synthetic_powerlaw, target_for_optimum
 
 
@@ -413,7 +413,7 @@ class TestDiagnose:
 
     def test_fit_file_uses_the_trace_fit_format(self, tmp_path, dataset_path):
         fit_path = tmp_path / "fit.json"
-        fit_path.write_text(json.dumps(glm.fit(glm.load_csv(dataset_path)[0]).to_json_dict()))
+        fit_path.write_text(json.dumps(jsonio.json_safe(glm.fit(glm.load_csv(dataset_path)[0]))))
         own, given = tmp_path / "own", tmp_path / "given"
         assert cli.main(["diagnose", "--data", str(dataset_path), "--out", str(own)]) == 0
         assert cli.main(["diagnose", "--data", str(dataset_path), "--fit", str(fit_path),

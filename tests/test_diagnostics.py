@@ -228,7 +228,7 @@ class TestGammaFit:
     )
     def test_matches_scipy_mle(self, kind, shape, n, seed):
         res = self.sample(kind, shape, n, seed)
-        got = diagnostics.fit_residual_families(res)["gamma"]
+        got = diagnostics.fit_residual_families(res).fits["gamma"]
         e = np.exp(res)
         k, _, theta = scipy.stats.gamma.fit(e, floc=0.0)
         assert got.params["shape"] == pytest.approx(k, rel=1e-9)
@@ -245,7 +245,7 @@ class TestGammaFit:
     def test_gaussian_log_likelihood_is_the_closed_form(self):
         res = np.random.default_rng(12).normal(0.0, 0.3, 2000)
         e = np.exp(res)
-        got = diagnostics.fit_residual_families(res)["gaussian"]
+        got = diagnostics.fit_residual_families(res).fits["gaussian"]
         want = float(np.sum(scipy.stats.norm.logpdf(e, loc=e.mean(), scale=e.std())))
         assert got.log_likelihood == pytest.approx(want, rel=1e-12)
 
@@ -260,7 +260,7 @@ class TestGammaFit:
     def test_spread_just_above_rounding_level_still_fits(self):
         # s = sigma^2 / 2 = 5e-13, thousands of eps: shape about 1/(2 s).
         res = 1e-6 * np.random.default_rng(4).standard_normal(1200)
-        fit = diagnostics.fit_residual_families(res)["gamma"]
+        fit = diagnostics.fit_residual_families(res).fits["gamma"]
         e = np.exp(res)
         s = math.log(e.mean()) - float(np.log(e).mean())
         assert fit.params["shape"] == pytest.approx(1.0 / (2.0 * s), rel=1e-3)
@@ -272,15 +272,15 @@ class TestFitResidualFamilies:
         draws = np.random.default_rng(77).gamma(4.0, 1.0, size=5000)
         ranking = diagnostics.fit_residual_families(np.log(draws))
         assert ranking.ranking[0] == "gamma"
-        assert ranking["gamma"].params["shape"] == pytest.approx(4.0, rel=0.10)
+        assert ranking.fits["gamma"].params["shape"] == pytest.approx(4.0, rel=0.10)
 
     def test_lognormal_sample_prefers_shifted_lognormal(self):
         resid = np.random.default_rng(78).normal(0.0, 0.5, size=5000)
         ranking = diagnostics.fit_residual_families(resid)
-        ll_sln = ranking["shifted_lognormal"].log_likelihood
-        ll_gamma = ranking["gamma"].log_likelihood
+        ll_sln = ranking.fits["shifted_lognormal"].log_likelihood
+        ll_gamma = ranking.fits["gamma"].log_likelihood
         assert ll_sln >= ll_gamma - 0.01 * abs(ll_gamma)
-        assert abs(ranking["shifted_lognormal"].params["shift"]) < 0.2
+        assert abs(ranking.fits["shifted_lognormal"].params["shift"]) < 0.2
 
     def test_constant_sample_degenerate(self):
         with pytest.raises(DegenerateSample):
@@ -323,7 +323,7 @@ class TestShiftProfile:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_scalar_loop(self, sample, seed):
         res = sample(np.random.default_rng(seed))
-        fit = diagnostics.fit_residual_families(res)["shifted_lognormal"]
+        fit = diagnostics.fit_residual_families(res).fits["shifted_lognormal"]
         params, ll = shift_profile_loop(res)
         assert fit.params == params
         assert fit.log_likelihood == ll
@@ -332,7 +332,7 @@ class TestShiftProfile:
     def test_grid_split_into_blocks(self, monkeypatch, rows_per_block):
         res = np.log(np.random.default_rng(4).gamma(2.0, 0.5, 800))
         monkeypatch.setattr(diagnostics, "SHIFT_BLOCK_ELEMENTS", rows_per_block * res.size)
-        fit = diagnostics.fit_residual_families(res)["shifted_lognormal"]
+        fit = diagnostics.fit_residual_families(res).fits["shifted_lognormal"]
         assert (fit.params, fit.log_likelihood) == shift_profile_loop(res)
 
     def test_constant_sample_still_degenerate(self):

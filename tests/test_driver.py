@@ -450,6 +450,40 @@ class TestTraceSerialization:
         assert all(math.isnan(rec.posterior.p_a_positive) for rec in loaded.iterations)
         assert loaded.iterations[-1].posterior.q975 == trace.iterations[-1].posterior.q975
 
+    def test_json_keys_are_the_dataclass_fields_in_order(self, trace):
+        def names(cls):
+            return [field.name for field in dataclasses.fields(cls)]
+
+        doc = driver.trace_to_json_dict(trace)
+        assert list(doc) == names(driver.BoTrace)
+        assert list(doc["config"]) == names(BoConfig)
+        for item in doc["iterations"]:
+            assert list(item) == names(driver.IterationRecord)
+            assert list(item["fit"]) == names(glm.GlmFit)
+            assert list(item["posterior"]) == names(posterior.PosteriorSummary)
+
+    @pytest.mark.parametrize("where", ["top", "record", "config"])
+    def test_unknown_key_raises(self, tmp_path, trace, where):
+        doc = driver.trace_to_json_dict(trace)
+        {"top": doc, "record": doc["iterations"][-1], "config": doc["config"]}[where]["extra"] = 1
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TypeError, match="extra"):
+            driver.load_trace(path)
+
+    @pytest.mark.parametrize("override", [{"integer_beta": np.True_}, {"n0": np.int64(10)}])
+    def test_numpy_scalars_in_the_config_round_trip(self, tmp_path, override):
+        prob = calibrated_problem()
+        config = config_for(prob, beta_min=10.5, beta_max=200.5, batch_size=4, max_iterations=2,
+                            **override)
+        trace = driver.run(config, prob)
+        path = tmp_path / "trace.json"
+        driver.save_trace(trace, path)
+        doc = strict_json(path)
+        loaded = driver.load_trace(path)
+        assert driver.trace_to_json_dict(loaded) == doc
+        assert loaded.config == trace.config
+
     # At least 12 initial rows, so that a 20% rejection still leaves a fit.
     @settings(max_examples=25, deadline=None)
     @given(**{**small_runs, "n0": st.integers(12, 16)}, nan_share=st.sampled_from([0.0, 0.2]))
@@ -616,8 +650,7 @@ class TestRecordOracles:
         if name == "srom":
             problem, bounds = problems.srom_standin(), (3e7, 8e7)
         elif name == "gamma-noise":
-            problem = problems.synthetic_misspecified(
-                "gamma-noise", {"a": -0.5, "ln_b": 0.2, "shape": 4.0, "s0": 0.3})
+            problem = problems.gamma_noise(a=-0.5, ln_b=0.2, shape=4.0, s0=0.3)
             bounds = (10.0, 1000.0)
         else:
             problem, bounds = calibrated_problem(), (10.0, 1000.0)

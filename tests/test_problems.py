@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from scalebo import glm, problems
-from scalebo.errors import UnknownKind
+from scalebo import config, glm, problems
 
 MODEL_ERROR_GOLDEN = 0.0015032718191897864
 EPS = np.finfo(float).eps
@@ -89,9 +88,7 @@ class TestSyntheticPowerlaw:
 
 class TestSyntheticMisspecified:
     def test_gamma_noise_log_residual_is_skewed(self):
-        prob = problems.synthetic_misspecified(
-            "gamma-noise", {"a": -0.5, "ln_b": 0.0, "shape": 4.0, "s0": 0.3}
-        )
+        prob = problems.gamma_noise(a=-0.5, ln_b=0.0, shape=4.0, s0=0.3)
         rng = np.random.default_rng(3)
         draws = np.array([prob.evaluate_statistic(50.0, rng) for _ in range(20_000)])
         # Oracle: ln of Gamma(4) draws is left-skewed.
@@ -100,9 +97,7 @@ class TestSyntheticMisspecified:
         assert scipy.stats.skew(np.log(draws)) < -0.1
 
     def test_gamma_noise_preserves_power_law_mean(self):
-        prob = problems.synthetic_misspecified(
-            "gamma-noise", {"a": -0.5, "ln_b": 0.2, "shape": 4.0, "s0": 0.3}
-        )
+        prob = problems.gamma_noise(a=-0.5, ln_b=0.2, shape=4.0, s0=0.3)
         rng = np.random.default_rng(5)
         draws = np.array([prob.evaluate_statistic(25.0, rng) for _ in range(100_000)])
         expected = math.exp(0.2) * 25.0**-0.5
@@ -110,9 +105,7 @@ class TestSyntheticMisspecified:
         assert abs(draws.mean() - expected) <= 3.0 * se
 
     def test_heteroscedastic_spread_varies_with_beta(self):
-        prob = problems.synthetic_misspecified(
-            "heteroscedastic", {"a": -0.5, "ln_b": 0.0, "s0": 0.3}
-        )
+        prob = problems.heteroscedastic(a=-0.5, ln_b=0.0, s0=0.3)
         rng = np.random.default_rng(6)
         low = np.log([prob.evaluate_statistic(math.e, rng) for _ in range(20_000)])
         high = np.log([prob.evaluate_statistic(math.e**5, rng) for _ in range(20_000)])
@@ -122,29 +115,12 @@ class TestSyntheticMisspecified:
             prob.evaluate_statistic(1.0, rng)
 
     def test_zero_shift_reduces_to_powerlaw(self):
-        shifted = problems.synthetic_misspecified(
-            "shifted-lognormal",
-            {"a": -0.5, "ln_b": 0.1, "eps2": 0.2, "shift": 0.0, "s0": 0.3},
-        )
+        shifted = problems.shifted_lognormal(a=-0.5, ln_b=0.1, eps2=0.2, shift=0.0, s0=0.3)
         plain = problems.synthetic_powerlaw(-0.5, 0.1, 0.2, 0.3)
         for seed in range(5):
             x = shifted.evaluate_statistic(7.0, np.random.default_rng(seed))
             y = plain.evaluate_statistic(7.0, np.random.default_rng(seed))
             assert x == y
-
-    def test_unknown_kind(self):
-        with pytest.raises(UnknownKind):
-            problems.synthetic_misspecified("cauchy-noise", {"s0": 1.0})
-
-    def test_unknown_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            problems.synthetic_misspecified(
-                "gamma-noise", {"a": -0.5, "ln_b": 0.0, "s0": 0.3, "scale": 2.0}
-            )
-
-    def test_missing_parameter_rejected(self):
-        with pytest.raises(ValueError, match="'a'"):
-            problems.synthetic_misspecified("gamma-noise", {"ln_b": 0.0, "s0": 0.3})
 
     @pytest.mark.parametrize(
         "kind,params,beta_lo",
@@ -156,7 +132,7 @@ class TestSyntheticMisspecified:
         ],
     )
     def test_fuzz_statistic_finite_nonnegative(self, kind, params, beta_lo):
-        prob = problems.synthetic_misspecified(kind, params)
+        prob = config.build_problem({"kind": kind, **params})
         rng = np.random.default_rng(8)
         betas = np.exp(rng.uniform(math.log(beta_lo), math.log(1e4), 100_000))
         values = np.array([prob.evaluate_statistic(b, rng) for b in betas])
@@ -169,12 +145,10 @@ class TestSyntheticMisspecified:
 # through np.exp instead of math.exp, which may differ by one ulp.
 SIZED_KINDS = {
     "synthetic-powerlaw": (lambda: problems.synthetic_powerlaw(-0.58, 0.1, 0.25, 0.3), 2 * EPS),
-    "gamma-noise": (lambda: problems.synthetic_misspecified(
-        "gamma-noise", {"a": -0.5, "ln_b": 0.2, "shape": 4.0, "s0": 0.3}), 0.0),
-    "heteroscedastic": (lambda: problems.synthetic_misspecified(
-        "heteroscedastic", {"a": -0.5, "ln_b": 0.0, "s0": 0.3}), 2 * EPS),
-    "shifted-lognormal": (lambda: problems.synthetic_misspecified(
-        "shifted-lognormal", {"a": -0.5, "ln_b": 0.1, "eps2": 0.2, "shift": 0.05, "s0": 0.3}), 2 * EPS),
+    "gamma-noise": (lambda: problems.gamma_noise(a=-0.5, ln_b=0.2, shape=4.0, s0=0.3), 0.0),
+    "heteroscedastic": (lambda: problems.heteroscedastic(a=-0.5, ln_b=0.0, s0=0.3), 2 * EPS),
+    "shifted-lognormal": (lambda: problems.shifted_lognormal(
+        a=-0.5, ln_b=0.1, eps2=0.2, shift=0.05, s0=0.3), 2 * EPS),
 }
 
 
@@ -259,23 +233,23 @@ def max_rel_gap(got, want):
 
 @pytest.fixture(scope="module", params=[34, 35, 100, 1000])
 def dense_and_modal(request):
-    return problems.build_static_fixture(request.param), problems._srom_modal(request.param)
+    return problems.build_static_fixture(request.param), problems._modal_system(request.param)
 
 
 class TestModalForm:
     """The stand-in's closed-form modal data against the dense fixture."""
 
     def test_eigenvalues_equal(self, dense_and_modal):
-        fixture, (lam, *_) = dense_and_modal
-        np.testing.assert_array_equal(lam, fixture.eigvals)
+        fixture, modal = dense_and_modal
+        np.testing.assert_array_equal(modal["eigvals"], fixture.eigvals)
 
     def test_vectors_are_the_fixture_in_eigencoordinates(self, dense_and_modal):
         # Measured gaps at n = 1000: 5.3e-15 of a max of 9.02 for f_hdm,
         # 1.7e-18 of 2.29e-3 for x_rom, the rounding of Phi^T Phi v.
-        fixture, (_, f_hdm, x_exp, x_rom) = dense_and_modal
-        assert max_rel_gap(f_hdm, fixture.basis.T @ fixture.f_hdm) < 1e-14
-        assert max_rel_gap(x_exp, fixture.basis.T @ fixture.x_exp) < 1e-9
-        assert max_rel_gap(x_rom, fixture.basis.T @ fixture.x_rom) < 1e-9
+        fixture, modal = dense_and_modal
+        assert max_rel_gap(modal["f_hdm"], fixture.basis.T @ fixture.f_hdm) < 1e-14
+        assert max_rel_gap(modal["x_exp"], fixture.basis.T @ fixture.x_exp) < 1e-9
+        assert max_rel_gap(modal["x_rom"], fixture.basis.T @ fixture.x_rom) < 1e-9
 
     def test_target_is_the_fixture_model_error(self, dense_and_modal):
         fixture, _ = dense_and_modal
@@ -372,7 +346,8 @@ class TestSromStandin:
         # The Galerkin solution depends only on the span of the perturbed
         # basis, so solving on V + G / sqrt(beta) directly must reproduce
         # the QR-orthonormalized route on the same normal draw.
-        lam, f_eig, _, x_rom_eig = problems._srom_modal(1000)
+        modal = problems._modal_system(1000)
+        lam, f_eig, x_rom_eig = modal["eigvals"], modal["f_hdm"], modal["x_rom"]
         n, m = lam.size, problems.ROM_DIM
         for seed in range(3):
             got = prob.evaluate_statistic(beta, np.random.default_rng(seed))

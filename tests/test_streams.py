@@ -122,9 +122,7 @@ def calibrated_problem():
 
 
 def gamma_noise_problem():
-    return problems.synthetic_misspecified(
-        "gamma-noise", {"a": -0.5, "ln_b": 0.2, "shape": 4.0, "s0": 0.3}
-    )
+    return problems.gamma_noise(a=-0.5, ln_b=0.2, shape=4.0, s0=0.3)
 
 
 @pytest.fixture(scope="module")
