@@ -33,7 +33,7 @@ _LOG_MAX = math.log(np.finfo(float).max)
 # |a| below this is treated as a flat objective (no interior optimum).
 EXPONENT_TOL = 1e-12
 
-# Cap on draws per proposal slot after degenerate or non-evaluable samples.
+# Cap on draws per proposal slot after degenerate samples.
 MAX_RESAMPLE_ATTEMPTS = 100
 
 
@@ -72,27 +72,22 @@ class ThompsonBatch:
 def evaluate(obj: SurrogateObjective, beta):
     """f(beta), elementwise over a scalar (giving a float) or an array.
 
-    Formed in log space by :func:`_objective`, so that a value float64
-    cannot represent surfaces as an explicit :class:`SurrogateOverflow`
-    instead of a silent infinity.
+    Formed in log space, so that a value float64 cannot represent
+    surfaces as an explicit :class:`SurrogateOverflow` instead of a
+    silent infinity.
     """
     arr = np.asarray(beta, dtype=float)
     if not np.all((arr > 0) & np.isfinite(arr)):
         raise ValueError("beta must be finite and > 0")
-    values = _objective(obj.a, math.log(obj.b), obj.eps2, obj.s0, arr)
+    a, ln_b, eps2, s0 = obj.a, math.log(obj.b), obj.eps2, obj.s0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = a * np.log(arr)
+        mean_term = np.exp(ln_b + 0.5 * eps2 + t)
+        var_term = np.exp(2.0 * (ln_b + t) + eps2 + np.log(np.expm1(eps2)))
+        values = var_term + (mean_term - s0) ** 2
     if not np.all(np.isfinite(values)):
         raise SurrogateOverflow(f"f(beta) overflows float64 (a = {obj.a:g}, b = {obj.b:g})")
     return float(values) if np.ndim(values) == 0 else values
-
-
-def _objective(a, ln_b, eps2, s0: float, beta) -> np.ndarray:
-    """f(beta) elementwise, formed in log space; inf or NaN where float64
-    cannot represent it."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t = a * np.log(beta)
-        mean_term = np.exp(ln_b + 0.5 * eps2 + t)
-        var_term = np.exp(2.0 * (ln_b + t) + eps2 + np.log(np.expm1(eps2)))
-        return var_term + (mean_term - s0) ** 2
 
 
 def log_argmin(a, ln_b, eps2, s0: float) -> np.ndarray:
@@ -117,24 +112,14 @@ def log_argmin_float(a: float, ln_b: float, eps2: float, s0: float) -> float:
     return ln_star
 
 
-def clamp_log(ln_beta, bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """``(beta, clamped)``: ``exp(ln_beta)`` projected in log space onto
-    ``[beta_min, beta_max]``, elementwise.  Clamped entries are exactly the
-    bound (``exp(log(60.0))`` is 59.999999999999986); NaN stays NaN."""
-    beta_min, beta_max = bounds
-    ln_lo, ln_hi = math.log(beta_min), math.log(beta_max)
-    ln_beta = np.asarray(ln_beta, dtype=float)
-    below, above = ln_beta < ln_lo, ln_beta > ln_hi
-    # exp of a log inside the bounds can still round to just outside them.
-    # minimum/maximum clip as np.clip does, NaN included, at half its cost.
-    inside = np.minimum(np.maximum(np.exp(np.minimum(np.maximum(ln_beta, ln_lo), ln_hi)),
-                                   beta_min), beta_max)
-    return np.where(below, beta_min, np.where(above, beta_max, inside)), below | above
-
-
 def clamp_log_float(ln_beta: float, bounds: tuple[float, float]) -> float:
-    """:func:`clamp_log`'s beta for one float, with the same bits (numpy's
-    exp, not ``math.exp``, whose last bit can differ)."""
+    """``exp(ln_beta)`` projected in log space onto ``[beta_min, beta_max]``.
+
+    A value beyond a log bound is that bound exactly (``exp(log(60.0))``
+    is 59.999999999999986), and exp of a log inside the bounds, which can
+    round to just outside them, is clipped onto them; NaN stays NaN.
+    numpy's exp, not ``math.exp``, whose last bit can differ.
+    """
     beta_min, beta_max = bounds
     if ln_beta < math.log(beta_min):
         return float(beta_min)
@@ -181,15 +166,14 @@ def optimal_region_from(
     Over (0, inf) the minimum is beta* itself (``u_min = 1``).  With
     ``bounds``, f is minimized over ``[beta_min, beta_max]``: at beta* if
     it lies inside, else at the nearer bound, where the region then
-    starts.  The region is cut to the bounds, and an edge at or beyond a
-    bound is that bound exactly, as :func:`clamp_log` returns it.
+    starts.  The region is cut to the bounds by :func:`clamp_log_float`,
+    so an edge at or beyond a bound is that bound exactly.
 
     A degenerate (eps2 = 0) objective has a single-point region; if the
     lower u root is nonpositive the region is unbounded on one side and
     the corresponding endpoint is 0 or inf (or the bound).  Works in log
     space from ``ln_b``, so with ``bounds`` a b or beta* beyond float
-    range still has a region.  Scalar arithmetic throughout, with
-    :func:`clamp_log`'s bits.
+    range still has a region.  Scalar arithmetic throughout.
     """
     if rel < 0:
         raise ValueError("rel must be >= 0")
@@ -221,18 +205,20 @@ def thompson_batch(
     """Draw a synchronous batch of Thompson proposals.
 
     The batch is one block of posterior draws, each mapped through the
-    closed-form argmin and clamped (in log space, so no intermediate
-    overflow) onto ``[beta_min, beta_max]``.  Draws whose exponent is
-    numerically zero, or whose objective is not finite at the clamped
-    point, are redrawn together; clamping rather than rejection keeps the
-    batch size fixed and boundary proposals still carry information.
+    closed-form argmin :func:`log_argmin` and clamped by
+    :func:`clamp_log_float` (in log space, so no intermediate overflow)
+    onto ``[beta_min, beta_max]``.  Only draws whose exponent is
+    numerically zero, which have no optimizer, are redrawn; clamping
+    rather than rejection keeps the batch size fixed, and boundary
+    proposals still carry information.  ``clamped_count`` counts the
+    draws whose ln beta* lies outside the log bounds.
 
     Raises
     ------
     DegenerateVariance
         Propagated from posterior sampling when ``fit.s2`` is zero.
     ExhaustedResampling
-        ``MAX_RESAMPLE_ATTEMPTS`` consecutive unusable draws for a single
+        ``MAX_RESAMPLE_ATTEMPTS`` consecutive degenerate draws for a single
         proposal slot.
     """
     if batch_size < 1:
@@ -241,16 +227,14 @@ def thompson_batch(
     if not (0 < beta_min < beta_max < math.inf):
         raise ValueError("bounds must satisfy 0 < beta_min < beta_max < inf")
 
-    a, ln_b, eps2 = glm.sample_posterior(fit, batch_size, rng)
+    ln_star = log_argmin(*glm.sample_posterior(fit, batch_size, rng), s0)
     for _round in range(MAX_RESAMPLE_ATTEMPTS):
-        beta, clamped = clamp_log(log_argmin(a, ln_b, eps2, s0), bounds)
-        # NaN for a degenerate exponent; inf for a wild early-iteration draw
-        # whose objective is astronomically large in bounds.
-        unusable = ~np.isfinite(_objective(a, ln_b, eps2, s0, beta))
-        if not unusable.any():
-            return ThompsonBatch(betas=beta.tolist(), clamped_count=int(clamped.sum()))
-        a[unusable], ln_b[unusable], eps2[unusable] = glm.sample_posterior(
-            fit, int(unusable.sum()), rng
+        degenerate = np.isnan(ln_star)
+        if not degenerate.any():
+            clamped = (ln_star < math.log(beta_min)) | (ln_star > math.log(beta_max))
+            return ThompsonBatch(betas=[clamp_log_float(x, bounds) for x in ln_star.tolist()],
+                                 clamped_count=int(np.count_nonzero(clamped)))
+        ln_star[degenerate] = log_argmin(
+            *glm.sample_posterior(fit, int(np.count_nonzero(degenerate)), rng), s0
         )
-    raise ExhaustedResampling(f"{MAX_RESAMPLE_ATTEMPTS} consecutive unusable posterior draws")
-
+    raise ExhaustedResampling(f"{MAX_RESAMPLE_ATTEMPTS} consecutive degenerate posterior draws")

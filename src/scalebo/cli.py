@@ -147,9 +147,8 @@ def _run_metadata(cfg: config.RunConfig, args, method: str, extra=None) -> dict:
 
 def cmd_optimize(args) -> int:
     cfg = _load_run_config(args)
-    problem = config.build_problem(cfg.problem_section)
     outdir = _out_dir(args, cfg, "optimize-run")
-    trace = driver.run(cfg.bo, problem, threads=args.threads)
+    trace = driver.run(cfg.bo, cfg.problem, threads=args.threads)
     driver.save_trace(trace, outdir / "trace.json")
     driver.trace_to_csv(trace, outdir / "trace.csv")
     write_json(outdir / "estimate.json", {
@@ -170,10 +169,9 @@ def cmd_optimize(args) -> int:
 
 def cmd_baseline(args) -> int:
     cfg = _load_run_config(args)
-    problem = config.build_problem(cfg.problem_section)
     outdir = _out_dir(args, cfg, "baseline-run")
     objective = baselines.McObjective(
-        problem=problem,
+        problem=cfg.problem,
         mc_samples=cfg.baseline.mc_samples,
         seed=cfg.bo.seed,
         threads=args.threads,

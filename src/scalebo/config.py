@@ -78,6 +78,7 @@ class BaselineSettings:
 @dataclass(frozen=True)
 class RunConfig:
     problem_section: dict
+    problem: problems.ObjectiveProblem   # built once, from problem_section
     bo: BoConfig
     baseline: BaselineSettings
     out: Optional[str] = None
@@ -126,9 +127,9 @@ def build_problem(problem_section: dict) -> problems.ObjectiveProblem:
 
 
 def parse_config(doc: dict) -> RunConfig:
-    """The run config of a JSON document.  The seed and the problem's
-    target s0 go into :class:`BoConfig` beside the ``bo`` section, which
-    therefore may not hold them."""
+    """The run config of a JSON document, with its problem built.  The
+    seed and the problem's target s0 go into :class:`BoConfig` beside the
+    ``bo`` section, which therefore may not hold them."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
     unknown = set(doc) - _TOP_KEYS
@@ -156,7 +157,8 @@ def parse_config(doc: dict) -> RunConfig:
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("'out' must be a string path")
-    return RunConfig(problem_section=dict(doc["problem"]), bo=bo, baseline=baseline, out=out)
+    return RunConfig(problem_section=dict(doc["problem"]), problem=problem, bo=bo,
+                     baseline=baseline, out=out)
 
 
 def load_config(path) -> RunConfig:

@@ -140,13 +140,15 @@ class GlmFit:
     def from_json_dict(cls, doc: dict) -> "GlmFit":
         """The fit whose JSON form (:func:`~scalebo.jsonio.json_safe` of
         it, as in ``trace.json``) is ``doc``; a malformed ``doc`` raises
-        ``KeyError``, ``TypeError`` or ``ValueError``."""
-        return cls(
-            coef_hat=np.asarray(doc["coef_hat"], dtype=float),
-            s2=float(doc["s2"]),
-            v_theta=np.asarray(doc["v_theta"], dtype=float),
-            dof=int(doc["dof"]),
-        )
+        ``KeyError``, ``TypeError`` (a key that no field has, too) or
+        ``ValueError``."""
+        return cls(**{
+            **doc,
+            "coef_hat": np.asarray(doc["coef_hat"], dtype=float),
+            "s2": float(doc["s2"]),
+            "v_theta": np.asarray(doc["v_theta"], dtype=float),
+            "dof": int(doc["dof"]),
+        })
 
 
 def ingest(points) -> tuple[LogDataset, int]:

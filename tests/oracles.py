@@ -5,7 +5,9 @@ of the static fixture.
 stop region through ``posterior``, on floats and order statistics, and
 grows its dataset by appending checked rows.  The functions below are the
 straightforward array forms those replace, kept as test oracles: each must
-give the same bits as the code it stands for.  ``install`` puts them back into the
+give the same bits as the code it stands for.  :func:`clamp_log`, the array
+clamp through ``np.clip``, is the reference for
+``acquisition.clamp_log_float``.  ``install`` puts them back into the
 package, so whole runs can be compared as well.  :class:`NumpyChildren`
 is numpy's own construction of the per-evaluation streams.
 ``qr_sine_basis`` and ``solve_fixed_ends`` build the static fixture's
@@ -33,13 +35,20 @@ class NumpyChildren:
 
 
 def clamp_log(ln_beta, bounds):
-    """``acquisition.clamp_log`` through ``np.clip``."""
+    """``(beta, clamped)``: ``acquisition.clamp_log_float`` elementwise,
+    through ``np.clip``, and whether each entry lies outside the log
+    bounds."""
     beta_min, beta_max = bounds
     ln_lo, ln_hi = math.log(beta_min), math.log(beta_max)
     ln_beta = np.asarray(ln_beta, dtype=float)
     below, above = ln_beta < ln_lo, ln_beta > ln_hi
     inside = np.clip(np.exp(np.clip(ln_beta, ln_lo, ln_hi)), beta_min, beta_max)
     return np.where(below, beta_min, np.where(above, beta_max, inside)), below | above
+
+
+def clamp_log_float(ln_beta, bounds):
+    """``acquisition.clamp_log_float`` through :func:`clamp_log`."""
+    return float(clamp_log([ln_beta], bounds)[0][0])
 
 
 def linear_quantiles(values, probs):
@@ -124,7 +133,7 @@ def with_observations(self, beta, s):
 def install(monkeypatch):
     """Run the package on the oracles: each record's helpers, the clamp,
     dataset growth and a Cholesky factor computed at every draw."""
-    monkeypatch.setattr(acquisition, "clamp_log", clamp_log)
+    monkeypatch.setattr(acquisition, "clamp_log_float", clamp_log_float)
     monkeypatch.setattr(posterior, "point_estimate", point_estimate)
     monkeypatch.setattr(posterior, "summarize", posterior_summary)
     monkeypatch.setattr(posterior, "settled", settled)

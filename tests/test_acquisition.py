@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from scalebo import acquisition, glm
 from scalebo.acquisition import SurrogateObjective
 from scalebo.errors import (
@@ -371,33 +372,23 @@ class TestVectorizedCore:
         batch = acquisition.thompson_batch(fit, s0, 10, bounds, np.random.default_rng(1))
         draws = glm.sample_posterior(fit, 10, np.random.default_rng(1))
         want = [scalar_clamped_argmin(a, ln_b, eps2, s0, bounds) for a, ln_b, eps2 in zip(*draws)]
-        f_want = [scalar_objective(a, ln_b, eps2, s0, beta)
-                  for (a, ln_b, eps2), (beta, _) in zip(zip(*draws), want)]
-        assert all(math.isfinite(f) for f in f_want)   # no slot was redrawn
+        assert None not in want   # no exponent is degenerate: no slot was redrawn
         assert 0 < sum(clamped for _, clamped in want) < 10
         np.testing.assert_allclose(batch.betas, [beta for beta, _ in want], rtol=EPS_RTOL, atol=0)
-        f_got = acquisition._objective(*draws, s0, np.array(batch.betas))
-        np.testing.assert_allclose(f_got, f_want, rtol=EPS_RTOL, atol=0)
         assert batch.clamped_count == sum(clamped for _, clamped in want)
         for got, (beta, clamped) in zip(batch.betas, want):
             if clamped:
                 assert got == beta
 
-    def test_only_unusable_slots_are_redrawn(self, monkeypatch):
-        # ln_b so large that the squared mean term overflows float64 at the
-        # upper bound for part of the draws: those slots are redrawn, the
-        # rest keep their first draw.
+    def test_only_degenerate_slots_are_redrawn(self, monkeypatch):
+        # Exponent draws of scale 1e-12, the tolerance itself: about two
+        # thirds of each block is degenerate.  Those slots are redrawn, in
+        # order, and the rest keep their first draw.
         fit = glm.GlmFit(
-            coef_hat=np.array([-0.5, 356.5]), s2=0.01,
-            v_theta=np.diag([1e-6, 25.0]), dof=50,
+            coef_hat=np.array([0.0, 0.0]), s2=1.0,
+            v_theta=np.diag([1e-24, 1.0]), dof=50,
         )
         bounds, s0, size = (1.0, 10.0), 1.0, 16
-        first = glm.sample_posterior(fit, size, np.random.default_rng(4))
-        f_first = [scalar_objective(a, ln_b, eps2, s0,
-                                    scalar_clamped_argmin(a, ln_b, eps2, s0, bounds)[0])
-                   for a, ln_b, eps2 in zip(*first)]
-        usable = [math.isfinite(f) for f in f_first]
-        assert 0 < sum(usable) < size
         blocks, sample = [], glm.sample_posterior
 
         def recording(fit, count, rng):
@@ -408,24 +399,76 @@ class TestVectorizedCore:
         monkeypatch.setattr(glm, "sample_posterior", recording)
         batch = acquisition.thompson_batch(fit, s0, size, bounds, np.random.default_rng(4))
         # Replay the redraws: each later block fills, in order, the slots
-        # whose objective at their own argmin is not finite.  Then every
-        # proposal's own draw of f at that proposal is finite.
+        # whose draw is still degenerate.
         slots = list(zip(*blocks[0]))
+        kept = [scalar_clamped_argmin(*slot, s0, bounds) is not None for slot in slots]
+        assert 0 < sum(kept) < size
         for block in blocks[1:]:
-            bad = [i for i, (a, ln_b, eps2) in enumerate(slots)
-                   if not math.isfinite(scalar_objective(
-                       a, ln_b, eps2, s0, scalar_clamped_argmin(a, ln_b, eps2, s0, bounds)[0]))]
+            bad = [i for i, slot in enumerate(slots)
+                   if scalar_clamped_argmin(*slot, s0, bounds) is None]
             assert len(bad) == block[0].size
             for i, redraw in zip(bad, zip(*block)):
                 slots[i] = redraw
         assert len(blocks) > 1
-        assert all(math.isfinite(scalar_objective(a, ln_b, eps2, s0, beta))
-                   for (a, ln_b, eps2), beta in zip(slots, batch.betas))
-        assert all(bounds[0] <= b <= bounds[1] for b in batch.betas)
-        kept = [b for b, ok in zip(batch.betas, usable) if ok]
-        want = [scalar_clamped_argmin(a, ln_b, eps2, s0, bounds)[0]
-                for (a, ln_b, eps2), ok in zip(zip(*first), usable) if ok]
-        np.testing.assert_allclose(kept, want, rtol=EPS_RTOL, atol=0)
+        want = [scalar_clamped_argmin(*slot, s0, bounds) for slot in slots]
+        assert None not in want
+        assert batch.betas == [beta for beta, _ in want]   # every ln beta* is about +-1e12
+        assert batch.clamped_count == sum(clamped for _, clamped in want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        magnitude=st.floats(1e-3, 5.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        ln_b=st.floats(-400.0, 400.0),
+        s2=st.floats(1e-4, 4.0),
+        v00=st.floats(1e-6, 10.0),
+        v11=st.floats(1e-6, 10.0),
+        rho=st.floats(-0.99, 0.99),
+        dof=st.integers(2, 200),
+        s0=st.floats(1e-3, 1e3),
+        beta_min=st.floats(1e-3, 1e3),
+        ratio=st.floats(1.0 + 1e-6, 1e4),
+        size=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_is_the_clamped_argmins_of_its_first_block(
+        self, magnitude, sign, ln_b, s2, v00, v11, rho, dof, s0, beta_min, ratio, size, seed
+    ):
+        v10 = rho * math.sqrt(v00 * v11)
+        fit = glm.GlmFit(coef_hat=np.array([sign * magnitude, ln_b]), s2=s2,
+                         v_theta=np.array([[v00, v10], [v10, v11]]), dof=dof)
+        bounds = (beta_min, beta_min * ratio)
+        block = glm.sample_posterior(fit, size, np.random.default_rng(seed))
+        ln_star = acquisition.log_argmin(*block, s0).tolist()
+        assume(not any(math.isnan(x) for x in ln_star))
+        batch = acquisition.thompson_batch(fit, s0, size, bounds, np.random.default_rng(seed))
+        assert batch.betas == [acquisition.clamp_log_float(x, bounds) for x in ln_star]
+        ln_lo, ln_hi = math.log(bounds[0]), math.log(bounds[1])
+        assert batch.clamped_count == sum(not ln_lo <= x <= ln_hi for x in ln_star)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ln_beta=st.one_of(st.sampled_from([-math.inf, math.inf, math.nan]),
+                          st.floats(-10.0, 10.0), st.floats()),
+        beta_min=st.floats(1e-3, 1e3),
+        ratio=st.floats(1.0 + 1e-6, 1e4),
+        snap=st.sampled_from([None, 0, 1]),
+        ulps=st.integers(-3, 3),
+    )
+    def test_clamp_log_float_has_the_array_clamps_bits(self, ln_beta, beta_min, ratio, snap,
+                                                       ulps):
+        bounds = (beta_min, beta_min * ratio)
+        if snap is not None:   # a few ulps from a log bound, where rounding decides
+            ln_beta = math.log(bounds[snap])
+            for _ in range(abs(ulps)):
+                ln_beta = math.nextafter(ln_beta, math.copysign(math.inf, ulps))
+        got = acquisition.clamp_log_float(ln_beta, bounds)
+        (want,), _ = oracles.clamp_log([ln_beta], bounds)
+        assert type(got) is float
+        if math.isnan(ln_beta):
+            assert math.isnan(got) and math.isnan(want)
+        else:
+            assert got == want
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -444,18 +487,17 @@ class TestVectorizedCore:
     def test_log_argmin_and_clamp_match_scalar_formula(self, draws, s0, beta_min, ratio):
         bounds = (beta_min, beta_min * ratio)
         ln_star = acquisition.log_argmin(*np.array(draws).T, s0)
-        beta, clamped = acquisition.clamp_log(ln_star, bounds)
         for i, (a, ln_b, eps2) in enumerate(draws):
             want = scalar_clamped_argmin(a, ln_b, eps2, s0, bounds)
+            beta = acquisition.clamp_log_float(float(ln_star[i]), bounds)
             if want is None:
-                assert math.isnan(ln_star[i]) and math.isnan(beta[i]) and not clamped[i]
+                assert math.isnan(ln_star[i]) and math.isnan(beta)
                 continue
             assert ln_star[i] == (math.log(s0) - ln_b - 1.5 * eps2) / a
-            assert clamped[i] == want[1]
             if want[1]:
-                assert beta[i] == want[0]
+                assert beta == want[0]
             else:
                 # Inside the closed interval: exp of a log bound may round
                 # onto (or just past) the bound itself.
-                assert bounds[0] <= beta[i] <= bounds[1]
-                assert beta[i] == pytest.approx(want[0], rel=EPS_RTOL, abs=0)
+                assert bounds[0] <= beta <= bounds[1]
+                assert beta == pytest.approx(want[0], rel=EPS_RTOL, abs=0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from scalebo import baselines, cli, glm, jsonio
+from scalebo import baselines, cli, config, glm, jsonio
 from scalebo.problems import synthetic_powerlaw, target_for_optimum
 
 
@@ -291,6 +291,13 @@ class TestRunArguments:
         assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 0
         assert json.loads((out / "run.json").read_text())["threads"] == 1
 
+    def test_problem_is_built_once(self, tmp_path, config_path, command, monkeypatch):
+        built, build = [], config.build_problem
+        monkeypatch.setattr(config, "build_problem",
+                            lambda section: built.append(section) or build(section))
+        assert cli.main([command, "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+        assert len(built) == 1
+
     @pytest.mark.parametrize("section,key,value", [
         ("bo", "integer_beta", "false"),
         ("bo", "max_iterations", True),
@@ -419,6 +426,16 @@ class TestDiagnose:
         assert cli.main(["diagnose", "--data", str(dataset_path), "--fit", str(fit_path),
                          "--out", str(given)]) == 0
         assert (own / "report.json").read_bytes() == (given / "report.json").read_bytes()
+
+    def test_fit_file_with_an_unknown_key_exits_2(self, tmp_path, dataset_path, capsys):
+        doc = jsonio.json_safe(glm.fit(glm.load_csv(dataset_path)[0]))
+        bad = tmp_path / "fit.json"
+        bad.write_text(json.dumps({**doc, "coef_hatt": [9, 9]}))
+        out = tmp_path / "d"
+        assert cli.main(["diagnose", "--data", str(dataset_path), "--fit", str(bad),
+                         "--out", str(out)]) == 2
+        assert "coef_hatt" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ['{"coef_hat": [1.0, 0.0]}', "[1, 2]", "{not json"])
     def test_malformed_fit_exits_2(self, tmp_path, dataset_path, text):

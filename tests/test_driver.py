@@ -462,10 +462,11 @@ class TestTraceSerialization:
             assert list(item["fit"]) == names(glm.GlmFit)
             assert list(item["posterior"]) == names(posterior.PosteriorSummary)
 
-    @pytest.mark.parametrize("where", ["top", "record", "config"])
+    @pytest.mark.parametrize("where", ["top", "record", "config", "fit"])
     def test_unknown_key_raises(self, tmp_path, trace, where):
         doc = driver.trace_to_json_dict(trace)
-        {"top": doc, "record": doc["iterations"][-1], "config": doc["config"]}[where]["extra"] = 1
+        {"top": doc, "record": doc["iterations"][-1], "config": doc["config"],
+         "fit": doc["iterations"][-1]["fit"]}[where]["extra"] = 1
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(TypeError, match="extra"):
