@@ -14,7 +14,9 @@ minimum for either sign of a:
 
 Thompson sampling therefore needs no numerical optimizer: each posterior
 draw of (a, ln_b, eps2) maps straight to its optimizer through the formula
-above.
+above, in log space and clamped onto the bounds.  A flat objective (a = 0)
+is no special case: ln beta* = +-inf clamps onto a bound, and only a
+constant one (a = 0, s0 = b * exp(1.5 * eps2)) gives 0/0 = NaN.
 """
 
 from __future__ import annotations
@@ -25,16 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import glm
-from .errors import DegenerateExponent, ExhaustedResampling, SurrogateOverflow
+from .errors import SurrogateOverflow
 
 # exp() overflows float64 just above this exponent.
 _LOG_MAX = math.log(np.finfo(float).max)
-
-# |a| below this is treated as a flat objective (no interior optimum).
-EXPONENT_TOL = 1e-12
-
-# Cap on draws per proposal slot after degenerate samples.
-MAX_RESAMPLE_ATTEMPTS = 100
 
 
 @dataclass(frozen=True)
@@ -94,22 +90,19 @@ def log_argmin(a, ln_b, eps2, s0: float) -> np.ndarray:
     """ln of the unconstrained minimizer, elementwise over array arguments.
 
     Kept in log space so callers can clamp to a feasible interval before
-    exponentiating.  Entries whose exponent is numerically zero (no
-    interior optimum) are NaN.
+    exponentiating.  The IEEE quotient ``(ln s0 - ln_b - 1.5 eps2) / a``:
+    a = +-0 gives +-inf by the signs, and 0/0 (a constant objective) NaN.
     """
-    a = np.asarray(a, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ln_star = (math.log(s0) - ln_b - 1.5 * eps2) / a
-    return np.where(np.abs(a) < EXPONENT_TOL, np.nan, ln_star)
+        return (math.log(s0) - ln_b - 1.5 * eps2) / np.asarray(a, dtype=float)
 
 
 def log_argmin_float(a: float, ln_b: float, eps2: float, s0: float) -> float:
     """:func:`log_argmin` of one parameter triple, as a float with the same
-    bits; raises :class:`DegenerateExponent` where that gives NaN."""
-    ln_star = (math.log(s0) - ln_b - 1.5 * eps2) / a if abs(a) >= EXPONENT_TOL else math.nan
-    if math.isnan(ln_star):
-        raise DegenerateExponent(f"exponent a = {a:g} is numerically zero")
-    return ln_star
+    bits, +-inf and NaN included (Python's ``x / 0.0`` raises, and
+    ``x * +-inf`` is IEEE's ``x / +-0``)."""
+    numerator = math.log(s0) - ln_b - 1.5 * eps2
+    return numerator / a if a else numerator * math.copysign(math.inf, a)
 
 
 def clamp_log_float(ln_beta: float, bounds: tuple[float, float]) -> float:
@@ -133,10 +126,11 @@ def argmin_closed_form(obj: SurrogateObjective) -> tuple[float, float]:
 
     Returns ``(beta_star, f_star)`` with
     ``beta_star = (s0 / (b * exp(1.5 eps2)))^(1/a)``; this is the unique
-    interior critical point for either sign of a.
+    interior critical point for either sign of a.  Raises
+    :class:`SurrogateOverflow` where beta* is not a positive float (a = 0).
     """
     ln_beta_star = log_argmin_float(obj.a, math.log(obj.b), obj.eps2, obj.s0)
-    if abs(ln_beta_star) > _LOG_MAX:
+    if not abs(ln_beta_star) <= _LOG_MAX:
         raise SurrogateOverflow(f"argmin exp({ln_beta_star:g}) is not representable")
     beta_star = math.exp(ln_beta_star)
     if beta_star == 0.0:
@@ -173,14 +167,16 @@ def optimal_region_from(
     lower u root is nonpositive the region is unbounded on one side and
     the corresponding endpoint is 0 or inf (or the bound).  Works in log
     space from ``ln_b``, so with ``bounds`` a b or beta* beyond float
-    range still has a region.  Scalar arithmetic throughout.
+    range still has a region.  Scalar arithmetic throughout.  Raises
+    :class:`SurrogateOverflow` where ln beta* is +-inf or NaN (a = 0), and
+    without ``bounds`` where beta* is not a positive float.
     """
     if rel < 0:
         raise ValueError("rel must be >= 0")
     ln_star = log_argmin_float(a, ln_b, eps2, s0)
+    if not (abs(ln_star) <= _LOG_MAX if bounds is None else math.isfinite(ln_star)):
+        raise SurrogateOverflow(f"argmin exp({ln_star:g}) is not representable")
     if bounds is None:
-        if abs(ln_star) > _LOG_MAX:
-            raise SurrogateOverflow(f"argmin exp({ln_star:g}) is not representable")
         u_min = 1.0
     else:
         ln_min = min(max(ln_star, math.log(bounds[0])), math.log(bounds[1]))
@@ -207,19 +203,16 @@ def thompson_batch(
     The batch is one block of posterior draws, each mapped through the
     closed-form argmin :func:`log_argmin` and clamped by
     :func:`clamp_log_float` (in log space, so no intermediate overflow)
-    onto ``[beta_min, beta_max]``.  Only draws whose exponent is
-    numerically zero, which have no optimizer, are redrawn; clamping
-    rather than rejection keeps the batch size fixed, and boundary
-    proposals still carry information.  ``clamped_count`` counts the
-    draws whose ln beta* lies outside the log bounds.
+    onto ``[beta_min, beta_max]``.  Nothing is redrawn: a draw whose
+    exponent is zero or nearly so proposes a bound, as any draw whose
+    optimizer lies beyond one does, and boundary proposals still carry
+    information.  ``clamped_count`` counts the draws whose ln beta* lies
+    outside the log bounds.
 
     Raises
     ------
     DegenerateVariance
         Propagated from posterior sampling when ``fit.s2`` is zero.
-    ExhaustedResampling
-        ``MAX_RESAMPLE_ATTEMPTS`` consecutive degenerate draws for a single
-        proposal slot.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -228,13 +221,6 @@ def thompson_batch(
         raise ValueError("bounds must satisfy 0 < beta_min < beta_max < inf")
 
     ln_star = log_argmin(*glm.sample_posterior(fit, batch_size, rng), s0)
-    for _round in range(MAX_RESAMPLE_ATTEMPTS):
-        degenerate = np.isnan(ln_star)
-        if not degenerate.any():
-            clamped = (ln_star < math.log(beta_min)) | (ln_star > math.log(beta_max))
-            return ThompsonBatch(betas=[clamp_log_float(x, bounds) for x in ln_star.tolist()],
-                                 clamped_count=int(np.count_nonzero(clamped)))
-        ln_star[degenerate] = log_argmin(
-            *glm.sample_posterior(fit, int(np.count_nonzero(degenerate)), rng), s0
-        )
-    raise ExhaustedResampling(f"{MAX_RESAMPLE_ATTEMPTS} consecutive degenerate posterior draws")
+    clamped = (ln_star < math.log(beta_min)) | (ln_star > math.log(beta_max))
+    return ThompsonBatch(betas=[clamp_log_float(x, bounds) for x in ln_star.tolist()],
+                         clamped_count=int(np.count_nonzero(clamped)))

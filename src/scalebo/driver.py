@@ -4,9 +4,9 @@ The driver runs the synchronous loop: evaluate a deterministic
 log-equispaced initial design, fit the conjugate log-log model, then per
 iteration draw a Thompson batch, observe the statistic at each proposal,
 augment the dataset and refit.  It stops on an evaluation budget, when
-the posterior of the optimizer has settled (see :func:`run`), or when the
-fit becomes an exact interpolation (noise-free problems).  Every
-iteration is recorded in a serializable trace.
+the posterior of the optimizer has settled (see :func:`run`), or at the
+first exact fit (noise-free problems).  Every iteration is recorded in a
+serializable trace.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import acquisition, glm, posterior
-from .errors import DegenerateVariance
 from .jsonio import json_safe, write_json
 from .posterior import PosteriorSummary
 from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
@@ -152,7 +151,9 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     stops as ``converged`` after ``config.stop_window`` consecutive settled
     records.  The test draws no random numbers, so a stopped run's records
     are the leading records of the same-seed run with the stop turned off.
-    The trace's ``flag`` (:func:`posterior.flag`) reads the last record:
+    Before that test, a record whose fit is exact (``s2 <= DEGENERATE_S2``),
+    the initial one included, stops the run as ``degenerate-fit``.  The
+    trace's ``flag`` (:func:`posterior.flag`) reads the last record:
     ``"unidentified"`` when a is not identified, ``"boundary-min"`` or
     ``"boundary-max"`` when the beta* interval has collapsed onto that
     bound.
@@ -174,14 +175,9 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
         if t == 0:
             betas_t = [float(b) for b in initial_design(config)]
         else:
-            try:
-                batch = acquisition.thompson_batch(
-                    fit, config.s0, config.batch_size, config.bounds, acq_rng
-                )
-            except DegenerateVariance:
-                stop_reason = "degenerate-fit"
-                break
-            betas_t = batch.betas
+            betas_t = acquisition.thompson_batch(
+                fit, config.s0, config.batch_size, config.bounds, acq_rng
+            ).betas
             if config.integer_beta:
                 betas_t = [round_into_bounds(b, config.bounds) for b in betas_t]
         s_t = draw_statistics(problem, betas_t, eval_streams.spawn(len(betas_t)), threads,
@@ -207,7 +203,7 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
             )
         )
 
-        if t > 0 and fit.s2 <= DEGENERATE_S2:
+        if fit.s2 <= DEGENERATE_S2:
             stop_reason = "degenerate-fit"
             break
         streak = streak + 1 if posterior.settled(fit, summary, config.s0, config.bounds) else 0
@@ -246,25 +242,32 @@ def save_trace(trace: BoTrace, path) -> None:
 
 
 def load_trace(path) -> BoTrace:
-    """Read a trace written by :func:`save_trace`; a ``null`` statistic
-    reads as NaN, and files with bare ``NaN`` tokens still load.  Files
-    written before the posterior stop rule load without a ``flag`` (None)
-    and with a NaN ``p_a_positive``.  A key that no field has raises
-    ``TypeError``."""
+    """Read a trace written by :func:`save_trace`; a ``null`` statistic,
+    estimate or quantile reads as NaN, and files with bare ``NaN`` tokens
+    still load.  Files written before the posterior stop rule load without
+    a ``flag`` (None) and with a NaN ``p_a_positive``.  A key that no field
+    has raises ``TypeError``."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("schema") != TRACE_SCHEMA:
         raise ValueError(f"{path}: unsupported trace schema {doc.get('schema')!r}")
+
+    def number(value):   # a NaN is written as null
+        return math.nan if value is None else value
+
     records = [
         IterationRecord(**{
             **item,
             "s_values": np.asarray(item["s_values"], dtype=float).tolist(),   # null -> NaN
             "fit": glm.GlmFit.from_json_dict(item["fit"]),
-            "posterior": PosteriorSummary(**{"p_a_positive": math.nan, **item["posterior"]}),
+            "beta_hat": number(item["beta_hat"]),
+            "posterior": PosteriorSummary(**{"p_a_positive": math.nan, **{
+                key: number(value) for key, value in item["posterior"].items()}}),
         })
         for item in doc["iterations"]
     ]
-    return BoTrace(**{**doc, "config": BoConfig(**doc["config"]), "iterations": records})
+    return BoTrace(**{**doc, "config": BoConfig(**doc["config"]), "iterations": records,
+                      "final_estimate": number(doc["final_estimate"])})
 
 
 def trace_to_csv(trace: BoTrace, path) -> None:

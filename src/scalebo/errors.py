@@ -17,16 +17,8 @@ class DegenerateVariance(ScaleboError):
     """Residual variance is zero; the noise posterior collapses."""
 
 
-class DegenerateExponent(ScaleboError):
-    """Power-law exponent is (numerically) zero; the objective is flat."""
-
-
 class SurrogateOverflow(ScaleboError):
     """Objective evaluation is not representable in float64."""
-
-
-class ExhaustedResampling(ScaleboError):
-    """Too many consecutive degenerate posterior draws."""
 
 
 class EvaluationFailure(ScaleboError):

@@ -56,27 +56,30 @@ def t_sf(t: float, dof: int) -> float:
 
 
 def p_a_positive(fit: glm.GlmFit) -> float:
-    """P(a > 0 | data): a step at a_hat when the posterior of a has no width."""
+    """P(a > 0 | data); with no width, a step at a_hat that is 0.5 at
+    a_hat = 0 (the t tail's value there), so a flat exact fit is unidentified."""
     scale = math.sqrt(fit.s2 * fit.v_theta[0, 0])
-    return t_sf(-fit.a_hat / scale, fit.dof) if scale > 0.0 else float(fit.a_hat > 0)
+    if scale > 0.0:
+        return t_sf(-fit.a_hat / scale, fit.dof)
+    return 0.5 if fit.a_hat == 0.0 else float(fit.a_hat > 0)
 
 
 def point_estimate(fit: glm.GlmFit, s0: float, bounds: tuple[float, float]) -> float:
-    """Plug-in argmin projected onto the bounds (in log space); raises
-    :class:`DegenerateExponent` when a_hat is numerically zero."""
+    """Plug-in argmin projected onto the bounds (in log space); NaN only when
+    the plug-in objective is constant (see :func:`acquisition.log_argmin`)."""
     ln_star = acquisition.log_argmin_float(fit.a_hat, fit.ln_b_hat, fit.s2, s0)
     return acquisition.clamp_log_float(ln_star, bounds)
 
 
 def summarize(fit: glm.GlmFit, s0: float, bounds: tuple[float, float], rng) -> PosteriorSummary:
     """2.5/50/97.5 quantiles of beta* | data, clamped into bounds, and
-    :func:`p_a_positive`.  Without usable draws (s2 = 0, or every draw's
-    exponent degenerate) every quantile is the point estimate.
+    :func:`p_a_positive`.  Without draws (s2 = 0) every quantile is the
+    point estimate, NaN included.
 
     The quantiles are ``np.quantile``'s (method ``linear``) of the clamped
     draws, read from order statistics: clamping is monotone, so the draws
-    of ln beta* are sorted once unclamped (a NaN, from a degenerate
-    exponent, sorts last and is not a draw), and only the at most six
+    of ln beta* are sorted once unclamped (a NaN, a draw whose objective is
+    constant, sorts last and is not a draw), and only the at most six
     order statistics the quantiles interpolate between are clamped.
     """
     p, draws = p_a_positive(fit), 0
@@ -103,7 +106,8 @@ def summarize(fit: glm.GlmFit, s0: float, bounds: tuple[float, float], rng) -> P
 def settled(fit: glm.GlmFit, summary: PosteriorSummary, s0: float,
             bounds: tuple[float, float]) -> bool:
     """a is identified and the 95% beta* interval lies inside the 10% region
-    of the plug-in objective on (a_hat, exp(ln_b_hat), s2) within bounds."""
+    of the plug-in objective on (a_hat, exp(ln_b_hat), s2) within bounds.
+    Raises ``SurrogateOverflow`` where a is identified but ln beta* is +-inf."""
     if not summary.a_identified:
         return False
     lo, hi = acquisition.optimal_region_from(fit.a_hat, fit.ln_b_hat, fit.s2, s0,

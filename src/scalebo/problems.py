@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .acquisition import EXPONENT_TOL, log_argmin_float
+from .acquisition import _LOG_MAX, log_argmin_float
 from .errors import EvaluationFailure
 
 ROM_DIM = 8
@@ -32,7 +32,8 @@ MIN_DOF = 34
 
 @dataclass(frozen=True)
 class ProblemTruth:
-    """Generating parameters when analytically known."""
+    """Generating parameters when analytically known; ``beta_opt`` is None
+    where exp(ln beta*) is not a positive float (a = 0 among them)."""
 
     a: float
     b: float
@@ -127,7 +128,7 @@ def target_for_optimum(a: float, ln_b: float, eps2: float, beta_opt: float) -> f
 
     Inverts ``beta* = (s0 / (b exp(1.5 eps2)))^(1/a)`` for s0.
     """
-    if abs(a) < EXPONENT_TOL:
+    if a == 0:
         raise ValueError("exponent a must be nonzero to place an optimum")
     return math.exp(ln_b + 1.5 * eps2 + a * math.log(beta_opt))
 
@@ -158,7 +159,8 @@ def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: float) -> Objecti
         beta = _check_beta(beta)
         return _exp(a * math.log(beta) + ln_b + sigma * rng.standard_normal(size))
 
-    beta_opt = math.exp(log_argmin_float(a, ln_b, eps2, s0)) if abs(a) >= EXPONENT_TOL else None
+    ln_opt = log_argmin_float(a, ln_b, eps2, s0)
+    beta_opt = math.exp(ln_opt) if abs(ln_opt) <= _LOG_MAX else None
     truth = ProblemTruth(a=a, b=math.exp(ln_b), eps2=eps2, beta_opt=beta_opt)
     return ObjectiveProblem(evaluate_statistic, s0=s0, truth=truth, label="synthetic-powerlaw")
 

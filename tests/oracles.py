@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from scalebo import acquisition, glm, posterior
-from scalebo.errors import DegenerateExponent
+from scalebo.errors import SurrogateOverflow
 
 
 class NumpyChildren:
@@ -65,8 +65,6 @@ def linear_quantiles(values, probs):
 def point_estimate(fit, s0, bounds):
     ln_star = acquisition.log_argmin(fit.a_hat, fit.ln_b_hat, fit.s2, s0)
     beta, _ = clamp_log(ln_star, bounds)
-    if math.isnan(beta):
-        raise DegenerateExponent(f"exponent a = {fit.a_hat:g} is numerically zero")
     return float(beta)
 
 
@@ -95,8 +93,8 @@ def optimal_region_from(a, ln_b, eps2, s0, rel, bounds):
     """``acquisition.optimal_region_from`` with bounds, through 0-d and
     2-element arrays."""
     ln_star = float(acquisition.log_argmin(a, ln_b, eps2, s0))
-    if math.isnan(ln_star):
-        raise DegenerateExponent(f"exponent a = {a:g} is numerically zero")
+    if not math.isfinite(ln_star):
+        raise SurrogateOverflow(f"argmin exp({ln_star:g}) is not representable")
     ln_min = min(max(ln_star, math.log(bounds[0])), math.log(bounds[1]))
     u_min = math.exp(a * (ln_min - ln_star))
     du = math.sqrt((1.0 + rel) * (u_min - 1.0) ** 2 + rel * math.expm1(eps2))

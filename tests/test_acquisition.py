@@ -10,18 +10,13 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from scalebo import acquisition, glm
 from scalebo.acquisition import SurrogateObjective
-from scalebo.errors import (
-    DegenerateExponent,
-    DegenerateVariance,
-    ExhaustedResampling,
-    SurrogateOverflow,
-)
+from scalebo.errors import DegenerateVariance, SurrogateOverflow
 
 
 def numeric_argmin(obj, lo=1e-3, hi=1e6):
@@ -171,10 +166,13 @@ class TestArgminClosedForm:
             assert beta_star == pytest.approx(refined, rel=1e-3)
 
     def test_degenerate_exponent(self):
-        with pytest.raises(DegenerateExponent):
-            acquisition.argmin_closed_form(SurrogateObjective(a=0.0, b=1.0, eps2=0.1, s0=1.0))
-        with pytest.raises(DegenerateExponent):
-            acquisition.argmin_closed_form(SurrogateObjective(a=1e-13, b=1.0, eps2=0.1, s0=1.0))
+        # ln beta* is -inf at a = 0, and -1.5e12 at a = 1e-13: no float beta*.
+        for a in (0.0, 1e-13):
+            obj = SurrogateObjective(a=a, b=1.0, eps2=0.1, s0=1.0)
+            with pytest.raises(SurrogateOverflow):
+                acquisition.argmin_closed_form(obj)
+            with pytest.raises(SurrogateOverflow):
+                acquisition.optimal_region(obj)
 
     def test_unrepresentable_argmin(self):
         with pytest.raises(SurrogateOverflow):
@@ -318,16 +316,18 @@ class TestThompsonBatch:
         with pytest.raises(DegenerateVariance):
             acquisition.thompson_batch(fit, 1.0, 5, (1.0, 10.0), np.random.default_rng(0))
 
-    def test_exhausted_resampling_on_flat_posterior(self):
-        # Posterior mass collapsed onto a = 0: every draw is degenerate.
+    def test_flat_posterior_proposes_bounds(self):
+        # Posterior mass collapsed onto a = 0: each draw's exponent is about
+        # 1e-300, so its ln beta*, about ln 2 / a, lies far beyond a bound.
         fit = glm.GlmFit(
             coef_hat=np.array([0.0, 0.0]),
             s2=1e-300,
             v_theta=np.diag([1e-300, 1e-300]),
             dof=10,
         )
-        with pytest.raises(ExhaustedResampling):
-            acquisition.thompson_batch(fit, 1.0, 1, (1.0, 10.0), np.random.default_rng(0))
+        batch = acquisition.thompson_batch(fit, 2.0, 16, (1.0, 10.0), np.random.default_rng(0))
+        assert set(batch.betas) == {1.0, 10.0}
+        assert batch.clamped_count == 16
 
     def test_seed_determinism(self):
         fit = fitted_model(n=200)
@@ -343,11 +343,22 @@ class TestThompsonBatch:
 EPS_RTOL = 256 * np.finfo(float).eps
 
 
+def scalar_log_argmin(a, ln_b, eps2, s0):
+    """Per-draw reference ln beta*, with IEEE division by a = +-0 spelled
+    out: infinite with the signs' product, or NaN for 0 / 0."""
+    numerator = math.log(s0) - ln_b - 1.5 * eps2
+    if a != 0:
+        return numerator / a
+    if numerator != 0:
+        return math.copysign(math.inf, numerator) * math.copysign(1.0, a)
+    return math.nan
+
+
 def scalar_clamped_argmin(a, ln_b, eps2, s0, bounds):
-    """Per-draw reference: (beta, clamped), or None for a degenerate draw."""
-    if abs(a) < acquisition.EXPONENT_TOL:
-        return None
-    ln_star = (math.log(s0) - ln_b - 1.5 * eps2) / a
+    """Per-draw reference: (beta, clamped), NaN (not clamped) for 0 / 0."""
+    ln_star = scalar_log_argmin(a, ln_b, eps2, s0)
+    if math.isnan(ln_star):
+        return math.nan, False
     if ln_star < math.log(bounds[0]):
         return bounds[0], True
     if ln_star > math.log(bounds[1]):
@@ -372,7 +383,6 @@ class TestVectorizedCore:
         batch = acquisition.thompson_batch(fit, s0, 10, bounds, np.random.default_rng(1))
         draws = glm.sample_posterior(fit, 10, np.random.default_rng(1))
         want = [scalar_clamped_argmin(a, ln_b, eps2, s0, bounds) for a, ln_b, eps2 in zip(*draws)]
-        assert None not in want   # no exponent is degenerate: no slot was redrawn
         assert 0 < sum(clamped for _, clamped in want) < 10
         np.testing.assert_allclose(batch.betas, [beta for beta, _ in want], rtol=EPS_RTOL, atol=0)
         assert batch.clamped_count == sum(clamped for _, clamped in want)
@@ -380,48 +390,16 @@ class TestVectorizedCore:
             if clamped:
                 assert got == beta
 
-    def test_only_degenerate_slots_are_redrawn(self, monkeypatch):
-        # Exponent draws of scale 1e-12, the tolerance itself: about two
-        # thirds of each block is degenerate.  Those slots are redrawn, in
-        # order, and the rest keep their first draw.
-        fit = glm.GlmFit(
-            coef_hat=np.array([0.0, 0.0]), s2=1.0,
-            v_theta=np.diag([1e-24, 1.0]), dof=50,
-        )
-        bounds, s0, size = (1.0, 10.0), 1.0, 16
-        blocks, sample = [], glm.sample_posterior
-
-        def recording(fit, count, rng):
-            block = sample(fit, count, rng)
-            blocks.append([x.copy() for x in block])
-            return block
-
-        monkeypatch.setattr(glm, "sample_posterior", recording)
-        batch = acquisition.thompson_batch(fit, s0, size, bounds, np.random.default_rng(4))
-        # Replay the redraws: each later block fills, in order, the slots
-        # whose draw is still degenerate.
-        slots = list(zip(*blocks[0]))
-        kept = [scalar_clamped_argmin(*slot, s0, bounds) is not None for slot in slots]
-        assert 0 < sum(kept) < size
-        for block in blocks[1:]:
-            bad = [i for i, slot in enumerate(slots)
-                   if scalar_clamped_argmin(*slot, s0, bounds) is None]
-            assert len(bad) == block[0].size
-            for i, redraw in zip(bad, zip(*block)):
-                slots[i] = redraw
-        assert len(blocks) > 1
-        want = [scalar_clamped_argmin(*slot, s0, bounds) for slot in slots]
-        assert None not in want
-        assert batch.betas == [beta for beta, _ in want]   # every ln beta* is about +-1e12
-        assert batch.clamped_count == sum(clamped for _, clamped in want)
-
+    # Slopes include 0 and +-1e-13, and the spread of a (l00) goes down to
+    # 1e-13, so that every draw's exponent can be tiny and its ln beta* huge.
     @settings(max_examples=200, deadline=None)
     @given(
-        magnitude=st.floats(1e-3, 5.0),
-        sign=st.sampled_from([-1.0, 1.0]),
+        a_hat=st.sampled_from([0.0, 1e-13, -1e-13])
+        | st.builds(lambda sign, magnitude: sign * magnitude,
+                    st.sampled_from([-1.0, 1.0]), st.floats(1e-3, 5.0)),
         ln_b=st.floats(-400.0, 400.0),
         s2=st.floats(1e-4, 4.0),
-        v00=st.floats(1e-6, 10.0),
+        l00=st.sampled_from([1e-13, 1e-12]) | st.floats(1e-3, 3.2),
         v11=st.floats(1e-6, 10.0),
         rho=st.floats(-0.99, 0.99),
         dof=st.integers(2, 200),
@@ -432,19 +410,19 @@ class TestVectorizedCore:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_batch_is_the_clamped_argmins_of_its_first_block(
-        self, magnitude, sign, ln_b, s2, v00, v11, rho, dof, s0, beta_min, ratio, size, seed
+        self, a_hat, ln_b, s2, l00, v11, rho, dof, s0, beta_min, ratio, size, seed
     ):
+        v00 = l00 * l00
         v10 = rho * math.sqrt(v00 * v11)
-        fit = glm.GlmFit(coef_hat=np.array([sign * magnitude, ln_b]), s2=s2,
+        fit = glm.GlmFit(coef_hat=np.array([a_hat, ln_b]), s2=s2,
                          v_theta=np.array([[v00, v10], [v10, v11]]), dof=dof)
         bounds = (beta_min, beta_min * ratio)
         block = glm.sample_posterior(fit, size, np.random.default_rng(seed))
         ln_star = acquisition.log_argmin(*block, s0).tolist()
-        assume(not any(math.isnan(x) for x in ln_star))
         batch = acquisition.thompson_batch(fit, s0, size, bounds, np.random.default_rng(seed))
-        assert batch.betas == [acquisition.clamp_log_float(x, bounds) for x in ln_star]
+        assert repr(batch.betas) == repr([acquisition.clamp_log_float(x, bounds) for x in ln_star])
         ln_lo, ln_hi = math.log(bounds[0]), math.log(bounds[1])
-        assert batch.clamped_count == sum(not ln_lo <= x <= ln_hi for x in ln_star)
+        assert batch.clamped_count == sum(x < ln_lo or x > ln_hi for x in ln_star)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -474,7 +452,8 @@ class TestVectorizedCore:
     @given(
         draws=st.lists(
             st.tuples(
-                st.one_of(st.floats(-5.0, 5.0), st.floats(-2e-12, 2e-12), st.just(0.0)),
+                st.one_of(st.floats(-5.0, 5.0), st.floats(-2e-12, 2e-12),
+                          st.sampled_from([0.0, -0.0])),
                 st.floats(-30.0, 30.0),
                 st.floats(0.0, 4.0),
             ),
@@ -490,14 +469,33 @@ class TestVectorizedCore:
         for i, (a, ln_b, eps2) in enumerate(draws):
             want = scalar_clamped_argmin(a, ln_b, eps2, s0, bounds)
             beta = acquisition.clamp_log_float(float(ln_star[i]), bounds)
-            if want is None:
-                assert math.isnan(ln_star[i]) and math.isnan(beta)
-                continue
-            assert ln_star[i] == (math.log(s0) - ln_b - 1.5 * eps2) / a
-            if want[1]:
+            assert repr(float(ln_star[i])) == repr(scalar_log_argmin(a, ln_b, eps2, s0))
+            if math.isnan(want[0]):
+                assert math.isnan(beta)
+            elif want[1]:
                 assert beta == want[0]
             else:
                 # Inside the closed interval: exp of a log bound may round
                 # onto (or just past) the bound itself.
                 assert bounds[0] <= beta <= bounds[1]
                 assert beta == pytest.approx(want[0], rel=EPS_RTOL, abs=0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        a=st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300])
+        | st.floats(-1e-12, 1e-12) | st.floats(allow_nan=False),
+        ln_b=st.floats(-1e3, 1e3),
+        eps2=st.sampled_from([0.0]) | st.floats(0.0, 4.0),
+        s0=st.floats(1e-3, 1e3),
+        constant=st.booleans(),
+    )
+    def test_log_argmin_float_has_log_argmins_bits(self, a, ln_b, eps2, s0, constant):
+        if constant:   # a zero numerator: 0 / 0 at a = +-0, a signed zero elsewhere
+            ln_b, eps2 = math.log(s0), 0.0
+        got = acquisition.log_argmin_float(a, ln_b, eps2, s0)
+        assert type(got) is float
+        block = acquisition.log_argmin(np.array([a]), np.array([ln_b]), np.array([eps2]), s0)
+        # reprs: equal values, with the sign of a zero or an infinity, and NaN as NaN.
+        assert repr(got) == repr(float(block[0]))
+        assert repr(got) == repr(float(acquisition.log_argmin(a, ln_b, eps2, s0)))
+        assert repr(got) == repr(scalar_log_argmin(a, ln_b, eps2, s0))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from scalebo import baselines, cli, config, glm, jsonio
+from scalebo import baselines, cli, config, driver, glm, jsonio
 from scalebo.problems import synthetic_powerlaw, target_for_optimum
 
 
@@ -106,6 +106,47 @@ class TestOptimize:
         assert cli.main(["optimize", "--config", str(config_path), "--seed", "99",
                          "--out", str(out2)]) == 0
         assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
+
+
+def strict_json(path):
+    """Parse ``path`` refusing the non-standard NaN/Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"{path} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+class TestDegenerateProblems:
+    """Problems whose objective has no interior optimum run to a trace."""
+
+    small_bo = {"beta_min": 10.0, "beta_max": 1000.0, "n0": 10, "max_iterations": 2}
+
+    def optimize(self, tmp_path, problem):
+        path = write_config(tmp_path / "run.json", problem=problem, bo=self.small_bo)
+        out = tmp_path / "bo"
+        assert cli.main(["optimize", "--config", str(path), "--out", str(out)]) == 0
+        return out
+
+    def test_constant_statistic_at_its_target_has_no_estimate(self, tmp_path):
+        # s = 1 = s0 at every beta: an exact fit whose plug-in objective is
+        # constant, so no beta is better than another.
+        out = self.optimize(tmp_path, {"kind": "synthetic-powerlaw", "a": 0.0, "ln_b": 0.0,
+                                       "eps2": 0.0, "s0": 1.0})
+        estimate = strict_json(out / "estimate.json")
+        assert estimate["beta_hat"] is None
+        assert estimate["flag"] == "unidentified"
+        assert estimate["evaluations"] == 10
+        assert strict_json(out / "run.json")["stop_reason"] == "degenerate-fit"
+        doc = strict_json(out / "trace.json")
+        assert driver.trace_to_json_dict(driver.load_trace(out / "trace.json")) == doc
+
+    @pytest.mark.parametrize("a", [1e-11, -1e-11])
+    def test_tiny_slope_runs(self, tmp_path, a):
+        out = self.optimize(tmp_path, {"kind": "synthetic-powerlaw", "a": a, "ln_b": 0.0,
+                                       "eps2": 0.25, "s0": 2.0})
+        estimate = strict_json(out / "estimate.json")
+        assert 10.0 <= estimate["beta_hat"] <= 1000.0
 
 
 class TestBaseline:

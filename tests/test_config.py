@@ -79,6 +79,14 @@ class TestProblemKinds:
         assert via_s0.s0 == via_opt.s0
         assert via_opt.truth.beta_opt == pytest.approx(101.0, rel=1e-12)
 
+    @pytest.mark.parametrize("a", [1e-11, -1e-11])
+    def test_powerlaw_with_a_tiny_slope_builds(self, a):
+        # Its optimum, exp(+-3e10), is no float: the truth records none.
+        problem = config.build_problem({"kind": "synthetic-powerlaw", "a": a, "ln_b": 0,
+                                        "eps2": 0.25, "s0": 2})
+        assert problem.s0 == 2.0
+        assert problem.truth.beta_opt is None
+
     def test_integer_values_are_numbers(self):
         problem = config.build_problem({"kind": "gamma-noise", "a": -1, "ln_b": 0, "s0": 1})
         assert problem.s0 == 1.0

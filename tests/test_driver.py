@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from scalebo import acquisition, driver, glm, posterior, problems, streams
 from scalebo.driver import BoConfig
-from scalebo.errors import DegenerateExponent, EvaluationFailure, RankDeficient
+from scalebo.errors import EvaluationFailure, RankDeficient, SurrogateOverflow
 
 
 def calibrated_problem(beta_opt=101.0, a=-0.58, ln_b=0.0, eps2=0.25):
@@ -159,9 +159,13 @@ class TestPointEstimate:
         assert posterior.point_estimate(fit, 2.0, self.bounds) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_exponent_is_degenerate(self):
-        fit = glm.GlmFit(coef_hat=np.array([0.0, 1.0]), s2=0.1, v_theta=np.eye(2), dof=10)
-        with pytest.raises(DegenerateExponent):
-            posterior.point_estimate(fit, 1.0, self.bounds)
+        # ln beta* = (0 - 1 - 0.15) / +-0 = -+inf: the bound the sign of a picks.
+        for a_hat, bound in ((0.0, self.bounds[0]), (-0.0, self.bounds[1])):
+            fit = glm.GlmFit(coef_hat=np.array([a_hat, 1.0]), s2=0.1, v_theta=np.eye(2), dof=10)
+            assert posterior.point_estimate(fit, 1.0, self.bounds) == bound
+        # A constant plug-in objective, 0 / 0: every beta is a minimizer.
+        fit = glm.GlmFit(coef_hat=np.array([0.0, 0.0]), s2=0.0, v_theta=np.eye(2), dof=10)
+        assert math.isnan(posterior.point_estimate(fit, 1.0, self.bounds))
 
 
 class TestRun:
@@ -182,14 +186,34 @@ class TestRun:
             assert rec.cumulative_evaluations == 10 + 4 * t
             assert len(rec.betas) == (10 if t == 0 else 4)
 
-    def test_noise_free_problem_stops_after_one_batch(self):
+    def test_noise_free_problem_stops_at_the_initial_fit(self):
         prob = problems.synthetic_powerlaw(-0.5, math.log(2.0), 0.0, 0.5)
         config = BoConfig(beta_min=1.0, beta_max=100.0, s0=0.5, n0=10, batch_size=3,
                           max_iterations=10, seed=1)
         trace = driver.run(config, prob)
         assert trace.stop_reason == "degenerate-fit"
-        assert trace.total_evaluations == 13
+        assert trace.total_evaluations == 10
+        assert len(trace.iterations) == 1
         assert trace.final_estimate == pytest.approx(prob.truth.beta_opt, rel=1e-6)
+
+    def test_noise_free_flat_problem_stops_unidentified_on_a_bound(self):
+        # s = 1 at every beta against s0 = 2: an exact fit with a_hat = 0.
+        prob = problems.synthetic_powerlaw(0.0, 0.0, 0.0, 2.0)
+        trace = driver.run(config_for(prob, n0=10), prob)
+        assert (trace.stop_reason, trace.flag) == ("degenerate-fit", "unidentified")
+        assert trace.total_evaluations == 10
+        assert trace.final_estimate in (10.0, 1000.0)
+
+    def test_flat_problem_of_tiny_noise_runs_as_at_moderate_noise(self):
+        # At eps2 = 1e-18 the posterior of a is about 1e-9 wide, and draws
+        # with |a| < 1e-12 propose a bound like any other far optimizer.
+        # Each run stops where the same seed stops at eps2 = 1e-14.
+        def outcomes(eps2):
+            prob = problems.synthetic_powerlaw(0.0, 0.0, eps2, 2.0)
+            traces = [driver.run(config_for(prob, n0=40, seed=seed), prob) for seed in range(40)]
+            return [(t.stop_reason, t.flag, t.total_evaluations) for t in traces]
+
+        assert outcomes(1e-18) == outcomes(1e-14)
 
     def test_fixed_seed_reproduces_trace(self):
         prob = calibrated_problem()
@@ -426,6 +450,22 @@ class TestTraceSerialization:
         for rec, item in zip(loaded.iterations, doc["iterations"]):
             assert [math.isnan(s) for s in rec.s_values] == [s is None for s in item["s_values"]]
 
+    def test_no_estimate_is_null_and_reads_as_nan(self, tmp_path):
+        # s = 1 = s0 at every beta: the plug-in objective is constant.
+        prob = problems.synthetic_powerlaw(0.0, 0.0, 0.0, 1.0)
+        trace = driver.run(config_for(prob, n0=10), prob)
+        path = tmp_path / "trace.json"
+        driver.save_trace(trace, path)
+        doc = strict_json(path)
+        assert doc["final_estimate"] is None and doc["iterations"][0]["beta_hat"] is None
+        quantiles = ("q025", "q500", "q975")
+        assert [doc["iterations"][0]["posterior"][q] for q in quantiles] == [None] * 3
+        loaded = driver.load_trace(path)
+        summary = loaded.iterations[0].posterior
+        assert math.isnan(loaded.final_estimate) and math.isnan(loaded.iterations[0].beta_hat)
+        assert all(math.isnan(getattr(summary, q)) for q in quantiles)
+        assert driver.trace_to_json_dict(loaded) == doc
+
     def test_bare_nan_tokens_still_load(self, tmp_path, trace):
         doc = driver.trace_to_json_dict(trace)
         doc["iterations"][0]["s_values"][0] = math.nan
@@ -507,8 +547,7 @@ class TestPosteriorSummary:
         [
             glm.GlmFit(coef_hat=np.array([-0.58, 0.0]), s2=0.25,
                        v_theta=np.array([[0.02, -0.05], [-0.05, 0.2]]), dof=30),
-            # Exponent draws of about 1e-12: most are degenerate and skipped,
-            # the rest clamp onto a bound.
+            # Exponent draws of about 1e-12: every draw clamps onto a bound.
             glm.GlmFit(coef_hat=np.array([0.0, 0.0]), s2=1.0,
                        v_theta=np.diag([1e-24, 1.0]), dof=30),
         ],
@@ -522,8 +561,6 @@ class TestPosteriorSummary:
         values = []
         for a, ln_b, eps2 in zip(*glm.sample_posterior(fit, posterior.SUMMARY_DRAWS,
                                                        np.random.default_rng(8))):
-            if abs(a) < acquisition.EXPONENT_TOL:
-                continue
             ln_star = (math.log(config.s0) - ln_b - 1.5 * eps2) / a
             if ln_star < math.log(config.beta_min):
                 values.append(config.beta_min)
@@ -531,8 +568,7 @@ class TestPosteriorSummary:
                 values.append(config.beta_max)
             else:
                 values.append(math.exp(ln_star))
-        assert 0 < len(values)
-        assert summary.draws == len(values)
+        assert summary.draws == len(values) == posterior.SUMMARY_DRAWS
         want = np.quantile(values, [0.025, 0.5, 0.975])
         got = [summary.q025, summary.q500, summary.q975]
         np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
@@ -561,11 +597,11 @@ def fit_from(a, ln_b, s2, root, dof):
     return glm.GlmFit(coef_hat=np.array([a, ln_b]), s2=s2, v_theta=v_theta, dof=dof)
 
 
-# Slopes include 0 and |a| near EXPONENT_TOL, with a spread of a (l00) down
-# to 1e-13, so some or all draws are degenerate; narrow bounds far from
-# beta* clamp every draw.
+# Slopes include +-0 and |a| of 1e-12 and below, with a spread of a (l00)
+# down to 1e-13, so some or all draws' ln beta* are huge or infinite;
+# narrow bounds far from beta* clamp every draw.
 record_fits = dict(
-    a=st.sampled_from([0.0, 1e-12, -5e-13]) | st.floats(-3.0, 3.0),
+    a=st.sampled_from([0.0, -0.0, 1e-12, -5e-13]) | st.floats(-3.0, 3.0),
     ln_b=st.floats(-5.0, 5.0),
     s2=st.sampled_from([0.0]) | st.floats(1e-4, 4.0),
     root=st.tuples(st.sampled_from([1e-13, 1e-12, 1e-6, 0.05, 1.0]),
@@ -577,12 +613,9 @@ record_fits = dict(
 )
 
 
-def outcome(fn, *args):
-    """``fn(*args)``, or the message of the DegenerateExponent it raises."""
-    try:
-        return fn(*args)
-    except DegenerateExponent as exc:
-        return f"DegenerateExponent: {exc}"
+def same(x, y):
+    """``x == y`` with NaN equal to NaN: a float's repr is its exact value."""
+    return repr(x) == repr(y)
 
 
 class TestRecordOracles:
@@ -593,36 +626,40 @@ class TestRecordOracles:
         fit = fit_from(a, ln_b, s2, root, dof)
         config = BoConfig(beta_min=beta_min, beta_max=beta_min * ratio, s0=math.exp(ln_s0))
         where = (config.s0, config.bounds)
-        new = outcome(posterior.summarize, fit, *where, np.random.default_rng(seed))
-        old = outcome(oracles.posterior_summary, fit, *where, np.random.default_rng(seed))
-        assert new == old
+        new = posterior.summarize(fit, *where, np.random.default_rng(seed))
+        old = oracles.posterior_summary(fit, *where, np.random.default_rng(seed))
+        assert same(new, old)
 
     def test_summary_oracle_covers_degenerate_and_clamped_draws(self):
         where = (0.1, (10.0, 15.0))   # s0, bounds
-        # Some draws of a degenerate, the rest clamped onto a bound.
-        some = fit_from(0.0, 0.0, 1.0, (1e-12, 0.0, 1.0), 30)
-        summary = posterior.summarize(some, *where, np.random.default_rng(3))
-        assert 0 < summary.draws < posterior.SUMMARY_DRAWS
-        assert summary == oracles.posterior_summary(some, *where, np.random.default_rng(3))
+        # Exponent draws of about 1e-12, and of about 1e-30: each ln beta*
+        # is beyond +-1e11 and clamps onto the bound its sign picks.
+        for l00 in (1e-12, 1e-30):
+            flat = fit_from(0.0, 0.0, 1.0, (l00, 0.0, 1.0), 30)
+            summary = posterior.summarize(flat, *where, np.random.default_rng(3))
+            assert summary.draws == posterior.SUMMARY_DRAWS
+            assert (summary.q025, summary.q975) == where[1]
+            assert summary == oracles.posterior_summary(flat, *where, np.random.default_rng(3))
         # beta* far above the bounds: every draw clamps onto beta_max.
         clamped = fit_from(-0.5, 0.0, 0.01, (0.01, 0.0, 0.01), 30)
         summary = posterior.summarize(clamped, *where, np.random.default_rng(3))
         assert summary.q025 == summary.q975 == 15.0
         assert summary == oracles.posterior_summary(clamped, *where, np.random.default_rng(3))
-        # Every draw degenerate: the point estimate raises, as it did.
-        flat = fit_from(0.0, 0.0, 1.0, (1e-30, 0.0, 1.0), 30)
-        with pytest.raises(DegenerateExponent):
-            posterior.summarize(flat, *where, np.random.default_rng(3))
 
     @pytest.mark.parametrize("usable", [1, 2, 3, 40])
     def test_summary_of_few_usable_draws(self, usable, monkeypatch):
-        # The order statistics of the few draws whose a is not degenerate,
-        # wherever those draws sit among the degenerate ones.
+        # The order statistics of the few draws whose objective is not
+        # constant, wherever those draws sit among the constant ones
+        # (a = 0, ln b = ln s0 and eps2 = 0: ln beta* = 0 / 0).  Some usable
+        # draws have a = -0, so ln beta* = +-inf, and clamp onto a bound.
         rng = np.random.default_rng(usable)
-        a = np.zeros(posterior.SUMMARY_DRAWS)
-        a[rng.choice(a.size, usable, replace=False)] = rng.uniform(-1.0, -0.2, usable)
-        draws = (a, rng.normal(0.0, 1.0, a.size), rng.uniform(0.01, 1.0, a.size))
-        monkeypatch.setattr(glm, "sample_posterior", lambda fit, count, rng: draws)
+        size = posterior.SUMMARY_DRAWS
+        a, ln_b, eps2 = np.zeros(size), np.full(size, math.log(0.1)), np.zeros(size)
+        slots = rng.choice(size, usable, replace=False)
+        a[slots] = rng.uniform(-1.0, -0.2, usable) * rng.choice([0.0, 1.0, 1.0], usable)
+        ln_b[slots] = rng.normal(0.0, 1.0, usable)
+        eps2[slots] = rng.uniform(0.01, 1.0, usable)
+        monkeypatch.setattr(glm, "sample_posterior", lambda fit, count, rng: (a, ln_b, eps2))
         fit = fit_from(-0.5, 0.0, 0.25, (0.1, 0.0, 0.1), 30)
         summary = posterior.summarize(fit, 0.1, (10.0, 1000.0), None)
         assert summary.draws == usable
@@ -635,16 +672,27 @@ class TestRecordOracles:
         fit = fit_from(a, ln_b, s2, root, dof)
         config = BoConfig(beta_min=beta_min, beta_max=beta_min * ratio, s0=math.exp(ln_s0))
         where = (config.s0, config.bounds)
-        assert (outcome(posterior.point_estimate, fit, *where)
-                == outcome(oracles.point_estimate, fit, *where))
+        assert same(posterior.point_estimate(fit, *where), oracles.point_estimate(fit, *where))
         region = (fit.a_hat, fit.ln_b_hat, fit.s2, config.s0, posterior.STOP_REGION_REL,
                   config.bounds)
-        assert (outcome(acquisition.optimal_region_from, *region)
-                == outcome(oracles.optimal_region_from, *region))
-        summary = outcome(oracles.posterior_summary, fit, *where, np.random.default_rng(seed))
-        if isinstance(summary, posterior.PosteriorSummary):
-            assert (outcome(posterior.settled, fit, summary, *where)
-                    == outcome(oracles.settled, fit, summary, *where))
+        summary = oracles.posterior_summary(fit, *where, np.random.default_rng(seed))
+        settled = (posterior.settled, oracles.settled)
+        if math.isfinite(acquisition.log_argmin_float(fit.a_hat, fit.ln_b_hat, fit.s2, config.s0)):
+            assert same(acquisition.optimal_region_from(*region),
+                        oracles.optimal_region_from(*region))
+            assert same(*(fn(fit, summary, *where) for fn in settled))
+            return
+        # ln beta* is +-inf (a_hat = +-0, or below 1e-307): no region, and
+        # settled reads one only where a is identified, which a_hat = +-0 never is.
+        for fn in (acquisition.optimal_region_from, oracles.optimal_region_from):
+            with pytest.raises(SurrogateOverflow):
+                fn(*region)
+        if summary.a_identified:
+            for fn in settled:
+                with pytest.raises(SurrogateOverflow):
+                    fn(fit, summary, *where)
+        else:
+            assert [fn(fit, summary, *where) for fn in settled] == [False, False]
 
     @pytest.mark.parametrize("name", ["calibrated", "gamma-noise", "srom", "integer_beta"])
     def test_whole_runs_equal_oracle_runs(self, name, monkeypatch):

@@ -66,9 +66,35 @@ class TestIdentification:
             assert summary.a_identified is identified
             assert (posterior.flag(summary, (10.0, 1000.0)) == "unidentified") is not identified
 
-    @pytest.mark.parametrize("a_hat, want", [(-0.5, 0.0), (0.5, 1.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("a_hat, want", [(-0.5, 0.0), (0.5, 1.0), (0.0, 0.5), (-0.0, 0.5)])
     def test_step_at_a_hat_without_noise(self, a_hat, want):
         assert posterior.p_a_positive(fit_with(a_hat, s2=0.0)) == want
+
+    @pytest.mark.parametrize("s0, estimate", [(2.0, 1000.0), (1.0, math.nan)])
+    def test_flat_exact_fit_is_unidentified(self, s0, estimate):
+        # a_hat = 0 with no width: the plug-in argmin is the bound that the
+        # sign of ln s0 - ln b_hat picks, or NaN when the objective is
+        # constant (s0 = b_hat); either way the sign of a is undecided.
+        bounds = (10.0, 1000.0)
+        fit = fit_with(0.0, s2=0.0)
+        summary = posterior.summarize(fit, s0, bounds, np.random.default_rng(0))
+        assert summary.draws == 0
+        assert repr(summary.q025) == repr(summary.q975) == repr(estimate)
+        assert posterior.flag(summary, bounds) == "unidentified"
+        assert posterior.settled(fit, summary, s0, bounds) is False
+
+    @pytest.mark.parametrize("a_hat, flag", [(1e-13, "boundary-max"), (-1e-13, "boundary-min")])
+    def test_tiny_exponent_of_tiny_width_reads_without_raising(self, a_hat, flag):
+        # Every draw's ln beta* is about ln 2 / a_hat, +-7e12: it clamps onto
+        # one bound, and on the bounds the objective is flat to 1e-12, so
+        # the 10% region is all of them.
+        bounds = (10.0, 1000.0)
+        fit = fit_with(a_hat, s2=1e-40)
+        summary = posterior.summarize(fit, 2.0, bounds, np.random.default_rng(0))
+        assert summary.draws == posterior.SUMMARY_DRAWS and summary.a_identified
+        assert posterior.point_estimate(fit, 2.0, bounds) == summary.q025 == summary.q975
+        assert posterior.settled(fit, summary, 2.0, bounds) is True
+        assert posterior.flag(summary, bounds) == flag
 
     def test_every_record_reports_the_exact_tail(self):
         s0 = problems.target_for_optimum(-0.58, 0.0, 0.25, 101.0)

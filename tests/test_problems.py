@@ -26,6 +26,18 @@ class TestSyntheticPowerlaw:
         prob = problems.synthetic_powerlaw(-0.58, 0.0, 0.25, s0)
         assert prob.truth.beta_opt == pytest.approx(101.0, rel=1e-12)
 
+    @pytest.mark.parametrize("a, s0", [(0.0, 2.0), (1e-11, 2.0), (-1e-11, 2.0), (1e-3, 10.0)])
+    def test_optimum_beyond_float_range_is_none(self, a, s0):
+        # ln beta* = (ln s0 - 0.375) / a is +-inf, about +-3e10, or 1927.
+        prob = problems.synthetic_powerlaw(a, 0.0, 0.25, s0)
+        assert prob.truth.beta_opt is None
+
+    def test_target_needs_only_a_nonzero_slope(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            problems.target_for_optimum(0.0, 0.0, 0.25, 101.0)
+        s0 = problems.target_for_optimum(1e-13, 0.0, 0.0, 101.0)
+        assert s0 == math.exp(1e-13 * math.log(101.0))
+
     def test_noise_free_statistic_is_deterministic(self):
         prob = problems.synthetic_powerlaw(-0.5, math.log(2.0), 0.0, 0.5)
         rng = np.random.default_rng(0)
