@@ -34,11 +34,6 @@ def _powerlaw(a, ln_b, eps2, s0=None, beta_opt=None) -> problems.ObjectiveProble
     return problems.synthetic_powerlaw(a, ln_b, eps2, s0)
 
 
-def _srom() -> problems.ObjectiveProblem:
-    """``srom-standin`` at its default size; ``n_dof`` is not a config key."""
-    return problems.srom_standin()
-
-
 # Problem kind -> builder.  A builder's keyword parameters are the kind's
 # config keys, and its defaults are theirs.
 PROBLEM_KINDS = {
@@ -46,7 +41,7 @@ PROBLEM_KINDS = {
     "gamma-noise": problems.gamma_noise,
     "heteroscedastic": problems.heteroscedastic,
     "shifted-lognormal": problems.shifted_lognormal,
-    "srom-standin": _srom,
+    "srom-standin": problems.srom_standin,
 }
 
 _TOP_KEYS = {"seed", "problem", "bo", "baseline", "out"}
@@ -77,7 +72,7 @@ class BaselineSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
-    problem_section: dict
+    problem_section: dict                # see _canonical_section
     problem: problems.ObjectiveProblem   # built once, from problem_section
     bo: BoConfig
     baseline: BaselineSettings
@@ -85,13 +80,9 @@ class RunConfig:
 
     @property
     def problem_hash(self) -> str:
-        return problem_hash(self.problem_section)
-
-
-def problem_hash(problem_section: dict) -> str:
-    """Stable content hash of a problem section (for run comparisons)."""
-    canonical = json.dumps(problem_section, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        """Stable content hash of the problem section (for run comparisons)."""
+        canonical = json.dumps(self.problem_section, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _finite(value) -> bool:
@@ -104,24 +95,36 @@ def _finite(value) -> bool:
         return False
 
 
-def build_problem(problem_section: dict) -> problems.ObjectiveProblem:
-    """Instantiate the configured problem; also resolves its target s0."""
-    if not isinstance(problem_section, dict):
+def _canonical_section(doc_section: dict) -> dict:
+    """A config's ``problem`` section as its builder's bound arguments:
+    ``kind``, then every parameter, defaults applied, as the float the
+    builder receives; a parameter left at ``None`` is omitted.  Spellings of
+    one problem (``0`` or ``0.0``, a default implicit or written) give one
+    dict, and that dict, as a section, builds the same problem."""
+    if not isinstance(doc_section, dict):
         raise ConfigError("'problem' must be an object")
-    section = dict(problem_section)
+    section = dict(doc_section)
     kind = section.pop("kind", None)
     if not isinstance(kind, str) or kind not in PROBLEM_KINDS:
         raise ConfigError(f"problem.kind must be one of {list(PROBLEM_KINDS)}, got {kind!r}")
-    builder = PROBLEM_KINDS[kind]
     try:
-        inspect.signature(builder).bind(**section)
+        bound = inspect.signature(PROBLEM_KINDS[kind]).bind(**section)
     except TypeError as exc:
         raise ConfigError(f"invalid {kind} problem: {exc}") from exc
     for key, value in section.items():
         if not _finite(value):
             raise ConfigError(f"problem.{key} must be a finite number, got {value!r}")
+    bound.apply_defaults()
+    return {"kind": kind, **{key: float(value) for key, value in bound.arguments.items()
+                             if value is not None}}
+
+
+def build_problem(doc_section: dict) -> problems.ObjectiveProblem:
+    """Instantiate the configured problem; also resolves its target s0."""
+    section = _canonical_section(doc_section)
+    kind = section.pop("kind")
     try:
-        return builder(**{key: float(value) for key, value in section.items()})
+        return PROBLEM_KINDS[kind](**section)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {kind} problem: {exc}") from exc
 
@@ -138,7 +141,8 @@ def parse_config(doc: dict) -> RunConfig:
     for key in ("seed", "problem", "bo"):
         if key not in doc:
             raise ConfigError(f"config is missing required key {key!r}")
-    problem = build_problem(doc["problem"])
+    problem_section = _canonical_section(doc["problem"])
+    problem = build_problem(problem_section)
     bo_section, baseline_section = doc["bo"], doc.get("baseline", {})
     for name, section in (("bo", bo_section), ("baseline", baseline_section)):
         if not isinstance(section, dict):
@@ -157,7 +161,7 @@ def parse_config(doc: dict) -> RunConfig:
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("'out' must be a string path")
-    return RunConfig(problem_section=dict(doc["problem"]), problem=problem, bo=bo,
+    return RunConfig(problem_section=problem_section, problem=problem, bo=bo,
                      baseline=baseline, out=out)
 
 

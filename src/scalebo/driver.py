@@ -39,8 +39,8 @@ class BoConfig:
     The run stops as ``converged`` after ``stop_window`` consecutive
     settled records (the initial fit counts; see :func:`run`); a window
     above ``max_iterations`` turns the stop off.  ``stop_rel_tol`` is
-    deprecated and read by nothing: it is still accepted, and must be
-    > 0, so that configs written for the earlier drift rule still parse.
+    deprecated and read by nothing: it is still accepted, finite and > 0,
+    so that configs written for the earlier drift rule still parse.
     """
 
     beta_min: float
@@ -75,8 +75,8 @@ class BoConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (self.stop_rel_tol > 0):
-            raise ValueError("stop_rel_tol must be > 0")
+        if not (0 < self.stop_rel_tol < math.inf):
+            raise ValueError(f"stop_rel_tol must be finite and > 0, got {self.stop_rel_tol!r}")
         if self.stop_window < 1:
             raise ValueError("stop_window must be >= 1")
         if self.seed < 0:

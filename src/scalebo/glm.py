@@ -139,16 +139,24 @@ class GlmFit:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GlmFit":
         """The fit whose JSON form (:func:`~scalebo.jsonio.json_safe` of
-        it, as in ``trace.json``) is ``doc``; a malformed ``doc`` raises
-        ``KeyError``, ``TypeError`` (a key that no field has, too) or
-        ``ValueError``."""
-        return cls(**{
-            **doc,
-            "coef_hat": np.asarray(doc["coef_hat"], dtype=float),
-            "s2": float(doc["s2"]),
-            "v_theta": np.asarray(doc["v_theta"], dtype=float),
-            "dof": int(doc["dof"]),
-        })
+        it, as in ``trace.json``) is ``doc``.  A missing key raises
+        ``KeyError``, a key that no field has ``TypeError``, and a value that
+        no fit has ``ValueError`` naming its key."""
+        def numbers(key, shape):   # a JSON boolean, string or null is not a number
+            value = np.array(doc[key], dtype=object)
+            if value.shape == shape and {type(v) for v in value.flat} <= {int, float}:
+                value = value.astype(float)
+                if np.isfinite(value).all():
+                    return value
+            raise ValueError(f"{key} must be finite numbers of shape {shape}, got {doc[key]!r}")
+
+        s2, dof = float(numbers("s2", ())), doc["dof"]
+        if s2 < 0:
+            raise ValueError(f"s2 must be >= 0, got {s2!r}")
+        if type(dof) is not int or dof < 1:
+            raise ValueError(f"dof must be an integer >= 1, got {dof!r}")
+        return cls(**{**doc, "coef_hat": numbers("coef_hat", (2,)), "s2": s2,
+                      "v_theta": numbers("v_theta", (2, 2))})
 
 
 def ingest(points) -> tuple[LogDataset, int]:

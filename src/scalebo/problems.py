@@ -25,9 +25,7 @@ from .acquisition import _LOG_MAX, log_argmin_float
 from .errors import EvaluationFailure
 
 ROM_DIM = 8
-# The force vectors' highest mode is 32, and only modes 1..n-2 of the
-# fixture are sine modes (see StaticFixture).
-MIN_DOF = 34
+N_DOF = 1000   # the structural system's size
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,7 @@ def shifted_lognormal(a: float, ln_b: float, eps2: float, s0: float,
 
 @dataclass(frozen=True)
 class StaticFixture:
-    """1-D fixed-fixed static system with a spectrally defined stiffness.
+    """1-D fixed-fixed static system of n = ``N_DOF`` DoFs, spectral stiffness.
 
     The stiffness is ``K = Phi diag(lambda) Phi^T`` with
     ``lambda_k = 4 pi^2 k^2``.  Phi is orthonormal and written down: its
@@ -235,8 +233,7 @@ class StaticFixture:
     fixed-end solutions ``x_exp`` (the reference) and ``x_hdm`` (the
     high-dimensional model), and the solution ``x_rom`` of the reduced-order
     model on the first ``ROM_DIM`` modes ``V``.  The sine modes vanish at
-    both ends, so the solutions do too.  ``n_dof`` must be at least
-    ``MIN_DOF`` so that every force mode is a sine mode.
+    both ends, so the solutions do too.
     """
 
     n_dof: int
@@ -251,16 +248,7 @@ class StaticFixture:
     x_rom: np.ndarray
 
 
-def _check_n_dof(n_dof: int) -> int:
-    if n_dof < MIN_DOF:
-        raise ValueError(
-            f"n_dof must be >= {MIN_DOF}, so that force mode 32 is an interior "
-            f"sine mode (32 <= n_dof - 2), got {n_dof}"
-        )
-    return n_dof
-
-
-def _modal_system(n_dof: int) -> dict:
+def _modal_system() -> dict:
     """The structural system in stiffness eigencoordinates, in closed form.
 
     Returns the eigenvalues ``eigvals`` and the coordinates ``Phi^T v`` of
@@ -277,26 +265,25 @@ def _modal_system(n_dof: int) -> dict:
     and ``x_rom`` keeps the first ``ROM_DIM`` coordinates of
     ``f_hdm / lambda`` and zeros the rest.
     """
-    n = _check_n_dof(n_dof)
-    lam = 4.0 * np.pi**2 * np.arange(1, n + 1, dtype=float) ** 2
-    f_exp = np.zeros(n)
+    lam = 4.0 * np.pi**2 * np.arange(1, N_DOF + 1, dtype=float) ** 2
+    f_exp = np.zeros(N_DOF)
     f_exp[[1, 4, 7, 30, 31, 0]] = [0.1, 0.4, 0.6, 2.5, 2.5, -0.015]
     f_exp /= 0.261466
-    f_hdm = np.zeros(n)
+    f_hdm = np.zeros(N_DOF)
     f_hdm[[1, 4, 7, 28, 29, 30]] = [0.1, 0.4, 0.6, 2.5, 2.5, 2.5]
     f_hdm /= 0.27702
     x_hdm = f_hdm / lam
-    x_rom = np.zeros(n)
+    x_rom = np.zeros(N_DOF)
     x_rom[:ROM_DIM] = x_hdm[:ROM_DIM]
     return dict(eigvals=lam, f_exp=f_exp, f_hdm=f_hdm, x_exp=f_exp / lam,
                 x_hdm=x_hdm, x_rom=x_rom)
 
 
 @lru_cache(maxsize=1)
-def build_static_fixture(n_dof: int = 1000) -> StaticFixture:
+def build_static_fixture() -> StaticFixture:
     """The structural system in physical coordinates: Phi, K and Phi times
     each modal vector (cached; instances are immutable)."""
-    modal = _modal_system(n_dof)
+    modal = _modal_system()
     lam = modal.pop("eigvals")
     n = lam.size
     # k j reduced mod 2(n-1) is exact in integers, so each sine's argument
@@ -316,7 +303,7 @@ def build_static_fixture(n_dof: int = 1000) -> StaticFixture:
     return StaticFixture(n_dof=n, **arrays)
 
 
-def srom_standin(n_dof: int = 1000) -> ObjectiveProblem:
+def srom_standin() -> ObjectiveProblem:
     """Randomized-basis ROM problem on the static fixture's system.
 
     This is an invented stand-in, NOT a published stochastic reduced-order
@@ -327,7 +314,7 @@ def srom_standin(n_dof: int = 1000) -> ObjectiveProblem:
     perturbed basis ``A = V + beta^{-1/2} G``, G an i.i.d. standard normal
     matrix; it depends only on the span of A, so A is not orthonormalized.
     The target is the model error ``||x_exp - x_rom||`` of
-    ``build_static_fixture(n_dof)``.
+    ``build_static_fixture()``.
 
     Implementation note: everything is computed in the eigenbasis of the
     stiffness, where K is ``diag(lambda)`` and every vector the problem
@@ -338,7 +325,7 @@ def srom_standin(n_dof: int = 1000) -> ObjectiveProblem:
     one drawn in physical coordinates, and Euclidean distances are
     preserved; the rotated form avoids a dense 1000x1000 product per draw.
     """
-    modal = _modal_system(n_dof)
+    modal = _modal_system()
     lam, f_hdm_eig, x_rom_eig = modal["eigvals"], modal["f_hdm"], modal["x_rom"]
     n, m = lam.size, ROM_DIM
     v_eig = np.eye(n, m)

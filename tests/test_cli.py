@@ -295,6 +295,19 @@ class TestCompare:
         assert cli.main(["compare", str(bo), str(base)]) == 2
         assert "different problems" in capsys.readouterr().err
 
+    def test_spellings_of_one_problem_compare(self, tmp_path):
+        # ln_b written as 0 or 0.0, the default shape left out or written.
+        problem = {"kind": "gamma-noise", "a": -0.58, "s0": 0.1}
+        bo = {"beta_min": 10.0, "beta_max": 1000.0, "n0": 10, "max_iterations": 2}
+        one = write_config(tmp_path / "one.json", problem={**problem, "ln_b": 0}, bo=bo,
+                           baseline={"mc_samples": 64})
+        two = write_config(tmp_path / "two.json", problem={**problem, "ln_b": 0.0, "shape": 4.0},
+                           bo=bo, baseline={"mc_samples": 64})
+        bo_dir, base_dir = tmp_path / "bo", tmp_path / "base"
+        assert cli.main(["optimize", "--config", str(one), "--out", str(bo_dir)]) == 0
+        assert cli.main(["baseline", "--config", str(two), "--out", str(base_dir)]) == 0
+        assert cli.main(["compare", str(bo_dir), str(base_dir)]) == 0
+
 
 @pytest.mark.parametrize("command", ["optimize", "baseline"])
 class TestRunArguments:
@@ -376,6 +389,7 @@ class TestRunArguments:
         ("gamma-noise", "shape", float("nan")),
         ("baseline", "tol", float("nan")),
         ("baseline", "tol", float("inf")),
+        ("bo", "stop_rel_tol", float("inf")),
     ])
     def test_non_number_setting_exits_2_before_writing(self, tmp_path, command, section, key,
                                                        value, capsys):
@@ -478,12 +492,20 @@ class TestDiagnose:
         assert "coef_hatt" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ['{"coef_hat": [1.0, 0.0]}', "[1, 2]", "{not json"])
+    @pytest.mark.parametrize("text", ['{"coef_hat": [1.0, 0.0]}', "[1, 2]", "{not json", *(
+        json.dumps({"coef_hat": [-0.5, 0.0], "s2": 0.16, "v_theta": [[1e-3, 0.0], [0.0, 1e-2]],
+                    "dof": 3598, **bad})
+        for bad in ({"dof": True}, {"dof": 30.7}, {"dof": 0}, {"s2": "0.25"}, {"s2": -0.25},
+                    {"s2": None}, {"coef_hat": [-0.5, 0.0, 1.0]}, {"coef_hat": [True, 0.0]},
+                    {"coef_hat": [None, 0.0]}, {"v_theta": [[1e-3]]},
+                    {"v_theta": [[1e-3, "0"], [0.0, 1e-2]]}))])
     def test_malformed_fit_exits_2(self, tmp_path, dataset_path, text):
         bad = tmp_path / "fit.json"
         bad.write_text(text)
+        out = tmp_path / "d"
         assert cli.main(["diagnose", "--data", str(dataset_path), "--fit", str(bad),
-                         "--out", str(tmp_path / "d")]) == 2
+                         "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_single_row_groups_write_nothing_to_stderr(self, tmp_path, dataset_path, capsys):
         data, _ = glm.load_csv(dataset_path)

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scalebo import config
+from scalebo import cli, config
 from scalebo.errors import ConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -120,6 +122,44 @@ class TestProblemErrors:
     def test_missing_kind(self):
         with pytest.raises(ConfigError):
             config.build_problem({"a": -0.5})
+
+
+class TestProblemSection:
+    """A run's problem section, ``run.json``'s ``problem``, is its builder's
+    bound arguments: spellings of one problem share it, and so its hash."""
+
+    def test_defaults_are_applied_and_numbers_are_floats(self):
+        section = config.parse_config(doc(problem={"kind": "gamma-noise", "a": -1, "ln_b": 0,
+                                                   "s0": 1})).problem_section
+        assert section == {"kind": "gamma-noise", "a": -1.0, "ln_b": 0.0, "s0": 1.0, "shape": 4.0}
+        assert {type(value) for key, value in section.items() if key != "kind"} == {float}
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(sorted(MINIMAL)), data=st.data())
+    def test_run_json_problem_rebuilds_the_run(self, tmp_path_factory, kind, data):
+        # Each optional key present or absent; synthetic-powerlaw's target
+        # given as beta_opt or as s0.
+        section = {"kind": kind, **MINIMAL[kind]}
+        for key, value in DEFAULTS.get(kind, {}).items():
+            if data.draw(st.booleans()):
+                section[key] = value
+        if kind == "synthetic-powerlaw" and data.draw(st.booleans()):
+            section["s0"] = config.build_problem(section).s0
+            del section["beta_opt"]
+        bounds = {"beta_min": 3e7, "beta_max": 8e7} if kind == "srom-standin" else BO
+        bo = {**bounds, "n0": 6, "batch_size": 2, "max_iterations": 2}
+        tmp = tmp_path_factory.mktemp("identity")
+        runs = []
+        for name in ("written", "copied"):
+            path = tmp / f"{name}.json"
+            path.write_text(json.dumps(doc(problem=section, bo=bo)))
+            assert cli.main(["optimize", "--config", str(path), "--out", str(tmp / name)]) == 0
+            run = json.loads((tmp / name / "run.json").read_text())
+            trace = json.loads((tmp / name / "trace.json").read_text())
+            runs.append((run["problem"], run["problem_hash"], trace["config"]["s0"],
+                         (tmp / name / "trace.csv").read_bytes()))
+            section = run["problem"]
+        assert runs[0] == runs[1]
 
 
 class TestSections:

@@ -94,6 +94,7 @@ class TestBoConfig:
             dict(stop_rel_tol=True),
             dict(beta_min="10"),
             dict(beta_min=9.6, beta_max=10.4, integer_beta=True),
+            dict(stop_rel_tol=float("inf")),
         ],
     )
     def test_invalid_settings(self, overrides):

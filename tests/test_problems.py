@@ -243,9 +243,9 @@ def max_rel_gap(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-@pytest.fixture(scope="module", params=[34, 35, 100, 1000])
-def dense_and_modal(request):
-    return problems.build_static_fixture(request.param), problems._modal_system(request.param)
+@pytest.fixture(scope="module", params=[problems.N_DOF])   # the id names the system's size
+def dense_and_modal():
+    return problems.build_static_fixture(), problems._modal_system()
 
 
 class TestModalForm:
@@ -265,18 +265,12 @@ class TestModalForm:
 
     def test_target_is_the_fixture_model_error(self, dense_and_modal):
         fixture, _ = dense_and_modal
-        s0 = problems.srom_standin(fixture.n_dof).s0
+        s0 = problems.srom_standin().s0
         model_error = float(np.linalg.norm(fixture.x_exp - fixture.x_rom))
         assert s0 == pytest.approx(model_error, rel=1e-10, abs=0.0)
 
     def test_target_golden_value(self, prob):
         assert prob.s0 == pytest.approx(MODEL_ERROR_GOLDEN, rel=1e-6)
-
-    @pytest.mark.parametrize("build", [problems.build_static_fixture, problems.srom_standin])
-    @pytest.mark.parametrize("n_dof", [2, 31, 32, 33])
-    def test_rejects_force_modes_beyond_the_sine_modes(self, build, n_dof):
-        with pytest.raises(ValueError, match="interior sine mode"):
-            build(n_dof)
 
 
 class TestClosedFormBasis:
@@ -358,7 +352,7 @@ class TestSromStandin:
         # The Galerkin solution depends only on the span of the perturbed
         # basis, so solving on V + G / sqrt(beta) directly must reproduce
         # the QR-orthonormalized route on the same normal draw.
-        modal = problems._modal_system(1000)
+        modal = problems._modal_system()
         lam, f_eig, x_rom_eig = modal["eigvals"], modal["f_hdm"], modal["x_rom"]
         n, m = lam.size, problems.ROM_DIM
         for seed in range(3):
