@@ -243,9 +243,15 @@ def max_rel_gap(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-@pytest.fixture(scope="module", params=[problems.N_DOF])   # the id names the system's size
-def dense_and_modal():
-    return problems.build_static_fixture(), problems._modal_system()
+@pytest.fixture(scope="module", params=[34, 35, 100, problems.N_DOF])
+def dense_and_modal(request):
+    # The closed form is written for any size N_DOF whose interior sine
+    # modes 1..n-2 hold force mode 32; check it at the smallest such sizes
+    # (an even and an odd one) and a middling one besides the size in use.
+    # __wrapped__ skips the cache, so the cached fixture stays at N_DOF.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems, "N_DOF", request.param)
+        return problems.build_static_fixture.__wrapped__(), problems._modal_system()
 
 
 class TestModalForm:
@@ -263,8 +269,9 @@ class TestModalForm:
         assert max_rel_gap(modal["x_exp"], fixture.basis.T @ fixture.x_exp) < 1e-9
         assert max_rel_gap(modal["x_rom"], fixture.basis.T @ fixture.x_rom) < 1e-9
 
-    def test_target_is_the_fixture_model_error(self, dense_and_modal):
+    def test_target_is_the_fixture_model_error(self, dense_and_modal, monkeypatch):
         fixture, _ = dense_and_modal
+        monkeypatch.setattr(problems, "N_DOF", fixture.n_dof)
         s0 = problems.srom_standin().s0
         model_error = float(np.linalg.norm(fixture.x_exp - fixture.x_rom))
         assert s0 == pytest.approx(model_error, rel=1e-10, abs=0.0)
