@@ -26,14 +26,13 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
 from . import baselines, config, diagnostics, driver, glm, problems
 from .errors import ConfigError, MismatchedProblem, NoEligibleGroups, ScaleboError
-from .jsonio import write_csv, write_json
+from .jsonio import is_number, write_csv, write_json
 
 RUN_SCHEMA = "scalebo-run/1"
 
@@ -216,9 +215,8 @@ _RUN_DIR_KEYS = {
         "method": ("a string", lambda v: isinstance(v, str)),
     },
     "estimate.json": {
-        "evaluations": ("a positive integer", lambda v: type(v) is int and v > 0),
-        "wall_clock_seconds": ("a finite number >= 0",
-                               lambda v: type(v) in (int, float) and math.isfinite(v) and v >= 0),
+        "evaluations": ("a positive integer", lambda v: type(v) is int and is_number(v) and v > 0),
+        "wall_clock_seconds": ("a finite number >= 0", lambda v: is_number(v) and v >= 0),
     },
 }
 

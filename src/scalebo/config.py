@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional
@@ -22,22 +21,13 @@ from typing import Optional
 from . import baselines, problems
 from .driver import BoConfig
 from .errors import ConfigError
-
-
-def _powerlaw(a, ln_b, eps2, s0=None, beta_opt=None) -> problems.ObjectiveProblem:
-    """``synthetic-powerlaw`` with its target given as ``s0`` or as the
-    optimum ``beta_opt`` it induces."""
-    if (s0 is None) == (beta_opt is None):
-        raise ConfigError("synthetic-powerlaw needs exactly one of 's0' or 'beta_opt'")
-    if beta_opt is not None:
-        s0 = problems.target_for_optimum(a, ln_b, eps2, beta_opt)
-    return problems.synthetic_powerlaw(a, ln_b, eps2, s0)
+from .jsonio import is_number
 
 
 # Problem kind -> builder.  A builder's keyword parameters are the kind's
 # config keys, and its defaults are theirs.
 PROBLEM_KINDS = {
-    "synthetic-powerlaw": _powerlaw,
+    "synthetic-powerlaw": problems.synthetic_powerlaw,
     "gamma-noise": problems.gamma_noise,
     "heteroscedastic": problems.heteroscedastic,
     "shifted-lognormal": problems.shifted_lognormal,
@@ -62,7 +52,7 @@ class BaselineSettings:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"baseline.{name} must be an integer, got {value!r}")
-        if not (_finite(self.tol) and self.tol > 0):
+        if not (is_number(self.tol) and self.tol > 0):
             raise ConfigError(f"baseline.tol must be a finite number > 0, got {self.tol!r}")
         if self.mc_samples < 1:
             raise ConfigError("baseline.mc_samples must be >= 1")
@@ -85,16 +75,6 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _finite(value) -> bool:
-    """True for a finite real number; JSON's booleans are not numbers."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:   # an int beyond float range
-        return False
-
-
 def _canonical_section(doc_section: dict) -> dict:
     """A config's ``problem`` section as its builder's bound arguments:
     ``kind``, then every parameter, defaults applied, as the float the
@@ -112,7 +92,7 @@ def _canonical_section(doc_section: dict) -> dict:
     except TypeError as exc:
         raise ConfigError(f"invalid {kind} problem: {exc}") from exc
     for key, value in section.items():
-        if not _finite(value):
+        if not is_number(value):
             raise ConfigError(f"problem.{key} must be a finite number, got {value!r}")
     bound.apply_defaults()
     return {"kind": kind, **{key: float(value) for key, value in bound.arguments.items()

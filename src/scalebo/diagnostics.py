@@ -207,32 +207,23 @@ def _even_series(coefs, x: float) -> float:
     return acc * w
 
 
-def _asymptotic_gaps(x: float) -> tuple[float, float]:
-    """``(ln x - psi(x), psi'(x) - 1/x)`` at x >= 6 by their asymptotic
-    series, sum_j B_2j / (2j x**2j) + 1/(2x) and sum_j B_2j / x**(2j+1)
-    + 1/(2x**2).  Summed directly, they keep full precision where the
-    differences of psi and psi' from ln x and 1/x would cancel."""
-    return 0.5 / x + _even_series(_DIGAMMA_SERIES, x), (0.5 / x + _even_series(_BERNOULLI, x)) / x
-
-
-def digamma(x: float) -> float:
-    """psi(x) = d ln Gamma(x) / dx for x > 0: the recurrence
-    psi(x) = psi(x + 1) - 1/x up to x >= 6, then the asymptotic series."""
-    shift = 0.0
+def _gaps(k: float) -> tuple[float, float]:
+    """``(ln k - psi(k), psi'(k) - 1/k)`` for k > 0.  From k = 6 up, their
+    asymptotic series, sum_j B_2j / (2j k**2j) + 1/(2k) and
+    sum_j B_2j / k**(2j+1) + 1/(2k**2): summed directly, they keep full
+    precision where the differences of psi and psi' from ln k and 1/k
+    would cancel.  Below 6, the recurrences psi(x) = psi(x + 1) - 1/x and
+    psi'(x) = psi'(x + 1) + 1/x**2 carry x up to 6 first."""
+    x, shift, slope_shift = k, 0.0, 0.0
     while x < ASYMPTOTIC_MIN:
         shift += 1.0 / x
+        slope_shift += 1.0 / (x * x)
         x += 1.0
-    return math.log(x) - _asymptotic_gaps(x)[0] - shift
-
-
-def trigamma(x: float) -> float:
-    """psi'(x) for x > 0: the recurrence psi'(x) = psi'(x + 1) + 1/x**2 up
-    to x >= 6, then the asymptotic series."""
-    shift = 0.0
-    while x < ASYMPTOTIC_MIN:
-        shift += 1.0 / (x * x)
-        x += 1.0
-    return 1.0 / x + _asymptotic_gaps(x)[1] + shift
+    gap = 0.5 / x + _even_series(_DIGAMMA_SERIES, x)
+    slope_gap = (0.5 / x + _even_series(_BERNOULLI, x)) / x
+    if x == k:
+        return gap, slope_gap
+    return math.log(k) - (math.log(x) - gap - shift), 1.0 / x + slope_gap + slope_shift - 1.0 / k
 
 
 def _gamma_fit(e: np.ndarray) -> FamilyFit:
@@ -267,10 +258,7 @@ def _gamma_fit(e: np.ndarray) -> FamilyFit:
     k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     last_step = math.inf
     while True:
-        if k >= ASYMPTOTIC_MIN:
-            gap, slope_gap = _asymptotic_gaps(k)
-        else:
-            gap, slope_gap = math.log(k) - digamma(k), trigamma(k) - 1.0 / k
+        gap, slope_gap = _gaps(k)
         # Newton on 1/k for ln k - psi(k) = s; d/dk (ln k - psi(k)) = -slope_gap.
         k_next = 1.0 / (1.0 / k - (gap - s) / (k * k * slope_gap))
         step = abs(k_next - k)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import acquisition, glm, posterior
-from .jsonio import json_safe, write_json
+from .jsonio import is_number, json_safe, write_json
 from .posterior import PosteriorSummary
 from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 
@@ -57,26 +57,26 @@ class BoConfig:
     def __post_init__(self):
         for name in ("beta_min", "beta_max", "s0", "stop_rel_tol"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not is_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("n0", "batch_size", "max_iterations", "stop_window", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.integer_beta, (bool, np.bool_)):
             raise ValueError(f"integer_beta must be true or false, got {self.integer_beta!r}")
-        if not (0 < self.beta_min < self.beta_max < math.inf):
-            raise ValueError("bounds must satisfy 0 < beta_min < beta_max < inf")
-        if not (self.s0 > 0 and math.isfinite(self.s0)):
-            raise ValueError("s0 must be finite and > 0")
+        if not 0 < self.beta_min < self.beta_max:
+            raise ValueError("bounds must satisfy 0 < beta_min < beta_max")
+        if not self.s0 > 0:
+            raise ValueError("s0 must be > 0")
         if self.n0 < 4:
             raise ValueError("n0 must be >= 4 (two residual degrees of freedom at the first fit)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (0 < self.stop_rel_tol < math.inf):
-            raise ValueError(f"stop_rel_tol must be finite and > 0, got {self.stop_rel_tol!r}")
+        if not self.stop_rel_tol > 0:
+            raise ValueError(f"stop_rel_tol must be > 0, got {self.stop_rel_tol!r}")
         if self.stop_window < 1:
             raise ValueError("stop_window must be >= 1")
         if self.seed < 0:
@@ -168,7 +168,7 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     eval_streams = ChildStreams(eval_ss)
 
     records = []
-    data = fit = None
+    rows, fit = np.empty((0, 2)), None   # every (beta, s) drawn so far
     evaluations = rejected_total = streak = 0
     stop_reason = "budget"
     for t in range(config.max_iterations + 1):
@@ -183,9 +183,9 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
         s_t = draw_statistics(problem, betas_t, eval_streams.spawn(len(betas_t)), threads,
                               iteration=t)
         evaluations += len(betas_t)
-        new_data, rejected = glm.ingest(np.array((betas_t, s_t), dtype=float).T)
-        rejected_total += rejected
-        data = new_data if data is None else data.with_observations(new_data.beta, new_data.s)
+        rows = np.concatenate([rows, np.array((betas_t, s_t), dtype=float).T])
+        data, rejected_so_far = glm.ingest(rows)
+        rejected, rejected_total = rejected_so_far - rejected_total, rejected_so_far
         fit = glm.fit(data)
         summary = posterior.summarize(fit, config.s0, config.bounds, summary_rng)
         records.append(

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateVariance, InsufficientData, RankDeficient
-from .jsonio import write_csv
+from .jsonio import is_number, write_csv
 
 # Number of regression coefficients: slope on ln(beta) plus intercept.
 NUM_COEF = 2
@@ -52,7 +52,17 @@ class LogDataset:
     s: np.ndarray
 
     def __post_init__(self):
-        beta, s = _checked_rows(self.beta, self.s)
+        """Raises ``ValueError`` unless ``beta`` and ``s`` are 1-D, of equal
+        length, and every value is finite and > 0."""
+        beta = np.asarray(self.beta, dtype=float)
+        s = np.asarray(self.s, dtype=float)
+        if beta.ndim != 1 or s.ndim != 1 or beta.size != s.size:
+            raise ValueError("beta and s must be 1-D arrays of equal length")
+        # min > 0 fails on a NaN too, which min propagates.
+        if beta.size and not (beta.min() > 0 and beta.max() < math.inf):
+            raise ValueError("all beta values must be finite and > 0")
+        if s.size and not (s.min() > 0 and s.max() < math.inf):
+            raise ValueError("all s values must be finite and > 0")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "s", s)
 
@@ -69,35 +79,6 @@ class LogDataset:
     def y(self) -> np.ndarray:
         """Response vector ln s."""
         return np.log(self.s)
-
-    def with_observations(self, beta, s) -> "LogDataset":
-        """Return a new dataset with the given rows appended.  Only those
-        rows are checked: this dataset's own rows already were."""
-        beta, s = _checked_rows(beta, s)
-        return _unchecked(np.concatenate([self.beta, beta]), np.concatenate([self.s, s]))
-
-
-def _unchecked(beta: np.ndarray, s: np.ndarray) -> LogDataset:
-    """The dataset of float rows already known to be valid, not checked again."""
-    data = object.__new__(LogDataset)
-    object.__setattr__(data, "beta", beta)
-    object.__setattr__(data, "s", s)
-    return data
-
-
-def _checked_rows(beta, s) -> tuple[np.ndarray, np.ndarray]:
-    """``beta`` and ``s`` as float arrays; raises ``ValueError`` unless they
-    are 1-D, of equal length, and every value is finite and > 0."""
-    beta = np.asarray(beta, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if beta.ndim != 1 or s.ndim != 1 or beta.size != s.size:
-        raise ValueError("beta and s must be 1-D arrays of equal length")
-    # min > 0 fails on a NaN too, which min propagates.
-    if beta.size and not (beta.min() > 0 and beta.max() < math.inf):
-        raise ValueError("all beta values must be finite and > 0")
-    if s.size and not (s.min() > 0 and s.max() < math.inf):
-        raise ValueError("all s values must be finite and > 0")
-    return beta, s
 
 
 @dataclass(frozen=True)
@@ -142,12 +123,10 @@ class GlmFit:
         it, as in ``trace.json``) is ``doc``.  A missing key raises
         ``KeyError``, a key that no field has ``TypeError``, and a value that
         no fit has ``ValueError`` naming its key."""
-        def numbers(key, shape):   # a JSON boolean, string or null is not a number
+        def numbers(key, shape):
             value = np.array(doc[key], dtype=object)
-            if value.shape == shape and {type(v) for v in value.flat} <= {int, float}:
-                value = value.astype(float)
-                if np.isfinite(value).all():
-                    return value
+            if value.shape == shape and all(map(is_number, value.flat)):
+                return value.astype(float)
             raise ValueError(f"{key} must be finite numbers of shape {shape}, got {doc[key]!r}")
 
         s2, dof = float(numbers("s2", ())), doc["dof"]
@@ -186,7 +165,10 @@ def _keep_usable(rows: np.ndarray) -> tuple[LogDataset, int]:
     (beta, s) pairs, and the number of rows left out."""
     beta, s = rows.reshape(-1, 2).T
     keep = np.isfinite(beta) & np.isfinite(s) & (beta > 0) & (s > 0)
-    return _unchecked(beta[keep], s[keep]), int(beta.size - np.count_nonzero(keep))
+    data = object.__new__(LogDataset)   # the kept rows are valid: not checked again
+    object.__setattr__(data, "beta", beta[keep])
+    object.__setattr__(data, "s", s[keep])
+    return data, int(beta.size - np.count_nonzero(keep))
 
 
 def fit(data: LogDataset) -> GlmFit:

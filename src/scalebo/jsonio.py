@@ -6,14 +6,27 @@ so they are written as ``null`` and read back as NaN.  :func:`json_safe`
 is the one encoder: a dataclass is written as an object of its fields, in
 declaration order, so an artifact's dataclasses are its schema.  CSV
 files write floats by ``repr``, which round-trips ``nan`` and ``inf`` too.
+Every number read from JSON passes :func:`is_number`.
 """
 
 import csv
 import dataclasses
 import json
 import math
+import numbers
 
 import numpy as np
+
+
+def is_number(value) -> bool:
+    """True for a finite real number that a float can hold; JSON's
+    booleans are not numbers."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond float range
+        return False
 
 
 def json_safe(doc):

@@ -32,7 +32,7 @@ class PosteriorSummary:
     q025: float
     q500: float
     q975: float
-    draws: int
+    draws: int                # SUMMARY_DRAWS, or 0 without draws (s2 = 0)
     p_a_positive: float
 
     @property
@@ -72,24 +72,21 @@ def point_estimate(fit: glm.GlmFit, s0: float, bounds: tuple[float, float]) -> f
 
 
 def summarize(fit: glm.GlmFit, s0: float, bounds: tuple[float, float], rng) -> PosteriorSummary:
-    """2.5/50/97.5 quantiles of beta* | data, clamped into bounds, and
-    :func:`p_a_positive`.  Without draws (s2 = 0) every quantile is the
-    point estimate, NaN included.
+    """2.5/50/97.5 quantiles of ``SUMMARY_DRAWS`` draws of beta* | data,
+    clamped into bounds, and :func:`p_a_positive`.  Without draws (s2 = 0)
+    every quantile is the point estimate, NaN included.
 
     The quantiles are ``np.quantile``'s (method ``linear``) of the clamped
     draws, read from order statistics: clamping is monotone, so the draws
-    of ln beta* are sorted once unclamped (a NaN, a draw whose objective is
-    constant, sorts last and is not a draw), and only the at most six
-    order statistics the quantiles interpolate between are clamped.
+    of ln beta* are sorted once unclamped, and only the at most six order
+    statistics the quantiles interpolate between are clamped.
     """
-    p, draws = p_a_positive(fit), 0
-    if fit.s2 > 0.0:
-        a, ln_b, eps2 = glm.sample_posterior(fit, SUMMARY_DRAWS, rng)
-        ordered = np.sort(acquisition.log_argmin(a, ln_b, eps2, s0))
-        draws = a.size - int(np.count_nonzero(np.isnan(ordered)))
-    if draws == 0:
+    p = p_a_positive(fit)
+    if not fit.s2 > 0.0:
         pe = point_estimate(fit, s0, bounds)
         return PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0, p_a_positive=p)
+    draws = SUMMARY_DRAWS
+    ordered = np.sort(acquisition.log_argmin(*glm.sample_posterior(fit, draws, rng), s0))
     quantiles = []
     for prob in (0.025, 0.5, 0.975):
         virtual = (draws - 1) * prob

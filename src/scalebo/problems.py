@@ -142,15 +142,22 @@ def _check_beta(beta: float) -> float:
     return float(beta)
 
 
-def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: float) -> ObjectiveProblem:
+def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: Optional[float] = None,
+                       beta_opt: Optional[float] = None) -> ObjectiveProblem:
     """Statistic drawn exactly from the log-log Gaussian generating law.
 
     ``s | beta = exp(a ln beta + ln_b + sqrt(eps2) z)`` with z standard
     normal, so the surrogate model is correctly specified and the true
-    optimizer is known in closed form.
+    optimizer is known in closed form.  The target is given either as
+    ``s0`` or as the optimum ``beta_opt`` it induces
+    (:func:`target_for_optimum`).
     """
     if eps2 < 0:
         raise ValueError("eps2 must be >= 0")
+    if (s0 is None) == (beta_opt is None):
+        raise ValueError("synthetic-powerlaw needs exactly one of 's0' or 'beta_opt'")
+    if beta_opt is not None:
+        s0 = target_for_optimum(a, ln_b, eps2, beta_opt)
     sigma = math.sqrt(eps2)
 
     def evaluate_statistic(beta, rng, size=None):
@@ -158,8 +165,8 @@ def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: float) -> Objecti
         return _exp(a * math.log(beta) + ln_b + sigma * rng.standard_normal(size))
 
     ln_opt = log_argmin_float(a, ln_b, eps2, s0)
-    beta_opt = math.exp(ln_opt) if abs(ln_opt) <= _LOG_MAX else None
-    truth = ProblemTruth(a=a, b=math.exp(ln_b), eps2=eps2, beta_opt=beta_opt)
+    truth = ProblemTruth(a=a, b=math.exp(ln_b), eps2=eps2,
+                         beta_opt=math.exp(ln_opt) if abs(ln_opt) <= _LOG_MAX else None)
     return ObjectiveProblem(evaluate_statistic, s0=s0, truth=truth, label="synthetic-powerlaw")
 
 

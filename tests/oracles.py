@@ -3,7 +3,7 @@ of the static fixture.
 
 ``driver.run`` computes each record's point estimate, beta* summary and
 stop region through ``posterior``, on floats and order statistics, and
-grows its dataset by appending checked rows.  The functions below are the
+ingests its rows through ``glm``'s array pass.  The functions below are the
 straightforward array forms those replace, kept as test oracles: each must
 give the same bits as the code it stands for.  :func:`clamp_log`, the array
 clamp through ``np.clip``, is the reference for
@@ -78,12 +78,7 @@ def posterior_summary(fit, s0, bounds, rng):
         return posterior.PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0,
                                           p_a_positive=p_a_positive)
     a, ln_b, eps2 = glm.sample_posterior(fit, posterior.SUMMARY_DRAWS, rng)
-    ln_star = acquisition.log_argmin(a, ln_b, eps2, s0)
-    values, _ = clamp_log(ln_star[~np.isnan(ln_star)], bounds)
-    if values.size == 0:
-        pe = point_estimate(fit, s0, bounds)
-        return posterior.PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0,
-                                          p_a_positive=p_a_positive)
+    values, _ = clamp_log(acquisition.log_argmin(a, ln_b, eps2, s0), bounds)
     q025, q500, q975 = linear_quantiles(values, [0.025, 0.5, 0.975])
     return posterior.PosteriorSummary(q025=float(q025), q500=float(q500), q975=float(q975),
                                       draws=int(values.size), p_a_positive=p_a_positive)
@@ -122,21 +117,15 @@ def ingest(points):
     return glm.LogDataset(beta[keep], s[keep]), int(beta.size - np.count_nonzero(keep))
 
 
-def with_observations(self, beta, s):
-    """``LogDataset.with_observations`` checking every row again."""
-    return glm.LogDataset(np.concatenate([self.beta, np.asarray(beta, dtype=float)]),
-                          np.concatenate([self.s, np.asarray(s, dtype=float)]))
-
-
 def install(monkeypatch):
     """Run the package on the oracles: each record's helpers, the clamp,
-    dataset growth and a Cholesky factor computed at every draw."""
+    the ingest of every row drawn so far and a Cholesky factor computed at
+    every draw."""
     monkeypatch.setattr(acquisition, "clamp_log_float", clamp_log_float)
     monkeypatch.setattr(posterior, "point_estimate", point_estimate)
     monkeypatch.setattr(posterior, "summarize", posterior_summary)
     monkeypatch.setattr(posterior, "settled", settled)
     monkeypatch.setattr(glm, "ingest", ingest)
-    monkeypatch.setattr(glm.LogDataset, "with_observations", with_observations)
     monkeypatch.setattr(glm.GlmFit, "cholesky",
                         property(lambda fit: glm._cholesky_2x2(fit.v_theta)))
 

@@ -265,10 +265,13 @@ class TestCompare:
         ("estimate.json", lambda doc: json.dumps({**doc, "wall_clock_seconds": "1.0"})),
         ("estimate.json", lambda doc: json.dumps({**doc, "wall_clock_seconds": True})),
         ("estimate.json", lambda doc: json.dumps({**doc, "wall_clock_seconds": float("nan")})),
+        ("estimate.json", lambda doc: json.dumps({**doc, "evaluations": 10**400})),
+        ("estimate.json", lambda doc: json.dumps({**doc, "wall_clock_seconds": 10**400})),
     ], ids=["not-json", "not-an-object", "no-problem-hash", "no-method", "no-evaluations",
             "no-wall-clock", "hash-not-string", "method-not-string", "zero-evaluations",
             "string-evaluations", "float-evaluations", "bool-evaluations", "negative-wall-clock",
-            "string-wall-clock", "bool-wall-clock", "nan-wall-clock"])
+            "string-wall-clock", "bool-wall-clock", "nan-wall-clock", "huge-evaluations",
+            "huge-wall-clock"])
     def test_malformed_run_dir_exits_2(self, tmp_path, config_path, capsys, name, edit):
         bo = tmp_path / "bo"
         assert cli.main(["optimize", "--config", str(config_path), "--out", str(bo)]) == 0
@@ -390,6 +393,9 @@ class TestRunArguments:
         ("baseline", "tol", float("nan")),
         ("baseline", "tol", float("inf")),
         ("bo", "stop_rel_tol", float("inf")),
+        # An integer beyond float range is no number either.
+        pytest.param("bo", "beta_max", 10**400, id="bo-beta_max-10**400"),
+        pytest.param("bo", "stop_rel_tol", 10**400, id="bo-stop_rel_tol-10**400"),
     ])
     def test_non_number_setting_exits_2_before_writing(self, tmp_path, command, section, key,
                                                        value, capsys):
@@ -498,7 +504,8 @@ class TestDiagnose:
         for bad in ({"dof": True}, {"dof": 30.7}, {"dof": 0}, {"s2": "0.25"}, {"s2": -0.25},
                     {"s2": None}, {"coef_hat": [-0.5, 0.0, 1.0]}, {"coef_hat": [True, 0.0]},
                     {"coef_hat": [None, 0.0]}, {"v_theta": [[1e-3]]},
-                    {"v_theta": [[1e-3, "0"], [0.0, 1e-2]]}))])
+                    {"v_theta": [[1e-3, "0"], [0.0, 1e-2]]}, {"s2": 10**400},
+                    {"coef_hat": [10**400, 0.0]}))])
     def test_malformed_fit_exits_2(self, tmp_path, dataset_path, text):
         bad = tmp_path / "fit.json"
         bad.write_text(text)
@@ -510,7 +517,8 @@ class TestDiagnose:
     def test_single_row_groups_write_nothing_to_stderr(self, tmp_path, dataset_path, capsys):
         data, _ = glm.load_csv(dataset_path)
         sparse = tmp_path / "sparse.csv"
-        glm.save_csv(data.with_observations([5.0, 7.0], [1.0, 2.0]), sparse)
+        glm.save_csv(glm.LogDataset(np.append(data.beta, [5.0, 7.0]),
+                                    np.append(data.s, [1.0, 2.0])), sparse)
         out = tmp_path / "diag"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -6,6 +6,7 @@ offending key, so that ``scalebo optimize`` and ``scalebo baseline`` exit 2
 with a message the user can act on.
 """
 
+import inspect
 import json
 import re
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalebo import cli, config
+from scalebo import cli, config, problems
 from scalebo.errors import ConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -60,6 +61,12 @@ def raises_naming(key, fn, *args):
 class TestProblemKinds:
     def test_every_kind_is_listed(self):
         assert set(config.PROBLEM_KINDS) == set(MINIMAL)
+
+    @pytest.mark.parametrize("kind", sorted(MINIMAL))
+    def test_every_builder_is_a_problems_function(self, kind):
+        builder = config.PROBLEM_KINDS[kind]
+        assert inspect.isfunction(builder) and builder.__module__ == problems.__name__
+        assert getattr(problems, builder.__name__) is builder
 
     @pytest.mark.parametrize("kind", sorted(MINIMAL))
     def test_builds_from_required_keys(self, kind):

@@ -647,25 +647,6 @@ class TestRecordOracles:
         assert summary.q025 == summary.q975 == 15.0
         assert summary == oracles.posterior_summary(clamped, *where, np.random.default_rng(3))
 
-    @pytest.mark.parametrize("usable", [1, 2, 3, 40])
-    def test_summary_of_few_usable_draws(self, usable, monkeypatch):
-        # The order statistics of the few draws whose objective is not
-        # constant, wherever those draws sit among the constant ones
-        # (a = 0, ln b = ln s0 and eps2 = 0: ln beta* = 0 / 0).  Some usable
-        # draws have a = -0, so ln beta* = +-inf, and clamp onto a bound.
-        rng = np.random.default_rng(usable)
-        size = posterior.SUMMARY_DRAWS
-        a, ln_b, eps2 = np.zeros(size), np.full(size, math.log(0.1)), np.zeros(size)
-        slots = rng.choice(size, usable, replace=False)
-        a[slots] = rng.uniform(-1.0, -0.2, usable) * rng.choice([0.0, 1.0, 1.0], usable)
-        ln_b[slots] = rng.normal(0.0, 1.0, usable)
-        eps2[slots] = rng.uniform(0.01, 1.0, usable)
-        monkeypatch.setattr(glm, "sample_posterior", lambda fit, count, rng: (a, ln_b, eps2))
-        fit = fit_from(-0.5, 0.0, 0.25, (0.1, 0.0, 0.1), 30)
-        summary = posterior.summarize(fit, 0.1, (10.0, 1000.0), None)
-        assert summary.draws == usable
-        assert summary == oracles.posterior_summary(fit, 0.1, (10.0, 1000.0), None)
-
     @settings(max_examples=300, deadline=None)
     @given(**record_fits, seed=st.integers(0, 2**32 - 1))
     def test_point_estimate_and_region_equal_array_oracles(self, a, ln_b, s2, root, dof, ln_s0,

@@ -28,6 +28,11 @@ def line_dataset(a=-0.5, ln_b=math.log(2.0), betas=(1.0, 10.0, 100.0)):
     return data
 
 
+# Row entries with every reason to reject a row: NaN, +-inf, 0, -0 and negatives.
+ROW_VALUES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, -1.5, math.nan, math.inf,
+                                                     -math.inf, 2.0]))
+
+
 class TestIngest:
     def test_log_transform_single_row(self):
         data, rejected = glm.ingest([(math.e, math.e**2)])
@@ -72,12 +77,6 @@ class TestIngest:
         assert data.n == 1
         assert data.beta[0] == 3.0
 
-    def test_with_observations_appends(self):
-        data, _ = glm.ingest([(2.0, 3.0)])
-        grown = data.with_observations([4.0], [5.0])
-        assert grown.n == 2
-        assert data.n == 1
-
     @pytest.mark.parametrize("beta,s", [
         ([4.0, math.nan], [5.0, 1.0]),
         ([4.0, 6.0], [5.0, math.nan]),
@@ -88,10 +87,23 @@ class TestIngest:
         ([math.inf], [5.0]),
         ([4.0, 5.0], [1.0]),
     ])
-    def test_with_observations_checks_the_appended_rows(self, beta, s):
-        data, _ = glm.ingest([(2.0, 3.0), (3.0, 4.0)])
+    def test_dataset_checks_its_rows(self, beta, s):
         with pytest.raises(ValueError):
-            data.with_observations(beta, s)
+            glm.LogDataset(np.array([2.0, 3.0, *beta]), np.array([3.0, 4.0, *s]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(batches=st.lists(st.lists(st.tuples(ROW_VALUES, ROW_VALUES), max_size=12),
+                            min_size=1, max_size=6))
+    def test_ingest_of_concatenated_batches_is_the_batches_ingested(self, batches):
+        # driver.run ingests every row drawn so far, once per record.
+        arrays = [np.array(batch, dtype=float).reshape(-1, 2) for batch in batches]
+        parts = [glm.ingest(rows) for rows in arrays]
+        for k in range(1, len(arrays) + 1):
+            whole, rejected = glm.ingest(np.concatenate(arrays[:k]))
+            assert rejected == sum(r for _, r in parts[:k])
+            for name in ("beta", "s"):
+                joined = np.concatenate([getattr(data, name) for data, _ in parts[:k]])
+                assert getattr(whole, name).tobytes() == joined.tobytes()
 
     def test_array_rows_ingest_as_tuples_do(self):
         rows = [(2.0, 3.0), (math.nan, 1.0), (4.0, 0.0), (5.0, -1.0), (6.0, math.inf),

@@ -26,6 +26,19 @@ class TestSyntheticPowerlaw:
         prob = problems.synthetic_powerlaw(-0.58, 0.0, 0.25, s0)
         assert prob.truth.beta_opt == pytest.approx(101.0, rel=1e-12)
 
+    @pytest.mark.parametrize("a, ln_b, eps2, beta_opt", [
+        (-0.58, 0.0, 0.25, 101.0), (0.7, -2.0, 0.0, 3e7), (-1e-3, 5.0, 2.0, 1.5)])
+    def test_beta_opt_is_the_target_it_induces(self, a, ln_b, eps2, beta_opt):
+        by_opt = problems.synthetic_powerlaw(a, ln_b, eps2, beta_opt=beta_opt)
+        s0 = problems.target_for_optimum(a, ln_b, eps2, beta_opt)
+        assert by_opt.s0 == s0
+        assert by_opt.truth == problems.synthetic_powerlaw(a, ln_b, eps2, s0).truth
+
+    @pytest.mark.parametrize("targets", [{}, {"s0": 0.3, "beta_opt": 101.0}])
+    def test_exactly_one_target(self, targets):
+        with pytest.raises(ValueError, match="exactly one of 's0' or 'beta_opt'"):
+            problems.synthetic_powerlaw(-0.58, 0.0, 0.25, **targets)
+
     @pytest.mark.parametrize("a, s0", [(0.0, 2.0), (1e-11, 2.0), (-1e-11, 2.0), (1e-3, 10.0)])
     def test_optimum_beyond_float_range_is_none(self, a, s0):
         # ln beta* = (ln s0 - 0.375) / a is +-inf, about +-3e10, or 1927.
