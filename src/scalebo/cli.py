@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 
 from . import baselines, config, diagnostics, driver, glm, problems
-from .errors import ConfigError, MismatchedProblem, NoEligibleGroups, ScaleboError
+from .errors import ConfigError, NoEligibleGroups, ScaleboError
 from .jsonio import is_number, write_csv, write_json
 
 RUN_SCHEMA = "scalebo-run/1"
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _command(args)(args)
-    except (ConfigError, MismatchedProblem) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ScaleboError as exc:
@@ -121,15 +121,14 @@ def _load_run_config(args) -> config.RunConfig:
     return cfg
 
 
-def _out_dir(args, cfg, default_name: str) -> Path:
-    out = args.out or (cfg.out if cfg is not None else None) or default_name
-    path = Path(out)
+def _out_dir(args, default_name: str) -> Path:
+    path = Path(args.out or default_name)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _run_metadata(cfg: config.RunConfig, args, method: str, extra=None) -> dict:
-    doc = {
+def _run_metadata(cfg: config.RunConfig, args, method: str, extra: dict) -> dict:
+    return {
         "schema": RUN_SCHEMA,
         "method": method,
         "seed": cfg.bo.seed,
@@ -138,15 +137,13 @@ def _run_metadata(cfg: config.RunConfig, args, method: str, extra=None) -> dict:
         "problem_hash": cfg.problem_hash,
         "bo": cfg.bo,
         "baseline": cfg.baseline,
+        **extra,
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def cmd_optimize(args) -> int:
     cfg = _load_run_config(args)
-    outdir = _out_dir(args, cfg, "optimize-run")
+    outdir = _out_dir(args, "optimize-run")
     trace = driver.run(cfg.bo, cfg.problem, threads=args.threads)
     driver.save_trace(trace, outdir / "trace.json")
     driver.trace_to_csv(trace, outdir / "trace.csv")
@@ -168,7 +165,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_baseline(args) -> int:
     cfg = _load_run_config(args)
-    outdir = _out_dir(args, cfg, "baseline-run")
+    outdir = _out_dir(args, "baseline-run")
     objective = baselines.McObjective(
         problem=cfg.problem,
         mc_samples=cfg.baseline.mc_samples,
@@ -248,7 +245,7 @@ def cmd_compare(args) -> int:
     bo_run, bo_est = _read_run_dir(bo_dir)
     base_run, base_est = _read_run_dir(base_dir)
     if bo_run["problem_hash"] != base_run["problem_hash"]:
-        raise MismatchedProblem(
+        raise ConfigError(
             f"runs solve different problems: {bo_run['problem_hash'][:12]} "
             f"vs {base_run['problem_hash'][:12]}"
         )
@@ -309,7 +306,7 @@ def cmd_diagnose(args) -> int:
         )
     except NoEligibleGroups as exc:  # --beta or --min-per-beta selects no group
         raise ConfigError(str(exc)) from exc
-    outdir = _out_dir(args, None, "diagnose-run")
+    outdir = _out_dir(args, "diagnose-run")
     diagnostics.save_report_json(report, outdir / "report.json")
     diagnostics.save_groups_csv(report, outdir / "groups.csv")
     if report.histogram is not None:
@@ -322,11 +319,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_fixture_export(args) -> int:
-    outdir = Path(args.out or "fixture-export")
-    outdir.mkdir(parents=True, exist_ok=True)
     fixture = problems.build_static_fixture()
-    written = problems.export_fixture(fixture, outdir)
-    for path in written:
+    for path in problems.export_fixture(fixture, args.out or "fixture-export"):
         print(path)
     return 0
 

@@ -16,7 +16,6 @@ import inspect
 import json
 import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 from . import baselines, problems
 from .driver import BoConfig
@@ -34,7 +33,7 @@ PROBLEM_KINDS = {
     "srom-standin": problems.srom_standin,
 }
 
-_TOP_KEYS = {"seed", "problem", "bo", "baseline", "out"}
+_TOP_KEYS = {"seed", "problem", "bo", "baseline"}
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ class RunConfig:
     problem: problems.ObjectiveProblem   # built once, from problem_section
     bo: BoConfig
     baseline: BaselineSettings
-    out: Optional[str] = None
 
     @property
     def problem_hash(self) -> str:
@@ -138,11 +136,8 @@ def parse_config(doc: dict) -> RunConfig:
         baseline = BaselineSettings(**baseline_section)
     except TypeError as exc:
         raise ConfigError(f"invalid baseline section: {exc}") from exc
-    out = doc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("'out' must be a string path")
     return RunConfig(problem_section=problem_section, problem=problem, bo=bo,
-                     baseline=baseline, out=out)
+                     baseline=baseline)
 
 
 def load_config(path) -> RunConfig:

@@ -38,9 +38,5 @@ class DegenerateSample(ScaleboError):
     """Sample has zero variance; distribution fits are undefined."""
 
 
-class MismatchedProblem(ScaleboError):
-    """Two run directories refer to different problems."""
-
-
 class ConfigError(ScaleboError):
-    """Malformed or inconsistent run configuration."""
+    """A usage error: a malformed or inconsistent config, argument or input."""

@@ -316,8 +316,8 @@ class TestCompare:
 class TestRunArguments:
     def test_negative_config_seed_exits_2_before_writing(self, tmp_path, command, capsys):
         out = tmp_path / "out"
-        path = write_config(tmp_path / "run.json", seed=-3, out=str(out))
-        assert cli.main([command, "--config", str(path), "--threads", "1"]) == 2
+        path = write_config(tmp_path / "run.json", seed=-3)
+        assert cli.main([command, "--config", str(path), "--threads", "1", "--out", str(out)]) == 2
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
@@ -355,6 +355,17 @@ class TestRunArguments:
         assert cli.main([command, "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
         assert len(built) == 1
 
+    def test_config_out_key_exits_2_before_writing(self, tmp_path, command, capsys,
+                                                   monkeypatch):
+        # optimize and baseline read one config, so a directory named there
+        # let baseline overwrite optimize's files: --out alone names it.
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path / "run.json", out="shared")
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert "'out'" in capsys.readouterr().err
+        assert not (tmp_path / "shared").exists()
+        assert not (tmp_path / f"{command}-run").exists()
+
     @pytest.mark.parametrize("section,key,value", [
         ("bo", "integer_beta", "false"),
         ("bo", "max_iterations", True),
@@ -369,9 +380,8 @@ class TestRunArguments:
                                                       value, capsys):
         doc = json.loads(write_config(tmp_path / "base.json").read_text())
         out = tmp_path / "out"
-        path = write_config(tmp_path / "run.json", out=str(out),
-                            **{section: {**doc[section], key: value}})
-        assert cli.main([command, "--config", str(path), "--threads", "1"]) == 2
+        path = write_config(tmp_path / "run.json", **{section: {**doc[section], key: value}})
+        assert cli.main([command, "--config", str(path), "--threads", "1", "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
 
@@ -405,9 +415,9 @@ class TestRunArguments:
                               "s0": 0.3}
             section = "problem"
         out = tmp_path / "out"
-        path = write_config(tmp_path / "run.json", out=str(out),
+        path = write_config(tmp_path / "run.json",
                             **{**doc, section: {**doc[section], key: value}})
-        assert cli.main([command, "--config", str(path), "--threads", "1"]) == 2
+        assert cli.main([command, "--config", str(path), "--threads", "1", "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
 
@@ -420,11 +430,11 @@ class TestProblemDomain:
         # The heteroscedastic kind is defined for beta > 1 only.
         out = tmp_path / "out"
         path = write_config(
-            tmp_path / "run.json", out=str(out),
+            tmp_path / "run.json",
             problem={"kind": "heteroscedastic", "a": -0.5, "ln_b": 0.0, "s0": 0.3},
             bo={"beta_min": beta_min, "beta_max": 1000.0, "n0": 10, "max_iterations": 2},
         )
-        assert cli.main([command, "--config", str(path)]) == 2
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
         assert "beta_min must be > 1" in capsys.readouterr().err
         assert not out.exists()
 

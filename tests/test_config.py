@@ -185,8 +185,10 @@ class TestSections:
         raises_naming("bogus", config.parse_config,
                       doc(**{section: {**base.get(section, {}), "bogus": 1}}))
 
-    def test_unknown_top_level_key_is_named(self):
-        raises_naming("bogus", config.parse_config, doc(bogus=1))
+    # "out" too: a run's output directory is the command's --out, never the config's.
+    @pytest.mark.parametrize("key,value", [("bogus", 1), ("out", "x")])
+    def test_unknown_top_level_key_is_named(self, key, value):
+        raises_naming(key, config.parse_config, doc(**{key: value}))
 
     def test_unknown_baseline_method_is_named(self):
         raises_naming("newton", config.parse_config, doc(baseline={"method": "newton"}))

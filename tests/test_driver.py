@@ -477,6 +477,23 @@ class TestTraceSerialization:
         assert loaded.iterations[0].s_values[1:] == trace.iterations[0].s_values[1:]
 
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc.update(final_estimate=10**400),
+        lambda doc: doc["iterations"][0].update(beta_hat=True),
+        lambda doc: doc["iterations"][0]["posterior"].update(q025="x"),
+        lambda doc: doc["iterations"][0]["betas"].__setitem__(1, "x"),
+        lambda doc: doc.update(wall_clock_seconds="x"),
+        lambda doc: doc["iterations"][0]["s_values"].__setitem__(0, math.inf),
+    ], ids=["final_estimate-10**400", "beta_hat-true", "q025-x", "betas-x", "wall_clock_seconds-x",
+            "s_values-Infinity"])
+    def test_non_number_raises_naming_the_file(self, tmp_path, trace, corrupt):
+        doc = driver.trace_to_json_dict(trace)
+        corrupt(doc)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="trace.json"):
+            driver.load_trace(path)
+
     def test_traces_without_flag_still_load(self, tmp_path, trace):
         # Traces written before the posterior stop rule have no flag and
         # no p_a_positive.
