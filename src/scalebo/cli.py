@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import baselines, config, diagnostics, driver, glm, problems
 from .errors import ConfigError, NoEligibleGroups, ScaleboError
-from .jsonio import is_number, write_csv, write_json
+from .jsonio import from_json, is_number, write_csv, write_json
 
 RUN_SCHEMA = "scalebo-run/1"
 
@@ -296,8 +296,9 @@ def cmd_diagnose(args) -> int:
         fit = glm.fit(data)
     else:
         try:
-            fit = glm.GlmFit.from_json_dict(json.loads(Path(args.fit).read_text(encoding="utf-8")))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            fit = from_json(glm.GlmFit, json.loads(Path(args.fit).read_text(encoding="utf-8")),
+                            args.fit)
+        except (OSError, ValueError, TypeError) as exc:
             raise ConfigError(f"cannot load fit from {args.fit}: {exc}") from exc
 
     try:

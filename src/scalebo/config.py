@@ -14,13 +14,12 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-import numbers
 from dataclasses import dataclass
 
 from . import baselines, problems
 from .driver import BoConfig
 from .errors import ConfigError
-from .jsonio import is_number
+from .jsonio import from_json, is_number
 
 
 # Problem kind -> builder.  A builder's keyword parameters are the kind's
@@ -47,12 +46,8 @@ class BaselineSettings:
         if self.method not in baselines.METHODS:
             raise ConfigError(f"baseline.method must be one of {list(baselines.METHODS)}, "
                               f"got {self.method!r}")
-        for name in ("mc_samples", "max_iter"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"baseline.{name} must be an integer, got {value!r}")
-        if not (is_number(self.tol) and self.tol > 0):
-            raise ConfigError(f"baseline.tol must be a finite number > 0, got {self.tol!r}")
+        if not self.tol > 0:
+            raise ConfigError(f"baseline.tol must be > 0, got {self.tol!r}")
         if self.mc_samples < 1:
             raise ConfigError("baseline.mc_samples must be >= 1")
         if self.max_iter < 3:
@@ -121,20 +116,16 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"config is missing required key {key!r}")
     problem_section = _canonical_section(doc["problem"])
     problem = build_problem(problem_section)
-    bo_section, baseline_section = doc["bo"], doc.get("baseline", {})
-    for name, section in (("bo", bo_section), ("baseline", baseline_section)):
-        if not isinstance(section, dict):
-            raise ConfigError(f"'{name}' must be an object")
-    try:
-        bo = BoConfig(seed=doc["seed"], s0=problem.s0, **bo_section)
+    try:   # a "bo" that is not an object is a TypeError too
+        bo = BoConfig(seed=doc["seed"], s0=problem.s0, **doc["bo"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid bo section or seed: {exc}") from exc
     if not bo.beta_min > problem.beta_floor:
         raise ConfigError(f"bo.beta_min must be > {problem.beta_floor:g}, where "
                           f"{problem.label} is defined, got {bo.beta_min!r}")
     try:
-        baseline = BaselineSettings(**baseline_section)
-    except TypeError as exc:
+        baseline = from_json(BaselineSettings, doc.get("baseline", {}), "baseline")
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid baseline section: {exc}") from exc
     return RunConfig(problem_section=problem_section, problem=problem, bo=bo,
                      baseline=baseline)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import acquisition, glm, posterior
-from .jsonio import is_number, json_safe, write_json
+from .jsonio import from_json, is_number, json_safe, write_json
 from .posterior import PosteriorSummary
 from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 
@@ -242,39 +242,14 @@ def save_trace(trace: BoTrace, path) -> None:
 
 
 def load_trace(path) -> BoTrace:
-    """Read a trace written by :func:`save_trace`.  A ``null`` or bare ``NaN``
-    number reads as NaN; any other must pass :func:`~scalebo.jsonio.is_number`
-    or raises ``ValueError``.  Files written before the posterior stop rule
-    load without a ``flag`` (None) and with a NaN ``p_a_positive``.  A key
-    that no field has raises ``TypeError``."""
+    """Read a trace written by :func:`save_trace` by its fields' types
+    (:func:`~scalebo.jsonio.from_json`).  Files written before the posterior
+    stop rule load without a ``flag`` (None) and with a NaN ``p_a_positive``."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("schema") != TRACE_SCHEMA:
+    if isinstance(doc, dict) and doc.get("schema") != TRACE_SCHEMA:
         raise ValueError(f"{path}: unsupported trace schema {doc.get('schema')!r}")
-
-    def number(value):   # null, or an older writer's bare NaN, reads as NaN
-        if value is None or (isinstance(value, float) and math.isnan(value)):
-            return math.nan
-        if not is_number(value):
-            raise ValueError(f"{path}: expected a number, got {value!r}")
-        return value
-
-    records = [
-        IterationRecord(**{
-            **item,
-            "betas": [number(beta) for beta in item["betas"]],
-            "s_values": [number(s) for s in item["s_values"]],
-            "fit": glm.GlmFit.from_json_dict(item["fit"]),
-            "beta_hat": number(item["beta_hat"]),
-            "posterior": PosteriorSummary(**{"p_a_positive": math.nan, **{
-                key: number(value) for key, value in item["posterior"].items()}}),
-            "wall_clock": number(item["wall_clock"]),
-        })
-        for item in doc["iterations"]
-    ]
-    return BoTrace(**{**doc, "config": BoConfig(**doc["config"]), "iterations": records,
-                      "final_estimate": number(doc["final_estimate"]),
-                      "wall_clock_seconds": number(doc["wall_clock_seconds"])})
+    return from_json(BoTrace, doc, path)
 
 
 def trace_to_csv(trace: BoTrace, path) -> None:

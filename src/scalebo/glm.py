@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateVariance, InsufficientData, RankDeficient
-from .jsonio import is_number, write_csv
+from .jsonio import write_csv
 
 # Number of regression coefficients: slope on ln(beta) plus intercept.
 NUM_COEF = 2
@@ -102,6 +102,13 @@ class GlmFit:
     v_theta: np.ndarray
     dof: int
 
+    def __post_init__(self):
+        if not (self.coef_hat.shape == (NUM_COEF,) and self.v_theta.shape == (NUM_COEF, NUM_COEF)
+                and self.s2 >= 0 and self.dof >= 1):
+            raise ValueError("a fit needs coef_hat of shape (2,), v_theta of shape (2, 2), s2 >= 0 "
+                             f"and dof >= 1, got {self.coef_hat.shape}, {self.v_theta.shape}, "
+                             f"{self.s2!r} and {self.dof!r}")
+
     @property
     def a_hat(self) -> float:
         return float(self.coef_hat[0])
@@ -116,26 +123,6 @@ class GlmFit:
         raises ``np.linalg.LinAlgError`` unless ``v_theta`` is positive
         definite."""
         return _cholesky_2x2(self.v_theta)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "GlmFit":
-        """The fit whose JSON form (:func:`~scalebo.jsonio.json_safe` of
-        it, as in ``trace.json``) is ``doc``.  A missing key raises
-        ``KeyError``, a key that no field has ``TypeError``, and a value that
-        no fit has ``ValueError`` naming its key."""
-        def numbers(key, shape):
-            value = np.array(doc[key], dtype=object)
-            if value.shape == shape and all(map(is_number, value.flat)):
-                return value.astype(float)
-            raise ValueError(f"{key} must be finite numbers of shape {shape}, got {doc[key]!r}")
-
-        s2, dof = float(numbers("s2", ())), doc["dof"]
-        if s2 < 0:
-            raise ValueError(f"s2 must be >= 0, got {s2!r}")
-        if type(dof) is not int or dof < 1:
-            raise ValueError(f"dof must be an integer >= 1, got {dof!r}")
-        return cls(**{**doc, "coef_hat": numbers("coef_hat", (2,)), "s2": s2,
-                      "v_theta": numbers("v_theta", (2, 2))})
 
 
 def ingest(points) -> tuple[LogDataset, int]:

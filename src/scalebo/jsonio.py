@@ -4,16 +4,19 @@ Every JSON file the package writes must parse under a strict reader,
 whatever the simulator returned: NaN and infinities have no JSON token,
 so they are written as ``null`` and read back as NaN.  :func:`json_safe`
 is the one encoder: a dataclass is written as an object of its fields, in
-declaration order, so an artifact's dataclasses are its schema.  CSV
-files write floats by ``repr``, which round-trips ``nan`` and ``inf`` too.
-Every number read from JSON passes :func:`is_number`.
+declaration order, so an artifact's dataclasses are its schema, and
+:func:`from_json` reads them back by field type.  CSV files write floats by
+``repr``, which round-trips ``nan`` and ``inf`` too.
 """
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import numbers
+import reprlib
+import typing
 
 import numpy as np
 
@@ -50,6 +53,44 @@ def json_safe(doc):
     if isinstance(doc, (np.ndarray, np.generic)):
         return json_safe(doc.tolist())
     return doc
+
+
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def from_json(kind, value, where, path=""):
+    """The ``kind`` whose :func:`json_safe` form is ``value``, read by type:
+    a dataclass from an object of its fields (a missing key takes the
+    field's default, an unknown key raises ``TypeError``); ``list[T]`` from
+    an array; ``float`` by :func:`is_number`, or from ``null`` or a bare NaN,
+    which read as NaN; ``int``, ``bool`` and ``str`` from exactly that JSON
+    type; ``np.ndarray`` from nested arrays of numbers; ``T | None`` from
+    ``null`` or a T.  Any other value raises ``ValueError`` naming ``where``
+    and the field's ``path``, as in ``trace.json: iterations.0.posterior.draws``."""
+    args = typing.get_args(kind)
+    if kind is float:   # first, as most values are floats
+        if value is None or (isinstance(value, float) and math.isnan(value)):
+            return math.nan
+        if is_number(value):
+            return value
+    elif dataclasses.is_dataclass(kind):
+        if isinstance(value, dict):
+            hints = _field_types(kind)
+            return kind(**{key: from_json(hints[key], item, where, f"{path}.{key}")
+                           if key in hints else item for key, item in value.items()})
+    elif typing.get_origin(kind) is list:
+        if isinstance(value, list):
+            return [from_json(args[0], item, where, f"{path}.{i}") for i, item in enumerate(value)]
+    elif type(None) in args:   # T | None
+        return None if value is None else from_json(args[0], value, where, path)
+    elif kind is np.ndarray:
+        array = np.array(value, dtype=object)   # ragged rows stay lists: not numbers
+        if isinstance(value, list) and all(map(is_number, array.flat)):
+            return array.astype(float)
+    elif type(value) is kind:   # int, bool or str: a boolean is not an int
+        return value
+    raise ValueError(f"{where}{path and ': ' + path[1:]}: expected "
+                     f"{getattr(kind, '__name__', kind)}, got {reprlib.repr(value)}")
 
 
 def write_json(path, doc) -> None:

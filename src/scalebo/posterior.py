@@ -33,7 +33,7 @@ class PosteriorSummary:
     q500: float
     q975: float
     draws: int                # SUMMARY_DRAWS, or 0 without draws (s2 = 0)
-    p_a_positive: float
+    p_a_positive: float = math.nan   # NaN in traces written before the t tail
 
     @property
     def a_identified(self) -> bool:

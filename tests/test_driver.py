@@ -494,6 +494,36 @@ class TestTraceSerialization:
         with pytest.raises(ValueError, match="trace.json"):
             driver.load_trace(path)
 
+    # Counts and strings are read by their field types too.
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc.update(total_evaluations="x"),
+        lambda doc: doc.update(rejected_total=-1.5),
+        lambda doc: doc["iterations"][0].update(cumulative_evaluations=True),
+        lambda doc: doc["iterations"][0].update(index="x"),
+        lambda doc: doc["iterations"][0]["posterior"].update(draws=2.5),
+        lambda doc: doc.update(stop_reason=7),
+        lambda doc: doc["iterations"][-1].update(source=7),
+        lambda doc: doc.update(flag=7),
+        lambda doc: doc.update(problem_label=None),
+        lambda doc: doc.update(iterations={}),
+    ], ids=["total_evaluations-x", "rejected_total-1.5", "cumulative_evaluations-true",
+            "index-x", "draws-2.5", "stop_reason-7", "source-7", "flag-7", "problem_label-null",
+            "iterations-object"])
+    def test_mistyped_field_raises_naming_the_file(self, tmp_path, trace, corrupt):
+        doc = driver.trace_to_json_dict(trace)
+        corrupt(doc)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="trace.json"):
+            driver.load_trace(path)
+
+    @pytest.mark.parametrize("doc", [[], "bo-trace/1", None], ids=["array", "string", "null"])
+    def test_non_object_raises_naming_the_file(self, tmp_path, doc):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="trace.json"):
+            driver.load_trace(path)
+
     def test_traces_without_flag_still_load(self, tmp_path, trace):
         # Traces written before the posterior stop rule have no flag and
         # no p_a_positive.
