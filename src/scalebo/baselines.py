@@ -25,9 +25,18 @@ from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0          # bracket shrink factor
 _PARABOLIC_FALLBACK = 1.0 - GOLDEN             # golden step fraction, ~0.382
 
-# Statistic draws per rng substream; fixed so results are identical for
-# any thread count.
-_CHUNK = 64
+# Statistic draws per rng substream.  Each chunk costs one generator and
+# one statistic call, so a 1000-draw probe is 4 chunks: larger chunks cut
+# that overhead, smaller ones give a per-draw statistic more tasks to
+# spread over threads.  Fixed, so results are identical for any thread
+# count.
+_CHUNK = 256
+
+# The chunk streams are children of the run root's child 3: driver.run
+# spawns children 0-2 of SeedSequence(seed) for its acquisition,
+# evaluation and summary streams, so optimize and baseline on one seed
+# share no draws.
+_SEED_BRANCH = 3
 
 # Per baseline method: the name of its optimizer in this module (read at
 # call time, so a replaced function such as a tracing wrapper runs), its
@@ -74,7 +83,7 @@ class McObjective:
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
         self._cache: dict[float, ProbeStats] = {}
-        self._streams = ChildStreams(np.random.SeedSequence(self.seed))
+        self._streams = ChildStreams(np.random.SeedSequence(self.seed, spawn_key=(_SEED_BRANCH,)))
 
     @property
     def probes(self) -> list[ProbeStats]:

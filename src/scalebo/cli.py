@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import reprlib
 import sys
 import time
 from pathlib import Path
@@ -235,7 +236,8 @@ def _read_run_dir(run_dir: Path) -> tuple[dict, dict]:
             raise ConfigError(f"malformed {path}: expected a JSON object with {', '.join(keys)}")
         for key, (expected, valid) in keys.items():
             if not valid(doc[key]):
-                raise ConfigError(f"malformed {path}: {key} must be {expected}, got {doc[key]!r}")
+                raise ConfigError(f"malformed {path}: {key} must be {expected}, "
+                                  f"got {reprlib.repr(doc[key])}")
         docs.append(doc)
     return docs[0], docs[1]
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import reprlib
 from dataclasses import dataclass
 
 from . import baselines, problems
@@ -45,9 +46,9 @@ class BaselineSettings:
     def __post_init__(self):
         if self.method not in baselines.METHODS:
             raise ConfigError(f"baseline.method must be one of {list(baselines.METHODS)}, "
-                              f"got {self.method!r}")
+                              f"got {reprlib.repr(self.method)}")
         if not self.tol > 0:
-            raise ConfigError(f"baseline.tol must be > 0, got {self.tol!r}")
+            raise ConfigError(f"baseline.tol must be > 0, got {reprlib.repr(self.tol)}")
         if self.mc_samples < 1:
             raise ConfigError("baseline.mc_samples must be >= 1")
         if self.max_iter < 3:
@@ -79,14 +80,15 @@ def _canonical_section(doc_section: dict) -> dict:
     section = dict(doc_section)
     kind = section.pop("kind", None)
     if not isinstance(kind, str) or kind not in PROBLEM_KINDS:
-        raise ConfigError(f"problem.kind must be one of {list(PROBLEM_KINDS)}, got {kind!r}")
+        raise ConfigError(f"problem.kind must be one of {list(PROBLEM_KINDS)}, "
+                          f"got {reprlib.repr(kind)}")
     try:
         bound = inspect.signature(PROBLEM_KINDS[kind]).bind(**section)
     except TypeError as exc:
         raise ConfigError(f"invalid {kind} problem: {exc}") from exc
     for key, value in section.items():
         if not is_number(value):
-            raise ConfigError(f"problem.{key} must be a finite number, got {value!r}")
+            raise ConfigError(f"problem.{key} must be a finite number, got {reprlib.repr(value)}")
     bound.apply_defaults()
     return {"kind": kind, **{key: float(value) for key, value in bound.arguments.items()
                              if value is not None}}
@@ -122,7 +124,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"invalid bo section or seed: {exc}") from exc
     if not bo.beta_min > problem.beta_floor:
         raise ConfigError(f"bo.beta_min must be > {problem.beta_floor:g}, where "
-                          f"{problem.label} is defined, got {bo.beta_min!r}")
+                          f"{problem.label} is defined, got {reprlib.repr(bo.beta_min)}")
     try:
         baseline = from_json(BaselineSettings, doc.get("baseline", {}), "baseline")
     except (TypeError, ValueError) as exc:

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import numbers
+import reprlib
 import time
 from dataclasses import dataclass
 
@@ -58,13 +59,14 @@ class BoConfig:
         for name in ("beta_min", "beta_max", "s0", "stop_rel_tol"):
             value = getattr(self, name)
             if not is_number(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+                raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
         for name in ("n0", "batch_size", "max_iterations", "stop_window", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
         if not isinstance(self.integer_beta, (bool, np.bool_)):
-            raise ValueError(f"integer_beta must be true or false, got {self.integer_beta!r}")
+            raise ValueError(f"integer_beta must be true or false, "
+                             f"got {reprlib.repr(self.integer_beta)}")
         if not 0 < self.beta_min < self.beta_max:
             raise ValueError("bounds must satisfy 0 < beta_min < beta_max")
         if not self.s0 > 0:
@@ -76,11 +78,11 @@ class BoConfig:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not self.stop_rel_tol > 0:
-            raise ValueError(f"stop_rel_tol must be > 0, got {self.stop_rel_tol!r}")
+            raise ValueError(f"stop_rel_tol must be > 0, got {reprlib.repr(self.stop_rel_tol)}")
         if self.stop_window < 1:
             raise ValueError("stop_window must be >= 1")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {reprlib.repr(self.seed)}")
         # One integer would make every design point the same beta: a rank-1 first fit.
         if self.integer_beta and math.floor(self.beta_max) - math.ceil(self.beta_min) < 1:
             raise ValueError("integer_beta requires two integers inside [beta_min, beta_max]")
@@ -243,12 +245,14 @@ def save_trace(trace: BoTrace, path) -> None:
 
 def load_trace(path) -> BoTrace:
     """Read a trace written by :func:`save_trace` by its fields' types
-    (:func:`~scalebo.jsonio.from_json`).  Files written before the posterior
-    stop rule load without a ``flag`` (None) and with a NaN ``p_a_positive``."""
+    (:func:`~scalebo.jsonio.from_json`).  Every refusal names ``path``: a
+    ``TypeError`` for an unknown key, else a ``ValueError``.  Files written
+    before the posterior stop rule load without a ``flag`` (None) and with a
+    NaN ``p_a_positive``."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict) and doc.get("schema") != TRACE_SCHEMA:
-        raise ValueError(f"{path}: unsupported trace schema {doc.get('schema')!r}")
+        raise ValueError(f"{path}: unsupported trace schema {reprlib.repr(doc.get('schema'))}")
     return from_json(BoTrace, doc, path)
 
 

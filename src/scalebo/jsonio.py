@@ -61,12 +61,14 @@ _field_types = functools.cache(typing.get_type_hints)
 def from_json(kind, value, where, path=""):
     """The ``kind`` whose :func:`json_safe` form is ``value``, read by type:
     a dataclass from an object of its fields (a missing key takes the
-    field's default, an unknown key raises ``TypeError``); ``list[T]`` from
-    an array; ``float`` by :func:`is_number`, or from ``null`` or a bare NaN,
-    which read as NaN; ``int``, ``bool`` and ``str`` from exactly that JSON
-    type; ``np.ndarray`` from nested arrays of numbers; ``T | None`` from
-    ``null`` or a T.  Any other value raises ``ValueError`` naming ``where``
-    and the field's ``path``, as in ``trace.json: iterations.0.posterior.draws``."""
+    field's default); ``list[T]`` from an array; ``float`` by
+    :func:`is_number`, or from ``null`` or a bare NaN, which read as NaN;
+    ``int``, ``bool`` and ``str`` from exactly that JSON type;
+    ``np.ndarray`` from nested arrays of numbers; ``T | None`` from ``null``
+    or a T.  Any other value raises ``ValueError`` naming ``where`` and the
+    field's ``path``, as in ``trace.json: iterations.0.posterior.draws``.  So
+    does a refusal of the dataclass's own checks, and an unknown key, which
+    raises ``TypeError``."""
     args = typing.get_args(kind)
     if kind is float:   # first, as most values are floats
         if value is None or (isinstance(value, float) and math.isnan(value)):
@@ -76,8 +78,12 @@ def from_json(kind, value, where, path=""):
     elif dataclasses.is_dataclass(kind):
         if isinstance(value, dict):
             hints = _field_types(kind)
-            return kind(**{key: from_json(hints[key], item, where, f"{path}.{key}")
-                           if key in hints else item for key, item in value.items()})
+            fields = {key: from_json(hints[key], item, where, f"{path}.{key}")
+                      if key in hints else item for key, item in value.items()}
+            try:
+                return kind(**fields)
+            except (TypeError, ValueError) as exc:   # an unknown key, or the class's own check
+                raise type(exc)(f"{_at(where, path)}: {exc}") from exc
     elif typing.get_origin(kind) is list:
         if isinstance(value, list):
             return [from_json(args[0], item, where, f"{path}.{i}") for i, item in enumerate(value)]
@@ -89,8 +95,13 @@ def from_json(kind, value, where, path=""):
             return array.astype(float)
     elif type(value) is kind:   # int, bool or str: a boolean is not an int
         return value
-    raise ValueError(f"{where}{path and ': ' + path[1:]}: expected "
+    raise ValueError(f"{_at(where, path)}: expected "
                      f"{getattr(kind, '__name__', kind)}, got {reprlib.repr(value)}")
+
+
+def _at(where, path) -> str:
+    """``where`` and the field's ``path``, as in ``trace.json: config``."""
+    return f"{where}{path and ': ' + path[1:]}"
 
 
 def write_json(path, doc) -> None:

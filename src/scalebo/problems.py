@@ -51,9 +51,9 @@ class ObjectiveProblem:
     ``evaluate_statistic(beta, rng, size=k)`` then returns ``k`` draws as
     a float array, taken from ``rng`` in the same order as ``k`` scalar
     calls.  :func:`draw_statistics`, which both optimizers call, reads this
-    from the signature once per problem; the baseline then draws each rng
-    substream in one call, and calls a callable without it once per draw.
-    The built-in ``synthetic-powerlaw``, ``gamma-noise``,
+    from the signature once per problem; the baseline then draws each
+    256-draw rng substream in one call, and calls a callable without it
+    once per draw.  The built-in ``synthetic-powerlaw``, ``gamma-noise``,
     ``heteroscedastic`` and ``shifted-lognormal`` kinds take ``size``.
     ``srom-standin`` does not: most of a draw's cost is its 8000 standard
     normals, which one call per chunk cannot save, and a version solving
@@ -335,15 +335,19 @@ def srom_standin() -> ObjectiveProblem:
     modal = _modal_system()
     lam, f_hdm_eig, x_rom_eig = modal["eigvals"], modal["f_hdm"], modal["x_rom"]
     n, m = lam.size, ROM_DIM
-    v_eig = np.eye(n, m)
+    lam_nm = np.repeat(lam[:, None], m, axis=1)   # contiguous: a (n, 1) broadcast is slower
+    modes = np.arange(m)                          # V = I[:, :m]: ones at (k, k)
 
     def evaluate_statistic(beta, rng):
         beta = _check_beta(beta)
-        g = rng.standard_normal((n, m))
-        basis = v_eig + g / math.sqrt(beta)
-        reduced = (basis * lam[:, None]).T @ basis
+        basis = rng.standard_normal((n, m))
+        basis /= math.sqrt(beta)
+        basis[modes, modes] += 1.0
+        reduced = (basis * lam_nm).T @ basis
         q = np.linalg.solve(reduced, basis.T @ f_hdm_eig)
-        return float(np.linalg.norm(basis @ q - x_rom_eig))
+        r = basis @ q
+        r[:m] -= x_rom_eig[:m]   # x_rom is zero past the ROM's m modes
+        return math.sqrt(r @ r)
 
     return ObjectiveProblem(
         evaluate_statistic,

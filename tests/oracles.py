@@ -13,13 +13,15 @@ is numpy's own construction of the per-evaluation streams.
 ``qr_sine_basis`` and ``solve_fixed_ends`` build the static fixture's
 basis and solutions through LAPACK, as ``problems.build_static_fixture``
 once did, for its closed form to be checked against.
+:func:`srom_statistic` is ``problems.srom_standin``'s statistic written
+as its formula, with the temporaries the package's version saves.
 """
 
 import math
 
 import numpy as np
 
-from scalebo import acquisition, glm, posterior
+from scalebo import acquisition, glm, posterior, problems
 from scalebo.errors import SurrogateOverflow
 
 
@@ -146,3 +148,15 @@ def solve_fixed_ends(k_mat, force):
     x = np.zeros(n)
     x[1:n - 1] = np.linalg.solve(k_mat[1:n - 1, 1:n - 1], force[1:n - 1])
     return x
+
+
+def srom_statistic(beta, rng):
+    """``||A q - x_rom||`` on the perturbed basis ``A = V + G / sqrt(beta)``,
+    ``q`` the Galerkin coordinates, all in the stiffness eigenbasis."""
+    modal = problems._modal_system()
+    lam, f_hdm, x_rom = modal["eigvals"], modal["f_hdm"], modal["x_rom"]
+    n, m = lam.size, problems.ROM_DIM
+    basis = np.eye(n, m) + rng.standard_normal((n, m)) / math.sqrt(beta)
+    reduced = (basis * lam[:, None]).T @ basis
+    q = np.linalg.solve(reduced, basis.T @ f_hdm)
+    return float(np.linalg.norm(basis @ q - x_rom))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from scalebo import acquisition, baselines, problems
 from scalebo.baselines import GOLDEN, McObjective
 from scalebo.errors import EvaluationFailure
@@ -27,6 +28,18 @@ def noiseless_problem(beta_opt=101.0, a=-0.58):
 def calibrated_problem():
     s0 = problems.target_for_optimum(-0.58, 0.0, 0.25, 101.0)
     return problems.synthetic_powerlaw(-0.58, 0.0, 0.25, s0)
+
+
+def recording(problem, log):
+    """``problem`` with its statistic wrapped to append ``(size, rng
+    state)`` to ``log`` before each call; the signature is kept."""
+
+    @functools.wraps(problem.evaluate_statistic)
+    def statistic(beta, rng, size=None):
+        log.append((size, rng.bit_generator.state))
+        return problem.evaluate_statistic(beta, rng, size=size)
+
+    return dataclasses.replace(problem, evaluate_statistic=statistic)
 
 
 def quadratic_problem(vertex_u=2.0, floor=0.5):
@@ -81,6 +94,48 @@ class TestMcObjective:
             serial.probe(64.0).s_draws, threaded.probe(64.0).s_draws
         )
 
+    @settings(max_examples=40, deadline=None)
+    @given(mc_samples=st.integers(1, 1100), seed=st.integers(0, 2**32 - 1))
+    def test_chunk_layout_at_every_thread_count(self, mc_samples, seed):
+        # Chunks of _CHUNK draws, then the rest, each from its own child
+        # stream of the baseline's seed branch, whatever the thread count.
+        prob = calibrated_problem()
+        log = []
+        draws = [McObjective(problem=recording(prob, log), mc_samples=mc_samples, seed=seed,
+                             threads=threads).probe(64.0).s_draws
+                 for threads in (1, 2, 3)]
+        full, rest = divmod(mc_samples, baselines._CHUNK)
+        layout = [baselines._CHUNK] * full + ([rest] if rest else [])
+        sizes = [size for size, _ in log]
+        assert sizes[:len(layout)] == layout                  # one thread: in order
+        assert sorted(sizes) == sorted(layout * 3)
+        parent = np.random.SeedSequence(seed, spawn_key=(baselines._SEED_BRANCH,))
+        rngs = oracles.NumpyChildren(parent).spawn(len(layout))
+        reference = np.concatenate([prob.evaluate_statistic(64.0, rng, size=size)
+                                    for rng, size in zip(rngs, layout)])
+        for threaded in draws:
+            np.testing.assert_array_equal(threaded, reference)
+
+    def test_streams_are_not_bo_streams(self):
+        # driver.run draws from children 0-2 of SeedSequence(seed): the
+        # acquisition stream, the parent of the evaluation streams and the
+        # summary stream.  No baseline chunk starts from any of those states,
+        # nor from an evaluation stream's.
+        import scalebo
+
+        seed, log = 11, []
+        prob = recording(calibrated_problem(), log)
+        config = scalebo.BoConfig(beta_min=10.0, beta_max=1000.0, s0=prob.s0, n0=10,
+                                  max_iterations=1, seed=seed)
+        scalebo.run(config, prob)
+        bo = [state for _, state in log]
+        bo += [np.random.default_rng(child).bit_generator.state
+               for child in np.random.SeedSequence(seed).spawn(3)]
+        log.clear()
+        McObjective(problem=prob, mc_samples=3 * baselines._CHUNK, seed=seed).probe(50.0)
+        assert len(log) == 3
+        assert [state in bo for _, state in log] == [False] * 3
+
 
 def gamma_noise_problem():
     return problems.gamma_noise(a=-0.5, ln_b=0.2, shape=4.0, s0=0.3)
@@ -123,7 +178,7 @@ class TestSizedStatistic:
         obj = McObjective(problem=dataclasses.replace(prob, evaluate_statistic=counted),
                           mc_samples=300, seed=9)
         obj.probe(64.0)
-        assert sizes == [64, 64, 64, 64, 44]
+        assert sizes == [256, 44]
         assert obj.evaluations_used == 300
 
     @pytest.mark.parametrize("threads", [1, 3])

@@ -285,6 +285,15 @@ class TestCompare:
         assert f"malformed {broken / name}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_refused_huge_value_is_shortened(self, tmp_path, config_path, capsys):
+        bo = tmp_path / "bo"
+        assert cli.main(["optimize", "--config", str(config_path), "--out", str(bo)]) == 0
+        doc = json.loads((bo / "estimate.json").read_text())
+        (bo / "estimate.json").write_text(json.dumps({**doc, "wall_clock_seconds": 10**400}))
+        assert cli.main(["compare", str(bo), str(bo)]) == 2
+        err = capsys.readouterr().err
+        assert "wall_clock_seconds" in err and "..." in err and "0" * 100 not in err
+
     def test_mismatched_problems_exit_2(self, tmp_path, config_path, capsys):
         bo = tmp_path / "bo"
         assert cli.main(["optimize", "--config", str(config_path), "--out", str(bo)]) == 0
@@ -384,6 +393,19 @@ class TestRunArguments:
         assert cli.main([command, "--config", str(path), "--threads", "1", "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("bo", "beta_max", 10**400), ("bo", "stop_rel_tol", -10**300), ("bo", "n0", "x" * 500),
+        ("problem", "a", 10**400), ("baseline", "tol", -10**300),
+    ], ids=["bo-beta_max-10**400", "bo-stop_rel_tol--10**300", "bo-n0-500-chars",
+            "problem-a-10**400", "baseline-tol--10**300"])
+    def test_refused_value_is_shortened(self, tmp_path, command, section, key, value, capsys):
+        doc = json.loads(write_config(tmp_path / "base.json").read_text())
+        path = write_config(tmp_path / "run.json",
+                            **{**doc, section: {**doc.get(section, {}), key: value}})
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "..." in err and len(err) < 300
 
     @pytest.mark.parametrize("section,key,value", [
         ("bo", "beta_min", True),

@@ -560,6 +560,22 @@ class TestTraceSerialization:
         with pytest.raises(TypeError, match="extra"):
             driver.load_trace(path)
 
+    # A dataclass's own checks refuse these; the refusal names the file
+    # and the field.
+    @pytest.mark.parametrize("corrupt, where, error", [
+        (lambda doc: doc["config"].update(beta_min=2000.0), "config: ", ValueError),
+        (lambda doc: doc["iterations"][-1]["fit"]["coef_hat"].append(0.0),
+         r"iterations\.\d+\.fit: ", ValueError),
+        (lambda doc: doc["iterations"][-1].update(extra=1), r"iterations\.\d+: ", TypeError),
+    ], ids=["beta_min-above-beta_max", "coef_hat-3-entries", "unknown-key"])
+    def test_dataclass_refusal_names_the_file(self, tmp_path, trace, corrupt, where, error):
+        doc = driver.trace_to_json_dict(trace)
+        corrupt(doc)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error, match=r"trace\.json: " + where):
+            driver.load_trace(path)
+
     @pytest.mark.parametrize("override", [{"integer_beta": np.True_}, {"n0": np.int64(10)}])
     def test_numpy_scalars_in_the_config_round_trip(self, tmp_path, override):
         prob = calibrated_problem()

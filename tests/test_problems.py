@@ -383,6 +383,13 @@ class TestSromStandin:
             want = float(np.linalg.norm(w @ q - x_rom_eig))
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(ln_beta=st.floats(math.log(1e-2), math.log(1e12)), seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_as_the_formula(self, prob, ln_beta, seed):
+        beta = math.exp(ln_beta)
+        got = prob.evaluate_statistic(beta, np.random.default_rng(seed))
+        assert got == oracles.srom_statistic(beta, np.random.default_rng(seed))
+
     def test_statistic_finite_nonnegative_in_window(self, prob):
         rng = np.random.default_rng(2)
         for _ in range(50):
