@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
+from .problems import ObjectiveProblem, check_threads, draw_statistics, round_into_bounds
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0          # bracket shrink factor
 _PARABOLIC_FALLBACK = 1.0 - GOLDEN             # golden step fraction, ~0.382
@@ -49,6 +49,20 @@ METHODS = {
                   "ln-beta parabolic triple from [beta_min, beta_max], golden-safeguarded",
                   "bracket < {tol} | converged | noise-floor | budget ({max_iter} probes)"),
 }
+
+
+def _moments(g: np.ndarray) -> tuple[float, float]:
+    """The mean of ``g`` and its standard error, the bits of ``g.mean()``
+    and ``g.std(ddof=1) / sqrt(n)`` (0.0 at n = 1): the same pairwise sums
+    and divisions, without ``std``'s Python layers.  ``g`` is overwritten
+    with its squared deviations."""
+    n = g.size
+    mean = float(np.add.reduce(g)) / n
+    if n == 1:
+        return mean, 0.0
+    g -= mean
+    np.multiply(g, g, out=g)
+    return mean, math.sqrt(float(np.add.reduce(g)) / (n - 1)) / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -82,6 +96,8 @@ class McObjective:
 
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        check_threads(self.threads)
+        self._sizes = [min(_CHUNK, self.mc_samples - i) for i in range(0, self.mc_samples, _CHUNK)]
         self._cache: dict[float, ProbeStats] = {}
         self._streams = ChildStreams(np.random.SeedSequence(self.seed, spawn_key=(_SEED_BRANCH,)))
 
@@ -98,23 +114,23 @@ class McObjective:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        sizes = [min(_CHUNK, self.mc_samples - i) for i in range(0, self.mc_samples, _CHUNK)]
+        sizes = self._sizes
         rngs = self._streams.spawn(len(sizes))
         draws = np.concatenate(draw_statistics(self.problem, [key] * len(sizes), rngs,
                                                self.threads, sizes))
-        g = (draws - self.problem.s0) ** 2
-        mean = float(g.mean())
-        se = float(g.std(ddof=1) / math.sqrt(g.size)) if g.size > 1 else 0.0
+        g = draws - self.problem.s0
+        np.multiply(g, g, out=g)
+        mean, se = _moments(g)
         stats = ProbeStats(
             beta=key,
             mean=mean,
             se=se,
-            count=g.size,
+            count=draws.size,
             order=len(self._cache),
             s_draws=draws,
         )
         self._cache[key] = stats
-        self.evaluations_used += g.size
+        self.evaluations_used += draws.size
         return stats
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import acquisition, glm, posterior
 from .jsonio import from_json, is_number, json_safe, write_json
 from .posterior import PosteriorSummary
-from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
+from .problems import ObjectiveProblem, check_threads, draw_statistics, round_into_bounds
 
 TRACE_SCHEMA = "bo-trace/1"
 
@@ -143,8 +143,8 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     """Execute the full optimization loop and return its trace.
 
     Statistic evaluations inside one batch may run concurrently (bounded
-    by ``threads``); each evaluation owns a pre-assigned child rng stream,
-    so results are bit-identical for any thread count.
+    by ``threads``, an integer >= 1); each evaluation owns a pre-assigned
+    child rng stream, so results are bit-identical for any thread count.
 
     A record (the initial fit counts) is *settled*
     (:func:`posterior.settled`) when the exponent a is identified by its
@@ -162,6 +162,7 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     """
     from .streams import ChildStreams  # only here: it loads numpy.random, import scalebo does not
 
+    check_threads(threads)
     start = time.perf_counter()
     root = np.random.SeedSequence(config.seed)
     acq_ss, eval_ss, summary_ss = root.spawn(3)

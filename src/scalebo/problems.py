@@ -82,6 +82,12 @@ class ObjectiveProblem:
             return False
 
 
+def check_threads(threads) -> None:
+    """Refuse a thread count that is not an integer >= 1."""
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+
+
 def draw_statistics(problem: ObjectiveProblem, betas, rngs, threads: int = 1,
                     sizes=None, iteration=None) -> list:
     """The statistic at ``betas[i]`` on ``rngs[i]`` for each task i: a float
@@ -131,9 +137,15 @@ def target_for_optimum(a: float, ln_b: float, eps2: float, beta_opt: float) -> f
     return math.exp(ln_b + 1.5 * eps2 + a * math.log(beta_opt))
 
 
-def _exp(x):
-    """``math.exp`` of a float (a scalar draw), ``np.exp`` of an array (sized draws)."""
-    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+def _exp_affine(center: float, sigma: float, z):
+    """``exp(center + sigma * z)``: ``math.exp`` of a scalar draw z, and a
+    sized draw array transformed in place, with the same bits (IEEE sums
+    and products commute)."""
+    if isinstance(z, np.ndarray):
+        z *= sigma
+        z += center
+        return np.exp(z, out=z)
+    return math.exp(center + sigma * z)
 
 
 def _check_beta(beta: float) -> float:
@@ -162,7 +174,7 @@ def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: Optional[float] =
 
     def evaluate_statistic(beta, rng, size=None):
         beta = _check_beta(beta)
-        return _exp(a * math.log(beta) + ln_b + sigma * rng.standard_normal(size))
+        return _exp_affine(a * math.log(beta) + ln_b, sigma, rng.standard_normal(size))
 
     ln_opt = log_argmin_float(a, ln_b, eps2, s0)
     truth = ProblemTruth(a=a, b=math.exp(ln_b), eps2=eps2,
@@ -183,7 +195,9 @@ def gamma_noise(a: float, ln_b: float, s0: float, shape: float = 4.0) -> Objecti
 
     def evaluate_statistic(beta, rng, size=None):
         beta = _check_beta(beta)
-        return math.exp(a * math.log(beta) + ln_b) * rng.gamma(shape, 1.0 / shape, size)
+        scale = math.exp(a * math.log(beta) + ln_b)
+        noise = rng.gamma(shape, 1.0 / shape, size)
+        return scale * noise if size is None else np.multiply(noise, scale, out=noise)
 
     return ObjectiveProblem(evaluate_statistic, s0=s0, label="gamma-noise")
 
@@ -199,7 +213,7 @@ def heteroscedastic(a: float, ln_b: float, s0: float, eps_base: float = 0.2,
             raise ValueError("heteroscedastic kind is defined for beta > 1")
         ln_beta = math.log(beta)
         eps = eps_base + eps_slope / ln_beta
-        return _exp(a * ln_beta + ln_b + eps * rng.standard_normal(size))
+        return _exp_affine(a * ln_beta + ln_b, eps, rng.standard_normal(size))
 
     return ObjectiveProblem(evaluate_statistic, s0=s0, label="heteroscedastic", beta_floor=1.0)
 
@@ -216,7 +230,7 @@ def shifted_lognormal(a: float, ln_b: float, eps2: float, s0: float,
 
     def evaluate_statistic(beta, rng, size=None):
         beta = _check_beta(beta)
-        return shift + _exp(a * math.log(beta) + ln_b + sigma * rng.standard_normal(size))
+        return shift + _exp_affine(a * math.log(beta) + ln_b, sigma, rng.standard_normal(size))
 
     return ObjectiveProblem(evaluate_statistic, s0=s0, label="shifted-lognormal")
 

@@ -106,13 +106,13 @@ class ChildStreams:
         if stop > _MASK32 + 1:
             raise OverflowError("a child index must fit in one 32-bit word")
         self._next = stop
+        generator, pcg64 = np.random.Generator, np.random.PCG64
+        entropy, spawn_key, pool_size = self._entropy, self._spawn_key, self._pool_size
         children = []
         for first in range(start - start % BLOCK, stop, BLOCK):
             seeds = self._block_seeds(first)
             children += [
-                np.random.Generator(np.random.PCG64(_Child(
-                    seeds[i - first], self._entropy, self._spawn_key + (i,), self._pool_size
-                )))
+                generator(pcg64(_Child(seeds[i - first], entropy, spawn_key + (i,), pool_size)))
                 for i in range(max(start, first), min(stop, first + BLOCK))
             ]
         return children
@@ -150,7 +150,8 @@ class _Child(ISpawnableSeedSequence):
         return self._seq
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words == 4 and np.dtype(dtype) == np.uint64:
+        # PCG64 asks for (4, np.uint64) itself: the identity test spares np.dtype.
+        if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
             return self._seed_words
         return self._real().generate_state(n_words, dtype)
 

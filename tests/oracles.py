@@ -15,6 +15,9 @@ basis and solutions through LAPACK, as ``problems.build_static_fixture``
 once did, for its closed form to be checked against.
 :func:`srom_statistic` is ``problems.srom_standin``'s statistic written
 as its formula, with the temporaries the package's version saves.
+:func:`probe_moments` is the mean and standard error of a Monte-Carlo
+probe through numpy's ``mean`` and ``std``, the reference for
+``baselines._moments``.
 """
 
 import math
@@ -160,3 +163,10 @@ def srom_statistic(beta, rng):
     reduced = (basis * lam[:, None]).T @ basis
     q = np.linalg.solve(reduced, basis.T @ f_hdm)
     return float(np.linalg.norm(basis @ q - x_rom))
+
+
+def probe_moments(g):
+    """``(mean, se)`` of ``g`` through ``ndarray.mean`` and
+    ``ndarray.std(ddof=1) / sqrt(n)``; se is 0.0 at n = 1."""
+    se = float(g.std(ddof=1) / math.sqrt(g.size)) if g.size > 1 else 0.0
+    return float(g.mean()), se

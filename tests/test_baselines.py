@@ -52,6 +52,32 @@ def quadratic_problem(vertex_u=2.0, floor=0.5):
     return problems.ObjectiveProblem(statistic, s0=1.0)
 
 
+class TestMoments:
+    # Sizes up to three probes' worth of draws, magnitudes from 1e-150 to
+    # 1e150, and constant arrays.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        lo=st.integers(-150, 150),
+        decades=st.integers(0, 300),
+        constant=st.booleans(),
+    )
+    def test_same_bits_as_mean_and_std(self, n, seed, lo, decades, constant):
+        rng = np.random.default_rng(seed)
+        hi = min(lo + decades, 150)
+        g = 10.0 ** rng.uniform(lo, hi, n)
+        if constant:
+            g[:] = g[0]
+        assert baselines._moments(g.copy()) == oracles.probe_moments(g)
+
+    @pytest.mark.parametrize("mc_samples", [1, 2, 300, 1000])
+    def test_probe_reports_the_moments_of_its_squared_errors(self, mc_samples):
+        prob = calibrated_problem()
+        stats = McObjective(problem=prob, mc_samples=mc_samples, seed=6).probe(64.0)
+        assert (stats.mean, stats.se) == oracles.probe_moments((stats.s_draws - prob.s0) ** 2)
+
+
 class TestMcObjective:
     def test_deterministic_problem_is_exact(self):
         prob = noiseless_problem()
@@ -86,6 +112,11 @@ class TestMcObjective:
             truth.beta_opt,
         )
         assert abs(stats.mean - analytic) <= 3.0 * stats.se
+
+    @pytest.mark.parametrize("threads", [0, -1, 2.0, "2", True, None])
+    def test_threads_must_be_an_integer_at_least_one(self, threads):
+        with pytest.raises(ValueError, match=f"got {threads!r}"):
+            McObjective(problem=calibrated_problem(), threads=threads)
 
     def test_thread_count_does_not_change_draws(self):
         serial = McObjective(problem=calibrated_problem(), mc_samples=500, seed=4, threads=1)

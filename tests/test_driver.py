@@ -170,6 +170,12 @@ class TestPointEstimate:
 
 
 class TestRun:
+    @pytest.mark.parametrize("threads", [0, -1, 2.0, "2", True, None])
+    def test_threads_must_be_an_integer_at_least_one(self, threads):
+        prob = calibrated_problem()
+        with pytest.raises(ValueError, match=f"got {threads!r}"):
+            driver.run(config_for(prob, max_iterations=1), prob, threads=threads)
+
     def test_budget_accounting_single_iteration(self):
         prob = calibrated_problem()
         trace = driver.run(config_for(prob, n0=12, batch_size=5, max_iterations=1), prob)

@@ -177,7 +177,39 @@ SIZED_KINDS = {
 }
 
 
+# Each sized kind's statistic written as one expression over its draws, the
+# bits its in-place transform must keep, with the parameters of SIZED_KINDS;
+# ``exp`` is np.exp for a draw array, math.exp for a scalar draw.
+FORMULAS = {
+    "synthetic-powerlaw": lambda exp, beta, rng, size: exp(
+        -0.58 * math.log(beta) + 0.1 + math.sqrt(0.25) * rng.standard_normal(size)),
+    "gamma-noise": lambda exp, beta, rng, size: (
+        math.exp(-0.5 * math.log(beta) + 0.2) * rng.gamma(4.0, 1.0 / 4.0, size)),
+    "heteroscedastic": lambda exp, beta, rng, size: exp(
+        -0.5 * math.log(beta) + 0.0 + (0.2 + 0.1 / math.log(beta)) * rng.standard_normal(size)),
+    "shifted-lognormal": lambda exp, beta, rng, size: 0.05 + exp(
+        -0.5 * math.log(beta) + 0.1 + math.sqrt(0.2) * rng.standard_normal(size)),
+}
+
+
 class TestSizedDraws:
+    @pytest.mark.parametrize("kind", sorted(SIZED_KINDS))
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.floats(1.001, 1e8), k=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+    def test_sized_draws_are_the_formulas_bits(self, kind, beta, k, seed):
+        sized = SIZED_KINDS[kind][0]().evaluate_statistic(beta, np.random.default_rng(seed), size=k)
+        expected = FORMULAS[kind](np.exp, beta, np.random.default_rng(seed), k)
+        assert sized.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(SIZED_KINDS))
+    def test_scalar_draws_go_through_math_exp(self, kind):
+        # np.exp of a float is an np.float64, and may differ by one ulp.
+        statistic = SIZED_KINDS[kind][0]().evaluate_statistic
+        for seed, beta in enumerate((1.5, 20.0, 333.0, 4e6)):
+            value = statistic(beta, np.random.default_rng(seed))
+            assert type(value) is float
+            assert value == FORMULAS[kind](math.exp, beta, np.random.default_rng(seed), None)
+
     @pytest.mark.parametrize("kind", sorted(SIZED_KINDS))
     @settings(max_examples=60, deadline=None)
     @given(

@@ -149,6 +149,23 @@ def result_doc(result):
     }
 
 
+def assert_sized_search_matches_numpy(problem, monkeypatch):
+    """A golden-section run of 1000-draw probes (chunks 256, 256, 256, 232)
+    at 1 and 3 threads is the run on numpy's own child streams."""
+
+    def search(threads):
+        objective = baselines.McObjective(problem=problem, mc_samples=1000, seed=23,
+                                          threads=threads)
+        assert problem._takes_size
+        return result_doc(baselines.golden_section(objective, (10.0, 1000.0), tol=0.04))
+
+    new = [search(t) for t in (1, 3)]
+    monkeypatch.setattr(streams, "ChildStreams", NumpyChildren)
+    old = search(1)
+    assert new[0] == old
+    assert new[1] == old
+
+
 class TestReferenceRuns:
     @pytest.mark.parametrize("name", ["calibrated", "gamma-noise", "srom"])
     def test_driver_run(self, name, srom_problem, monkeypatch):
@@ -167,19 +184,10 @@ class TestReferenceRuns:
         assert new[1] == old
 
     def test_golden_section_sized_calibrated(self, monkeypatch):
-        problem = calibrated_problem()
+        assert_sized_search_matches_numpy(calibrated_problem(), monkeypatch)
 
-        def search(threads):
-            objective = baselines.McObjective(problem=problem, mc_samples=1000, seed=23,
-                                              threads=threads)
-            assert problem._takes_size
-            return result_doc(baselines.golden_section(objective, (10.0, 1000.0), tol=0.04))
-
-        new = [search(t) for t in (1, 3)]
-        monkeypatch.setattr(streams, "ChildStreams", NumpyChildren)
-        old = search(1)
-        assert new[0] == old
-        assert new[1] == old
+    def test_golden_section_sized_gamma_noise(self, monkeypatch):
+        assert_sized_search_matches_numpy(gamma_noise_problem(), monkeypatch)
 
     def test_golden_section_scalar_srom(self, srom_problem, monkeypatch):
         def search():
