@@ -28,6 +28,7 @@ import numpy as np
 
 from . import glm
 from .errors import SurrogateOverflow
+from .jsonio import check_count
 
 # exp() overflows float64 just above this exponent.
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -214,8 +215,7 @@ def thompson_batch(
     DegenerateVariance
         Propagated from posterior sampling when ``fit.s2`` is zero.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    check_count("batch_size", batch_size, 1)
     beta_min, beta_max = bounds
     if not (0 < beta_min < beta_max < math.inf):
         raise ValueError("bounds must satisfy 0 < beta_min < beta_max < inf")

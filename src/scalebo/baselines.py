@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import ObjectiveProblem, check_threads, draw_statistics, round_into_bounds
+from .jsonio import check_count
+from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0          # bracket shrink factor
 _PARABOLIC_FALLBACK = 1.0 - GOLDEN             # golden step fraction, ~0.382
@@ -94,9 +95,8 @@ class McObjective:
     def __post_init__(self):
         from .streams import ChildStreams  # only here: it loads numpy.random, import scalebo does not
 
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
-        check_threads(self.threads)
+        for name, minimum in (("mc_samples", 1), ("seed", 0), ("threads", 1)):
+            check_count(name, getattr(self, name), minimum)
         self._sizes = [min(_CHUNK, self.mc_samples - i) for i in range(0, self.mc_samples, _CHUNK)]
         self._cache: dict[float, ProbeStats] = {}
         self._streams = ChildStreams(np.random.SeedSequence(self.seed, spawn_key=(_SEED_BRANCH,)))

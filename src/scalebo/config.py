@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import baselines, problems
 from .driver import BoConfig
 from .errors import ConfigError
-from .jsonio import from_json, is_number
+from .jsonio import check_count, from_json, is_number
 
 
 # Problem kind -> builder.  A builder's keyword parameters are the kind's
@@ -45,14 +45,12 @@ class BaselineSettings:
 
     def __post_init__(self):
         if self.method not in baselines.METHODS:
-            raise ConfigError(f"baseline.method must be one of {list(baselines.METHODS)}, "
-                              f"got {reprlib.repr(self.method)}")
-        if not self.tol > 0:
-            raise ConfigError(f"baseline.tol must be > 0, got {reprlib.repr(self.tol)}")
-        if self.mc_samples < 1:
-            raise ConfigError("baseline.mc_samples must be >= 1")
-        if self.max_iter < 3:
-            raise ConfigError("baseline.max_iter must be >= 3")
+            raise ValueError(f"method must be one of {list(baselines.METHODS)}, "
+                             f"got {reprlib.repr(self.method)}")
+        if not (is_number(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be a finite number > 0, got {reprlib.repr(self.tol)}")
+        check_count("mc_samples", self.mc_samples, 1)
+        check_count("max_iter", self.max_iter, 3)
 
 
 @dataclass(frozen=True)

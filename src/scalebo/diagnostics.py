@@ -18,7 +18,7 @@ import numpy as np
 
 from . import glm
 from .errors import DegenerateSample, InsufficientData, NoEligibleGroups
-from .jsonio import json_safe, write_csv, write_json
+from .jsonio import check_count, json_safe, write_csv, write_json
 
 SHIFT_GRID_POINTS = 50
 # Most elements per block of the shift profile, 16 MB of float64 (all 50
@@ -88,8 +88,7 @@ def residual_stats(
     NoEligibleGroups
         No group meets the threshold.
     """
-    if min_per_beta < 1:
-        raise ValueError("min_per_beta must be >= 1")
+    check_count("min_per_beta", min_per_beta, 1)
     resid = data.y - data.x @ fit.coef_hat
     # One stable sort splits the rows into beta groups, each in its rows'
     # original order, so every moment sums exactly what a mask would pick.
@@ -155,8 +154,7 @@ def rolling_smooth(series, window: int = 6) -> np.ndarray:
     near the edges the window shrinks to the largest symmetric one that
     fits.  Width 1 is the identity.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    check_count("window", window, 1)
     arr = np.asarray(series, dtype=float)
     if window == 1 or arr.size == 0:
         return arr.copy()

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import reprlib
 import time
 from dataclasses import dataclass
@@ -22,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import acquisition, glm, posterior
-from .jsonio import from_json, is_number, json_safe, write_json
+from .jsonio import check_count, from_json, is_number, json_safe, write_json
 from .posterior import PosteriorSummary
-from .problems import ObjectiveProblem, check_threads, draw_statistics, round_into_bounds
+from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 
 TRACE_SCHEMA = "bo-trace/1"
 
@@ -60,10 +59,10 @@ class BoConfig:
             value = getattr(self, name)
             if not is_number(value):
                 raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
-        for name in ("n0", "batch_size", "max_iterations", "stop_window", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+        # n0 >= 4 leaves two residual degrees of freedom at the first fit.
+        for name, minimum in (("n0", 4), ("batch_size", 1), ("max_iterations", 1),
+                              ("stop_window", 1), ("seed", 0)):
+            check_count(name, getattr(self, name), minimum)
         if not isinstance(self.integer_beta, (bool, np.bool_)):
             raise ValueError(f"integer_beta must be true or false, "
                              f"got {reprlib.repr(self.integer_beta)}")
@@ -71,18 +70,8 @@ class BoConfig:
             raise ValueError("bounds must satisfy 0 < beta_min < beta_max")
         if not self.s0 > 0:
             raise ValueError("s0 must be > 0")
-        if self.n0 < 4:
-            raise ValueError("n0 must be >= 4 (two residual degrees of freedom at the first fit)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if not self.stop_rel_tol > 0:
             raise ValueError(f"stop_rel_tol must be > 0, got {reprlib.repr(self.stop_rel_tol)}")
-        if self.stop_window < 1:
-            raise ValueError("stop_window must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {reprlib.repr(self.seed)}")
         # One integer would make every design point the same beta: a rank-1 first fit.
         if self.integer_beta and math.floor(self.beta_max) - math.ceil(self.beta_min) < 1:
             raise ValueError("integer_beta requires two integers inside [beta_min, beta_max]")
@@ -162,7 +151,7 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     """
     from .streams import ChildStreams  # only here: it loads numpy.random, import scalebo does not
 
-    check_threads(threads)
+    check_count("threads", threads, 1)
     start = time.perf_counter()
     root = np.random.SeedSequence(config.seed)
     acq_ss, eval_ss, summary_ss = root.spawn(3)

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateVariance, InsufficientData, RankDeficient
-from .jsonio import write_csv
+from .jsonio import check_count, write_csv
 
 # Number of regression coefficients: slope on ln(beta) plus intercept.
 NUM_COEF = 2
@@ -103,11 +103,12 @@ class GlmFit:
     dof: int
 
     def __post_init__(self):
+        check_count("dof", self.dof, 1)
         if not (self.coef_hat.shape == (NUM_COEF,) and self.v_theta.shape == (NUM_COEF, NUM_COEF)
-                and self.s2 >= 0 and self.dof >= 1):
-            raise ValueError("a fit needs coef_hat of shape (2,), v_theta of shape (2, 2), s2 >= 0 "
-                             f"and dof >= 1, got {self.coef_hat.shape}, {self.v_theta.shape}, "
-                             f"{self.s2!r} and {self.dof!r}")
+                and self.s2 >= 0):
+            raise ValueError("a fit needs coef_hat of shape (2,), v_theta of shape (2, 2) and "
+                             f"s2 >= 0, got {self.coef_hat.shape}, {self.v_theta.shape} and "
+                             f"{self.s2!r}")
 
     @property
     def a_hat(self) -> float:
@@ -232,8 +233,7 @@ def sample_posterior(
     numpy.linalg.LinAlgError
         ``fit.v_theta`` is not positive definite.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    check_count("count", count, 1)
     if fit.s2 <= 0.0:
         raise DegenerateVariance("residual variance is zero; posterior over eps2 collapses")
     chi2 = rng.gamma(shape=0.5 * fit.dof, scale=2.0, size=count)

@@ -7,6 +7,10 @@ is the one encoder: a dataclass is written as an object of its fields, in
 declaration order, so an artifact's dataclasses are its schema, and
 :func:`from_json` reads them back by field type.  CSV files write floats by
 ``repr``, which round-trips ``nan`` and ``inf`` too.
+
+Two rules read a library setting or argument: :func:`is_number` for a
+number and :func:`check_count` for a count.  JSON artifacts are read by
+:func:`from_json`'s exact types instead, and the CLI's flags by argparse.
 """
 
 import csv
@@ -30,6 +34,13 @@ def is_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:   # an int beyond float range
         return False
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    of at least ``minimum``; a numpy integer counts, a boolean does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {reprlib.repr(value)}")
 
 
 def json_safe(doc):

@@ -82,12 +82,6 @@ class ObjectiveProblem:
             return False
 
 
-def check_threads(threads) -> None:
-    """Refuse a thread count that is not an integer >= 1."""
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-
-
 def draw_statistics(problem: ObjectiveProblem, betas, rngs, threads: int = 1,
                     sizes=None, iteration=None) -> list:
     """The statistic at ``betas[i]`` on ``rngs[i]`` for each task i: a float

@@ -23,6 +23,8 @@ own PCG64 seeds itself from those words.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
@@ -47,15 +49,16 @@ def _words(value) -> list[int]:
     """numpy's uint32 words of a SeedSequence entropy or spawn key: an
     integer in little-endian 32-bit words (0 is one word), a sequence as
     the concatenation of its items' words."""
-    if isinstance(value, (int, np.integer)):
-        n = int(value)
-        words = [n & _MASK32]
+    try:
+        n = operator.index(value)
+    except TypeError:   # a sequence
+        return [w for item in value for w in _words(item)]
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
         n >>= 32
-        while n:
-            words.append(n & _MASK32)
-            n >>= 32
-        return words
-    return [w for item in value for w in _words(item)]
+    return words
 
 
 def _successive(hash_const: int, mult: int, count: int) -> list[int]:

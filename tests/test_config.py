@@ -193,6 +193,18 @@ class TestSections:
     def test_unknown_baseline_method_is_named(self):
         raises_naming("newton", config.parse_config, doc(baseline={"method": "newton"}))
 
+    # Built directly, the baseline settings refuse as BoConfig does: a
+    # ValueError naming the key.  tol is read by the number rule, so an
+    # infinite tol (golden section's bracket test would pass at once) and a
+    # boolean are refused.  From a config, each is a ConfigError naming it.
+    @pytest.mark.parametrize("key,value", [("tol", float("inf")), ("tol", True),
+                                           ("tol", float("nan")), ("tol", 0.0), ("tol", "0.1"),
+                                           ("method", "newton")])
+    def test_baseline_settings_refuse_with_value_error(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            config.BaselineSettings(**{key: value})
+        raises_naming(key, config.parse_config, doc(baseline={key: value}))
+
     @pytest.mark.parametrize("key", ["seed", "problem", "bo"])
     def test_missing_required_section_is_named(self, key):
         d = doc()
