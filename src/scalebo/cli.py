@@ -8,6 +8,10 @@ optimize
 baseline
     Run the Monte-Carlo 1-D optimizer on the same config; writes
     trace.csv, probes.csv and estimate.json.
+
+    Each estimate.json holds ``rounds``, the run's synchronous rounds: the
+    records of an optimize run (the initial design included), or the
+    probes of a baseline run.
 compare
     Tabulate data/time ratios between an optimize run and a baseline run.
 diagnose
@@ -151,6 +155,7 @@ def cmd_optimize(args) -> int:
     write_json(outdir / "estimate.json", {
         "beta_hat": trace.final_estimate,
         "evaluations": trace.total_evaluations,
+        "rounds": len(trace.iterations),
         "wall_clock_seconds": trace.wall_clock_seconds,
         "flag": trace.flag,
     })
@@ -193,6 +198,7 @@ def cmd_baseline(args) -> int:
     write_json(outdir / "estimate.json", {
         "beta_hat": result.beta_hat,
         "evaluations": result.evaluations_used,
+        "rounds": len(result.probes),
         "wall_clock_seconds": wall,
     })
     write_json(outdir / "run.json", _run_metadata(cfg, args, result.method, {

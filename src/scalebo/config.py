@@ -92,12 +92,20 @@ def _canonical_section(doc_section: dict) -> dict:
                              if value is not None}}
 
 
+class _CanonicalSection(dict):
+    """A section that :func:`_canonical_section` returned, which
+    :func:`build_problem` builds as it stands."""
+
+
 def build_problem(doc_section: dict) -> problems.ObjectiveProblem:
-    """Instantiate the configured problem; also resolves its target s0."""
-    section = _canonical_section(doc_section)
-    kind = section.pop("kind")
+    """Instantiate the configured problem; also resolves its target s0.
+    ``doc_section`` is a config's raw ``problem`` section, which is
+    canonicalized first, unless :func:`parse_config` already did."""
+    if not isinstance(doc_section, _CanonicalSection):
+        doc_section = _canonical_section(doc_section)
+    kind, arguments = doc_section["kind"], {k: v for k, v in doc_section.items() if k != "kind"}
     try:
-        return PROBLEM_KINDS[kind](**section)
+        return PROBLEM_KINDS[kind](**arguments)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {kind} problem: {exc}") from exc
 
@@ -115,7 +123,7 @@ def parse_config(doc: dict) -> RunConfig:
         if key not in doc:
             raise ConfigError(f"config is missing required key {key!r}")
     problem_section = _canonical_section(doc["problem"])
-    problem = build_problem(problem_section)
+    problem = build_problem(_CanonicalSection(problem_section))
     try:   # a "bo" that is not an object is a TypeError too
         bo = BoConfig(seed=doc["seed"], s0=problem.s0, **doc["bo"])
     except (TypeError, ValueError) as exc:

@@ -2,11 +2,11 @@
 
 The driver runs the synchronous loop: evaluate a deterministic
 log-equispaced initial design, fit the conjugate log-log model, then per
-iteration draw a Thompson batch, observe the statistic at each proposal,
-augment the dataset and refit.  It stops on an evaluation budget, when
-the posterior of the optimizer has settled (see :func:`run`), or at the
-first exact fit (noise-free problems).  Every iteration is recorded in a
-serializable trace.
+iteration draw a Thompson batch sized from the posterior's shortfall,
+observe the statistic at each proposal, augment the dataset and refit.
+It stops on an evaluation budget, when the posterior of the optimizer has
+settled (see :func:`run`), or at the first exact fit (noise-free
+problems).  Every iteration is recorded in a serializable trace.
 """
 
 from __future__ import annotations
@@ -36,11 +36,15 @@ DEGENERATE_S2 = 1e-24
 class BoConfig:
     """Settings of one optimization run.
 
-    The run stops as ``converged`` after ``stop_window`` consecutive
-    settled records (the initial fit counts; see :func:`run`); a window
-    above ``max_iterations`` turns the stop off.  ``stop_rel_tol`` is
-    deprecated and read by nothing: it is still accepted, finite and > 0,
-    so that configs written for the earlier drift rule still parse.
+    ``batch_size`` is the smallest Thompson batch: a batch grows with the
+    record's shortfall, and the run spends at most
+    ``n0 + max_iterations * batch_size`` evaluations in at most
+    ``max_iterations`` batches (see :func:`run`).  The run stops as
+    ``converged`` after ``stop_window`` consecutive settled records (the
+    initial fit counts); a window above ``max_iterations`` turns the stop
+    off.  ``stop_rel_tol`` is deprecated and read by nothing: it is still
+    accepted, finite and > 0, so that configs written for the earlier
+    drift rule still parse.
     """
 
     beta_min: float
@@ -136,18 +140,24 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     child rng stream, so results are bit-identical for any thread count.
 
     A record (the initial fit counts) is *settled*
-    (:func:`posterior.settled`) when the exponent a is identified by its
-    exact t tail and the 95% beta* interval ``[q025, q975]`` lies inside
-    the plug-in objective's 10% optimal region within the bounds.  The run
-    stops as ``converged`` after ``config.stop_window`` consecutive settled
-    records.  The test draws no random numbers, so a stopped run's records
-    are the leading records of the same-seed run with the stop turned off.
-    Before that test, a record whose fit is exact (``s2 <= DEGENERATE_S2``),
-    the initial one included, stops the run as ``degenerate-fit``.  The
-    trace's ``flag`` (:func:`posterior.flag`) reads the last record:
-    ``"unidentified"`` when a is not identified, ``"boundary-min"`` or
-    ``"boundary-max"`` when the beta* interval has collapsed onto that
-    bound.
+    (:func:`posterior.stop_reading`) when the exponent a is identified by
+    its exact t tail and the 95% beta* interval ``[q025, q975]`` lies
+    inside the plug-in objective's 10% optimal region within the bounds.
+    The run stops as ``converged`` after ``config.stop_window`` consecutive
+    settled records.  The same reading gives the record's *shortfall*, the
+    extra usable rows after which the interval is predicted to fit that
+    region, and the next Thompson batch holds
+    ``max(batch_size, ceil(shortfall / 2))`` proposals, cut to what is
+    left of the budget ``n0 + max_iterations * batch_size``; the run stops
+    as ``budget`` once that is spent.  Neither reading draws random
+    numbers, and the budget does not depend on ``stop_window``, so a
+    stopped run's records are the leading records of the same-seed run
+    with the stop turned off.  Before that reading, a record whose fit is
+    exact (``s2 <= DEGENERATE_S2``), the initial one included, stops the
+    run as ``degenerate-fit``.  The trace's ``flag``
+    (:func:`posterior.flag`) reads the last record: ``"unidentified"`` when
+    a is not identified, ``"boundary-min"`` or ``"boundary-max"`` when the
+    beta* interval has collapsed onto that bound.
     """
     from .streams import ChildStreams  # only here: it loads numpy.random, import scalebo does not
 
@@ -162,13 +172,16 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     records = []
     rows, fit = np.empty((0, 2)), None   # every (beta, s) drawn so far
     evaluations = rejected_total = streak = 0
+    budget = config.n0 + config.max_iterations * config.batch_size
     stop_reason = "budget"
     for t in range(config.max_iterations + 1):
         if t == 0:
             betas_t = [float(b) for b in initial_design(config)]
         else:
+            remaining = budget - evaluations
+            size = min(remaining, max(config.batch_size, math.ceil(min(shortfall / 2, remaining))))
             betas_t = acquisition.thompson_batch(
-                fit, config.s0, config.batch_size, config.bounds, acq_rng
+                fit, config.s0, size, config.bounds, acq_rng
             ).betas
             if config.integer_beta:
                 betas_t = [round_into_bounds(b, config.bounds) for b in betas_t]
@@ -198,9 +211,12 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
         if fit.s2 <= DEGENERATE_S2:
             stop_reason = "degenerate-fit"
             break
-        streak = streak + 1 if posterior.settled(fit, summary, config.s0, config.bounds) else 0
+        settled, shortfall = posterior.stop_reading(fit, summary, config.s0, config.bounds)
+        streak = streak + 1 if settled else 0
         if streak >= config.stop_window:
             stop_reason = "converged"
+            break
+        if evaluations >= budget:
             break
 
     final = records[-1].beta_hat

@@ -2,6 +2,8 @@
 the one home of the stop rule.  With nu = n - 2 (see :mod:`scalebo.glm`),
 a | D ~ t_nu(a_hat, s2 * V_theta[0, 0]) exactly, so whether a is
 identified is one Student-t tail; only the beta* quantiles use draws.
+The stop region gives two readings, whether a record has settled and how
+many more rows it is predicted to need (:func:`stop_reading`).
 """
 
 from __future__ import annotations
@@ -102,14 +104,43 @@ def summarize(fit: glm.GlmFit, s0: float, bounds: tuple[float, float], rng) -> P
 
 def settled(fit: glm.GlmFit, summary: PosteriorSummary, s0: float,
             bounds: tuple[float, float]) -> bool:
-    """a is identified and the 95% beta* interval lies inside the 10% region
-    of the plug-in objective on (a_hat, exp(ln_b_hat), s2) within bounds.
-    Raises ``SurrogateOverflow`` where a is identified but ln beta* is +-inf."""
+    """The first reading of :func:`stop_reading`."""
+    return stop_reading(fit, summary, s0, bounds)[0]
+
+
+def stop_reading(fit: glm.GlmFit, summary: PosteriorSummary, s0: float,
+                 bounds: tuple[float, float]) -> tuple[bool, float]:
+    """``(settled, shortfall)`` of a record, both read from one stop region:
+    the 10% region of the plug-in objective on (a_hat, exp(ln_b_hat), s2)
+    within bounds.
+
+    *settled*: a is identified and the 95% beta* interval lies inside the
+    region.  *shortfall*: the number of extra usable rows after which that
+    interval, shrunk about its median at the 1/sqrt(n) rate, fits the
+    region, with n = dof + 2 the usable rows so far.  In ln beta, ``room``
+    is the smaller of the two ratios (gap from q500 to the region's edge)
+    / (q500 to q025 or q975), where a half of zero width never constrains
+    it; k more rows shrink the interval by sqrt(n / (n + k)), so the
+    shortfall is n / room^2 - n, inf at room = 0.  It is 0 where a is
+    unidentified, the record is settled, or q500 lies outside the region.
+    Raises ``SurrogateOverflow`` where a is identified but ln beta* is +-inf.
+    """
     if not summary.a_identified:
-        return False
+        return False, 0.0
     lo, hi = acquisition.optimal_region_from(fit.a_hat, fit.ln_b_hat, fit.s2, s0,
                                              STOP_REGION_REL, bounds)
-    return lo <= summary.q025 and summary.q975 <= hi
+    if lo <= summary.q025 and summary.q975 <= hi:
+        return True, 0.0
+    if not lo <= summary.q500 <= hi:   # NaN included
+        return False, 0.0
+    ln_mid = math.log(summary.q500)
+    room = math.inf
+    for edge, end in ((lo, summary.q025), (hi, summary.q975)):
+        half = abs(math.log(end) - ln_mid)
+        if half > 0.0:
+            room = min(room, abs(math.log(edge) - ln_mid) / half)
+    n = fit.dof + 2
+    return False, math.inf if room == 0.0 else n / room / room - n
 
 
 def flag(summary: PosteriorSummary, bounds: tuple[float, float]) -> str | None:

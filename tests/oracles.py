@@ -114,6 +114,26 @@ def settled(fit, summary, s0, bounds):
     return lo <= summary.q025 and summary.q975 <= hi
 
 
+def stop_reading(fit, summary, s0, bounds):
+    """``posterior.stop_reading`` through :func:`optimal_region_from` and
+    the two halves of the interval as one array."""
+    if not summary.a_identified:
+        return False, 0.0
+    lo, hi = optimal_region_from(fit.a_hat, fit.ln_b_hat, fit.s2, s0,
+                                 posterior.STOP_REGION_REL, bounds)
+    if lo <= summary.q025 and summary.q975 <= hi:
+        return True, 0.0
+    if not lo <= summary.q500 <= hi:
+        return False, 0.0
+    ln_mid = np.log(summary.q500)
+    gaps = np.abs(np.log([lo, hi]) - ln_mid)
+    halves = np.abs(np.log([summary.q025, summary.q975]) - ln_mid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = float(np.min(np.where(halves > 0, gaps / halves, np.inf)))
+    n = fit.dof + 2
+    return False, float(n / np.float64(room) ** 2 - n) if room > 0 else math.inf
+
+
 def ingest(points):
     """``glm.ingest`` through a tuple per row, whatever ``points`` is."""
     rows = np.array([(float(beta), float(s)) for beta, s in points], dtype=float)
@@ -129,7 +149,7 @@ def install(monkeypatch):
     monkeypatch.setattr(acquisition, "clamp_log_float", clamp_log_float)
     monkeypatch.setattr(posterior, "point_estimate", point_estimate)
     monkeypatch.setattr(posterior, "summarize", posterior_summary)
-    monkeypatch.setattr(posterior, "settled", settled)
+    monkeypatch.setattr(posterior, "stop_reading", stop_reading)
     monkeypatch.setattr(glm, "ingest", ingest)
     monkeypatch.setattr(glm.GlmFit, "cholesky",
                         property(lambda fit: glm._cholesky_2x2(fit.v_theta)))

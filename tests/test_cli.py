@@ -149,6 +149,19 @@ class TestDegenerateProblems:
         assert 10.0 <= estimate["beta_hat"] <= 1000.0
 
 
+    def test_estimate_counts_rounds_as_records(self, tmp_path, config_path):
+        # rounds counts the initial design, then each Thompson batch.
+        out = tmp_path / "bo"
+        assert cli.main(["optimize", "--config", str(config_path), "--out", str(out)]) == 0
+        estimate = strict_json(out / "estimate.json")
+        records = strict_json(out / "trace.json")["iterations"]
+        assert estimate["rounds"] == len(records) == 1 + sum(
+            rec["source"] == "thompson" for rec in records)
+        cmp = tmp_path / "cmp"
+        assert cli.main(["compare", str(out), str(out), "--out", str(cmp)]) == 0
+        assert strict_json(cmp / "comparison.json")["surrogate"]["rounds"] == len(records)
+
+
 class TestBaseline:
     def test_golden_run_artifacts(self, tmp_path, config_path):
         out = tmp_path / "base"
@@ -162,6 +175,13 @@ class TestBaseline:
         assert rows[0] == "iteration,beta,s,source"
         assert len(rows) - 1 == estimate["evaluations"]
         assert all(line.endswith("mc-probe") for line in rows[1:])
+
+    def test_estimate_counts_rounds_as_probes(self, tmp_path, config_path):
+        out = tmp_path / "base"
+        assert cli.main(["baseline", "--config", str(config_path), "--out", str(out)]) == 0
+        estimate = strict_json(out / "estimate.json")
+        probes = (out / "probes.csv").read_text().splitlines()[1:]
+        assert estimate["rounds"] == len(probes) == estimate["evaluations"] // 200
 
     def test_parabolic_dispatch(self, tmp_path):
         path = write_config(

@@ -169,6 +169,23 @@ class TestProblemSection:
         assert runs[0] == runs[1]
 
 
+    @pytest.mark.parametrize("kind", sorted(MINIMAL))
+    def test_parse_binds_the_section_once(self, kind, monkeypatch):
+        # The problem is built from the section parse_config canonicalized:
+        # one signature bind per parse, and the same problem as a raw build.
+        section = {"kind": kind, **MINIMAL[kind]}
+        bounds = {"beta_min": 3e7, "beta_max": 8e7} if kind == "srom-standin" else BO
+        binds = []
+        real = config._canonical_section
+        monkeypatch.setattr(config, "_canonical_section",
+                            lambda doc_section: binds.append(doc_section) or real(doc_section))
+        parsed = config.parse_config(doc(problem=section, bo=dict(bounds)))
+        assert binds == [section]
+        raw = config.build_problem(section)
+        assert (parsed.problem.s0, parsed.problem.label) == (raw.s0, raw.label)
+        assert draws(parsed.problem, bounds["beta_min"]) == draws(raw, bounds["beta_min"])
+
+
 class TestSections:
     @pytest.mark.parametrize("key", ["seed", "s0"])
     def test_seed_or_s0_inside_bo_is_named(self, key):

@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -65,6 +67,23 @@ small_runs = dict(
     max_iterations=st.integers(1, 6),
     stop_window=st.integers(1, 3),
 )
+
+
+def budget_of(config):
+    """The most evaluations a run of ``config`` may spend."""
+    return config.n0 + config.max_iterations * config.batch_size
+
+
+def assert_batches_within_budget(trace, config):
+    """Every Thompson batch holds at least ``batch_size`` proposals, bar a
+    last batch that the budget trims, and the run stays within its budget,
+    which a ``budget`` stop has spent."""
+    sizes = [len(rec.betas) for rec in trace.iterations]
+    assert sizes[0] == config.n0
+    assert all(size >= config.batch_size for size in sizes[1:-1])
+    if trace.stop_reason == "budget" or (len(sizes) > 1 and sizes[-1] < config.batch_size):
+        assert trace.total_evaluations == budget_of(config)
+    assert trace.total_evaluations == sum(sizes) <= budget_of(config)
 
 
 class TestBoConfig:
@@ -189,9 +208,10 @@ class TestRun:
         prob = calibrated_problem()
         config = config_for(prob, n0=10, batch_size=4, max_iterations=6, stop_window=7)
         trace = driver.run(config, prob)
-        for t, rec in enumerate(trace.iterations):
-            assert rec.cumulative_evaluations == 10 + 4 * t
-            assert len(rec.betas) == (10 if t == 0 else 4)
+        sizes = [len(rec.betas) for rec in trace.iterations]
+        assert [rec.cumulative_evaluations for rec in trace.iterations] == \
+            list(itertools.accumulate(sizes))
+        assert_batches_within_budget(trace, config)
 
     def test_noise_free_problem_stops_at_the_initial_fit(self):
         prob = problems.synthetic_powerlaw(-0.5, math.log(2.0), 0.0, 0.5)
@@ -255,13 +275,17 @@ class TestRun:
     def test_posterior_width_contracts(self):
         # Median (over seeds) credible width of the optimizer posterior must
         # not grow along iterations, allowing 2% float/noise slack, and must
-        # contract substantially overall.
+        # contract substantially overall.  Runs end on their evaluation
+        # budget after differing numbers of records; the first 7 are
+        # compared, which every seed's run has.
         widths = []
         for seed in range(20):
             prob = calibrated_problem()
             config = config_for(prob, max_iterations=12, seed=seed, stop_window=13)
             trace = driver.run(config, prob)
-            widths.append([rec.posterior.q975 - rec.posterior.q025 for rec in trace.iterations])
+            assert len(trace.iterations) >= 7
+            widths.append([rec.posterior.q975 - rec.posterior.q025
+                           for rec in trace.iterations[:7]])
         med = np.median(np.array(widths), axis=0)
         assert np.all(med[1:] <= med[:-1] * 1.02)
         assert med[-1] < 0.6 * med[0]
@@ -298,6 +322,29 @@ class TestRun:
             assert trace.final_estimate == 200.0
             assert trace.flag == "boundary-min"
             assert trace.total_evaluations <= 70
+
+    def test_calibrated_runs_take_few_rounds(self):
+        # Batches sized from the shortfall cut a calibrated C4 run from a
+        # median of 7 records (10 proposals per batch) to 4, at about the
+        # same evaluation count and hit rate.
+        prob = calibrated_problem()
+        region = acquisition.optimal_region_from(-0.58, 0.0, 0.25, prob.s0, 0.10)
+        traces = [driver.run(config_for(prob, seed=seed), prob) for seed in range(50)]
+        assert statistics.median(len(t.iterations) for t in traces) <= 5
+        assert statistics.median(t.total_evaluations for t in traces) <= 115
+        assert sum(region[0] <= t.final_estimate <= region[1] for t in traces) >= 47
+
+    @settings(max_examples=25, deadline=None)
+    @given(**small_runs)
+    def test_batches_are_at_least_batch_size_within_the_budget(
+        self, seed, beta_min, n0, batch_size, max_iterations, stop_window
+    ):
+        prob = calibrated_problem()
+        config = config_for(prob, seed=seed, beta_min=beta_min, n0=n0, batch_size=batch_size,
+                            max_iterations=max_iterations, stop_window=stop_window)
+        trace = driver.run(config, prob)
+        assert len(trace.iterations) <= max_iterations + 1
+        assert_batches_within_budget(trace, config)
 
     @settings(max_examples=25, deadline=None)
     @given(**small_runs)
@@ -363,7 +410,7 @@ class TestRun:
         assert trace.rejected_total >= 1
         assert trace.iterations[0].rejected >= 1
         # Evaluation cost still counts rejected draws.
-        assert trace.total_evaluations == 20 + 4 * (len(trace.iterations) - 1)
+        assert trace.total_evaluations == sum(len(rec.betas) for rec in trace.iterations)
 
     def test_integer_mode_rounds_proposals_and_estimate(self):
         prob = calibrated_problem()
@@ -744,6 +791,24 @@ class TestRecordOracles:
                     fn(fit, summary, *where)
         else:
             assert [fn(fit, summary, *where) for fn in settled] == [False, False]
+
+    @settings(max_examples=300, deadline=None)
+    @given(**record_fits, seed=st.integers(0, 2**32 - 1))
+    def test_stop_reading_equals_array_oracle(self, a, ln_b, s2, root, dof, ln_s0, beta_min,
+                                              ratio, seed):
+        fit = fit_from(a, ln_b, s2, root, dof)
+        config = BoConfig(beta_min=beta_min, beta_max=beta_min * ratio, s0=math.exp(ln_s0))
+        where = (config.s0, config.bounds)
+        summary = posterior.summarize(fit, *where, np.random.default_rng(seed))
+        try:
+            want = oracles.stop_reading(fit, summary, *where)
+        except SurrogateOverflow:
+            with pytest.raises(SurrogateOverflow):
+                posterior.stop_reading(fit, summary, *where)
+            return
+        settled, shortfall = posterior.stop_reading(fit, summary, *where)
+        assert settled is want[0]
+        assert shortfall == pytest.approx(want[1], rel=1e-12)
 
     @pytest.mark.parametrize("name", ["calibrated", "gamma-noise", "srom", "integer_beta"])
     def test_whole_runs_equal_oracle_runs(self, name, monkeypatch):

@@ -9,7 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalebo import driver, glm, posterior, problems
+from scalebo import acquisition, driver, glm, posterior, problems
 
 dofs = st.integers(1, 1000)
 t_values = (st.sampled_from([0.0, -0.0, math.inf, -math.inf])
@@ -104,3 +104,69 @@ class TestIdentification:
             trace = driver.run(config, prob)
             assert all(rec.posterior.p_a_positive == posterior.p_a_positive(rec.fit)
                        for rec in trace.iterations)
+
+
+class TestStopReading:
+    """``(settled, shortfall)`` on hand-built fit and summary pairs: the
+    plug-in optimum of ``fit_with(-0.5)`` lies at ``beta_star``."""
+
+    bounds = (10.0, 1000.0)
+
+    def s0_for(self, beta_star, a_hat=-0.5, s2=0.25):
+        return math.exp(a_hat * math.log(beta_star) + 1.5 * s2)
+
+    def reading(self, s0, q025, q500, q975, p_a_positive=0.0):
+        summary = posterior.PosteriorSummary(q025=q025, q500=q500, q975=q975,
+                                             draws=posterior.SUMMARY_DRAWS,
+                                             p_a_positive=p_a_positive)
+        fit = fit_with(-0.5)
+        got = posterior.stop_reading(fit, summary, s0, self.bounds)
+        assert posterior.settled(fit, summary, s0, self.bounds) is got[0]
+        return got
+
+    def region(self, s0):
+        return acquisition.optimal_region_from(-0.5, 0.0, 0.25, s0, posterior.STOP_REGION_REL,
+                                               self.bounds)
+
+    def test_settled_interval_has_no_shortfall(self):
+        s0 = self.s0_for(100.0)
+        lo, hi = self.region(s0)
+        assert 10.0 < lo < 100.0 < hi < 1000.0
+        assert self.reading(s0, lo, math.sqrt(lo * hi), hi) == (True, 0.0)
+
+    def test_unidentified_exponent_has_no_shortfall(self):
+        assert self.reading(self.s0_for(100.0), 10.0, 100.0, 1000.0, 0.5) == (False, 0.0)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_median_outside_the_region_has_no_shortfall(self, side):
+        s0 = self.s0_for(100.0)
+        lo, hi = self.region(s0)
+        q500 = (lo / 1.01, hi * 1.01)[side]
+        assert self.reading(s0, q500 / 2, q500, q500 * 2) == (False, 0.0)
+
+    def test_closed_form_value(self):
+        # The lower half is twice its gap (room 1/2), the upper half 1.5
+        # times (room 2/3): n / room^2 - n = 3 n, with n = dof + 2 = 32.
+        s0 = self.s0_for(100.0)
+        lo, hi = self.region(s0)
+        mid = math.sqrt(lo * hi)
+        gap = math.log(mid / lo)
+        settled, shortfall = self.reading(s0, mid * math.exp(-2 * gap), mid,
+                                          mid * math.exp(1.5 * gap))
+        assert not settled
+        assert shortfall == pytest.approx(96.0, rel=1e-12)
+
+    def test_half_collapsed_onto_a_bound_never_constrains(self):
+        # beta* = 5 lies below the bounds, so the region starts at 10; with
+        # q025 = q500 = 10 only the upper half, three times its gap, counts.
+        s0 = self.s0_for(5.0)
+        lo, hi = self.region(s0)
+        assert lo == 10.0 < hi < 1000.0
+        settled, shortfall = self.reading(s0, 10.0, 10.0, 10.0 * (hi / 10.0) ** 3)
+        assert not settled
+        assert shortfall == pytest.approx(32 * 9 - 32, rel=1e-12)
+
+    def test_median_on_an_edge_is_an_infinite_shortfall(self):
+        s0 = self.s0_for(100.0)
+        lo, hi = self.region(s0)
+        assert self.reading(s0, math.sqrt(lo * hi), hi, hi * 1.5) == (False, math.inf)
