@@ -28,7 +28,7 @@ import numpy as np
 
 from . import glm
 from .errors import SurrogateOverflow
-from .jsonio import check_count
+from .jsonio import check_count, check_number
 
 # exp() overflows float64 just above this exponent.
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -48,14 +48,10 @@ class SurrogateObjective:
     s0: float
 
     def __post_init__(self):
-        if not math.isfinite(self.a):
-            raise ValueError("exponent a must be finite")
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise ValueError("scale b must be finite and > 0")
-        if not (self.eps2 >= 0 and math.isfinite(self.eps2)):
-            raise ValueError("noise variance eps2 must be finite and >= 0")
-        if not (self.s0 > 0 and math.isfinite(self.s0)):
-            raise ValueError("target statistic s0 must be finite and > 0")
+        check_number("a", self.a)
+        check_number("b", self.b, 0.0, above=True)
+        check_number("eps2", self.eps2, 0.0)
+        check_number("s0", self.s0, 0.0, above=True)
 
 
 @dataclass(frozen=True)
@@ -172,8 +168,7 @@ def optimal_region_from(
     :class:`SurrogateOverflow` where ln beta* is +-inf or NaN (a = 0), and
     without ``bounds`` where beta* is not a positive float.
     """
-    if rel < 0:
-        raise ValueError("rel must be >= 0")
+    check_number("rel", rel, 0.0)
     ln_star = log_argmin_float(a, ln_b, eps2, s0)
     if not (abs(ln_star) <= _LOG_MAX if bounds is None else math.isfinite(ln_star)):
         raise SurrogateOverflow(f"argmin exp({ln_star:g}) is not representable")

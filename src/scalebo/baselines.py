@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import check_count
+from .jsonio import check_count, check_number
 from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0          # bracket shrink factor
@@ -174,8 +174,7 @@ def _search(obj, bounds, tol, max_iter, integer_beta, method, steps) -> Baseline
     beta_lo, beta_hi = bounds
     if not (0 < beta_lo < beta_hi < math.inf):
         raise ValueError("bounds must satisfy 0 < beta_min < beta_max < inf")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    check_number("tol", tol, 0.0, above=True)
 
     def probe(u):  # the MC mean at beta = e^u, rounded if integer_beta, within bounds
         beta = math.exp(u)

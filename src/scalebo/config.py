@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import baselines, problems
 from .driver import BoConfig
 from .errors import ConfigError
-from .jsonio import check_count, from_json, is_number
+from .jsonio import check_count, check_number, from_json, is_number
 
 
 # Problem kind -> builder.  A builder's keyword parameters are the kind's
@@ -47,8 +47,7 @@ class BaselineSettings:
         if self.method not in baselines.METHODS:
             raise ValueError(f"method must be one of {list(baselines.METHODS)}, "
                              f"got {reprlib.repr(self.method)}")
-        if not (is_number(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be a finite number > 0, got {reprlib.repr(self.tol)}")
+        check_number("tol", self.tol, 0.0, above=True)
         check_count("mc_samples", self.mc_samples, 1)
         check_count("max_iter", self.max_iter, 3)
 

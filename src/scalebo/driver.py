@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import acquisition, glm, posterior
-from .jsonio import check_count, from_json, is_number, json_safe, write_json
+from .jsonio import check_count, check_number, from_json, json_safe, write_json
 from .posterior import PosteriorSummary
 from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 
@@ -60,9 +60,7 @@ class BoConfig:
 
     def __post_init__(self):
         for name in ("beta_min", "beta_max", "s0", "stop_rel_tol"):
-            value = getattr(self, name)
-            if not is_number(value):
-                raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
+            check_number(name, getattr(self, name), 0.0, above=True)
         # n0 >= 4 leaves two residual degrees of freedom at the first fit.
         for name, minimum in (("n0", 4), ("batch_size", 1), ("max_iterations", 1),
                               ("stop_window", 1), ("seed", 0)):
@@ -70,12 +68,8 @@ class BoConfig:
         if not isinstance(self.integer_beta, (bool, np.bool_)):
             raise ValueError(f"integer_beta must be true or false, "
                              f"got {reprlib.repr(self.integer_beta)}")
-        if not 0 < self.beta_min < self.beta_max:
+        if not self.beta_min < self.beta_max:
             raise ValueError("bounds must satisfy 0 < beta_min < beta_max")
-        if not self.s0 > 0:
-            raise ValueError("s0 must be > 0")
-        if not self.stop_rel_tol > 0:
-            raise ValueError(f"stop_rel_tol must be > 0, got {reprlib.repr(self.stop_rel_tol)}")
         # One integer would make every design point the same beta: a rank-1 first fit.
         if self.integer_beta and math.floor(self.beta_max) - math.ceil(self.beta_min) < 1:
             raise ValueError("integer_beta requires two integers inside [beta_min, beta_max]")

@@ -8,9 +8,14 @@ declaration order, so an artifact's dataclasses are its schema, and
 :func:`from_json` reads them back by field type.  CSV files write floats by
 ``repr``, which round-trips ``nan`` and ``inf`` too.
 
-Two rules read a library setting or argument: :func:`is_number` for a
-number and :func:`check_count` for a count.  JSON artifacts are read by
-:func:`from_json`'s exact types instead, and the CLI's flags by argparse.
+Two rules read a library setting or argument: :func:`check_count` for a
+count and :func:`check_number` for a number: ``BoConfig``'s four, the
+baselines' ``tol``, ``SurrogateObjective``'s four, ``rel`` and the problem
+builders' ``s0``, ``eps2``, ``shape``, ``shift`` and ``beta_opt``.  JSON is
+read by :func:`is_number` (before ``float()`` could take a string) and
+:func:`from_json`'s exact types, CLI flags by argparse; relations such as
+``beta_min < beta_max`` and the β data of each statistic call are checked
+where they are used.
 """
 
 import csv
@@ -41,6 +46,14 @@ def check_count(name: str, value, minimum: int) -> None:
     of at least ``minimum``; a numpy integer counts, a boolean does not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {reprlib.repr(value)}")
+
+
+def check_number(name: str, value, minimum: float = -math.inf, above: bool = False) -> None:
+    """Raise ``ValueError`` naming ``name`` unless :func:`is_number` holds for
+    ``value`` and as a float it is at least ``minimum``, or above it with ``above``."""
+    if not (is_number(value) and (float(value) > minimum if above else float(value) >= minimum)):
+        bound = "" if minimum == -math.inf else f" {'>' if above else '>='} {minimum:g}"
+        raise ValueError(f"{name} must be a finite number{bound}, got {reprlib.repr(value)}")
 
 
 def json_safe(doc):

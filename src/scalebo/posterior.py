@@ -102,12 +102,6 @@ def summarize(fit: glm.GlmFit, s0: float, bounds: tuple[float, float], rng) -> P
     return PosteriorSummary(q025=q025, q500=q500, q975=q975, draws=draws, p_a_positive=p)
 
 
-def settled(fit: glm.GlmFit, summary: PosteriorSummary, s0: float,
-            bounds: tuple[float, float]) -> bool:
-    """The first reading of :func:`stop_reading`."""
-    return stop_reading(fit, summary, s0, bounds)[0]
-
-
 def stop_reading(fit: glm.GlmFit, summary: PosteriorSummary, s0: float,
                  bounds: tuple[float, float]) -> tuple[bool, float]:
     """``(settled, shortfall)`` of a record, both read from one stop region:

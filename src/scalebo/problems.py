@@ -23,6 +23,7 @@ import numpy as np
 
 from .acquisition import _LOG_MAX, log_argmin_float
 from .errors import EvaluationFailure
+from .jsonio import check_number
 
 ROM_DIM = 8
 N_DOF = 1000   # the structural system's size
@@ -70,8 +71,7 @@ class ObjectiveProblem:
     beta_floor: float = 0.0
 
     def __post_init__(self):
-        if not (self.s0 > 0 and math.isfinite(self.s0)):
-            raise ValueError("target statistic s0 must be finite and > 0")
+        check_number("s0", self.s0, 0.0, above=True)
 
     @cached_property
     def _takes_size(self) -> bool:
@@ -124,11 +124,16 @@ def round_into_bounds(beta: float, bounds: tuple[float, float]) -> float:
 def target_for_optimum(a: float, ln_b: float, eps2: float, beta_opt: float) -> float:
     """Target s0 that places the induced objective's optimum at ``beta_opt``.
 
-    Inverts ``beta* = (s0 / (b exp(1.5 eps2)))^(1/a)`` for s0.
+    Inverts ``beta* = (s0 / (b exp(1.5 eps2)))^(1/a)`` for s0.  Refuses by
+    name a ``beta_opt`` that is no number > 0, or whose s0 is no positive float.
     """
     if a == 0:
         raise ValueError("exponent a must be nonzero to place an optimum")
-    return math.exp(ln_b + 1.5 * eps2 + a * math.log(beta_opt))
+    check_number("beta_opt", beta_opt, 0.0, above=True)
+    ln_s0 = ln_b + 1.5 * eps2 + a * math.log(beta_opt)
+    if not (ln_s0 <= _LOG_MAX and math.exp(ln_s0) > 0):
+        raise ValueError(f"beta_opt {beta_opt:g} sets s0 = exp({ln_s0:g}), not a positive float")
+    return math.exp(ln_s0)
 
 
 def _exp_affine(center: float, sigma: float, z):
@@ -158,8 +163,7 @@ def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: Optional[float] =
     ``s0`` or as the optimum ``beta_opt`` it induces
     (:func:`target_for_optimum`).
     """
-    if eps2 < 0:
-        raise ValueError("eps2 must be >= 0")
+    check_number("eps2", eps2, 0.0)
     if (s0 is None) == (beta_opt is None):
         raise ValueError("synthetic-powerlaw needs exactly one of 's0' or 'beta_opt'")
     if beta_opt is not None:
@@ -184,8 +188,7 @@ def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: Optional[float] =
 def gamma_noise(a: float, ln_b: float, s0: float, shape: float = 4.0) -> ObjectiveProblem:
     """Multiplicative Gamma(shape, 1/shape) noise (unit mean); the
     log-residual is left-skewed."""
-    if not shape > 0:
-        raise ValueError("gamma-noise: shape must be > 0")
+    check_number("shape", shape, 0.0, above=True)
 
     def evaluate_statistic(beta, rng, size=None):
         beta = _check_beta(beta)
@@ -216,10 +219,8 @@ def shifted_lognormal(a: float, ln_b: float, eps2: float, s0: float,
                       shift: float = 0.0) -> ObjectiveProblem:
     """An additive offset on top of the log-normal statistic; shift 0
     reduces exactly to :func:`synthetic_powerlaw`."""
-    if eps2 < 0:
-        raise ValueError("shifted-lognormal: eps2 must be >= 0")
-    if shift < 0:
-        raise ValueError("shifted-lognormal: shift must be >= 0")
+    check_number("eps2", eps2, 0.0)
+    check_number("shift", shift, 0.0)
     sigma = math.sqrt(eps2)
 
     def evaluate_statistic(beta, rng, size=None):

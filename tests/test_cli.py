@@ -463,6 +463,18 @@ class TestRunArguments:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem", [{"beta_opt": -5}, {"beta_opt": 0},
+                                         {"beta_opt": 1e300, "ln_b": 800, "a": 0.58},
+                                         {"beta_opt": 1e300, "ln_b": -600}],
+                             ids=["negative", "zero", "target-overflows", "target-underflows"])
+    def test_bad_beta_opt_exits_2_before_writing(self, tmp_path, command, problem, capsys):
+        doc = json.loads(write_config(tmp_path / "base.json").read_text())
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "run.json", problem={**doc["problem"], **problem})
+        assert cli.main([command, "--config", str(path), "--threads", "1", "--out", str(out)]) == 2
+        assert "beta_opt" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProblemDomain:
     @pytest.mark.parametrize("command", ["optimize", "baseline"])

@@ -123,6 +123,16 @@ class TestProblemErrors:
             config.build_problem(section)
         assert "s0" in str(info.value) and "beta_opt" in str(info.value)
 
+    # A beta_opt that is no number > 0, or whose target s0 is no positive
+    # float (exp(1201) overflows, exp(-1000) underflows to 0.0), is named.
+    @pytest.mark.parametrize("extra", [{"beta_opt": -5}, {"beta_opt": 0},
+                                       {"beta_opt": 1e300, "ln_b": 800, "a": 0.58},
+                                       {"beta_opt": 1e300, "ln_b": -600}],
+                             ids=["negative", "zero", "target-overflows", "target-underflows"])
+    def test_bad_beta_opt_is_named(self, extra):
+        raises_naming("beta_opt", config.build_problem,
+                      {"kind": "synthetic-powerlaw", **MINIMAL["synthetic-powerlaw"], **extra})
+
     def test_unknown_kind_is_named(self):
         raises_naming("cauchy", config.build_problem, {"kind": "cauchy", "a": -0.5})
 

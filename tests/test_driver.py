@@ -774,7 +774,7 @@ class TestRecordOracles:
         region = (fit.a_hat, fit.ln_b_hat, fit.s2, config.s0, posterior.STOP_REGION_REL,
                   config.bounds)
         summary = oracles.posterior_summary(fit, *where, np.random.default_rng(seed))
-        settled = (posterior.settled, oracles.settled)
+        settled = (lambda *args: posterior.stop_reading(*args)[0], oracles.settled)
         if math.isfinite(acquisition.log_argmin_float(fit.a_hat, fit.ln_b_hat, fit.s2, config.s0)):
             assert same(acquisition.optimal_region_from(*region),
                         oracles.optimal_region_from(*region))

@@ -1,9 +1,11 @@
 """The JSON reader :func:`scalebo.jsonio.from_json`, the inverse of
 :func:`~scalebo.jsonio.json_safe`: one rule per declared type.  And the
-count rule :func:`~scalebo.jsonio.check_count`, which every library setting
-or argument that counts something is read by."""
+count rule :func:`~scalebo.jsonio.check_count` and the number rule
+:func:`~scalebo.jsonio.check_number`, which every library setting or
+argument that counts something, or is a number, is read by."""
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,8 +13,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from scalebo import acquisition, baselines, config, diagnostics, glm, problems
-from scalebo.jsonio import check_count, from_json, json_safe
+from scalebo import acquisition, baselines, config, diagnostics, driver, glm, problems
+from scalebo.jsonio import check_count, check_number, from_json, json_safe
 
 HUGE = 10**400   # Python's JSON reader reads it; no float holds it
 
@@ -88,6 +90,56 @@ def test_check_count_refuses_what_is_not_an_integer(value, minimum):
         check_count("n0", value, minimum)
 
 
+REALS = st.one_of(
+    st.floats(),   # +-0, subnormals, +-inf and NaN among them
+    st.floats(width=16).map(np.float16),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.sampled_from([HUGE, -HUGE]),
+)
+NOT_NUMBERS = st.one_of(st.booleans(), st.sampled_from([np.True_, np.False_]),
+                        st.text(max_size=4), st.none())
+
+
+def _finite_real(value) -> bool:
+    if isinstance(value, (bool, np.bool_, str)) or value is None:
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:   # an int beyond float range
+        return False
+
+
+def _number_message(name, minimum, above):
+    bound = "" if minimum == -math.inf else f" {'>' if above else '>='} {minimum:g}"
+    return f"^{re.escape(f'{name} must be a finite number{bound}, got ')}"
+
+
+@given(value=st.one_of(REALS, NOT_NUMBERS),
+       minimum=st.one_of(st.just(-math.inf), st.floats(-1e6, 1e6)), above=st.booleans())
+def test_check_number_takes_a_finite_real_at_or_above_the_minimum(value, minimum, above):
+    if _finite_real(value) and (float(value) > minimum if above else float(value) >= minimum):
+        check_number("tol", value, minimum, above)
+    else:
+        with pytest.raises(ValueError, match=_number_message("tol", minimum, above)):
+            check_number("tol", value, minimum, above)
+
+
+@given(minimum=st.floats(allow_nan=False, allow_infinity=False),
+       side=st.sampled_from([-1, 0, 1]), above=st.booleans(),
+       kind=st.sampled_from([float, np.float64]))
+def test_check_number_draws_the_line_at_the_minimum(minimum, side, above, kind):
+    value = kind(math.nextafter(minimum, side * math.inf) if side else minimum)
+    if math.isfinite(value) and (side > 0 or (side == 0 and not above)):
+        check_number("tol", value, minimum, above)
+    else:
+        with pytest.raises(ValueError, match=_number_message("tol", minimum, above)):
+            check_number("tol", value, minimum, above)
+
+
 def _fit(dof=10):
     return glm.GlmFit(coef_hat=np.array([-0.5, 0.0]), s2=0.1, v_theta=np.eye(2), dof=dof)
 
@@ -124,3 +176,65 @@ def test_every_count_holder_reads_by_the_count_rule(holder, name, minimum, refus
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= {minimum}, got "):
             holder(value)
     holder(np.int64(minimum))
+
+
+_SURROGATE = dict(a=-0.58, b=1.0, eps2=0.25, s0=1.0)
+
+
+def _surrogate(**overrides):
+    return acquisition.SurrogateObjective(**{**_SURROGATE, **overrides})
+
+
+def _search(method):
+    return lambda tol: method(baselines.McObjective(problem=_PROBLEM, mc_samples=8),
+                              (10.0, 1000.0), tol=tol)
+
+
+def _bo(**overrides):
+    return driver.BoConfig(**{"beta_min": 1.0, "beta_max": 1000.0, "s0": 1.0, **overrides})
+
+
+# holder -> (call with the number, its name, its minimum, above, refused values)
+NUMBER_HOLDERS = {
+    "BoConfig.beta_min": (lambda v: _bo(beta_min=v), "beta_min", 0, True, [0.0, True, math.nan]),
+    "BoConfig.beta_max": (lambda v: _bo(beta_max=v), "beta_max", 0, True, [-1.0, False, HUGE]),
+    "BoConfig.s0": (lambda v: _bo(s0=v), "s0", 0, True, [0.0, True, math.inf]),
+    "BoConfig.stop_rel_tol": (lambda v: _bo(stop_rel_tol=v), "stop_rel_tol", 0, True,
+                              [0.0, True, math.inf]),
+    "BaselineSettings.tol": (lambda v: config.BaselineSettings(tol=v), "tol", 0, True,
+                             [0.0, True, math.inf, math.nan]),
+    "golden_section.tol": (_search(baselines.golden_section), "tol", 0, True,
+                           [math.inf, math.nan, True, 0.0]),
+    "parabolic_interpolation.tol": (_search(baselines.parabolic_interpolation), "tol", 0, True,
+                                    [math.inf, math.nan, True, 0.0]),
+    "SurrogateObjective.a": (lambda v: _surrogate(a=v), "a", -math.inf, False,
+                             [True, math.nan, math.inf]),
+    "SurrogateObjective.b": (lambda v: _surrogate(b=v), "b", 0, True, [True, 0.0, math.inf]),
+    "SurrogateObjective.eps2": (lambda v: _surrogate(eps2=v), "eps2", 0, False,
+                                [False, -0.1, math.nan]),
+    "SurrogateObjective.s0": (lambda v: _surrogate(s0=v), "s0", 0, True, [True, 0.0, math.inf]),
+    "optimal_region.rel": (lambda v: acquisition.optimal_region(_surrogate(), v), "rel", 0, False,
+                           [math.nan, math.inf, -0.1]),
+    "ObjectiveProblem.s0": (lambda v: problems.ObjectiveProblem(lambda beta, rng: 1.0, s0=v),
+                            "s0", 0, True, [True, 0.0, math.inf]),
+    "synthetic_powerlaw.eps2": (lambda v: problems.synthetic_powerlaw(-0.58, 0.0, v, 1.0),
+                                "eps2", 0, False, [math.nan, math.inf, -0.1]),
+    "synthetic_powerlaw.beta_opt": (lambda v: problems.synthetic_powerlaw(-0.58, 0.0, 0.25,
+                                                                          beta_opt=v),
+                                    "beta_opt", 0, True, [-5.0, 0.0, math.inf, True]),
+    "gamma_noise.shape": (lambda v: problems.gamma_noise(-0.5, 0.2, 0.3, shape=v), "shape", 0,
+                          True, [math.inf, math.nan, 0.0]),
+    "shifted_lognormal.eps2": (lambda v: problems.shifted_lognormal(-0.5, 0.1, v, 0.3), "eps2", 0,
+                               False, [math.nan, math.inf, -0.1]),
+    "shifted_lognormal.shift": (lambda v: problems.shifted_lognormal(-0.5, 0.1, 0.2, 0.3, shift=v),
+                                "shift", 0, False, [math.nan, math.inf, -0.1]),
+}
+
+
+@pytest.mark.parametrize("holder,name,minimum,above,refused", NUMBER_HOLDERS.values(),
+                         ids=NUMBER_HOLDERS.keys())
+def test_every_number_holder_reads_by_the_number_rule(holder, name, minimum, above, refused):
+    for value in refused:
+        with pytest.raises(ValueError, match=_number_message(name, minimum, above)):
+            holder(value)
+    holder(np.float32(2.0))

@@ -81,7 +81,7 @@ class TestIdentification:
         assert summary.draws == 0
         assert repr(summary.q025) == repr(summary.q975) == repr(estimate)
         assert posterior.flag(summary, bounds) == "unidentified"
-        assert posterior.settled(fit, summary, s0, bounds) is False
+        assert posterior.stop_reading(fit, summary, s0, bounds)[0] is False
 
     @pytest.mark.parametrize("a_hat, flag", [(1e-13, "boundary-max"), (-1e-13, "boundary-min")])
     def test_tiny_exponent_of_tiny_width_reads_without_raising(self, a_hat, flag):
@@ -93,7 +93,7 @@ class TestIdentification:
         summary = posterior.summarize(fit, 2.0, bounds, np.random.default_rng(0))
         assert summary.draws == posterior.SUMMARY_DRAWS and summary.a_identified
         assert posterior.point_estimate(fit, 2.0, bounds) == summary.q025 == summary.q975
-        assert posterior.settled(fit, summary, 2.0, bounds) is True
+        assert posterior.stop_reading(fit, summary, 2.0, bounds)[0] is True
         assert posterior.flag(summary, bounds) == flag
 
     def test_every_record_reports_the_exact_tail(self):
@@ -121,7 +121,7 @@ class TestStopReading:
                                              p_a_positive=p_a_positive)
         fit = fit_with(-0.5)
         got = posterior.stop_reading(fit, summary, s0, self.bounds)
-        assert posterior.settled(fit, summary, s0, self.bounds) is got[0]
+        assert posterior.stop_reading(fit, summary, s0, self.bounds)[0] is got[0]
         return got
 
     def region(self, s0):
