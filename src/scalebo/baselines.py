@@ -27,11 +27,11 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0          # bracket shrink factor
 _PARABOLIC_FALLBACK = 1.0 - GOLDEN             # golden step fraction, ~0.382
 
 # Statistic draws per rng substream.  Each chunk costs one generator and
-# one statistic call, so a 1000-draw probe is 4 chunks: larger chunks cut
-# that overhead, smaller ones give a per-draw statistic more tasks to
-# spread over threads.  Fixed, so results are identical for any thread
-# count.
-_CHUNK = 256
+# one statistic call, so a probe of at most 1024 draws is one chunk, drawn
+# inline with no thread pool: larger chunks cut that overhead, smaller ones
+# give a per-draw statistic more tasks to spread over threads.  Fixed, so
+# results are identical for any thread count.
+_CHUNK = 1024
 
 # The chunk streams are children of the run root's child 3: driver.run
 # spawns children 0-2 of SeedSequence(seed) for its acquisition,

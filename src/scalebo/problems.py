@@ -53,7 +53,7 @@ class ObjectiveProblem:
     a float array, taken from ``rng`` in the same order as ``k`` scalar
     calls.  :func:`draw_statistics`, which both optimizers call, reads this
     from the signature once per problem; the baseline then draws each
-    256-draw rng substream in one call, and calls a callable without it
+    1024-draw rng substream in one call, and calls a callable without it
     once per draw.  The built-in ``synthetic-powerlaw``, ``gamma-noise``,
     ``heteroscedastic`` and ``shifted-lognormal`` kinds take ``size``.
     ``srom-standin`` does not: most of a draw's cost is its 8000 standard
@@ -125,8 +125,10 @@ def target_for_optimum(a: float, ln_b: float, eps2: float, beta_opt: float) -> f
     """Target s0 that places the induced objective's optimum at ``beta_opt``.
 
     Inverts ``beta* = (s0 / (b exp(1.5 eps2)))^(1/a)`` for s0.  Refuses by
-    name a ``beta_opt`` that is no number > 0, or whose s0 is no positive float.
+    name an ``a`` or ``ln_b`` that is no number, and a ``beta_opt`` that is
+    no number > 0, or whose s0 is no positive float.
     """
+    _check_law(a, ln_b)
     if a == 0:
         raise ValueError("exponent a must be nonzero to place an optimum")
     check_number("beta_opt", beta_opt, 0.0, above=True)
@@ -145,6 +147,21 @@ def _exp_affine(center: float, sigma: float, z):
         z += center
         return np.exp(z, out=z)
     return math.exp(center + sigma * z)
+
+
+def _check_law(a: float, ln_b: float) -> None:
+    """Refuse by name a power law's ``a`` or ``ln_b`` that is no number."""
+    check_number("a", a)
+    check_number("ln_b", ln_b)
+
+
+def _scale(a: float, ln_b: float) -> float:
+    """The power law's scale ``b = exp(ln_b)``.  Refuses by name an ``a`` or
+    ``ln_b`` that is no number, and an ``ln_b`` whose exp is no positive float."""
+    _check_law(a, ln_b)
+    if not (ln_b <= _LOG_MAX and math.exp(ln_b) > 0):
+        raise ValueError(f"ln_b {ln_b:g} sets b = exp(ln_b), not a positive float")
+    return math.exp(ln_b)
 
 
 def _check_beta(beta: float) -> float:
@@ -168,6 +185,7 @@ def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: Optional[float] =
         raise ValueError("synthetic-powerlaw needs exactly one of 's0' or 'beta_opt'")
     if beta_opt is not None:
         s0 = target_for_optimum(a, ln_b, eps2, beta_opt)
+    b = _scale(a, ln_b)
     sigma = math.sqrt(eps2)
 
     def evaluate_statistic(beta, rng, size=None):
@@ -175,7 +193,7 @@ def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: Optional[float] =
         return _exp_affine(a * math.log(beta) + ln_b, sigma, rng.standard_normal(size))
 
     ln_opt = log_argmin_float(a, ln_b, eps2, s0)
-    truth = ProblemTruth(a=a, b=math.exp(ln_b), eps2=eps2,
+    truth = ProblemTruth(a=a, b=b, eps2=eps2,
                          beta_opt=math.exp(ln_opt) if abs(ln_opt) <= _LOG_MAX else None)
     return ObjectiveProblem(evaluate_statistic, s0=s0, truth=truth, label="synthetic-powerlaw")
 
@@ -188,6 +206,7 @@ def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: Optional[float] =
 def gamma_noise(a: float, ln_b: float, s0: float, shape: float = 4.0) -> ObjectiveProblem:
     """Multiplicative Gamma(shape, 1/shape) noise (unit mean); the
     log-residual is left-skewed."""
+    _scale(a, ln_b)
     check_number("shape", shape, 0.0, above=True)
 
     def evaluate_statistic(beta, rng, size=None):
@@ -203,6 +222,9 @@ def heteroscedastic(a: float, ln_b: float, s0: float, eps_base: float = 0.2,
                     eps_slope: float = 0.1) -> ObjectiveProblem:
     """Gaussian log-noise with beta-dependent spread
     ``eps(beta) = eps_base + eps_slope / ln(beta)`` (domain beta > 1)."""
+    _scale(a, ln_b)
+    check_number("eps_base", eps_base)
+    check_number("eps_slope", eps_slope)
 
     def evaluate_statistic(beta, rng, size=None):
         beta = _check_beta(beta)
@@ -219,6 +241,7 @@ def shifted_lognormal(a: float, ln_b: float, eps2: float, s0: float,
                       shift: float = 0.0) -> ObjectiveProblem:
     """An additive offset on top of the log-normal statistic; shift 0
     reduces exactly to :func:`synthetic_powerlaw`."""
+    _scale(a, ln_b)
     check_number("eps2", eps2, 0.0)
     check_number("shift", shift, 0.0)
     sigma = math.sqrt(eps2)

@@ -126,7 +126,7 @@ class TestMcObjective:
         )
 
     @settings(max_examples=40, deadline=None)
-    @given(mc_samples=st.integers(1, 1100), seed=st.integers(0, 2**32 - 1))
+    @given(mc_samples=st.integers(1, 3 * baselines._CHUNK + 100), seed=st.integers(0, 2**32 - 1))
     def test_chunk_layout_at_every_thread_count(self, mc_samples, seed):
         # Chunks of _CHUNK draws, then the rest, each from its own child
         # stream of the baseline's seed branch, whatever the thread count.
@@ -146,6 +146,21 @@ class TestMcObjective:
                                     for rng, size in zip(rngs, layout)])
         for threaded in draws:
             np.testing.assert_array_equal(threaded, reference)
+
+    @pytest.mark.parametrize("mc_samples, pools", [(baselines._CHUNK, 0), (baselines._CHUNK + 1, 1)])
+    def test_a_pool_only_for_more_than_one_chunk(self, monkeypatch, mc_samples, pools):
+        # A one-chunk probe is one task: it is drawn inline, whatever the
+        # thread count.  A second chunk makes two tasks, run on a pool.
+        built, real = [], problems.ThreadPoolExecutor
+
+        def pool(*args, **kwargs):
+            built.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(problems, "ThreadPoolExecutor", pool)
+        obj = McObjective(problem=calibrated_problem(), mc_samples=mc_samples, seed=5, threads=3)
+        assert obj.probe(64.0).count == mc_samples
+        assert built == [{"max_workers": 2}] * pools
 
     def test_streams_are_not_bo_streams(self):
         # driver.run draws from children 0-2 of SeedSequence(seed): the
@@ -207,10 +222,10 @@ class TestSizedStatistic:
             return prob.evaluate_statistic(*args, **kwargs)
 
         obj = McObjective(problem=dataclasses.replace(prob, evaluate_statistic=counted),
-                          mc_samples=300, seed=9)
+                          mc_samples=baselines._CHUNK + 44, seed=9)
         obj.probe(64.0)
-        assert sizes == [256, 44]
-        assert obj.evaluations_used == 300
+        assert sizes == [baselines._CHUNK, 44]
+        assert obj.evaluations_used == baselines._CHUNK + 44
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize(

@@ -475,6 +475,20 @@ class TestRunArguments:
         assert "beta_opt" in capsys.readouterr().err
         assert not out.exists()
 
+    # exp(800) overflows, and exp(-800) underflows to 0.0: b is no positive float.
+    @pytest.mark.parametrize("problem", [
+        {"kind": "synthetic-powerlaw", "a": -0.58, "ln_b": 800, "eps2": 0.25, "s0": 1.0},
+        {"kind": "synthetic-powerlaw", "a": -0.58, "ln_b": -800, "eps2": 0.25, "s0": 1.0},
+        {"kind": "gamma-noise", "a": -0.5, "ln_b": 800, "s0": 0.3},
+    ], ids=["powerlaw-overflows", "powerlaw-underflows", "gamma-overflows"])
+    def test_scale_that_is_no_positive_float_exits_2_before_writing(self, tmp_path, command,
+                                                                   problem, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "run.json", problem=problem)
+        assert cli.main([command, "--config", str(path), "--threads", "1", "--out", str(out)]) == 2
+        assert "ln_b" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProblemDomain:
     @pytest.mark.parametrize("command", ["optimize", "baseline"])

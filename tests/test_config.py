@@ -8,6 +8,7 @@ with a message the user can act on.
 
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
@@ -52,10 +53,38 @@ def draws(problem, beta=7.0, n=16):
     return [problem.evaluate_statistic(beta, rng) for _ in range(n)]
 
 
-def raises_naming(key, fn, *args):
-    with pytest.raises(ConfigError) as info:
+def raises_naming(key, fn, *args, error=ConfigError):
+    with pytest.raises(error) as info:
         fn(*args)
     assert key in str(info.value)
+
+
+# Each builder checks its own numbers, so a call from Python refuses what a
+# config's number check would: a non-number a, ln_b, eps_base or eps_slope.
+BAD_BUILDER_NUMBERS = [
+    ("synthetic-powerlaw", {"a": math.nan}, "a must be a finite number"),
+    ("synthetic-powerlaw", {"a": True}, "a must be a finite number"),
+    ("synthetic-powerlaw", {"ln_b": math.inf}, "ln_b must be a finite number"),
+    ("gamma-noise", {"a": math.nan}, "a must be a finite number"),
+    ("gamma-noise", {"ln_b": True}, "ln_b must be a finite number"),
+    ("shifted-lognormal", {"a": math.nan}, "a must be a finite number"),
+    ("heteroscedastic", {"eps_base": math.nan}, "eps_base must be a finite number"),
+    ("heteroscedastic", {"eps_slope": math.inf}, "eps_slope must be a finite number"),
+    ("heteroscedastic", {"a": True}, "a must be a finite number"),
+]
+
+# Sections whose ln_b has no positive float exp(ln_b): b overflows, or
+# underflows to 0.0.
+BAD_SCALE = {
+    "powerlaw-overflows": {"kind": "synthetic-powerlaw", "a": -0.58, "ln_b": 800,
+                           "eps2": 0.25, "s0": 1.0},
+    "powerlaw-underflows": {"kind": "synthetic-powerlaw", "a": -0.58, "ln_b": -800,
+                            "eps2": 0.25, "s0": 1.0},
+    "gamma-overflows": {"kind": "gamma-noise", "a": -0.5, "ln_b": 800, "s0": 0.3},
+    "heteroscedastic-overflows": {"kind": "heteroscedastic", "a": -0.5, "ln_b": 710, "s0": 0.3},
+    "shifted-underflows": {"kind": "shifted-lognormal", "a": -0.5, "ln_b": -800, "eps2": 0.2,
+                           "s0": 0.3},
+}
 
 
 class TestProblemKinds:
@@ -135,6 +164,15 @@ class TestProblemErrors:
 
     def test_unknown_kind_is_named(self):
         raises_naming("cauchy", config.build_problem, {"kind": "cauchy", "a": -0.5})
+
+    @pytest.mark.parametrize("kind, bad, message", BAD_BUILDER_NUMBERS)
+    def test_builder_refuses_a_non_number_by_name(self, kind, bad, message):
+        raises_naming(message, lambda: config.PROBLEM_KINDS[kind](**{**MINIMAL[kind], **bad}),
+                      error=ValueError)
+
+    @pytest.mark.parametrize("section", BAD_SCALE.values(), ids=BAD_SCALE)
+    def test_scale_that_is_no_positive_float_is_named(self, section):
+        raises_naming(f"ln_b {section['ln_b']} sets b = exp(ln_b)", config.build_problem, section)
 
     def test_missing_kind(self):
         with pytest.raises(ConfigError):
