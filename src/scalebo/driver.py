@@ -283,7 +283,9 @@ def write_trace_rows(path, blocks) -> None:
 
 
 def load_trace_csv(path) -> list[tuple[int, float, float, str]]:
-    """Read rows written by :func:`trace_to_csv`."""
+    """Read rows written by :func:`trace_to_csv`.  A row that is not four
+    fields, or whose iteration, beta or s is no number, raises
+    ``ValueError`` naming ``path`` and the line."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -293,5 +295,10 @@ def load_trace_csv(path) -> list[tuple[int, float, float, str]]:
         for row in reader:
             if not row:
                 continue
-            rows.append((int(row[0]), float(row[1]), float(row[2]), row[3]))
+            try:
+                if len(row) != 4:
+                    raise ValueError(f"{len(row)} fields, not 4")
+                rows.append((int(row[0]), float(row[1]), float(row[2]), row[3]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return rows

@@ -483,6 +483,11 @@ class TestTraceSerialization:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             driver.load_trace_csv(path)
+        # A short row and a non-number field name the file and the line.
+        for body, line in (("0,10.0,1.0,init\n1,20.0\n", 3), ("0,abc,1.0,init\n", 2)):
+            path.write_text("iteration,beta,s,source\n" + body)
+            with pytest.raises(ValueError, match=f"junk.csv: line {line}: "):
+                driver.load_trace_csv(path)
 
     def test_unsupported_schema_rejected(self, tmp_path, trace):
         path = tmp_path / "trace.json"
