@@ -126,9 +126,15 @@ def _load_run_config(args) -> config.RunConfig:
     return cfg
 
 
-def _out_dir(args, default_name: str) -> Path:
-    path = Path(args.out or default_name)
-    path.mkdir(parents=True, exist_ok=True)
+def _out_dir(out: str) -> Path:
+    """The output directory ``out``, made if missing; one that cannot be
+    made (``out`` names a file, say) is a usage error."""
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: cannot make the output directory: "
+                          f"{exc.strerror or exc}") from exc
     return path
 
 
@@ -148,7 +154,7 @@ def _run_metadata(cfg: config.RunConfig, args, method: str, extra: dict) -> dict
 
 def cmd_optimize(args) -> int:
     cfg = _load_run_config(args)
-    outdir = _out_dir(args, "optimize-run")
+    outdir = _out_dir(args.out or "optimize-run")
     trace = driver.run(cfg.bo, cfg.problem, threads=args.threads)
     driver.save_trace(trace, outdir / "trace.json")
     driver.trace_to_csv(trace, outdir / "trace.csv")
@@ -171,7 +177,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_baseline(args) -> int:
     cfg = _load_run_config(args)
-    outdir = _out_dir(args, "baseline-run")
+    outdir = _out_dir(args.out or "baseline-run")
     objective = baselines.McObjective(
         problem=cfg.problem,
         mc_samples=cfg.baseline.mc_samples,
@@ -268,14 +274,13 @@ def cmd_compare(args) -> int:
         ("wall_clock_seconds", f"{bo_est['wall_clock_seconds']:.3f}",
          f"{base_est['wall_clock_seconds']:.3f}", f"{time_ratio:.1f}"),
     ]
+    outdir = _out_dir(args.out) if args.out else None
     header = ("metric", bo_run["method"], base_run["method"], "ratio")
     widths = [max(len(str(row[i])) for row in [header, *rows]) for i in range(4)]
     for row in [header, *rows]:
         print("  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row)))
     print("note: ratio = baseline / surrogate, rounded to one decimal.")
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir is not None:
         write_json(outdir / "comparison.json", {
             "surrogate": {"method": bo_run["method"], **bo_est},
             "baseline": {"method": base_run["method"], **base_est},
@@ -315,7 +320,7 @@ def cmd_diagnose(args) -> int:
         )
     except NoEligibleGroups as exc:  # --beta or --min-per-beta selects no group
         raise ConfigError(str(exc)) from exc
-    outdir = _out_dir(args, "diagnose-run")
+    outdir = _out_dir(args.out or "diagnose-run")
     diagnostics.save_report_json(report, outdir / "report.json")
     diagnostics.save_groups_csv(report, outdir / "groups.csv")
     if report.histogram is not None:
@@ -328,8 +333,9 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_fixture_export(args) -> int:
+    outdir = _out_dir(args.out or "fixture-export")
     fixture = problems.build_static_fixture()
-    for path in problems.export_fixture(fixture, args.out or "fixture-export"):
+    for path in problems.export_fixture(fixture, outdir):
         print(path)
     return 0
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import glm
 from .errors import DegenerateSample, InsufficientData, NoEligibleGroups
-from .jsonio import check_count, json_safe, write_csv, write_json
+from .jsonio import check_count, write_csv, write_json
 
 SHIFT_GRID_POINTS = 50
 # Most elements per block of the shift profile, 16 MB of float64 (all 50
@@ -399,20 +399,16 @@ def residual_report(
 # Export
 
 
-def report_to_json_dict(report: ResidualReport) -> dict:
-    """The report as strict JSON values: an undefined moment (a group too
-    small for it) becomes ``None``."""
-    return json_safe({
+def save_report_json(report: ResidualReport, path) -> None:
+    """Write the report as strict JSON: an undefined moment (a group too
+    small for it) is written as ``null``."""
+    write_json(path, {
         "per_beta": report.per_beta,
         "smoothed": report.smoothed,
         "dropped": [{"beta": b, "count": c} for b, c in report.dropped],
         "fit_beta": report.fit_beta,
         "families": report.families,
     })
-
-
-def save_report_json(report: ResidualReport, path) -> None:
-    write_json(path, report_to_json_dict(report))
 
 
 def save_groups_csv(report: ResidualReport, path) -> None:

@@ -257,9 +257,10 @@ def load_trace(path) -> BoTrace:
 
 
 def trace_to_csv(trace: BoTrace, path) -> None:
-    """Flat per-observation trace: ``iteration,beta,s,source`` rows."""
-    write_trace_rows(path, ((rec.index, beta, (s,), rec.source) for rec in trace.iterations
-                            for beta, s in zip(rec.betas, rec.s_values)))
+    """Flat per-observation trace: ``iteration,beta,s,source`` rows, one
+    block per record."""
+    write_trace_rows(path, ((rec.index, rec.betas, rec.s_values, rec.source)
+                            for rec in trace.iterations))
 
 
 def write_trace_rows(path, blocks) -> None:
@@ -267,19 +268,26 @@ def write_trace_rows(path, blocks) -> None:
     endings, floats by repr).
 
     Each block ``(iteration, beta, s_values, source)`` is the run of rows
-    that share iteration, beta and source; ``s_values`` is a sequence of
-    Python floats.  A block's prefix and suffix are formatted once, so a
-    Monte-Carlo probe of a thousand draws costs one join.  No field needs
-    CSV quoting: reprs of floats and the source names hold no comma, quote
-    or line break.
+    that share iteration and source; ``s_values`` is a sequence of Python
+    floats, and ``beta`` is either the one beta of every row (a Monte-Carlo
+    probe) or a list or tuple of one beta per statistic (a BO batch).  A
+    block's prefix and suffix are formatted once and the block is one
+    join, so a probe of a thousand draws costs one join and one write.  No
+    field needs CSV quoting: reprs of floats and the source names hold no
+    comma, quote or line break.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("iteration,beta,s,source\n")
         for iteration, beta, s_values, source in blocks:
             if not s_values:
                 continue
-            head, tail = f"{iteration},{float(beta)!r},", f",{source}\n"
-            fh.write(head + (tail + head).join(map(repr, s_values)) + tail)
+            if isinstance(beta, (list, tuple)):
+                head = f"{iteration},"
+                fields = map(",".join, zip(map(repr, map(float, beta)), map(repr, s_values)))
+            else:
+                head, fields = f"{iteration},{float(beta)!r},", map(repr, s_values)
+            tail = f",{source}\n"
+            fh.write(head + (tail + head).join(fields) + tail)
 
 
 def load_trace_csv(path) -> list[tuple[int, float, float, str]]:

@@ -3,10 +3,15 @@
 Every JSON file the package writes must parse under a strict reader,
 whatever the simulator returned: NaN and infinities have no JSON token,
 so they are written as ``null`` and read back as NaN.  :func:`json_safe`
-is the one encoder: a dataclass is written as an object of its fields, in
+is the one encoding: a dataclass is written as an object of its fields, in
 declaration order, so an artifact's dataclasses are its schema, and
-:func:`from_json` reads them back by field type.  CSV files write floats by
-``repr``, which round-trips ``nan`` and ``inf`` too.
+:func:`from_json` reads them back by field type.  :func:`write_json` is the
+one emitter, for every JSON artifact: its bytes equal
+``json.dumps(json_safe(doc), indent=2)`` plus a newline.  It exists because
+``indent`` sends ``json.dumps`` to its pure-Python encoder: the emitter
+walks the document once, formats leaves with C-level calls and writes once.
+CSV files write floats by ``repr``, which round-trips ``nan`` and ``inf``
+too.
 
 Two rules read a library setting or argument: :func:`check_count` for a
 count and :func:`check_number` for a number: ``BoConfig``'s four, the
@@ -130,10 +135,109 @@ def _at(where, path) -> str:
 
 
 def write_json(path, doc) -> None:
-    """Write ``doc`` as indented strict JSON (UTF-8, LF, trailing newline)."""
-    text = json.dumps(json_safe(doc), indent=2, allow_nan=False)
+    """Write ``doc`` as indented strict JSON (UTF-8, LF, trailing newline):
+    ``json.dumps(json_safe(doc), indent=2, allow_nan=False)``, byte for
+    byte, from one walk of ``doc`` and one write.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, which with
+    the separate :func:`json_safe` walk took about twice as long on a
+    trace.  Here a leaf is formatted by a C-level call (``float.__repr__``,
+    ``int.__repr__``, json's ``encode_basestring_ascii``), a list of floats
+    by one ``str.join``, and the text is built by joins.  As in ``json``, a
+    subclass of float, int, str or dict is written as its base type, a
+    value of any other type raises ``TypeError``, and so does a dict key
+    that is not a string, number, boolean or None.
+    """
+    text = _text(doc, "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
+
+
+_ascii = json.encoder.encode_basestring_ascii
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
+def _float_text(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else "null"
+
+
+# The writer of each leaf type, by exact type: a bool is not an int here.
+_LEAVES = {float: _float_text, int: int.__repr__, str: _ascii,
+           bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+@functools.cache
+def _field_keys(cls) -> tuple:
+    """``(name, '"name": ')`` of each field of the dataclass ``cls``, in order."""
+    return tuple((field.name, _ascii(field.name) + ": ") for field in dataclasses.fields(cls))
+
+
+def _text(doc, newline: str) -> str:
+    """The JSON text of ``doc``, whose own line starts with ``newline``
+    (a line break and the indent of its depth); the branches follow
+    :func:`json_safe`'s order."""
+    leaf = _LEAVES.get(type(doc))
+    if leaf is not None:
+        return leaf(doc)
+    for base in (float, str, int):   # a subclass is written as its base type
+        if isinstance(doc, base):
+            return _LEAVES[base](doc)
+    inner = newline + "  "
+    if isinstance(doc, dict):
+        items = [_key(key) + ": " + _text(value, inner) for key, value in doc.items()]
+    elif isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        separator = "," + inner
+        reprs = _float_list_reprs(doc)
+        body = (_float_items(reprs, separator) if reprs
+                else separator.join([_text(value, inner) for value in doc]))
+        return "[" + inner + body + newline + "]"
+    elif hasattr(type(doc), "__dataclass_fields__"):
+        items = [key + _text(getattr(doc, name), inner)
+                 for name, key in _field_keys(type(doc))]
+    elif isinstance(doc, (np.ndarray, np.generic)):
+        return _text(doc.tolist(), newline)
+    else:
+        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+    return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+
+
+def _float_list_reprs(values) -> list | None:
+    """``float.__repr__`` of each of ``values``, or None unless every one
+    is a float."""
+    if isinstance(values[0], float):
+        try:
+            return list(map(float.__repr__, values))
+        except TypeError:   # an item that is not a float
+            pass
+    return None
+
+
+def _float_items(reprs: list, separator: str) -> str:
+    """Float reprs joined by ``separator``, a non-finite one as ``null``."""
+    text = separator.join(reprs)
+    if "n" in text:   # a finite float's repr holds only digits, ".", "e", "+" and "-"
+        text = separator.join(["null" if r in _NON_FINITE else r for r in reprs])
+    return text
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: a string, or a float, boolean,
+    None or int as its JSON text in quotes."""
+    if isinstance(key, str):
+        return _ascii(key)
+    if isinstance(key, float):
+        if not math.isfinite(key):
+            raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
+        key = float.__repr__(key)
+    elif key is None or key is True or key is False:
+        key = "null" if key is None else "true" if key else "false"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return '"' + key + '"'
 
 
 def write_csv(path, header, rows) -> None:

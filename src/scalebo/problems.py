@@ -141,10 +141,14 @@ def target_for_optimum(a: float, ln_b: float, eps2: float, beta_opt: float) -> f
 def _exp_affine(center: float, sigma: float, z):
     """``exp(center + sigma * z)``: ``math.exp`` of a scalar draw z, and a
     sized draw array transformed in place, with the same bits (IEEE sums
-    and products commute)."""
+    and products commute).  Both raise ``OverflowError`` when a draw's exp
+    is beyond float range: the sized path hands its largest exponent to
+    ``math.exp`` first, found by ``argmax``, which costs a third of ``max``."""
     if isinstance(z, np.ndarray):
         z *= sigma
         z += center
+        if z.size:
+            math.exp(z[z.argmax()])
         return np.exp(z, out=z)
     return math.exp(center + sigma * z)
 

@@ -5,6 +5,7 @@ artifacts can be asserted directly.
 """
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -384,6 +385,15 @@ class TestRunArguments:
         assert cli.main([command, "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
         assert len(built) == 1
 
+    def test_overflowing_statistic_exits_3(self, tmp_path, command, capsys):
+        # exp(709 + ln beta + z) is beyond float range for beta >= 10 unless
+        # z < -1.5: a sized draw fails as a scalar draw does, naming beta.
+        path = write_config(tmp_path / "run.json", problem={
+            "kind": "synthetic-powerlaw", "a": 1.0, "ln_b": 709.0, "eps2": 1.0, "s0": 1.0})
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert re.search(r"^error: statistic evaluation failed at beta=[\d.]+.*: math range error$",
+                         capsys.readouterr().err, re.MULTILINE)
+
     def test_config_out_key_exits_2_before_writing(self, tmp_path, command, capsys,
                                                    monkeypatch):
         # optimize and baseline read one config, so a directory named there
@@ -507,21 +517,22 @@ class TestProblemDomain:
         assert not out.exists()
 
 
-class TestDiagnose:
-    @pytest.fixture()
-    def dataset_path(self, tmp_path):
-        rng = np.random.default_rng(0)
-        prob = synthetic_powerlaw(-0.5, 0.0, 0.16, target_for_optimum(-0.5, 0.0, 0.16, 80.0))
-        betas, ss = [], []
-        for beta in (20.0, 60.0, 180.0):
-            for _ in range(1200):
-                betas.append(beta)
-                ss.append(prob.evaluate_statistic(beta, rng))
-        data, _ = glm.ingest(zip(betas, ss))
-        path = tmp_path / "data.csv"
-        glm.save_csv(data, path)
-        return path
+@pytest.fixture()
+def dataset_path(tmp_path):
+    rng = np.random.default_rng(0)
+    prob = synthetic_powerlaw(-0.5, 0.0, 0.16, target_for_optimum(-0.5, 0.0, 0.16, 80.0))
+    betas, ss = [], []
+    for beta in (20.0, 60.0, 180.0):
+        for _ in range(1200):
+            betas.append(beta)
+            ss.append(prob.evaluate_statistic(beta, rng))
+    data, _ = glm.ingest(zip(betas, ss))
+    path = tmp_path / "data.csv"
+    glm.save_csv(data, path)
+    return path
 
+
+class TestDiagnose:
     def test_writes_report(self, tmp_path, dataset_path, capsys):
         out = tmp_path / "diag"
         assert cli.main(["diagnose", "--data", str(dataset_path), "--out", str(out)]) == 0
@@ -683,6 +694,55 @@ class TestDispatch:
         assert cli.main(["baseline", "--config", str(path), "--threads", "1",
                          "--out", str(tmp_path / "base")]) == 0
         assert calls == [name]
+
+    def test_optimize_writes_through_the_named_trace_writers(self, tmp_path, config_path,
+                                                             monkeypatch):
+        # The benchmark's traced pass times driver.save_trace and
+        # driver.trace_to_csv by replacing them: a command that wrote its
+        # trace another way would read 0 ms there.
+        calls = []
+
+        def counting(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("save_trace", "trace_to_csv"):
+            monkeypatch.setattr(driver, name, counting(name, getattr(driver, name)))
+        for seed in ("1", "2"):
+            assert cli.main(["optimize", "--config", str(config_path), "--seed", seed,
+                             "--out", str(tmp_path / seed)]) == 0
+        assert calls == ["save_trace", "trace_to_csv"] * 2
+
+
+class TestUnusableOut:
+    """An ``--out`` that names a file is a usage error, raised before any
+    command writes or prints anything."""
+
+    @pytest.fixture()
+    def argv(self, request, tmp_path, config_path, dataset_path):
+        command = request.param
+        if command == "compare":
+            for run, name in (("optimize", "bo"), ("baseline", "base")):
+                assert cli.main([run, "--config", str(config_path),
+                                 "--out", str(tmp_path / name)]) == 0
+            return ["compare", str(tmp_path / "bo"), str(tmp_path / "base")]
+        return {
+            "optimize": ["optimize", "--config", str(config_path)],
+            "baseline": ["baseline", "--config", str(config_path)],
+            "diagnose": ["diagnose", "--data", str(dataset_path)],
+            "fixture": ["fixture", "export"],
+        }[command]
+
+    @pytest.mark.parametrize("argv", ["optimize", "baseline", "diagnose", "compare", "fixture"],
+                             indirect=True)
+    def test_out_naming_a_file_exits_2(self, tmp_path, argv, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        capsys.readouterr()
+        assert cli.main([*argv, "--out", str(taken)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(f"error: --out {taken}: cannot make the output directory")
+        assert taken.read_text() == "kept\n"
 
 
 class TestStandinProblemDispatch:

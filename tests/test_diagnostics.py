@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from scalebo import diagnostics, glm
 from scalebo.errors import DegenerateSample, InsufficientData, NoEligibleGroups
+from scalebo.jsonio import json_safe
 
 
 def grouped_dataset(noise, betas=(20.0, 60.0, 180.0), per_group=10_000, seed=0,
@@ -423,7 +424,14 @@ class TestReport:
             raise ValueError(f"non-JSON token {token}")
 
         doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
-        assert doc == diagnostics.report_to_json_dict(report)
+        assert list(doc) == ["per_beta", "smoothed", "dropped", "fit_beta", "families"]
+        assert doc == json_safe({
+            "per_beta": report.per_beta,
+            "smoothed": report.smoothed,
+            "dropped": [{"beta": b, "count": c} for b, c in report.dropped],
+            "fit_beta": report.fit_beta,
+            "families": report.families,
+        })
         first = doc["per_beta"][0]
         assert first["beta"] == 5.0 and first["count"] == 1
         assert first["std"] is None and first["skewness"] is None

@@ -455,16 +455,36 @@ class TestTraceSerialization:
             got = [(b, s) for it, b, s, _ in rows if it == rec.index]
             assert got == list(zip(rec.betas, rec.s_values))
 
+    def test_writers_write_the_current_values(self, tmp_path, trace):
+        # A record's lists are plain lists: a second save after a caller
+        # changed one writes the new value to both files.
+        json_path, csv_path = tmp_path / "trace.json", tmp_path / "trace.csv"
+        driver.save_trace(trace, json_path)
+        driver.trace_to_csv(trace, csv_path)
+        trace.iterations[0].s_values[0] = 12.5
+        trace.iterations[0].betas[1] = 77.25
+        driver.save_trace(trace, json_path)
+        driver.trace_to_csv(trace, csv_path)
+        first = driver.load_trace(json_path).iterations[0]
+        assert first.s_values[0] == 12.5 and first.betas[1] == 77.25
+        rows = driver.load_trace_csv(csv_path)
+        assert rows[0][2] == 12.5 and rows[1][1] == 77.25
+
     def test_csv_bytes_match_csv_writer_reference(self, tmp_path):
         values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, 101.0, 1 / 3]
-        # One-row blocks (as trace_to_csv writes) and many-row blocks (as
-        # the baseline writes, one per probe), plus an empty block.
+        # One-row blocks, many-row blocks of one beta (as the baseline
+        # writes, one per probe), blocks of one beta per row (as
+        # trace_to_csv writes, one per record), and empty blocks.
         blocks = [(i, b, [s], source) for i, (b, s) in enumerate(zip(values, reversed(values)))
                   for source in ("init", "mc-probe")]
         blocks += [(len(values) + i, b, values[i:] + values[:i], "mc-probe")
                    for i, b in enumerate(values)]
-        blocks.append((99, 1.0, [], "mc-probe"))
-        rows = [(i, b, s, source) for i, b, s_values, source in blocks for s in s_values]
+        blocks += [(50, values, values[::-1], "thompson"), (51, tuple(values[:3]), values[4:7], "init"),
+                   (52, [10, 20.5], [1.5, 2.5], "init")]
+        blocks += [(99, 1.0, [], "mc-probe"), (100, [], [], "thompson")]
+        rows = [(i, b, s, source) for i, beta, s_values, source in blocks
+                for b, s in zip(beta if isinstance(beta, (list, tuple)) else [beta] * len(s_values),
+                                s_values)]
         reference = tmp_path / "reference.csv"
         with open(reference, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -476,7 +496,7 @@ class TestTraceSerialization:
         assert path.read_bytes() == reference.read_bytes()
         loaded = driver.load_trace_csv(path)
         assert [(i, repr(b), repr(s), src) for i, b, s, src in loaded] == \
-            [(i, repr(b), repr(s), src) for i, b, s, src in rows]
+            [(i, repr(float(b)), repr(s), src) for i, b, s, src in rows]
 
     def test_csv_schema_guard(self, tmp_path):
         path = tmp_path / "junk.csv"

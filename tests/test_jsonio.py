@@ -1,9 +1,13 @@
 """The JSON reader :func:`scalebo.jsonio.from_json`, the inverse of
-:func:`~scalebo.jsonio.json_safe`: one rule per declared type.  And the
-count rule :func:`~scalebo.jsonio.check_count` and the number rule
+:func:`~scalebo.jsonio.json_safe`: one rule per declared type.  The JSON
+writer :func:`~scalebo.jsonio.write_json`, whose bytes are the standard
+library's.  And the count rule :func:`~scalebo.jsonio.check_count` and the number rule
 :func:`~scalebo.jsonio.check_number`, which every library setting or
 argument that counts something, or is a number, is read by."""
 
+import dataclasses
+import enum
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -14,7 +18,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from scalebo import acquisition, baselines, config, diagnostics, driver, glm, problems
-from scalebo.jsonio import check_count, check_number, from_json, json_safe
+from scalebo.jsonio import check_count, check_number, from_json, json_safe, write_json
 
 HUGE = 10**400   # Python's JSON reader reads it; no float holds it
 
@@ -238,3 +242,111 @@ def test_every_number_holder_reads_by_the_number_rule(holder, name, minimum, abo
         with pytest.raises(ValueError, match=_number_message(name, minimum, above)):
             holder(value)
     holder(np.float32(2.0))
+
+
+# -- the writer ------------------------------------------------------------
+
+
+def stdlib_json(doc) -> str:
+    """What :func:`write_json` must write: the standard library's text."""
+    return json.dumps(json_safe(doc), indent=2, allow_nan=False) + "\n"
+
+
+class Mapping(dict):
+    """A dict subclass: written as the dict it is."""
+
+
+class Code(enum.IntEnum):
+    """An int subclass: written as the int it is."""
+    ONE = 1
+
+
+class Real(float):
+    """A float subclass that numpy does not know: written as its float."""
+
+
+class Name(str):
+    """A str subclass that numpy does not know: written as its string."""
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e16, 1e-5,
+                     9999999999999998.0, 1e-4, 0.1]),
+)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**80), FLOATS,
+    st.text(alphabet=st.characters(codec="utf-8")),   # quotes, controls, non-ASCII
+    st.text(alphabet='"\\\x00\x1f\x7f\u00e9\u2028\U0001f600ab').map(np.str_),
+    FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_), st.just(Code.ONE), FLOATS.map(Real), st.text().map(Name),
+    st.lists(FLOATS, max_size=3).map(np.array),
+    st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2))),
+)
+KEYS = st.one_of(st.text(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                 st.booleans(), st.none())
+DOCS = st.recursive(LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.lists(FLOATS, max_size=5),
+    st.dictionaries(KEYS, children, max_size=4),
+    st.dictionaries(st.text(), children, max_size=3).map(Mapping),
+    st.builds(Point, x=children, label=children),
+), max_leaves=24)
+
+
+@given(doc=DOCS)
+def test_write_json_writes_the_standard_librarys_bytes(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    write_json(path, doc)
+    assert path.read_bytes() == stdlib_json(doc).encode("utf-8")
+
+
+def _run_trace():
+    problem = problems.gamma_noise(a=-0.5, ln_b=0.2, s0=0.3)
+    bo = driver.BoConfig(beta_min=10.0, beta_max=1000.0, s0=problem.s0, n0=12, batch_size=4,
+                         max_iterations=3, seed=2)
+    return driver.run(bo, problem)
+
+
+def test_a_trace_is_written_as_the_standard_library_writes_it(tmp_path):
+    # A real trace; one whose statistics include a rejected NaN and
+    # infinities; and one with integers, as load_trace reads them from a
+    # hand-written file: trace.json is the standard library's text, and
+    # trace.csv holds the same betas and statistics.
+    trace = _run_trace()
+    first = trace.iterations[0]
+
+    def with_first(**fields):
+        return dataclasses.replace(trace, iterations=[dataclasses.replace(first, **fields),
+                                                      *trace.iterations[1:]])
+
+    broken = with_first(s_values=[math.nan, math.inf, -math.inf, *first.s_values[3:]])
+    integers = with_first(betas=[10, *first.betas[1:]], s_values=[1, *first.s_values[1:]])
+    for doc in (trace, integers, broken):
+        driver.save_trace(doc, tmp_path / "trace.json")
+        assert (tmp_path / "trace.json").read_text(encoding="utf-8") == stdlib_json(doc)
+        driver.trace_to_csv(doc, tmp_path / "trace.csv")
+        rows = driver.load_trace_csv(tmp_path / "trace.csv")
+        expected = [(rec.index, beta, s, rec.source) for rec in doc.iterations
+                    for beta, s in zip(rec.betas, rec.s_values)]
+        assert json_safe(rows) == json_safe(expected)
+    assert (tmp_path / "trace.csv").read_text().splitlines()[1:4] == [
+        f"0,{beta!r},{s}" + ",init" for beta, s in zip(first.betas, ("nan", "inf", "-inf"))]
+
+
+@pytest.mark.parametrize("doc", [
+    {1, 2},
+    [1.0, {"a": {1}}, {(1,): 2}],   # the first refusal in document order
+    {"a": 1j},
+    {(1, 2): 0},
+    {math.nan: 0},
+    {"a": 1.0, np.int64(3): 2},
+    Point(x=frozenset(), label="p"),
+], ids=["set", "nested-set", "complex", "tuple-key", "nan-key", "numpy-key", "dataclass-field"])
+def test_write_json_refuses_what_the_standard_library_refuses(tmp_path, doc):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        stdlib_json(doc)
+    with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+        write_json(tmp_path / "doc.json", doc)

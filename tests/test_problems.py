@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from scalebo import config, glm, problems
+from scalebo.errors import EvaluationFailure
 
 MODEL_ERROR_GOLDEN = 0.0015032718191897864
 EPS = np.finfo(float).eps
@@ -231,6 +232,25 @@ class TestSizedDraws:
             np.testing.assert_array_equal(sized, scalar)
         else:
             np.testing.assert_allclose(sized, scalar, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: problems.synthetic_powerlaw(1.0, 709.0, 1.0, s0=1.0),
+        lambda: problems.heteroscedastic(a=1.0, ln_b=709.0, s0=1.0),
+        lambda: problems.shifted_lognormal(a=1.0, ln_b=709.0, eps2=1.0, s0=1.0, shift=0.5),
+    ], ids=["synthetic-powerlaw", "heteroscedastic", "shifted-lognormal"])
+    def test_overflowing_draws_raise_on_both_paths(self, make):
+        # exp(709 + ln 1000 + sigma z) is beyond float range unless z < -6 /
+        # sigma: a scalar draw raises from math.exp, and a sized draw must
+        # not return inf instead.
+        problem = make()
+        with pytest.raises(OverflowError, match="math range error"):
+            problem.evaluate_statistic(1000.0, np.random.default_rng(0))
+        with pytest.raises(OverflowError, match="math range error"):
+            problem.evaluate_statistic(1000.0, np.random.default_rng(0), size=256)
+        for sizes in (None, [256]):
+            with pytest.raises(EvaluationFailure, match=r"at beta=1000: math range error"):
+                problems.draw_statistics(problem, [1000.0], [np.random.default_rng(0)],
+                                         sizes=sizes)
 
     @pytest.mark.parametrize("beta", [1.0, 0.5])
     def test_heteroscedastic_sized_rejects_beta_at_most_one(self, beta):

@@ -202,12 +202,13 @@ def test_every_command_runs_through_the_console_script_without_scipy(tmp_path):
     trace = strict_json(tmp_path / "bo" / "trace.json")
     ps = [rec["posterior"]["p_a_positive"] for rec in trace["iterations"]]
     assert ps and all(type(p) in (int, float) and 0 <= p <= 1 for p in ps), ps
-    # Every JSON artifact is strict JSON, and trace.json round-trips
-    # through load_trace.
+    # Every JSON artifact is strict JSON in json's indent=2 layout, a pin
+    # of the format that does not depend on the writer; and trace.json
+    # round-trips through load_trace.
     paths = sorted(p for d in ("bo", "base", "cmp", "diag") for p in (tmp_path / d).glob("*.json"))
     assert len(paths) == 7, paths
     for path in paths:
-        strict_json(path)
+        assert path.read_text(encoding="utf-8") == json.dumps(strict_json(path), indent=2) + "\n"
     assert driver.trace_to_json_dict(driver.load_trace(tmp_path / "bo" / "trace.json")) == trace
     assert strict_json(tmp_path / "diag" / "report.json")["families"]["ranking"][0] == "gamma"
     assert (tmp_path / "diag-small" / "report.json").is_file()
