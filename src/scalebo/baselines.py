@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SurrogateOverflow
 from .jsonio import check_count, check_number
 from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 
@@ -118,9 +119,13 @@ class McObjective:
         rngs = self._streams.spawn(len(sizes))
         draws = np.concatenate(draw_statistics(self.problem, [key] * len(sizes), rngs,
                                                self.threads, sizes))
-        g = draws - self.problem.s0
-        np.multiply(g, g, out=g)
-        mean, se = _moments(g)
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below, by beta
+            g = draws - self.problem.s0
+            np.multiply(g, g, out=g)
+            mean, se = _moments(g)
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise SurrogateOverflow(f"Monte-Carlo objective at beta={key:g} is not a finite "
+                                    f"number: mean {mean!r}, standard error {se!r}")
         stats = ProbeStats(
             beta=key,
             mean=mean,

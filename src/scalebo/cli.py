@@ -27,7 +27,6 @@ config and seed produce byte-identical CSV artifacts.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import reprlib
@@ -117,13 +116,7 @@ def _load_run_config(args) -> config.RunConfig:
     or ``--seed`` is a usage error, raised before anything is written."""
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    cfg = config.load_config(args.config)
-    if args.seed is not None:
-        try:
-            cfg = dataclasses.replace(cfg, bo=dataclasses.replace(cfg.bo, seed=args.seed))
-        except ValueError as exc:
-            raise ConfigError(f"invalid --seed: {exc}") from exc
-    return cfg
+    return config.load_config(args.config, seed=args.seed)
 
 
 def _out_dir(out: str) -> Path:

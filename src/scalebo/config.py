@@ -11,6 +11,7 @@ default.  Given the same file and seed, a run is fully deterministic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -34,6 +35,9 @@ PROBLEM_KINDS = {
 }
 
 _TOP_KEYS = {"seed", "problem", "bo", "baseline"}
+
+# A builder's signature, read once per process: a parse binds it.
+_signature = functools.cache(inspect.signature)
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ def _canonical_section(doc_section: dict) -> dict:
         raise ConfigError(f"problem.kind must be one of {list(PROBLEM_KINDS)}, "
                           f"got {reprlib.repr(kind)}")
     try:
-        bound = inspect.signature(PROBLEM_KINDS[kind]).bind(**section)
+        bound = _signature(PROBLEM_KINDS[kind]).bind(**section)
     except TypeError as exc:
         raise ConfigError(f"invalid {kind} problem: {exc}") from exc
     for key, value in section.items():
@@ -109,10 +113,11 @@ def build_problem(doc_section: dict) -> problems.ObjectiveProblem:
         raise ConfigError(f"invalid {kind} problem: {exc}") from exc
 
 
-def parse_config(doc: dict) -> RunConfig:
+def parse_config(doc: dict, seed: int | None = None) -> RunConfig:
     """The run config of a JSON document, with its problem built.  The
     seed and the problem's target s0 go into :class:`BoConfig` beside the
-    ``bo`` section, which therefore may not hold them."""
+    ``bo`` section, which therefore may not hold them.  A ``seed`` given
+    here (``--seed``) stands for the document's, which must still be valid."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
     unknown = set(doc) - _TOP_KEYS
@@ -124,7 +129,9 @@ def parse_config(doc: dict) -> RunConfig:
     problem_section = _canonical_section(doc["problem"])
     problem = build_problem(_CanonicalSection(problem_section))
     try:   # a "bo" that is not an object is a TypeError too
-        bo = BoConfig(seed=doc["seed"], s0=problem.s0, **doc["bo"])
+        if seed is not None:   # the document must hold a valid seed all the same
+            check_count("seed", doc["seed"], 0)
+        bo = BoConfig(seed=doc["seed"] if seed is None else seed, s0=problem.s0, **doc["bo"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid bo section or seed: {exc}") from exc
     if not bo.beta_min > problem.beta_floor:
@@ -138,7 +145,7 @@ def parse_config(doc: dict) -> RunConfig:
                      baseline=baseline)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, seed: int | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -146,4 +153,4 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(doc)
+    return parse_config(doc, seed)

@@ -7,9 +7,11 @@ is the one encoding: a dataclass is written as an object of its fields, in
 declaration order, so an artifact's dataclasses are its schema, and
 :func:`from_json` reads them back by field type.  :func:`write_json` is the
 one emitter, for every JSON artifact: its bytes equal
-``json.dumps(json_safe(doc), indent=2)`` plus a newline.  It exists because
-``indent`` sends ``json.dumps`` to its pure-Python encoder: the emitter
-walks the document once, formats leaves with C-level calls and writes once.
+``json.dumps(json_safe(doc), indent=2)`` plus a newline, for what artifacts
+hold: string keys, and of float, int and str subclasses only numpy's.  It
+exists because ``indent`` sends ``json.dumps`` to its pure-Python encoder:
+the emitter walks the document once, formats leaves with C-level calls and
+writes once.
 CSV files write floats by ``repr``, which round-trips ``nan`` and ``inf``
 too.
 
@@ -143,10 +145,10 @@ def write_json(path, doc) -> None:
     the separate :func:`json_safe` walk took about twice as long on a
     trace.  Here a leaf is formatted by a C-level call (``float.__repr__``,
     ``int.__repr__``, json's ``encode_basestring_ascii``), a list of floats
-    by one ``str.join``, and the text is built by joins.  As in ``json``, a
-    subclass of float, int, str or dict is written as its base type, a
-    value of any other type raises ``TypeError``, and so does a dict key
-    that is not a string, number, boolean or None.
+    by one ``str.join``, and the text is built by joins.  What ``json``
+    would coerce raises ``TypeError`` naming its type: a key that is not a
+    ``str`` or ``np.str_``, and a subclass of float, int or str that numpy
+    does not define, such as an ``IntEnum``.  No artifact holds either.
     """
     text = _text(doc, "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -155,6 +157,7 @@ def write_json(path, doc) -> None:
 
 _ascii = json.encoder.encode_basestring_ascii
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
+_FLOAT_ITEMS = frozenset((float, np.float64))   # float.__repr__ writes both as tolist() would
 
 
 def _float_text(value: float) -> str:
@@ -179,9 +182,6 @@ def _text(doc, newline: str) -> str:
     leaf = _LEAVES.get(type(doc))
     if leaf is not None:
         return leaf(doc)
-    for base in (float, str, int):   # a subclass is written as its base type
-        if isinstance(doc, base):
-            return _LEAVES[base](doc)
     inner = newline + "  "
     if isinstance(doc, dict):
         items = [_key(key) + ": " + _text(value, inner) for key, value in doc.items()]
@@ -205,12 +205,9 @@ def _text(doc, newline: str) -> str:
 
 def _float_list_reprs(values) -> list | None:
     """``float.__repr__`` of each of ``values``, or None unless every one
-    is a float."""
-    if isinstance(values[0], float):
-        try:
-            return list(map(float.__repr__, values))
-        except TypeError:   # an item that is not a float
-            pass
+    is a float or an ``np.float64``."""
+    if isinstance(values[0], float) and _FLOAT_ITEMS.issuperset(map(type, values)):
+        return list(map(float.__repr__, values))
     return None
 
 
@@ -223,21 +220,10 @@ def _float_items(reprs: list, separator: str) -> str:
 
 
 def _key(key) -> str:
-    """A dict key as ``json`` writes it: a string, or a float, boolean,
-    None or int as its JSON text in quotes."""
-    if isinstance(key, str):
-        return _ascii(key)
-    if isinstance(key, float):
-        if not math.isfinite(key):
-            raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
-        key = float.__repr__(key)
-    elif key is None or key is True or key is False:
-        key = "null" if key is None else "true" if key else "false"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return '"' + key + '"'
+    """A dict key, which must be a ``str`` or an ``np.str_``."""
+    if type(key) is not str and type(key) is not np.str_:
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _ascii(key)
 
 
 def write_csv(path, header, rows) -> None:

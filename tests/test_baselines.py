@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from scalebo import acquisition, baselines, problems
 from scalebo.baselines import GOLDEN, McObjective
-from scalebo.errors import EvaluationFailure
+from scalebo.errors import EvaluationFailure, SurrogateOverflow
 
 # np.exp and math.exp may differ by one ulp, so draws of the exp-based kinds
 # agree across the sized and scalar paths to this relative tolerance.
@@ -112,6 +112,22 @@ class TestMcObjective:
             truth.beta_opt,
         )
         assert abs(stats.mean - analytic) <= 3.0 * stats.se
+
+    @pytest.mark.parametrize("statistic", [
+        problems.synthetic_powerlaw(1.0, 400.0, 1.0, beta_opt=100.0).evaluate_statistic,
+        lambda beta, rng: 1e200 * (1.0 + rng.random()),   # finite draws, squares beyond float
+        lambda beta, rng: math.nan,
+        lambda beta, rng: math.inf,
+    ], ids=["ln_b-400", "huge-draws", "nan-draws", "inf-draws"])
+    def test_probe_refuses_a_mean_or_error_that_is_no_number(self, statistic):
+        # Whether the draws or only their squared errors leave float range,
+        # the probe names beta, raises no numpy warning (pytest makes one an
+        # error), and caches and counts nothing.
+        obj = McObjective(problem=problems.ObjectiveProblem(statistic, s0=1.0), mc_samples=64)
+        with pytest.raises(SurrogateOverflow,
+                           match=r"^Monte-Carlo objective at beta=58\.07 is not a finite number"):
+            obj.probe(58.07)
+        assert obj.probes == [] and obj.evaluations_used == 0
 
     @pytest.mark.parametrize("threads", [0, -1, 2.0, "2", True, None])
     def test_threads_must_be_an_integer_at_least_one(self, threads):

@@ -359,6 +359,13 @@ class TestRunArguments:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_override_does_not_excuse_a_bad_config_seed(self, tmp_path, command, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "run.json", seed=-1)
+        assert cli.main([command, "--config", str(path), "--seed", "3", "--out", str(out)]) == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_threads_below_one_exit_2(self, tmp_path, config_path, command, threads, capsys):
         out = tmp_path / "out"
@@ -385,6 +392,17 @@ class TestRunArguments:
         assert cli.main([command, "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
         assert len(built) == 1
 
+    def test_seed_override_builds_one_bo_config(self, tmp_path, config_path, command,
+                                                monkeypatch):
+        # --seed stands for the config's seed in the one parse, so BoConfig's
+        # checks run once per command.
+        builds, check = [], driver.BoConfig.__post_init__
+        monkeypatch.setattr(driver.BoConfig, "__post_init__",
+                            lambda bo: builds.append(bo.seed) or check(bo))
+        assert cli.main([command, "--config", str(config_path), "--seed", "5",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert builds == [5]
+
     def test_overflowing_statistic_exits_3(self, tmp_path, command, capsys):
         # exp(709 + ln beta + z) is beyond float range for beta >= 10 unless
         # z < -1.5: a sized draw fails as a scalar draw does, naming beta.
@@ -393,6 +411,23 @@ class TestRunArguments:
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert re.search(r"^error: statistic evaluation failed at beta=[\d.]+.*: math range error$",
                          capsys.readouterr().err, re.MULTILINE)
+
+    def test_overflowing_objective_exits_3(self, tmp_path, command, capsys):
+        # Every draw is finite, but near e^400 its squared error is not: the
+        # baseline's probe names beta, where optimize's fit works in logs.
+        path = write_config(tmp_path / "run.json", seed=1, problem={
+            "kind": "synthetic-powerlaw", "a": 1.0, "ln_b": 400, "eps2": 1.0, "beta_opt": 100.0},
+            baseline={"mc_samples": 64})
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        if command == "optimize":
+            assert code == 0
+            assert json.loads((out / "estimate.json").read_text())["beta_hat"] > 90
+        else:
+            assert code == 3
+            assert re.search(r"^error: Monte-Carlo objective at beta=[\d.]+ is not a finite number",
+                             capsys.readouterr().err, re.MULTILINE)
+            assert list(out.iterdir()) == []
 
     def test_config_out_key_exits_2_before_writing(self, tmp_path, command, capsys,
                                                    monkeypatch):
