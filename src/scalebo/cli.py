@@ -3,11 +3,11 @@
 Commands
 --------
 optimize
-    Run the surrogate-based optimizer; writes trace.json, trace.csv and
-    estimate.json into the output directory.
+    Run the surrogate-based optimizer; writes trace.json, trace.csv,
+    estimate.json and run.json into the output directory.
 baseline
     Run the Monte-Carlo 1-D optimizer on the same config; writes
-    trace.csv, probes.csv and estimate.json.
+    trace.csv, probes.csv, estimate.json and run.json.
 
     Each estimate.json holds ``rounds``, the run's synchronous rounds: the
     records of an optimize run (the initial design included), or the

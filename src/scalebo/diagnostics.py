@@ -88,12 +88,18 @@ def residual_stats(
     NoEligibleGroups
         No group meets the threshold.
     """
+    return _group_stats(data.y - data.x @ fit.coef_hat, data.beta, min_per_beta)
+
+
+def _group_stats(
+    resid: np.ndarray, row_beta: np.ndarray, min_per_beta: int
+) -> tuple[list[GroupStats], list[tuple[float, int]]]:
+    """:func:`residual_stats` of the residuals ``resid`` of rows at ``row_beta``."""
     check_count("min_per_beta", min_per_beta, 1)
-    resid = data.y - data.x @ fit.coef_hat
     # One stable sort splits the rows into beta groups, each in its rows'
     # original order, so every moment sums exactly what a mask would pick.
-    order = np.argsort(data.beta, kind="stable")
-    betas, starts = np.unique(data.beta[order], return_index=True)
+    order = np.argsort(row_beta, kind="stable")
+    betas, starts = np.unique(row_beta[order], return_index=True)
     groups: list[GroupStats] = []
     dropped: list[tuple[float, int]] = []
     for beta, r in zip(betas.tolist(), np.split(resid[order], starts[1:])):
@@ -278,8 +284,9 @@ def fit_residual_families(residuals) -> FamilyRanking:
     The exponentiated residuals are positive, which is where the Gamma
     and (shifted) log-normal candidates live; a Gaussian fit of the same
     sample serves as the reference.  The log-normal shift is chosen by
-    profile likelihood over a fixed grid below the sample minimum.
-    Families are ranked by total log-likelihood.
+    profile likelihood over a fixed grid below the sample minimum;
+    :func:`_shift_profile` gives each shift's moments in four passes over
+    its sample.  Families are ranked by total log-likelihood.
 
     Raises
     ------
@@ -303,17 +310,10 @@ def fit_residual_families(residuals) -> FamilyRanking:
     gauss_ll = -n * (math.log(sigma) + 0.5 * (1.0 + math.log(2.0 * math.pi)))
     gaussian = FamilyFit("gaussian", {"mean": mean, "std": sigma}, gauss_ll)
 
-    # Profile likelihood over the shift grid: log, mean, std and sums of
-    # each shift's sample as rows of (shifts, n) blocks.
+    # Profile likelihood over a shift grid below the sample minimum.
     e_min = float(e.min())
     shifts = np.linspace(e_min - 2.0 * sigma, e_min, SHIFT_GRID_POINTS, endpoint=False)
-    mu, sig, t_sum, t_ss = (np.empty(shifts.size) for _ in range(4))
-    step = max(1, SHIFT_BLOCK_ELEMENTS // n)
-    for lo in range(0, shifts.size, step):
-        rows = slice(lo, lo + step)
-        t = np.log(e - shifts[rows, None])
-        mu[rows], sig[rows], t_sum[rows] = t.mean(axis=1), t.std(axis=1), t.sum(axis=1)
-        t_ss[rows] = np.sum((t - mu[rows, None]) ** 2, axis=1)
+    mu, sig, t_sum, t_ss = _shift_profile(e, shifts)
     best_shift, best_ll, best_mu, best_sig = None, -math.inf, None, None
     for shift, m, s, ts, ss in zip(shifts.tolist(), mu.tolist(), sig.tolist(),
                                    t_sum.tolist(), t_ss.tolist()):
@@ -336,6 +336,28 @@ def fit_residual_families(residuals) -> FamilyRanking:
     return FamilyRanking(ranking=ranking, fits=fits)
 
 
+def _shift_profile(e: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(mu, sig, sum, ss)`` of t = ln(e - shift) for each shift: its mean,
+    standard deviation (ddof 0), sum and centred sum of squares.
+
+    Each shift's t is a row of a (shifts, n) block, which is walked once
+    for the sums and once each to centre, square and sum it.  sum / n and
+    sqrt(ss / n) are the operations ``t.mean(axis=1)`` and
+    ``t.std(axis=1)`` make, so mu and sig carry their bits.
+    """
+    n = e.size
+    t_sum, t_ss = np.empty(shifts.size), np.empty(shifts.size)
+    step = max(1, SHIFT_BLOCK_ELEMENTS // n)
+    for lo in range(0, shifts.size, step):
+        rows = slice(lo, lo + step)
+        t = np.log(e - shifts[rows, None])
+        t_sum[rows] = t.sum(axis=1)
+        t -= (t_sum[rows] / n)[:, None]
+        np.square(t, out=t)
+        t_ss[rows] = t.sum(axis=1)
+    return t_sum / n, np.sqrt(t_ss / n), t_sum, t_ss
+
+
 def histogram_fd(values) -> tuple[np.ndarray, np.ndarray]:
     """Histogram with Freedman-Diaconis bin widths, at most one bin per
     value; returns (edges, counts).
@@ -343,11 +365,18 @@ def histogram_fd(values) -> tuple[np.ndarray, np.ndarray]:
     The FD width scales with the interquartile range, so a tight sample with
     one far outlier asks for range / width bins, billions of them; a sample
     that would get more bins than values gets as many equal bins as values.
+    Otherwise the bin count is numpy's own for ``bins="fd"``,
+    ceil(range / width), or 1 when the width is 0; it is passed to numpy
+    as a number, so the quartiles are computed once.
     """
     arr = np.asarray(values, dtype=float)
     width = 2.0 * np.subtract(*np.percentile(arr, [75, 25])) * arr.size ** (-1.0 / 3.0)
-    capped = np.ptp(arr) > arr.size * width > 0
-    edges = np.histogram_bin_edges(arr, bins=arr.size if capped else "fd")
+    span = np.ptp(arr)
+    if span > arr.size * width > 0:
+        bins = arr.size
+    else:
+        bins = int(np.ceil(span / width)) if width else 1
+    edges = np.histogram_bin_edges(arr, bins=bins)
     counts, edges = np.histogram(arr, bins=edges)
     return edges, counts
 
@@ -366,7 +395,8 @@ def residual_report(
     Family fitting is skipped (with the slot left empty) when the slice
     is too small or degenerate.
     """
-    groups, dropped = residual_stats(fit, data, min_per_beta)
+    resid = data.y - data.x @ fit.coef_hat
+    groups, dropped = _group_stats(resid, data.beta, min_per_beta)
     smoothed = smooth_groups(groups, window)
 
     if fit_beta is None:
@@ -375,7 +405,6 @@ def residual_report(
         target = float(fit_beta)
         if not any(g.beta == target for g in groups):
             raise NoEligibleGroups(f"no retained group at beta = {target}")
-    resid = data.y - data.x @ fit.coef_hat
     slice_resid = resid[data.beta == target]
 
     families = None

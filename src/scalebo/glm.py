@@ -21,7 +21,6 @@ classical fit and exact posterior sampling.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -258,11 +257,17 @@ def load_csv(path) -> tuple[LogDataset, int]:
     - Each further line is a row: its first two comma-separated fields
       are beta and s, optionally quoted and space-padded; further fields
       are ignored, and rows may differ in their number of fields.
-    - Blank lines are skipped; LF and CRLF line ends are both accepted.
+    - Blank lines are skipped; LF, CRLF and lone-CR line ends are all
+      accepted.
     - Rows with a non-finite or non-positive value are counted as
       rejected, as :func:`ingest` does.
     - Numbers use numpy's parser: ASCII decimal or exponent notation,
       ``nan`` and ``inf``, without digit separators.
+
+    The header is checked on its own line; ``np.loadtxt`` then reads the
+    file in place, skipping that line, so the body is never copied into
+    a string.  A body of blank lines is read as no rows, without asking
+    loadtxt (which would warn that it found no data).
 
     Returns the dataset plus the count of rejected rows.
 
@@ -276,9 +281,8 @@ def load_csv(path) -> tuple[LogDataset, int]:
         header = next(csv.reader([fh.readline()]), None)
         if header is None or [h.strip() for h in header[:2]] != ["beta", "s"]:
             raise ValueError(f"{path}: expected header 'beta,s'")
-        body = fh.read()
-    if not body.strip("\r\n"):  # header only: loadtxt would warn of no data
-        return _keep_usable(np.empty((0, 2)))
-    rows = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", usecols=(0, 1), ndmin=2,
-                      comments=None, quotechar='"')
+        if not any(line.strip("\r\n") for line in fh):
+            return _keep_usable(np.empty((0, 2)))
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1), ndmin=2, comments=None,
+                      quotechar='"', encoding="utf-8")
     return _keep_usable(rows)

@@ -18,13 +18,20 @@ as its formula, with the temporaries the package's version saves.
 :func:`probe_moments` is the mean and standard error of a Monte-Carlo
 probe through numpy's ``mean`` and ``std``, the reference for
 ``baselines._moments``.
+
+For ``scalebo diagnose``: :func:`load_csv` parses a copy of the dataset's
+body, :func:`shift_profile` reads each shift's moments through numpy's
+``mean``, ``std`` and ``sum``, and :func:`histogram_fd` bins through
+``bins="fd"``.  ``install_diagnose`` puts them back into the package.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 
-from scalebo import acquisition, glm, posterior, problems
+from scalebo import acquisition, diagnostics, glm, posterior, problems
 from scalebo.errors import SurrogateOverflow
 
 
@@ -190,3 +197,49 @@ def probe_moments(g):
     ``ndarray.std(ddof=1) / sqrt(n)``; se is 0.0 at n = 1."""
     se = float(g.std(ddof=1) / math.sqrt(g.size)) if g.size > 1 else 0.0
     return float(g.mean()), se
+
+
+def load_csv(path):
+    """``glm.load_csv`` through a string copy of the body after the header."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader([fh.readline()]), None)
+        if header is None or [h.strip() for h in header[:2]] != ["beta", "s"]:
+            raise ValueError(f"{path}: expected header 'beta,s'")
+        body = fh.read()
+    if not body.strip("\r\n"):
+        return glm._keep_usable(np.empty((0, 2)))
+    rows = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", usecols=(0, 1), ndmin=2,
+                      comments=None, quotechar='"')
+    return glm._keep_usable(rows)
+
+
+def shift_profile(e, shifts):
+    """``diagnostics._shift_profile`` through ``mean``, ``std`` and ``sum``
+    of each (shifts, n) block, and the squares of ``t - mean`` summed."""
+    mu, sig, t_sum, t_ss = (np.empty(shifts.size) for _ in range(4))
+    step = max(1, diagnostics.SHIFT_BLOCK_ELEMENTS // e.size)
+    for lo in range(0, shifts.size, step):
+        rows = slice(lo, lo + step)
+        t = np.log(e - shifts[rows, None])
+        mu[rows], sig[rows], t_sum[rows] = t.mean(axis=1), t.std(axis=1), t.sum(axis=1)
+        t_ss[rows] = np.sum((t - mu[rows, None]) ** 2, axis=1)
+    return mu, sig, t_sum, t_ss
+
+
+def histogram_fd(values):
+    """``diagnostics.histogram_fd`` through numpy's ``bins="fd"``, with
+    the one-bin-per-value cap."""
+    arr = np.asarray(values, dtype=float)
+    width = 2.0 * np.subtract(*np.percentile(arr, [75, 25])) * arr.size ** (-1.0 / 3.0)
+    capped = np.ptp(arr) > arr.size * width > 0
+    edges = np.histogram_bin_edges(arr, bins=arr.size if capped else "fd")
+    counts, edges = np.histogram(arr, bins=edges)
+    return edges, counts
+
+
+def install_diagnose(monkeypatch):
+    """Run ``diagnose`` on the oracles: the dataset parse, the shift
+    profile and the histogram."""
+    monkeypatch.setattr(glm, "load_csv", load_csv)
+    monkeypatch.setattr(diagnostics, "_shift_profile", shift_profile)
+    monkeypatch.setattr(diagnostics, "histogram_fd", histogram_fd)

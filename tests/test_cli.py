@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import scipy.io
 
-from scalebo import baselines, cli, config, driver, glm, jsonio
+import oracles
+from scalebo import baselines, cli, config, driver, glm, jsonio, problems
 from scalebo.problems import synthetic_powerlaw, target_for_optimum
 
 
@@ -692,6 +693,27 @@ class TestDiagnose:
             assert cli.main(["diagnose", "--data", str(dataset_path), "--out", str(out)]) == 0
         assert (out1 / "groups.csv").read_bytes() == (out2 / "groups.csv").read_bytes()
         assert (out1 / "histogram.csv").read_bytes() == (out2 / "histogram.csv").read_bytes()
+
+    @pytest.mark.parametrize("problem", [
+        problems.gamma_noise(a=-0.5, ln_b=0.2, s0=0.3, shape=4.0),
+        synthetic_powerlaw(-0.58, 0.0, 0.25, beta_opt=101.0),
+        problems.heteroscedastic(a=-0.5, ln_b=0.0, s0=0.3),
+        problems.shifted_lognormal(a=-0.5, ln_b=0.0, eps2=0.16, s0=0.3, shift=0.2),
+    ], ids=lambda problem: problem.label)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_artifacts_match_the_oracle_run(self, tmp_path, monkeypatch, capsys, problem, seed):
+        # 3 x 1,200 rows, as the benchmark's diagnose datasets.
+        rng = np.random.default_rng(seed)
+        beta = np.repeat([20.0, 60.0, 180.0], 1200)
+        s = np.concatenate([problem.evaluate_statistic(b, rng, 1200) for b in (20.0, 60.0, 180.0)])
+        path = tmp_path / "data.csv"
+        glm.save_csv(glm.ingest(zip(beta, s))[0], path)
+        outs = tmp_path / "new", tmp_path / "oracle"
+        assert cli.main(["diagnose", "--data", str(path), "--out", str(outs[0])]) == 0
+        oracles.install_diagnose(monkeypatch)
+        assert cli.main(["diagnose", "--data", str(path), "--out", str(outs[1])]) == 0
+        for name in ("report.json", "groups.csv", "histogram.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestDispatch:

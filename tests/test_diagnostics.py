@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from scalebo import diagnostics, glm
 from scalebo.errors import DegenerateSample, InsufficientData, NoEligibleGroups
 from scalebo.jsonio import json_safe
@@ -350,6 +351,74 @@ class TestShiftProfile:
             diagnostics.fit_residual_families(np.full(500, 0.25))
 
 
+def oracle_sample(kind, n, seed, scale):
+    """A positive sample of ``n`` values for the oracle properties below."""
+    rng = np.random.default_rng(seed)
+    if kind == "lognormal":
+        return np.exp(scale * rng.standard_normal(n))
+    if kind == "gamma":
+        return scale * rng.gamma(4.0, 0.25, n)
+    if kind == "decades":   # up to 10**(+-scale * 50)
+        return 10.0 ** (scale * rng.uniform(-50.0, 50.0, n))
+    if kind == "tied":      # most values equal: an interquartile range of 0
+        out = np.full(n, 1.0 + scale)
+        out[rng.choice(n, size=n // 5, replace=False)] = rng.uniform(0.5, 5.0, n // 5)
+        return out
+    if kind == "constant":
+        return np.full(n, scale)
+    if kind == "outlier":   # a tight sample and one value far out
+        out = 1.0 + 1e-9 * rng.standard_normal(n)
+        out[rng.integers(n)] = 1.0 + 1e3 * scale
+        return out
+    raise ValueError(kind)
+
+
+sample_args = dict(
+    n=st.integers(100, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 3.0),
+)
+
+
+class TestOraclePasses:
+    """The shift profile and the FD histogram carry the bits of the numpy
+    forms in ``oracles``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["lognormal", "gamma", "decades", "tied", "outlier"]),
+           **sample_args)
+    @example(kind="decades", n=3000, seed=1, scale=3.0)
+    @example(kind="lognormal", n=100, seed=2, scale=1e-3)
+    def test_shift_profile_matches_oracle(self, kind, n, seed, scale):
+        e = oracle_sample(kind, n, seed, scale)
+        e_min, sigma = float(e.min()), float(e.std())
+        shifts = np.linspace(e_min - 2.0 * sigma, e_min, diagnostics.SHIFT_GRID_POINTS,
+                             endpoint=False)
+        got = diagnostics._shift_profile(e, shifts)
+        want = oracles.shift_profile(e, shifts)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["lognormal", "gamma", "decades", "tied", "constant",
+                                 "outlier"]), **sample_args)
+    @example(kind="tied", n=100, seed=0, scale=1.0)
+    @example(kind="constant", n=150, seed=0, scale=2.5)
+    @example(kind="outlier", n=3000, seed=3, scale=3.0)
+    @example(kind="decades", n=2500, seed=4, scale=3.0)
+    def test_histogram_matches_oracle(self, kind, n, seed, scale):
+        values = oracle_sample(kind, n, seed, scale)
+        edges, counts = diagnostics.histogram_fd(values)
+        want_edges, want_counts = oracles.histogram_fd(values)
+        assert edges.tobytes() == want_edges.tobytes()
+        assert counts.tobytes() == want_counts.tobytes()
+
+    @pytest.mark.parametrize("kind, bins", [("tied", 1), ("constant", 1), ("outlier", 2000)])
+    def test_histogram_edge_cases_reach_their_branch(self, kind, bins):
+        # Width 0 gives one bin; a far outlier gives one bin per value.
+        edges, counts = diagnostics.histogram_fd(oracle_sample(kind, 2000, 5, 1.0))
+        assert counts.size == bins == edges.size - 1
+
+
 class TestReport:
     @pytest.fixture()
     def report_and_data(self):
@@ -368,6 +437,16 @@ class TestReport:
         assert report.fit_beta in {g.beta for g in report.per_beta}
         assert report.families is not None
         assert report.families.ranking[0] == "gamma"
+
+    def test_parts_equal_the_public_passes(self, report_and_data):
+        report, data = report_and_data
+        fit = glm.fit(data)
+        assert (report.per_beta, report.dropped) == diagnostics.residual_stats(fit, data, 1000)
+        resid = (data.y - data.x @ fit.coef_hat)[data.beta == report.fit_beta]
+        assert report.families == diagnostics.fit_residual_families(resid)
+        edges, counts = diagnostics.histogram_fd(np.exp(resid))
+        assert report.histogram[0].tobytes() == edges.tobytes()
+        assert report.histogram[1].tobytes() == counts.tobytes()
 
     def test_histogram_uses_freedman_diaconis_bins(self, report_and_data):
         report, data = report_and_data

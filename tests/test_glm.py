@@ -15,6 +15,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from scalebo import glm
 from scalebo.errors import DegenerateVariance, InsufficientData, RankDeficient
 
@@ -426,6 +427,35 @@ class TestLoadCsv:
         assert count == rejected
         np.testing.assert_array_equal(data.beta, beta)
         np.testing.assert_array_equal(data.s, s)
+
+    @pytest.mark.parametrize("text, beta, s", [
+        ("beta,s\r1,2\n", [1.0], [2.0]),
+        ("beta,s\n1,2\r3,4\n", [1.0, 3.0], [2.0, 4.0]),
+        ("beta,s\n1,2\r", [1.0], [2.0]),
+    ], ids=["after-header", "between-rows", "final"])
+    def test_lone_cr_ends_a_line(self, tmp_path, text, beta, s):
+        # Skipping the header skips one line: no data row goes with it.
+        data, rejected = self.load(tmp_path, text)
+        assert rejected == 0
+        np.testing.assert_array_equal(data.beta, beta)
+        np.testing.assert_array_equal(data.s, s)
+
+    @pytest.mark.parametrize("text", [
+        "beta,s\r1,2\r3,4\r", "beta,s\r\n1,2\r3,4\n", 'beta,s\n1,2,"x\ny"\n3,4\n',
+        'beta,s,"a\nb"\n1,2\n', 'beta,s,"\n5,6,"\n1,2\n', "beta,s\n1,2\x0c\n3,4\n",
+        "beta,s\n1,\xa02\n", "beta,s\n1,2\x00\n", "beta,s\n1,2 \n", "beta,s\n\r\n\r1,2\n",
+    ], ids=["cr", "crlf-then-cr", "quoted-newline", "quoted-newline-in-header",
+            "open-quote-in-header", "form-feed", "nbsp", "nul", "trailing-space", "blank-cr"])
+    def test_matches_the_body_copy_oracle(self, tmp_path, text):
+        def outcome(load):
+            try:
+                data, rejected = load(tmp_path / "data.csv")
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return data.beta.tobytes(), data.s.tobytes(), rejected
+
+        (tmp_path / "data.csv").write_bytes(text.encode("utf-8"))
+        assert outcome(glm.load_csv) == outcome(oracles.load_csv)
 
     @pytest.mark.parametrize("body", ["1.5,2.5\n3\n", "1.5\n", "1.5,abc\n", "1.5,\n", ",\n",
                                       "1,2\n   \n", "# comment\n1,2\n", "0x10,2\n", "1 0,2\n"],
