@@ -27,17 +27,9 @@ from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0          # bracket shrink factor
 _PARABOLIC_FALLBACK = 1.0 - GOLDEN             # golden step fraction, ~0.382
 
-# Statistic draws per rng substream.  Each chunk costs one generator and
-# one statistic call, so a probe of at most 1024 draws is one chunk, drawn
-# inline with no thread pool: larger chunks cut that overhead, smaller ones
-# give a per-draw statistic more tasks to spread over threads.  Fixed, so
-# results are identical for any thread count.
-_CHUNK = 1024
-
-# The chunk streams are children of the run root's child 3: driver.run
-# spawns children 0-2 of SeedSequence(seed) for its acquisition,
-# evaluation and summary streams, so optimize and baseline on one seed
-# share no draws.
+# A run's one stream is the run root's child 3: driver.run spawns children
+# 0-2 of SeedSequence(seed) for its acquisition, evaluation and summary
+# streams, so optimize and baseline on one seed share no draws.
 _SEED_BRANCH = 3
 
 # Per baseline method: the name of its optimizer in this module (read at
@@ -84,7 +76,12 @@ class McObjective:
     """Monte-Carlo objective with per-beta caching and an audited counter.
 
     A beta value is never re-drawn within one objective instance: repeat
-    queries hit the cache and leave ``evaluations_used`` unchanged.
+    queries hit the cache and leave ``evaluations_used`` unchanged.  Every
+    probe reads the next ``mc_samples`` draws of one generator, ``default_rng``
+    of ``SeedSequence(seed, spawn_key=(3,))``, so a run's probes depend on
+    their order.  ``threads`` is deprecated and read by nothing: it is still
+    accepted, an integer >= 1, so that callers written for the earlier
+    thread pool still run.
     """
 
     problem: ObjectiveProblem
@@ -94,13 +91,11 @@ class McObjective:
     evaluations_used: int = field(init=False, default=0)
 
     def __post_init__(self):
-        from .streams import ChildStreams  # only here: it loads numpy.random, import scalebo does not
-
         for name, minimum in (("mc_samples", 1), ("seed", 0), ("threads", 1)):
             check_count(name, getattr(self, name), minimum)
-        self._sizes = [min(_CHUNK, self.mc_samples - i) for i in range(0, self.mc_samples, _CHUNK)]
         self._cache: dict[float, ProbeStats] = {}
-        self._streams = ChildStreams(np.random.SeedSequence(self.seed, spawn_key=(_SEED_BRANCH,)))
+        self._rng = np.random.default_rng(np.random.SeedSequence(self.seed,
+                                                                 spawn_key=(_SEED_BRANCH,)))
 
     @property
     def probes(self) -> list[ProbeStats]:
@@ -115,10 +110,7 @@ class McObjective:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        sizes = self._sizes
-        rngs = self._streams.spawn(len(sizes))
-        draws = np.concatenate(draw_statistics(self.problem, [key] * len(sizes), rngs,
-                                               self.threads, sizes))
+        draws, = draw_statistics(self.problem, [key], self._rng, size=self.mc_samples)
         with np.errstate(over="ignore", invalid="ignore"):   # refused below, by beta
             g = draws - self.problem.s0
             np.multiply(g, g, out=g)

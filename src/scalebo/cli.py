@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="path to the run config (JSON)")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--threads", type=int, default=1,
-                        help="max concurrent statistic evaluations (default 1)")
+                        help="deprecated and ignored: statistics are drawn serially (N >= 1)")
     common.add_argument("--out", default=None, help="output directory")
 
     sub.add_parser("optimize", parents=[common], help="run the surrogate optimizer")
@@ -113,7 +113,8 @@ def main(argv=None) -> int:
 
 def _load_run_config(args) -> config.RunConfig:
     """The config with the ``--seed`` override applied; a bad ``--threads``
-    or ``--seed`` is a usage error, raised before anything is written."""
+    or ``--seed`` is a usage error, raised before anything is written.
+    ``--threads`` is checked and read by nothing else."""
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     return config.load_config(args.config, seed=args.seed)
@@ -136,7 +137,6 @@ def _run_metadata(cfg: config.RunConfig, args, method: str, extra: dict) -> dict
         "schema": RUN_SCHEMA,
         "method": method,
         "seed": cfg.bo.seed,
-        "threads": args.threads,
         "problem": cfg.problem_section,
         "problem_hash": cfg.problem_hash,
         "bo": cfg.bo,
@@ -148,7 +148,7 @@ def _run_metadata(cfg: config.RunConfig, args, method: str, extra: dict) -> dict
 def cmd_optimize(args) -> int:
     cfg = _load_run_config(args)
     outdir = _out_dir(args.out or "optimize-run")
-    trace = driver.run(cfg.bo, cfg.problem, threads=args.threads)
+    trace = driver.run(cfg.bo, cfg.problem)
     driver.save_trace(trace, outdir / "trace.json")
     driver.trace_to_csv(trace, outdir / "trace.csv")
     write_json(outdir / "estimate.json", {
@@ -175,7 +175,6 @@ def cmd_baseline(args) -> int:
         problem=cfg.problem,
         mc_samples=cfg.baseline.mc_samples,
         seed=cfg.bo.seed,
-        threads=args.threads,
     )
     optimizer, bracketing, stopping = baselines.METHODS[cfg.baseline.method]
     start = time.perf_counter()

@@ -230,9 +230,31 @@ def _gaps(k: float) -> tuple[float, float]:
     return math.log(k) - (math.log(x) - gap - shift), 1.0 / x + slope_gap + slope_shift - 1.0 / k
 
 
-def _gamma_fit(e: np.ndarray) -> FamilyFit:
+def _mean_std(e: np.ndarray) -> tuple[float, float]:
+    """``e.mean()`` and ``e.std()`` of a sample of floats >= 0, also where
+    the squares inside ``std`` would leave float range: one residual of 400
+    among a thousand takes them there.
+
+    A deviation from the mean is below ``2**top``, ``top`` the binary
+    exponent of ``e.max()``, so the ``n`` squares sum below
+    ``2**(2 top + bit_length(n))``.  Where that bound passes 2**1020, both
+    moments are taken of ``e`` times ``2**-k``, the least k that brings the
+    bound under, and scaled back.  A power of two scales exactly, so
+    numpy's bits are kept wherever ``e`` needs no scaling, and wherever the
+    scaled sample stays clear of the subnormal range.
+    """
+    _, top = math.frexp(float(e.max()))
+    excess = 2 * top + e.size.bit_length() - 1020
+    if excess <= 0:
+        return float(e.mean()), float(e.std())
+    k = (excess + 1) // 2
+    scaled = np.ldexp(e, -k)
+    return math.ldexp(float(scaled.mean()), k), math.ldexp(float(scaled.std()), k)
+
+
+def _gamma_fit(e: np.ndarray, mean: float) -> FamilyFit:
     """Maximum-likelihood Gamma(shape k, scale theta) fit of a positive
-    sample, with location 0.
+    sample of the given mean, with location 0.
 
     The shape solves ln k - psi(k) = s, s = ln(mean e) - mean(ln e), by
     Minka's generalized Newton step on 1/k from his closed-form start
@@ -252,7 +274,6 @@ def _gamma_fit(e: np.ndarray) -> FamilyFit:
         s is rounding noise and says nothing of the shape.
     """
     n = e.size
-    mean = float(e.mean())
     log_mean = math.log(mean)
     mean_log = float(np.log(e).mean())
     s = log_mean - mean_log
@@ -303,10 +324,10 @@ def fit_residual_families(residuals) -> FamilyRanking:
         raise ValueError("residuals must be finite")
     e = np.exp(res)
     n = e.size
-    gamma = _gamma_fit(e)
+    mean, sigma = _mean_std(e)
+    gamma = _gamma_fit(e, mean)
 
     # At the MLE the squared deviations sum to n sigma^2.
-    mean, sigma = float(e.mean()), float(e.std())
     gauss_ll = -n * (math.log(sigma) + 0.5 * (1.0 + math.log(2.0 * math.pi)))
     gaussian = FamilyFit("gaussian", {"mean": mean, "std": sigma}, gauss_ll)
 

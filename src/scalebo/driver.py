@@ -129,9 +129,14 @@ def initial_design(config: BoConfig) -> np.ndarray:
 def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrace:
     """Execute the full optimization loop and return its trace.
 
-    Statistic evaluations inside one batch may run concurrently (bounded
-    by ``threads``, an integer >= 1); each evaluation owns a pre-assigned
-    child rng stream, so results are bit-identical for any thread count.
+    Record t (the initial design is record 0) draws its statistics in
+    proposal order from one generator, ``default_rng`` of child t of the
+    evaluation stream ``SeedSequence(config.seed).spawn(3)[1]``: its draws
+    depend only on the seed and t.  The first and last children of the
+    root seed the Thompson proposals and the posterior summaries.
+    ``threads`` is deprecated and read by nothing: it is still accepted,
+    an integer >= 1, so that callers written for the earlier thread pool
+    still run.
 
     A record (the initial fit counts) is *settled*
     (:func:`posterior.stop_reading`) when the exponent a is identified by
@@ -153,15 +158,11 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     a is not identified, ``"boundary-min"`` or ``"boundary-max"`` when the
     beta* interval has collapsed onto that bound.
     """
-    from .streams import ChildStreams  # only here: it loads numpy.random, import scalebo does not
-
     check_count("threads", threads, 1)
     start = time.perf_counter()
-    root = np.random.SeedSequence(config.seed)
-    acq_ss, eval_ss, summary_ss = root.spawn(3)
+    acq_ss, eval_ss, summary_ss = np.random.SeedSequence(config.seed).spawn(3)
     acq_rng = np.random.default_rng(acq_ss)
     summary_rng = np.random.default_rng(summary_ss)
-    eval_streams = ChildStreams(eval_ss)
 
     records = []
     rows, fit = np.empty((0, 2)), None   # every (beta, s) drawn so far
@@ -179,7 +180,8 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
             ).betas
             if config.integer_beta:
                 betas_t = [round_into_bounds(b, config.bounds) for b in betas_t]
-        s_t = draw_statistics(problem, betas_t, eval_streams.spawn(len(betas_t)), threads,
+        # eval_ss has spawned t children before this one: this is child t.
+        s_t = draw_statistics(problem, betas_t, np.random.default_rng(eval_ss.spawn(1)[0]),
                               iteration=t)
         evaluations += len(betas_t)
         rows = np.concatenate([rows, np.array((betas_t, s_t), dtype=float).T])

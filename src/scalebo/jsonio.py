@@ -165,7 +165,8 @@ def _float_text(value: float) -> str:
 
 
 # The writer of each leaf type, by exact type: a bool is not an int here.
-_LEAVES = {float: _float_text, int: int.__repr__, str: _ascii,
+# An np.str_ is written as the str it is: its tolist() drops trailing NULs.
+_LEAVES = {float: _float_text, int: int.__repr__, str: _ascii, np.str_: _ascii,
            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import inspect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -45,20 +44,22 @@ class ObjectiveProblem:
     """A stochastic statistic plus the target it is matched against.
 
     ``evaluate_statistic(beta, rng)`` must return a finite nonnegative
-    scalar for any beta in the problem's declared bounds, and must be
-    re-entrant given independent rng streams.
+    scalar for any beta in the problem's declared bounds.  Calls are made
+    one at a time, in order, and consecutive calls share ``rng``: a
+    Thompson batch draws all its statistics from one generator, and a
+    baseline run all its probes.
 
     A callable may also accept numpy's ``size`` keyword:
     ``evaluate_statistic(beta, rng, size=k)`` then returns ``k`` draws as
     a float array, taken from ``rng`` in the same order as ``k`` scalar
     calls.  :func:`draw_statistics`, which both optimizers call, reads this
     from the signature once per problem; the baseline then draws each
-    1024-draw rng substream in one call, and calls a callable without it
-    once per draw.  The built-in ``synthetic-powerlaw``, ``gamma-noise``,
-    ``heteroscedastic`` and ``shifted-lognormal`` kinds take ``size``.
-    ``srom-standin`` does not: most of a draw's cost is its 8000 standard
-    normals, which one call per chunk cannot save, and a version solving
-    the chunk's draws as one stacked array was measured slower.
+    probe in one call, and calls a callable without it once per draw.  The
+    built-in ``synthetic-powerlaw``, ``gamma-noise``, ``heteroscedastic``
+    and ``shifted-lognormal`` kinds take ``size``.  ``srom-standin`` does
+    not: most of a draw's cost is its 8000 standard normals, which one call
+    per probe cannot save, and a version solving a probe's draws as one
+    stacked array was measured slower.
 
     The statistic is defined for beta > ``beta_floor``: 0 for every
     built-in kind but ``heteroscedastic``, whose floor is 1.
@@ -82,37 +83,31 @@ class ObjectiveProblem:
             return False
 
 
-def draw_statistics(problem: ObjectiveProblem, betas, rngs, threads: int = 1,
-                    sizes=None, iteration=None) -> list:
-    """The statistic at ``betas[i]`` on ``rngs[i]`` for each task i: a float
-    per task, or with ``sizes`` an array of ``sizes[i]`` draws, from one
-    ``size=k`` call when the problem takes ``size``, else from k scalar calls.
-    Tasks run in order, or on a pool of at most ``threads`` workers.  A
-    failure is raised as :class:`EvaluationFailure` naming beta and, when
-    given, ``iteration``."""
+def draw_statistics(problem: ObjectiveProblem, betas, rng, size=None, iteration=None) -> list:
+    """The statistic at each of ``betas`` in turn, every draw from the one
+    generator ``rng``: a float per beta, or with ``size`` an array of
+    ``size`` draws, from one ``size=k`` call when the problem takes
+    ``size``, else from k scalar calls.  A failure is raised as
+    :class:`EvaluationFailure` naming beta and, when given, ``iteration``."""
     statistic = problem.evaluate_statistic
-    sized = sizes is not None and problem._takes_size
-
-    def one(i):
-        beta, rng = betas[i], rngs[i]
-        try:
-            if sizes is None:
-                return float(statistic(beta, rng))
-            if not sized:
-                return np.array([float(statistic(beta, rng)) for _ in range(sizes[i])])
-            draws = np.asarray(statistic(beta, rng, size=sizes[i]), dtype=float)
-            if draws.shape != (sizes[i],):
-                raise ValueError(f"size={sizes[i]} returned shape {draws.shape}")
-            return draws
-        except Exception as exc:
-            context = "" if iteration is None else f" (iteration {iteration})"
-            raise EvaluationFailure(f"statistic evaluation failed at beta={beta:g}{context}: {exc}",
-                                    iteration=iteration, beta=beta) from exc
-
-    if threads <= 1 or len(rngs) == 1:
-        return [one(i) for i in range(len(rngs))]
-    with ThreadPoolExecutor(max_workers=min(threads, len(rngs))) as pool:
-        return list(pool.map(one, range(len(rngs))))
+    sized = size is not None and problem._takes_size
+    out = []
+    try:
+        for beta in betas:
+            if size is None:
+                out.append(float(statistic(beta, rng)))
+            elif not sized:
+                out.append(np.array([float(statistic(beta, rng)) for _ in range(size)]))
+            else:
+                draws = np.asarray(statistic(beta, rng, size=size), dtype=float)
+                if draws.shape != (size,):
+                    raise ValueError(f"size={size} returned shape {draws.shape}")
+                out.append(draws)
+    except Exception as exc:
+        context = "" if iteration is None else f" (iteration {iteration})"
+        raise EvaluationFailure(f"statistic evaluation failed at beta={beta:g}{context}: {exc}",
+                                iteration=iteration, beta=beta) from exc
+    return out
 
 
 def round_into_bounds(beta: float, bounds: tuple[float, float]) -> float:

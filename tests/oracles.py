@@ -1,5 +1,4 @@
-"""Reference versions of the BO record's helpers, of the rng streams and
-of the static fixture.
+"""Reference versions of the BO record's helpers and of the static fixture.
 
 ``driver.run`` computes each record's point estimate, beta* summary and
 stop region through ``posterior``, on floats and order statistics, and
@@ -8,8 +7,7 @@ straightforward array forms those replace, kept as test oracles: each must
 give the same bits as the code it stands for.  :func:`clamp_log`, the array
 clamp through ``np.clip``, is the reference for
 ``acquisition.clamp_log_float``.  ``install`` puts them back into the
-package, so whole runs can be compared as well.  :class:`NumpyChildren`
-is numpy's own construction of the per-evaluation streams.
+package, so whole runs can be compared as well.
 ``qr_sine_basis`` and ``solve_fixed_ends`` build the static fixture's
 basis and solutions through LAPACK, as ``problems.build_static_fixture``
 once did, for its closed form to be checked against.
@@ -20,7 +18,8 @@ probe through numpy's ``mean`` and ``std``, the reference for
 ``baselines._moments``.
 
 For ``scalebo diagnose``: :func:`load_csv` parses a copy of the dataset's
-body, :func:`shift_profile` reads each shift's moments through numpy's
+body, :func:`mean_std` is a sample's ``mean`` and ``std``,
+:func:`shift_profile` reads each shift's moments through numpy's
 ``mean``, ``std`` and ``sum``, and :func:`histogram_fd` bins through
 ``bins="fd"``.  ``install_diagnose`` puts them back into the package.
 """
@@ -33,17 +32,6 @@ import numpy as np
 
 from scalebo import acquisition, diagnostics, glm, posterior, problems
 from scalebo.errors import SurrogateOverflow
-
-
-class NumpyChildren:
-    """``streams.ChildStreams`` as numpy builds it: one SeedSequence and
-    generator per child."""
-
-    def __init__(self, parent):
-        self._parent = parent
-
-    def spawn(self, n):
-        return [np.random.default_rng(child) for child in self._parent.spawn(n)]
 
 
 def clamp_log(ln_beta, bounds):
@@ -211,6 +199,12 @@ def load_csv(path):
     rows = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", usecols=(0, 1), ndmin=2,
                       comments=None, quotechar='"')
     return glm._keep_usable(rows)
+
+
+def mean_std(e):
+    """``diagnostics._mean_std`` as numpy's ``mean`` and ``std``, which
+    overflow where the squared deviations leave float range."""
+    return float(e.mean()), float(e.std())
 
 
 def shift_profile(e, shifts):

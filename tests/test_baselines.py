@@ -134,55 +134,39 @@ class TestMcObjective:
         with pytest.raises(ValueError, match=f"got {threads!r}"):
             McObjective(problem=calibrated_problem(), threads=threads)
 
-    def test_thread_count_does_not_change_draws(self):
-        serial = McObjective(problem=calibrated_problem(), mc_samples=500, seed=4, threads=1)
-        threaded = McObjective(problem=calibrated_problem(), mc_samples=500, seed=4, threads=4)
-        np.testing.assert_array_equal(
-            serial.probe(64.0).s_draws, threaded.probe(64.0).s_draws
-        )
-
     @settings(max_examples=40, deadline=None)
-    @given(mc_samples=st.integers(1, 3 * baselines._CHUNK + 100), seed=st.integers(0, 2**32 - 1))
-    def test_chunk_layout_at_every_thread_count(self, mc_samples, seed):
-        # Chunks of _CHUNK draws, then the rest, each from its own child
-        # stream of the baseline's seed branch, whatever the thread count.
+    @given(mc_samples=st.integers(1, 2100), seed=st.integers(0, 2**32 - 1))
+    def test_probes_read_one_stream_in_order(self, mc_samples, seed):
+        # One sized call per probe, each on the next draws of one generator
+        # on the baseline's seed branch; a repeated beta draws nothing.
         prob = calibrated_problem()
         log = []
-        draws = [McObjective(problem=recording(prob, log), mc_samples=mc_samples, seed=seed,
-                             threads=threads).probe(64.0).s_draws
-                 for threads in (1, 2, 3)]
-        full, rest = divmod(mc_samples, baselines._CHUNK)
-        layout = [baselines._CHUNK] * full + ([rest] if rest else [])
-        sizes = [size for size, _ in log]
-        assert sizes[:len(layout)] == layout                  # one thread: in order
-        assert sorted(sizes) == sorted(layout * 3)
-        parent = np.random.SeedSequence(seed, spawn_key=(baselines._SEED_BRANCH,))
-        rngs = oracles.NumpyChildren(parent).spawn(len(layout))
-        reference = np.concatenate([prob.evaluate_statistic(64.0, rng, size=size)
-                                    for rng, size in zip(rngs, layout)])
-        for threaded in draws:
-            np.testing.assert_array_equal(threaded, reference)
+        obj = McObjective(problem=recording(prob, log), mc_samples=mc_samples, seed=seed)
+        betas = [64.0, 20.0, 64.0, 500.0]
+        draws = [obj.probe(beta).s_draws for beta in betas]
+        assert [size for size, _ in log] == [mc_samples] * 3
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
+        reference = [prob.evaluate_statistic(beta, rng, size=mc_samples)
+                     for beta in (64.0, 20.0, 500.0)]
+        for got, want in zip([draws[0], draws[1], draws[3]], reference):
+            np.testing.assert_array_equal(got, want)
+        assert draws[2] is draws[0]
 
-    @pytest.mark.parametrize("mc_samples, pools", [(baselines._CHUNK, 0), (baselines._CHUNK + 1, 1)])
-    def test_a_pool_only_for_more_than_one_chunk(self, monkeypatch, mc_samples, pools):
-        # A one-chunk probe is one task: it is drawn inline, whatever the
-        # thread count.  A second chunk makes two tasks, run on a pool.
-        built, real = [], problems.ThreadPoolExecutor
-
-        def pool(*args, **kwargs):
-            built.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(problems, "ThreadPoolExecutor", pool)
-        obj = McObjective(problem=calibrated_problem(), mc_samples=mc_samples, seed=5, threads=3)
-        assert obj.probe(64.0).count == mc_samples
-        assert built == [{"max_workers": 2}] * pools
+    def test_a_size_less_statistic_reads_the_stream_per_draw(self):
+        # A callable without size is called once per draw, in order, on the
+        # same one generator.
+        prob = calibrated_problem()
+        obj = McObjective(problem=scalar_only(prob), mc_samples=7, seed=3)
+        got = [obj.probe(beta).s_draws for beta in (30.0, 300.0)]
+        rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(3,)))
+        want = [[prob.evaluate_statistic(beta, rng) for _ in range(7)] for beta in (30.0, 300.0)]
+        np.testing.assert_array_equal(got, want)
 
     def test_streams_are_not_bo_streams(self):
         # driver.run draws from children 0-2 of SeedSequence(seed): the
         # acquisition stream, the parent of the evaluation streams and the
-        # summary stream.  No baseline chunk starts from any of those states,
-        # nor from an evaluation stream's.
+        # summary stream.  No baseline probe starts from any of those
+        # states, nor from a state an evaluation read.
         import scalebo
 
         seed, log = 11, []
@@ -194,7 +178,9 @@ class TestMcObjective:
         bo += [np.random.default_rng(child).bit_generator.state
                for child in np.random.SeedSequence(seed).spawn(3)]
         log.clear()
-        McObjective(problem=prob, mc_samples=3 * baselines._CHUNK, seed=seed).probe(50.0)
+        obj = McObjective(problem=prob, mc_samples=100, seed=seed)
+        for beta in (50.0, 60.0, 70.0):
+            obj.probe(beta)
         assert len(log) == 3
         assert [state in bo for _, state in log] == [False] * 3
 
@@ -214,11 +200,10 @@ def scalar_only(problem):
 
 class TestSizedStatistic:
     @pytest.mark.parametrize("make", [calibrated_problem, gamma_noise_problem])
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_sized_and_scalar_paths_agree(self, make, threads):
+    def test_sized_and_scalar_paths_agree(self, make):
         prob = make()
-        sized = McObjective(problem=prob, mc_samples=300, seed=9, threads=threads)
-        scalar = McObjective(problem=scalar_only(prob), mc_samples=300, seed=9, threads=threads)
+        sized = McObjective(problem=prob, mc_samples=300, seed=9)
+        scalar = McObjective(problem=scalar_only(prob), mc_samples=300, seed=9)
         for beta in (20.0, 64.0, 20.0, 500.0):
             sized.probe(beta)
             scalar.probe(beta)
@@ -228,7 +213,7 @@ class TestSizedStatistic:
             assert p.order == q.order
             np.testing.assert_allclose(p.s_draws, q.s_draws, rtol=SIZED_RTOL, atol=0.0)
 
-    def test_one_call_per_chunk_through_a_wrapper(self):
+    def test_one_call_per_probe_through_a_wrapper(self):
         prob = calibrated_problem()
         sizes = []
 
@@ -238,23 +223,23 @@ class TestSizedStatistic:
             return prob.evaluate_statistic(*args, **kwargs)
 
         obj = McObjective(problem=dataclasses.replace(prob, evaluate_statistic=counted),
-                          mc_samples=baselines._CHUNK + 44, seed=9)
+                          mc_samples=1068, seed=9)
         obj.probe(64.0)
-        assert sizes == [baselines._CHUNK, 44]
-        assert obj.evaluations_used == baselines._CHUNK + 44
+        obj.probe(80.0)
+        assert sizes == [1068, 1068]
+        assert obj.evaluations_used == 2 * 1068
 
-    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize(
         "output",
         [lambda size: np.ones(3), lambda size: 1.0, lambda size: np.ones((size, 1))],
         ids=["short", "scalar", "column"],
     )
-    def test_wrong_shape_raises_naming_beta(self, output, threads):
+    def test_wrong_shape_raises_naming_beta(self, output):
         def statistic(beta, rng, size=None):
             return 1.0 if size is None else output(size)
 
         obj = McObjective(problem=problems.ObjectiveProblem(statistic, s0=1.0),
-                          mc_samples=200, threads=threads)
+                          mc_samples=200)
         with pytest.raises(EvaluationFailure, match="beta=42") as err:
             obj.probe(42.0)
         assert err.value.beta == 42.0

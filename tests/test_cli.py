@@ -197,8 +197,13 @@ class TestBaseline:
     @pytest.mark.parametrize("method,stop_reason", [("golden", "bracket"),
                                                    ("parabolic", "converged")])
     def test_run_json_names_the_stop_reason(self, tmp_path, method, stop_reason):
+        # A noise-free statistic reaches each label by construction, whatever
+        # the streams: every probe's standard error is 0, so the noise floor
+        # cannot fire, and the objective is the same at every seed.
         path = write_config(
             tmp_path / "run.json", seed=1,
+            problem={"kind": "synthetic-powerlaw", "a": -0.58, "ln_b": 0.0, "eps2": 0.0,
+                     "beta_opt": 101.0},
             baseline={"method": method, "mc_samples": 1000, "tol": 0.04, "max_iter": 60},
         )
         out = tmp_path / "base"
@@ -374,17 +379,6 @@ class TestRunArguments:
                          "--out", str(out)]) == 2
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_run_json_records_the_thread_count(self, tmp_path, config_path, command):
-        out = tmp_path / "out"
-        assert cli.main([command, "--config", str(config_path), "--threads", "2",
-                         "--out", str(out)]) == 0
-        assert json.loads((out / "run.json").read_text())["threads"] == 2
-
-    def test_threads_default_to_one(self, tmp_path, config_path, command):
-        out = tmp_path / "out"
-        assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 0
-        assert json.loads((out / "run.json").read_text())["threads"] == 1
 
     def test_problem_is_built_once(self, tmp_path, config_path, command, monkeypatch):
         built, build = [], config.build_problem

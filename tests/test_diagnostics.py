@@ -301,6 +301,17 @@ class TestFitResidualFamilies:
         with pytest.raises(InsufficientData):
             diagnostics.fit_residual_families(np.random.default_rng(0).standard_normal(99))
 
+    def test_one_far_residual_keeps_every_fit(self):
+        # exp(400)**2 is beyond float range: e.std() overflowed, the shift
+        # grid became NaN and the fit raised DegenerateSample.
+        res = np.append(0.3 * np.random.default_rng(5).standard_normal(1199), 400.0)
+        ranking = diagnostics.fit_residual_families(res)
+        assert all(math.isfinite(fit.log_likelihood) for fit in ranking.fits.values())
+        e = np.exp(res)
+        gaussian = ranking.fits["gaussian"].params
+        assert gaussian["mean"] == pytest.approx(math.fsum(e) / e.size, rel=1e-12)
+        assert gaussian["std"] == pytest.approx(float(np.std(e / e.max())) * e.max(), rel=1e-12)
+
 
 def shift_profile_loop(res):
     """Reference: the shifted log-normal profile as one scalar pass per shift."""
@@ -358,8 +369,8 @@ def oracle_sample(kind, n, seed, scale):
         return np.exp(scale * rng.standard_normal(n))
     if kind == "gamma":
         return scale * rng.gamma(4.0, 0.25, n)
-    if kind == "decades":   # up to 10**(+-scale * 50)
-        return 10.0 ** (scale * rng.uniform(-50.0, 50.0, n))
+    if kind == "decades":   # up to 10**(+-scale * 100)
+        return 10.0 ** (scale * rng.uniform(-100.0, 100.0, n))
     if kind == "tied":      # most values equal: an interquartile range of 0
         out = np.full(n, 1.0 + scale)
         out[rng.choice(n, size=n // 5, replace=False)] = rng.uniform(0.5, 5.0, n // 5)
@@ -391,12 +402,31 @@ class TestOraclePasses:
     @example(kind="lognormal", n=100, seed=2, scale=1e-3)
     def test_shift_profile_matches_oracle(self, kind, n, seed, scale):
         e = oracle_sample(kind, n, seed, scale)
-        e_min, sigma = float(e.min()), float(e.std())
+        e_min, sigma = float(e.min()), diagnostics._mean_std(e)[1]
         shifts = np.linspace(e_min - 2.0 * sigma, e_min, diagnostics.SHIFT_GRID_POINTS,
                              endpoint=False)
         got = diagnostics._shift_profile(e, shifts)
         want = oracles.shift_profile(e, shifts)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["lognormal", "gamma", "decades", "tied", "constant",
+                                 "outlier"]), **sample_args)
+    @example(kind="decades", n=3000, seed=1, scale=3.0)
+    @example(kind="outlier", n=1000, seed=2, scale=1e-3)
+    def test_mean_std_matches_oracle_where_it_stays_finite(self, kind, n, seed, scale):
+        # numpy's own e.mean() and e.std() where their squares stay in
+        # float range; where they leave it, the same moments of e / max(e).
+        e = oracle_sample(kind, n, seed, scale)
+        got = diagnostics._mean_std(e)
+        with np.errstate(over="ignore"):
+            want = oracles.mean_std(e)
+        if math.isfinite(want[1]):
+            assert got == want
+        else:
+            top = float(e.max())
+            assert got[0] == pytest.approx(want[0], rel=1e-12)
+            assert got[1] == pytest.approx(float(np.std(e / top)) * top, rel=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(["lognormal", "gamma", "decades", "tied", "constant",

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from scalebo import acquisition, driver, glm, posterior, problems, streams
+from scalebo import acquisition, driver, glm, posterior, problems
 from scalebo.driver import BoConfig
 from scalebo.errors import EvaluationFailure, RankDeficient, SurrogateOverflow
 
@@ -249,13 +249,6 @@ class TestRun:
         second = driver.run(config, prob)
         assert scrub_clocks(first) == scrub_clocks(second)
 
-    def test_thread_count_does_not_change_results(self):
-        prob = calibrated_problem()
-        config = config_for(prob, n0=16, batch_size=6, max_iterations=3, seed=9)
-        serial = driver.run(config, prob, threads=1)
-        parallel = driver.run(config, prob, threads=4)
-        assert scrub_clocks(serial) == scrub_clocks(parallel)
-
     def test_estimates_stay_in_bounds_and_converge(self):
         region = acquisition.optimal_region(
             acquisition.SurrogateObjective(a=-0.58, b=1.0, eps2=0.25,
@@ -277,15 +270,17 @@ class TestRun:
         # not grow along iterations, allowing 2% float/noise slack, and must
         # contract substantially overall.  Runs end on their evaluation
         # budget after differing numbers of records; the first 7 are
-        # compared, which every seed's run has.
+        # compared, and a run that spent its budget in fewer keeps its last
+        # width.  The last-to-first ratio of the medians is about 0.48 with
+        # a spread of about 0.02 over disjoint sets of 200 seeds (0.06 over
+        # sets of 20), so 200 seeds hold the bound whatever the streams.
         widths = []
-        for seed in range(20):
-            prob = calibrated_problem()
+        prob = calibrated_problem()
+        for seed in range(200):
             config = config_for(prob, max_iterations=12, seed=seed, stop_window=13)
             trace = driver.run(config, prob)
-            assert len(trace.iterations) >= 7
-            widths.append([rec.posterior.q975 - rec.posterior.q025
-                           for rec in trace.iterations[:7]])
+            width = [rec.posterior.q975 - rec.posterior.q025 for rec in trace.iterations[:7]]
+            widths.append(width + width[-1:] * (7 - len(width)))
         med = np.median(np.array(widths), axis=0)
         assert np.all(med[1:] <= med[:-1] * 1.02)
         assert med[-1] < 0.6 * med[0]
@@ -358,19 +353,26 @@ class TestRun:
         unstopped = driver.run(dataclasses.replace(config, stop_window=max_iterations + 1), prob)
         assert stopped == scrub_clocks(unstopped)["iterations"][:len(stopped)]
 
-    @settings(max_examples=15, deadline=None)
-    @given(**small_runs)
-    def test_thread_count_never_changes_the_trace(
-        self, seed, beta_min, n0, batch_size, max_iterations, stop_window
-    ):
+    @pytest.mark.parametrize("sized", [True, False], ids=["sized-kind", "size-less-callable"])
+    def test_record_t_reads_child_t_of_the_evaluation_stream(self, sized):
+        # Record t's statistics are scalar calls, in proposal order, on one
+        # generator: child t of SeedSequence(seed).spawn(3)[1].  So a
+        # record's draws depend only on the seed and t.
         prob = calibrated_problem()
-        config = config_for(prob, seed=seed, beta_min=beta_min, n0=n0, batch_size=batch_size,
-                            max_iterations=max_iterations, stop_window=stop_window)
-        assert scrub_clocks(driver.run(config, prob, threads=1)) == \
-            scrub_clocks(driver.run(config, prob, threads=3))
+        if not sized:
+            inner = prob.evaluate_statistic
+            prob = dataclasses.replace(prob, evaluate_statistic=lambda beta, rng: inner(beta, rng))
+            assert not prob._takes_size
+        seed = 21
+        config = config_for(prob, stop_window=26, seed=seed)
+        trace = driver.run(config, prob)
+        assert len(trace.iterations) >= 3
+        for t, rec in enumerate(trace.iterations):
+            child = np.random.SeedSequence(seed).spawn(3)[1].spawn(t + 1)[t]
+            rng = np.random.default_rng(child)
+            assert rec.s_values == [prob.evaluate_statistic(beta, rng) for beta in rec.betas]
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_simulator_failure_carries_iteration_context(self, threads):
+    def test_simulator_failure_carries_iteration_context(self):
         config = BoConfig(beta_min=10.0, beta_max=1000.0, s0=0.3, n0=12, batch_size=4,
                           max_iterations=3, seed=0)
         design = set(driver.initial_design(config).tolist())
@@ -382,7 +384,7 @@ class TestRun:
 
         prob = problems.ObjectiveProblem(flaky, s0=0.3)
         with pytest.raises(EvaluationFailure, match=r"\(iteration 1\): solver blew up") as err:
-            driver.run(config, prob, threads=threads)
+            driver.run(config, prob)
         assert err.value.iteration == 1
         assert err.value.beta is not None
 
@@ -850,7 +852,6 @@ class TestRecordOracles:
                    for seed in range(4 if name == "srom" else 12)]
         new = [scrub_clocks(driver.run(config, problem)) for config in configs]
         oracles.install(monkeypatch)
-        monkeypatch.setattr(streams, "ChildStreams", oracles.NumpyChildren)
         old = [scrub_clocks(driver.run(config, problem)) for config in configs]
         assert {doc["stop_reason"] for doc in old} >= {"converged"}
         assert new == old

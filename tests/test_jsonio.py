@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from scalebo import acquisition, baselines, config, diagnostics, driver, glm, problems
@@ -297,6 +297,10 @@ DOCS = st.recursive(LEAVES, lambda children: st.one_of(
 
 
 @given(doc=DOCS)
+# numpy's np.str_.tolist() and str() drop trailing NULs; json.dumps keeps them.
+@example(doc=np.str_("a\x00"))
+@example(doc=[np.str_("a\x00"), 1.5])
+@example(doc={np.str_("a\x00"): np.str_("\x00")})
 def test_write_json_writes_the_standard_librarys_bytes(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("json") / "doc.json"
     write_json(path, doc)

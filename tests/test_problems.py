@@ -247,10 +247,9 @@ class TestSizedDraws:
             problem.evaluate_statistic(1000.0, np.random.default_rng(0))
         with pytest.raises(OverflowError, match="math range error"):
             problem.evaluate_statistic(1000.0, np.random.default_rng(0), size=256)
-        for sizes in (None, [256]):
+        for size in (None, 256):
             with pytest.raises(EvaluationFailure, match=r"at beta=1000: math range error"):
-                problems.draw_statistics(problem, [1000.0], [np.random.default_rng(0)],
-                                         sizes=sizes)
+                problems.draw_statistics(problem, [1000.0], np.random.default_rng(0), size=size)
 
     @pytest.mark.parametrize("beta", [1.0, 0.5])
     def test_heteroscedastic_sized_rejects_beta_at_most_one(self, beta):
