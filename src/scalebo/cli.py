@@ -132,7 +132,7 @@ def _out_dir(out: str) -> Path:
     return path
 
 
-def _run_metadata(cfg: config.RunConfig, args, method: str, extra: dict) -> dict:
+def _run_metadata(cfg: config.RunConfig, method: str, extra: dict) -> dict:
     return {
         "schema": RUN_SCHEMA,
         "method": method,
@@ -158,7 +158,7 @@ def cmd_optimize(args) -> int:
         "wall_clock_seconds": trace.wall_clock_seconds,
         "flag": trace.flag,
     })
-    write_json(outdir / "run.json", _run_metadata(cfg, args, "surrogate-bo", {
+    write_json(outdir / "run.json", _run_metadata(cfg, "surrogate-bo", {
         "stop_reason": trace.stop_reason,
         "flag": trace.flag,
     }))
@@ -199,7 +199,7 @@ def cmd_baseline(args) -> int:
         "rounds": len(result.probes),
         "wall_clock_seconds": wall,
     })
-    write_json(outdir / "run.json", _run_metadata(cfg, args, result.method, {
+    write_json(outdir / "run.json", _run_metadata(cfg, result.method, {
         "stop_reason": result.stop_reason,
         "bracketing": bracketing,
         "stopping": stopping.format(tol=cfg.baseline.tol, max_iter=cfg.baseline.max_iter),

@@ -134,6 +134,14 @@ class TestMcObjective:
         with pytest.raises(ValueError, match=f"got {threads!r}"):
             McObjective(problem=calibrated_problem(), threads=threads)
 
+    def test_thread_count_does_not_change_draws(self):
+        # threads is accepted and read by nothing: draws are serial.
+        serial = McObjective(problem=calibrated_problem(), mc_samples=500, seed=4, threads=1)
+        threaded = McObjective(problem=calibrated_problem(), mc_samples=500, seed=4, threads=4)
+        np.testing.assert_array_equal(
+            serial.probe(64.0).s_draws, threaded.probe(64.0).s_draws
+        )
+
     @settings(max_examples=40, deadline=None)
     @given(mc_samples=st.integers(1, 2100), seed=st.integers(0, 2**32 - 1))
     def test_probes_read_one_stream_in_order(self, mc_samples, seed):
@@ -200,10 +208,11 @@ def scalar_only(problem):
 
 class TestSizedStatistic:
     @pytest.mark.parametrize("make", [calibrated_problem, gamma_noise_problem])
-    def test_sized_and_scalar_paths_agree(self, make):
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_sized_and_scalar_paths_agree(self, make, threads):
         prob = make()
-        sized = McObjective(problem=prob, mc_samples=300, seed=9)
-        scalar = McObjective(problem=scalar_only(prob), mc_samples=300, seed=9)
+        sized = McObjective(problem=prob, mc_samples=300, seed=9, threads=threads)
+        scalar = McObjective(problem=scalar_only(prob), mc_samples=300, seed=9, threads=threads)
         for beta in (20.0, 64.0, 20.0, 500.0):
             sized.probe(beta)
             scalar.probe(beta)
@@ -229,17 +238,18 @@ class TestSizedStatistic:
         assert sizes == [1068, 1068]
         assert obj.evaluations_used == 2 * 1068
 
+    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize(
         "output",
         [lambda size: np.ones(3), lambda size: 1.0, lambda size: np.ones((size, 1))],
         ids=["short", "scalar", "column"],
     )
-    def test_wrong_shape_raises_naming_beta(self, output):
+    def test_wrong_shape_raises_naming_beta(self, output, threads):
         def statistic(beta, rng, size=None):
             return 1.0 if size is None else output(size)
 
         obj = McObjective(problem=problems.ObjectiveProblem(statistic, s0=1.0),
-                          mc_samples=200)
+                          mc_samples=200, threads=threads)
         with pytest.raises(EvaluationFailure, match="beta=42") as err:
             obj.probe(42.0)
         assert err.value.beta == 42.0

@@ -380,6 +380,18 @@ class TestRunArguments:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_threads_default_to_one(self, tmp_path, config_path, command):
+        # A run without --threads writes the run.json of --threads 1, and
+        # run.json names no thread count: nothing reads it.
+        written = []
+        for flags in ([], ["--threads", "1"]):
+            out = tmp_path / f"out{len(written)}"
+            assert cli.main([command, "--config", str(config_path), *flags,
+                             "--out", str(out)]) == 0
+            written.append((out / "run.json").read_bytes())
+        assert written[0] == written[1]
+        assert "threads" not in json.loads(written[0])
+
     def test_problem_is_built_once(self, tmp_path, config_path, command, monkeypatch):
         built, build = [], config.build_problem
         monkeypatch.setattr(config, "build_problem",

@@ -249,6 +249,14 @@ class TestRun:
         second = driver.run(config, prob)
         assert scrub_clocks(first) == scrub_clocks(second)
 
+    def test_thread_count_does_not_change_results(self):
+        # threads is accepted and read by nothing: statistics are serial.
+        prob = calibrated_problem()
+        config = config_for(prob, n0=16, batch_size=6, max_iterations=3, seed=9)
+        serial = driver.run(config, prob, threads=1)
+        parallel = driver.run(config, prob, threads=4)
+        assert scrub_clocks(serial) == scrub_clocks(parallel)
+
     def test_estimates_stay_in_bounds_and_converge(self):
         region = acquisition.optimal_region(
             acquisition.SurrogateObjective(a=-0.58, b=1.0, eps2=0.25,
@@ -353,6 +361,17 @@ class TestRun:
         unstopped = driver.run(dataclasses.replace(config, stop_window=max_iterations + 1), prob)
         assert stopped == scrub_clocks(unstopped)["iterations"][:len(stopped)]
 
+    @settings(max_examples=15, deadline=None)
+    @given(**small_runs)
+    def test_thread_count_never_changes_the_trace(
+        self, seed, beta_min, n0, batch_size, max_iterations, stop_window
+    ):
+        prob = calibrated_problem()
+        config = config_for(prob, seed=seed, beta_min=beta_min, n0=n0, batch_size=batch_size,
+                            max_iterations=max_iterations, stop_window=stop_window)
+        assert scrub_clocks(driver.run(config, prob, threads=1)) == \
+            scrub_clocks(driver.run(config, prob, threads=3))
+
     @pytest.mark.parametrize("sized", [True, False], ids=["sized-kind", "size-less-callable"])
     def test_record_t_reads_child_t_of_the_evaluation_stream(self, sized):
         # Record t's statistics are scalar calls, in proposal order, on one
@@ -372,7 +391,8 @@ class TestRun:
             rng = np.random.default_rng(child)
             assert rec.s_values == [prob.evaluate_statistic(beta, rng) for beta in rec.betas]
 
-    def test_simulator_failure_carries_iteration_context(self):
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_simulator_failure_carries_iteration_context(self, threads):
         config = BoConfig(beta_min=10.0, beta_max=1000.0, s0=0.3, n0=12, batch_size=4,
                           max_iterations=3, seed=0)
         design = set(driver.initial_design(config).tolist())
@@ -384,7 +404,7 @@ class TestRun:
 
         prob = problems.ObjectiveProblem(flaky, s0=0.3)
         with pytest.raises(EvaluationFailure, match=r"\(iteration 1\): solver blew up") as err:
-            driver.run(config, prob)
+            driver.run(config, prob, threads=threads)
         assert err.value.iteration == 1
         assert err.value.beta is not None
 

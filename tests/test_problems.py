@@ -258,6 +258,104 @@ class TestSizedDraws:
             statistic(beta, np.random.default_rng(0), size=8)
 
 
+def recording(problem):
+    """``problem`` whose statistic logs each call's (beta, size) to ``calls``,
+    taking ``size`` exactly when ``problem`` does."""
+    calls, statistic = [], problem.evaluate_statistic
+    if problem._takes_size:
+        def logged(beta, rng, size=None):
+            calls.append((beta, size))
+            return statistic(beta, rng) if size is None else statistic(beta, rng, size=size)
+    else:
+        def logged(beta, rng):
+            calls.append((beta, None))
+            return statistic(beta, rng)
+    return problems.ObjectiveProblem(logged, s0=problem.s0), calls
+
+
+def size_less(problem):
+    """``problem`` behind a callable that takes no ``size``."""
+    statistic = problem.evaluate_statistic
+    return problems.ObjectiveProblem(lambda beta, rng: statistic(beta, rng), s0=problem.s0)
+
+
+class TestDrawStatistics:
+    BETAS = [20.0, 333.0, 20.0, 4e6]
+
+    @pytest.mark.parametrize("kind", [*sorted(SIZED_KINDS), "size-less-callable"])
+    def test_scalars_are_one_call_per_beta_in_order(self, kind):
+        problem = size_less(SIZED_KINDS["gamma-noise"][0]()) if kind == "size-less-callable" \
+            else SIZED_KINDS[kind][0]()
+        logged, calls = recording(problem)
+        got = problems.draw_statistics(logged, self.BETAS, np.random.default_rng(5))
+        assert calls == [(beta, None) for beta in self.BETAS]
+        rng = np.random.default_rng(5)
+        assert got == [problem.evaluate_statistic(beta, rng) for beta in self.BETAS]
+        assert all(type(value) is float for value in got)
+
+    @pytest.mark.parametrize("kind", sorted(SIZED_KINDS))
+    def test_a_sized_kind_draws_each_beta_in_one_call(self, kind):
+        problem = SIZED_KINDS[kind][0]()
+        logged, calls = recording(problem)
+        got = problems.draw_statistics(logged, self.BETAS, np.random.default_rng(6), size=7)
+        assert calls == [(beta, 7) for beta in self.BETAS]
+        rng = np.random.default_rng(6)
+        for beta, draws in zip(self.BETAS, got, strict=True):
+            assert draws.dtype == np.float64
+            assert draws.tobytes() == problem.evaluate_statistic(beta, rng, size=7).tobytes()
+
+    def test_a_size_less_callable_draws_k_scalar_calls_per_beta(self):
+        problem = size_less(SIZED_KINDS["gamma-noise"][0]())
+        logged, calls = recording(problem)
+        got = problems.draw_statistics(logged, self.BETAS, np.random.default_rng(7), size=3)
+        assert calls == [(beta, None) for beta in self.BETAS for _ in range(3)]
+        rng = np.random.default_rng(7)
+        for beta, draws in zip(self.BETAS, got, strict=True):
+            assert draws.tolist() == [problem.evaluate_statistic(beta, rng) for _ in range(3)]
+
+    def test_a_callable_without_a_signature_is_called_per_draw(self):
+        class Unsigned:
+            __signature__ = "none"      # inspect.signature raises TypeError
+
+            def __call__(self, beta, rng):
+                return float(rng.random())
+
+        problem = problems.ObjectiveProblem(Unsigned(), s0=1.0)
+        assert not problem._takes_size
+        got, = problems.draw_statistics(problem, [5.0], np.random.default_rng(8), size=4)
+        assert got.tolist() == np.random.default_rng(8).random(4).tolist()
+
+    def test_no_betas_draw_nothing(self):
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        for size in (None, 4):
+            assert problems.draw_statistics(SIZED_KINDS["gamma-noise"][0](), [], rng,
+                                            size=size) == []
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("iteration", [None, 3])
+    def test_a_failure_names_beta_and_iteration(self, iteration):
+        def statistic(beta, rng):
+            if beta > 100:
+                raise RuntimeError("solver blew up")
+            return 1.0
+
+        problem = problems.ObjectiveProblem(statistic, s0=1.0)
+        context = "" if iteration is None else f" \\(iteration {iteration}\\)"
+        with pytest.raises(EvaluationFailure,
+                           match=f"at beta=333{context}: solver blew up$") as err:
+            problems.draw_statistics(problem, self.BETAS, np.random.default_rng(0),
+                                     iteration=iteration)
+        assert (err.value.beta, err.value.iteration) == (333.0, iteration)
+        assert isinstance(err.value.__cause__, RuntimeError)
+
+    def test_a_sized_call_of_the_wrong_shape_is_a_failure(self):
+        problem = problems.ObjectiveProblem(
+            lambda beta, rng, size=None: 1.0 if size is None else np.ones((size, 1)), s0=1.0)
+        with pytest.raises(EvaluationFailure, match=r"at beta=20: size=5 returned shape \(5, 1\)"):
+            problems.draw_statistics(problem, self.BETAS, np.random.default_rng(0), size=5)
+
+
 @pytest.fixture(scope="module")
 def fixture():
     return problems.build_static_fixture()

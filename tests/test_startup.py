@@ -105,21 +105,23 @@ def test_thompson_batches_keep_their_size_within_the_budget(tmp_path, bo, budget
         assert len(sizes) > 1 and max(sizes) > cfg["batch_size"], sizes
 
 
-def test_threads_change_no_byte(tmp_path):
+@pytest.mark.parametrize("draws, threads", [(64, 2), (2100, 3), (3072, 3)])
+def test_threads_change_no_byte(tmp_path, draws, threads):
     # --threads is accepted and read by nothing but its range check:
-    # statistics are drawn serially, so two threads write the bytes of
-    # one, wall clocks aside, and run.json does not name the count.
-    config = write_config(tmp_path / "run.json")
-    for count in (1, 2):
+    # statistics are drawn serially, so more threads write the bytes of
+    # one, wall clocks aside, whatever the probe size, and run.json does
+    # not name the count.
+    config = write_config(tmp_path / "run.json", baseline={"mc_samples": draws})
+    for count in (1, threads):
         for command in ("optimize", "baseline"):
             run(command, "--config", config, "--threads", count,
                 "--out", tmp_path / str(count) / command)
     for name in ("optimize/trace.csv", "optimize/run.json", "baseline/trace.csv",
                  "baseline/probes.csv", "baseline/run.json"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
-    one, two = (without_clocks(strict_json(tmp_path / str(count) / "optimize" / "trace.json"))
-                for count in (1, 2))
-    assert one == two, "trace.json depends on --threads"
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / str(threads) / name).read_bytes()
+    one, many = (without_clocks(strict_json(tmp_path / str(count) / "optimize" / "trace.json"))
+                 for count in (1, threads))
+    assert one == many, "trace.json depends on --threads"
 
 
 def test_flat_statistic_is_an_unidentified_bound(tmp_path):
