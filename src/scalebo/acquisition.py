@@ -28,7 +28,7 @@ import numpy as np
 
 from . import glm
 from .errors import SurrogateOverflow
-from .jsonio import check_count, check_number
+from .jsonio import check_bounds, check_count, check_number, check_positive_array
 
 # exp() overflows float64 just above this exponent.
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -69,9 +69,7 @@ def evaluate(obj: SurrogateObjective, beta):
     surfaces as an explicit :class:`SurrogateOverflow` instead of a
     silent infinity.
     """
-    arr = np.asarray(beta, dtype=float)
-    if not np.all((arr > 0) & np.isfinite(arr)):
-        raise ValueError("beta must be finite and > 0")
+    arr = check_positive_array("beta", beta)
     a, ln_b, eps2, s0 = obj.a, math.log(obj.b), obj.eps2, obj.s0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = a * np.log(arr)
@@ -169,6 +167,8 @@ def optimal_region_from(
     without ``bounds`` where beta* is not a positive float.
     """
     check_number("rel", rel, 0.0)
+    if bounds is not None:
+        check_bounds(bounds)
     ln_star = log_argmin_float(a, ln_b, eps2, s0)
     if not (abs(ln_star) <= _LOG_MAX if bounds is None else math.isfinite(ln_star)):
         raise SurrogateOverflow(f"argmin exp({ln_star:g}) is not representable")
@@ -211,9 +211,8 @@ def thompson_batch(
         Propagated from posterior sampling when ``fit.s2`` is zero.
     """
     check_count("batch_size", batch_size, 1)
+    check_bounds(bounds)
     beta_min, beta_max = bounds
-    if not (0 < beta_min < beta_max < math.inf):
-        raise ValueError("bounds must satisfy 0 < beta_min < beta_max < inf")
 
     ln_star = log_argmin(*glm.sample_posterior(fit, batch_size, rng), s0)
     clamped = (ln_star < math.log(beta_min)) | (ln_star > math.log(beta_max))

@@ -21,16 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SurrogateOverflow
-from .jsonio import check_count, check_number
-from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
+from .driver import STREAMS, rng_stream
+from .jsonio import check_bounds, check_count, check_number
+from .problems import ObjectiveProblem, check_beta, draw_statistics, round_into_bounds
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0          # bracket shrink factor
 _PARABOLIC_FALLBACK = 1.0 - GOLDEN             # golden step fraction, ~0.382
-
-# A run's one stream is the run root's child 3: driver.run spawns children
-# 0-2 of SeedSequence(seed) for its acquisition, evaluation and summary
-# streams, so optimize and baseline on one seed share no draws.
-_SEED_BRANCH = 3
 
 # Per baseline method: the name of its optimizer in this module (read at
 # call time, so a replaced function such as a tracing wrapper runs), its
@@ -77,9 +73,9 @@ class McObjective:
 
     A beta value is never re-drawn within one objective instance: repeat
     queries hit the cache and leave ``evaluations_used`` unchanged.  Every
-    probe reads the next ``mc_samples`` draws of one generator, ``default_rng``
-    of ``SeedSequence(seed, spawn_key=(3,))``, so a run's probes depend on
-    their order.  ``threads`` is deprecated and read by nothing: it is still
+    probe reads the next ``mc_samples`` draws of one generator, the run's
+    ``"baseline"`` stream of :data:`scalebo.driver.STREAMS`, so a run's probes
+    depend on their order.  ``threads`` is deprecated and read by nothing: it is still
     accepted, an integer >= 1, so that callers written for the earlier
     thread pool still run.
     """
@@ -94,8 +90,7 @@ class McObjective:
         for name, minimum in (("mc_samples", 1), ("seed", 0), ("threads", 1)):
             check_count(name, getattr(self, name), minimum)
         self._cache: dict[float, ProbeStats] = {}
-        self._rng = np.random.default_rng(np.random.SeedSequence(self.seed,
-                                                                 spawn_key=(_SEED_BRANCH,)))
+        self._rng = rng_stream(self.seed, STREAMS["baseline"])
 
     @property
     def probes(self) -> list[ProbeStats]:
@@ -104,9 +99,7 @@ class McObjective:
         return list(self._cache.values())
 
     def probe(self, beta: float) -> ProbeStats:
-        key = float(beta)
-        if not (key > 0 and math.isfinite(key)):
-            raise ValueError(f"beta must be finite and > 0, got {beta!r}")
+        key = check_beta(beta)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -135,7 +128,6 @@ class McObjective:
 class BaselineResult:
     method: str
     beta_hat: float
-    f_hat: float
     evaluations_used: int
     probes: list[ProbeStats]
     stop_reason: str                     # "bracket" | "noise-floor" | "budget" | "converged"
@@ -168,10 +160,9 @@ def _search(obj, bounds, tol, max_iter, integer_beta, method, steps) -> Baseline
     the bracket is no wider than ``tol``, the noise floor is seen twice in a
     row, or ``max_iter`` probes are spent; a step rule that returns has
     converged."""
-    beta_lo, beta_hi = bounds
-    if not (0 < beta_lo < beta_hi < math.inf):
-        raise ValueError("bounds must satisfy 0 < beta_min < beta_max < inf")
+    check_bounds(bounds, integer_beta)
     check_number("tol", tol, 0.0, above=True)
+    beta_lo, beta_hi = bounds
 
     def probe(u):  # the MC mean at beta = e^u, rounded if integer_beta, within bounds
         beta = math.exp(u)
@@ -193,7 +184,7 @@ def _search(obj, bounds, tol, max_iter, integer_beta, method, steps) -> Baseline
             stop_reason = "budget"
             break
     best = min(obj.probes, key=lambda p: (p.mean, p.order))
-    return BaselineResult(method=method, beta_hat=best.beta, f_hat=best.mean,
+    return BaselineResult(method=method, beta_hat=best.beta,
                           evaluations_used=obj.evaluations_used, probes=obj.probes,
                           stop_reason=stop_reason)
 

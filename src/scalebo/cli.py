@@ -111,12 +111,16 @@ def main(argv=None) -> int:
         return 3
 
 
+def _check_flag_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {value}")
+
+
 def _load_run_config(args) -> config.RunConfig:
     """The config with the ``--seed`` override applied; a bad ``--threads``
     or ``--seed`` is a usage error, raised before anything is written.
     ``--threads`` is checked and read by nothing else."""
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    _check_flag_count("--threads", args.threads)
     return config.load_config(args.config, seed=args.seed)
 
 
@@ -286,9 +290,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    for flag, value in (("--min-per-beta", args.min_per_beta), ("--window", args.window)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    _check_flag_count("--min-per-beta", args.min_per_beta)
+    _check_flag_count("--window", args.window)
     data_path = Path(args.data)
     try:
         data, rejected = glm.load_csv(data_path)

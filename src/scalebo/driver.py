@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import acquisition, glm, posterior
-from .jsonio import check_count, check_number, from_json, json_safe, write_json
+from .jsonio import check_bounds, check_count, check_number, from_json, json_safe, write_json
 from .posterior import PosteriorSummary
 from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 
@@ -30,6 +30,14 @@ TRACE_SCHEMA = "bo-trace/1"
 # s2 below this is an exact interpolation in float64: the surrogate is
 # deterministic and further sampling cannot add information.
 DEGENERATE_S2 = 1e-24
+
+# The spawn key of each rng stream of a seed; record t's is STREAMS["record"] + (t,).
+# A stream's draws depend only on the seed and its key, so no two streams share any.
+STREAMS = {"acquisition": (0,), "record": (1,), "summary": (2,), "baseline": (3,)}
+
+
+def rng_stream(seed: int, key: tuple) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 @dataclass(frozen=True)
@@ -59,20 +67,16 @@ class BoConfig:
     integer_beta: bool = False
 
     def __post_init__(self):
-        for name in ("beta_min", "beta_max", "s0", "stop_rel_tol"):
+        if not isinstance(self.integer_beta, (bool, np.bool_)):
+            raise ValueError(f"integer_beta must be true or false, "
+                             f"got {reprlib.repr(self.integer_beta)}")
+        check_bounds(self.bounds, self.integer_beta)
+        for name in ("s0", "stop_rel_tol"):
             check_number(name, getattr(self, name), 0.0, above=True)
         # n0 >= 4 leaves two residual degrees of freedom at the first fit.
         for name, minimum in (("n0", 4), ("batch_size", 1), ("max_iterations", 1),
                               ("stop_window", 1), ("seed", 0)):
             check_count(name, getattr(self, name), minimum)
-        if not isinstance(self.integer_beta, (bool, np.bool_)):
-            raise ValueError(f"integer_beta must be true or false, "
-                             f"got {reprlib.repr(self.integer_beta)}")
-        if not self.beta_min < self.beta_max:
-            raise ValueError("bounds must satisfy 0 < beta_min < beta_max")
-        # One integer would make every design point the same beta: a rank-1 first fit.
-        if self.integer_beta and math.floor(self.beta_max) - math.ceil(self.beta_min) < 1:
-            raise ValueError("integer_beta requires two integers inside [beta_min, beta_max]")
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -130,10 +134,10 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     """Execute the full optimization loop and return its trace.
 
     Record t (the initial design is record 0) draws its statistics in
-    proposal order from one generator, ``default_rng`` of child t of the
-    evaluation stream ``SeedSequence(config.seed).spawn(3)[1]``: its draws
-    depend only on the seed and t.  The first and last children of the
-    root seed the Thompson proposals and the posterior summaries.
+    proposal order from one generator, the stream ``(1, t)`` of
+    :data:`STREAMS`: its draws depend only on the seed and t.  The
+    ``"acquisition"`` and ``"summary"`` streams draw the Thompson proposals
+    and the posterior summaries.
     ``threads`` is deprecated and read by nothing: it is still accepted,
     an integer >= 1, so that callers written for the earlier thread pool
     still run.
@@ -160,9 +164,8 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     """
     check_count("threads", threads, 1)
     start = time.perf_counter()
-    acq_ss, eval_ss, summary_ss = np.random.SeedSequence(config.seed).spawn(3)
-    acq_rng = np.random.default_rng(acq_ss)
-    summary_rng = np.random.default_rng(summary_ss)
+    acq_rng = rng_stream(config.seed, STREAMS["acquisition"])
+    summary_rng = rng_stream(config.seed, STREAMS["summary"])
 
     records = []
     rows, fit = np.empty((0, 2)), None   # every (beta, s) drawn so far
@@ -180,8 +183,7 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
             ).betas
             if config.integer_beta:
                 betas_t = [round_into_bounds(b, config.bounds) for b in betas_t]
-        # eval_ss has spawned t children before this one: this is child t.
-        s_t = draw_statistics(problem, betas_t, np.random.default_rng(eval_ss.spawn(1)[0]),
+        s_t = draw_statistics(problem, betas_t, rng_stream(config.seed, STREAMS["record"] + (t,)),
                               iteration=t)
         evaluations += len(betas_t)
         rows = np.concatenate([rows, np.array((betas_t, s_t), dtype=float).T])

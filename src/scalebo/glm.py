@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateVariance, InsufficientData, RankDeficient
-from .jsonio import check_count, write_csv
+from .jsonio import check_count, check_positive_array, write_csv
 
 # Number of regression coefficients: slope on ln(beta) plus intercept.
 NUM_COEF = 2
@@ -52,16 +52,11 @@ class LogDataset:
 
     def __post_init__(self):
         """Raises ``ValueError`` unless ``beta`` and ``s`` are 1-D, of equal
-        length, and every value is finite and > 0."""
-        beta = np.asarray(self.beta, dtype=float)
-        s = np.asarray(self.s, dtype=float)
+        length, and :func:`~scalebo.jsonio.check_positive_array` takes both."""
+        beta = check_positive_array("beta", self.beta)
+        s = check_positive_array("s", self.s)
         if beta.ndim != 1 or s.ndim != 1 or beta.size != s.size:
             raise ValueError("beta and s must be 1-D arrays of equal length")
-        # min > 0 fails on a NaN too, which min propagates.
-        if beta.size and not (beta.min() > 0 and beta.max() < math.inf):
-            raise ValueError("all beta values must be finite and > 0")
-        if s.size and not (s.min() > 0 and s.max() < math.inf):
-            raise ValueError("all s values must be finite and > 0")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "s", s)
 

@@ -23,7 +23,8 @@ builders' ``s0``, ``a``, ``ln_b``, ``eps2``, ``eps_base``, ``eps_slope``,
 read by :func:`is_number` (before ``float()`` could take a string) and
 :func:`from_json`'s exact types, CLI flags by argparse; relations such as
 ``beta_min < beta_max`` and the β data of each statistic call are checked
-where they are used.
+where they are used, by one function each: :func:`check_bounds`,
+:func:`check_positive_array` and ``problems.check_beta``.
 """
 
 import csv
@@ -41,6 +42,8 @@ import numpy as np
 def is_number(value) -> bool:
     """True for a finite real number that a float can hold; JSON's
     booleans are not numbers."""
+    if type(value) is float:   # most values, without the slower ABC check below
+        return math.isfinite(value)
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:
@@ -62,6 +65,34 @@ def check_number(name: str, value, minimum: float = -math.inf, above: bool = Fal
     if not (is_number(value) and (float(value) > minimum if above else float(value) >= minimum)):
         bound = "" if minimum == -math.inf else f" {'>' if above else '>='} {minimum:g}"
         raise ValueError(f"{name} must be a finite number{bound}, got {reprlib.repr(value)}")
+
+
+def check_bounds(bounds, integer_beta: bool = False) -> None:
+    """Raise ``ValueError`` unless ``bounds`` is a pair of numbers > 0 in
+    increasing order, with two integers inside it under ``integer_beta``."""
+    try:
+        beta_min, beta_max = bounds
+    except (TypeError, ValueError):
+        raise ValueError(f"bounds must be a pair, got {reprlib.repr(bounds)}") from None
+    check_number("beta_min", beta_min, 0.0, above=True)
+    check_number("beta_max", beta_max, 0.0, above=True)
+    if not beta_min < beta_max:
+        raise ValueError(f"bounds must satisfy beta_min < beta_max, got {reprlib.repr(bounds)}")
+    # One integer would make every design point the same beta: a rank-1 first fit.
+    if integer_beta and math.floor(beta_max) - math.ceil(beta_min) < 1:
+        raise ValueError(f"integer_beta requires two integers inside {reprlib.repr(bounds)}")
+
+
+def check_positive_array(name: str, values) -> np.ndarray:
+    """``values`` as a float array; ``ValueError`` naming ``name`` unless its
+    dtype is an integer or float one (read before a float conversion could
+    take a string) and every value is finite and > 0."""
+    array = np.asarray(values)
+    # min > 0 fails on a NaN too, which min propagates.
+    if array.dtype.kind not in "iuf" or (
+            array.size and not (array.min() > 0 and array.max() < math.inf)):
+        raise ValueError(f"every {name} must be a finite number > 0, got {reprlib.repr(values)}")
+    return array.astype(float, copy=False)
 
 
 def json_safe(doc):

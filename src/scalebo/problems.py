@@ -164,9 +164,12 @@ def _scale(a: float, ln_b: float) -> float:
     return math.exp(ln_b)
 
 
-def _check_beta(beta: float) -> float:
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
+def check_beta(beta) -> float:
+    """``beta`` as a float if :func:`~scalebo.jsonio.check_number` takes it
+    as a number > 0, checked without a call when it is a float."""
+    if type(beta) is float and 0.0 < beta < math.inf:
+        return beta
+    check_number("beta", beta, 0.0, above=True)
     return float(beta)
 
 
@@ -189,7 +192,7 @@ def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: Optional[float] =
     sigma = math.sqrt(eps2)
 
     def evaluate_statistic(beta, rng, size=None):
-        beta = _check_beta(beta)
+        beta = check_beta(beta)
         return _exp_affine(a * math.log(beta) + ln_b, sigma, rng.standard_normal(size))
 
     ln_opt = log_argmin_float(a, ln_b, eps2, s0)
@@ -210,7 +213,7 @@ def gamma_noise(a: float, ln_b: float, s0: float, shape: float = 4.0) -> Objecti
     check_number("shape", shape, 0.0, above=True)
 
     def evaluate_statistic(beta, rng, size=None):
-        beta = _check_beta(beta)
+        beta = check_beta(beta)
         scale = math.exp(a * math.log(beta) + ln_b)
         noise = rng.gamma(shape, 1.0 / shape, size)
         return scale * noise if size is None else np.multiply(noise, scale, out=noise)
@@ -227,7 +230,7 @@ def heteroscedastic(a: float, ln_b: float, s0: float, eps_base: float = 0.2,
     check_number("eps_slope", eps_slope)
 
     def evaluate_statistic(beta, rng, size=None):
-        beta = _check_beta(beta)
+        beta = check_beta(beta)
         if beta <= 1.0:
             raise ValueError("heteroscedastic kind is defined for beta > 1")
         ln_beta = math.log(beta)
@@ -247,7 +250,7 @@ def shifted_lognormal(a: float, ln_b: float, eps2: float, s0: float,
     sigma = math.sqrt(eps2)
 
     def evaluate_statistic(beta, rng, size=None):
-        beta = _check_beta(beta)
+        beta = check_beta(beta)
         return shift + _exp_affine(a * math.log(beta) + ln_b, sigma, rng.standard_normal(size))
 
     return ObjectiveProblem(evaluate_statistic, s0=s0, label="shifted-lognormal")
@@ -371,7 +374,7 @@ def srom_standin() -> ObjectiveProblem:
     modes = np.arange(m)                          # V = I[:, :m]: ones at (k, k)
 
     def evaluate_statistic(beta, rng):
-        beta = _check_beta(beta)
+        beta = check_beta(beta)
         basis = rng.standard_normal((n, m))
         basis /= math.sqrt(beta)
         basis[modes, modes] += 1.0

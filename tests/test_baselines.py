@@ -287,7 +287,8 @@ class TestGoldenSection:
         assert result.stop_reason == "budget"
         assert len(result.probes) == 5
         best = min(result.probes, key=lambda p: p.mean)
-        assert (result.beta_hat, result.f_hat) == (best.beta, best.mean)
+        hat = next(p for p in result.probes if p.beta == result.beta_hat)
+        assert (hat.beta, hat.mean) == (best.beta, best.mean)
 
     def test_integer_mode_probes_integers(self):
         obj = McObjective(problem=calibrated_problem(), mc_samples=50, seed=7)
@@ -383,4 +384,5 @@ class TestSearch:
         if result.stop_reason == "budget":
             assert len(result.probes) == max_iter
         assert result.evaluations_used == mc_samples * len(result.probes)
-        assert min(p.mean for p in result.probes) == result.f_hat
+        hat = next(p for p in result.probes if p.beta == result.beta_hat)
+        assert min(p.mean for p in result.probes) == hat.mean

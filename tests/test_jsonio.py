@@ -3,7 +3,9 @@
 writer :func:`~scalebo.jsonio.write_json`, whose bytes are the standard
 library's for what artifacts hold, and which refuses the rest by type.  And the count rule :func:`~scalebo.jsonio.check_count` and the number rule
 :func:`~scalebo.jsonio.check_number`, which every library setting or
-argument that counts something, or is a number, is read by."""
+argument that counts something, or is a number, is read by; and the rules
+of a bounds pair, of one beta and of an array of betas, which every holder
+of one is read by."""
 
 import dataclasses
 import enum
@@ -18,7 +20,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from scalebo import acquisition, baselines, config, diagnostics, driver, glm, problems
-from scalebo.jsonio import check_count, check_number, from_json, json_safe, write_json
+from scalebo.jsonio import (check_bounds, check_count, check_number, from_json, json_safe,
+                            write_json)
 
 HUGE = 10**400   # Python's JSON reader reads it; no float holds it
 
@@ -242,6 +245,121 @@ def test_every_number_holder_reads_by_the_number_rule(holder, name, minimum, abo
         with pytest.raises(ValueError, match=_number_message(name, minimum, above)):
             holder(value)
     holder(np.float32(2.0))
+
+
+# -- the bounds, beta and beta-array rules ---------------------------------
+
+_S0 = problems.target_for_optimum(-0.58, 0.0, 0.25, 101.0)
+
+
+def _searched(method, **kwargs):
+    return lambda bounds: method(baselines.McObjective(problem=_PROBLEM, mc_samples=4), bounds,
+                                 max_iter=3, **kwargs)
+
+
+# holder -> call with a bounds pair.  BoConfig takes its pair as two fields.
+BOUNDS_HOLDERS = {
+    "BoConfig": lambda bounds: _bo(beta_min=bounds[0], beta_max=bounds[1]),
+    "thompson_batch": lambda bounds: acquisition.thompson_batch(
+        _fit(), 1.0, 4, bounds, np.random.default_rng(0)),
+    "golden_section": _searched(baselines.golden_section),
+    "parabolic_interpolation": _searched(baselines.parabolic_interpolation),
+    "optimal_region_from": lambda bounds: acquisition.optimal_region_from(
+        -0.58, 0.0, 0.25, _S0, 0.1, bounds),
+}
+BAD_PAIRS = [(True, 1000.0), (np.True_, 1000.0), (1000.0, 10.0), (10.0, 10.0), ("10", "1000"),
+             (0.0, 1000.0), (10.0, math.inf), (math.nan, 1000.0), (10.0, HUGE), "ab"]
+NOT_PAIRS = [(10.0, 100.0, 1000.0), (10.0,), 10.0]   # None is optimal_region_from's "no bounds"
+
+
+@pytest.mark.parametrize("holder", BOUNDS_HOLDERS.values(), ids=BOUNDS_HOLDERS.keys())
+def test_every_bounds_holder_reads_by_the_bounds_rule(holder):
+    refused = BAD_PAIRS if holder is BOUNDS_HOLDERS["BoConfig"] else BAD_PAIRS + NOT_PAIRS
+    for bounds in refused:
+        with pytest.raises(ValueError, match=r"^(bounds|beta_min|beta_max) must "):
+            holder(bounds)
+    holder((np.float32(2.0), 1000))
+
+
+def test_check_bounds_refuses_what_is_not_a_pair():
+    for bounds in NOT_PAIRS + [None]:
+        with pytest.raises(ValueError, match=r"^bounds must be a pair, got "):
+            check_bounds(bounds)
+
+
+INTEGER_HOLDERS = {
+    "BoConfig": lambda bounds: _bo(beta_min=bounds[0], beta_max=bounds[1], integer_beta=True),
+    "golden_section": _searched(baselines.golden_section, integer_beta=True),
+    "parabolic_interpolation": _searched(baselines.parabolic_interpolation, integer_beta=True),
+}
+
+
+@pytest.mark.parametrize("holder", INTEGER_HOLDERS.values(), ids=INTEGER_HOLDERS.keys())
+def test_every_integer_holder_needs_two_integers_inside_the_bounds(holder):
+    # The baselines answered 10.2 on (10.2, 10.8): no integer lies inside.
+    for bounds in [(10.2, 10.8), (10.2, 11.8), (10.5, 11.0)]:
+        with pytest.raises(ValueError, match=r"^integer_beta requires two integers inside "):
+            holder(bounds)
+    holder((10.2, 12.0))
+
+
+def _statistic(problem):
+    return lambda beta: problem.evaluate_statistic(beta, np.random.default_rng(0))
+
+
+# holder -> call with one beta: a Monte-Carlo probe or a built-in statistic.
+BETA_HOLDERS = {
+    "McObjective.probe": lambda beta: baselines.McObjective(problem=_PROBLEM,
+                                                            mc_samples=10).probe(beta),
+    "synthetic_powerlaw": _statistic(_PROBLEM),
+    "gamma_noise": _statistic(problems.gamma_noise(-0.5, 0.2, 0.3)),
+    "heteroscedastic": _statistic(problems.heteroscedastic(-0.5, 0.2, 0.3)),
+    "shifted_lognormal": _statistic(problems.shifted_lognormal(-0.5, 0.1, 0.2, 0.3)),
+    "srom_standin": _statistic(problems.srom_standin()),
+}
+
+
+@pytest.mark.parametrize("holder", BETA_HOLDERS.values(), ids=BETA_HOLDERS.keys())
+def test_every_beta_holder_reads_by_the_beta_rule(holder):
+    # The probe took "100" and True as 100.0 and 1.0, and every statistic True.
+    for beta in ["100", True, np.True_, None, 0.0, -1.0, math.nan, math.inf, HUGE]:
+        with pytest.raises(ValueError, match=_number_message("beta", 0, True)):
+            holder(beta)
+    for beta in (2.0, 2, np.float32(2.0), np.int64(2)):
+        holder(beta)
+
+
+@given(value=st.one_of(REALS, NOT_NUMBERS))
+def test_check_beta_is_the_number_rule_above_zero(value):
+    if _finite_real(value) and float(value) > 0:
+        assert problems.check_beta(value) == float(value)
+        assert type(problems.check_beta(value)) is float
+    else:
+        with pytest.raises(ValueError, match=_number_message("beta", 0, True)):
+            problems.check_beta(value)
+
+
+# holder -> (call with an array of values, the name it refuses them by)
+ARRAY_HOLDERS = {
+    "evaluate": (lambda values: acquisition.evaluate(_surrogate(), values), "beta"),
+    "LogDataset.beta": (lambda values: glm.LogDataset(beta=values, s=np.ones(np.size(values))),
+                        "beta"),
+    "LogDataset.s": (lambda values: glm.LogDataset(beta=np.ones(np.size(values)), s=values), "s"),
+}
+
+
+@pytest.mark.parametrize("holder,name", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_every_array_holder_reads_by_the_array_rule(holder, name):
+    # evaluate took "100" and True, and LogDataset strings and booleans.
+    refused = [["1", "2", "3"], [True, False], np.array([2.0, 3.0], dtype=object),
+               [0.0, 1.0], [-1.0, 1.0], [math.nan, 1.0], [1.0, math.inf]]
+    if holder is ARRAY_HOLDERS["evaluate"][0]:
+        refused += ["100", True, np.True_, 0.0]
+    for values in refused:
+        with pytest.raises(ValueError, match=f"^every {name} must be a finite number > 0, got "):
+            holder(values)
+    for values in ([2, 3], np.array([2.0, 3.0], dtype=np.float32), [2.0, 3.0], np.uint8([2, 3])):
+        holder(values)
 
 
 # -- the writer ------------------------------------------------------------

@@ -3,10 +3,14 @@
 ``driver.run`` draws record t's statistics, in proposal order, from one
 generator: ``default_rng`` of child t of ``SeedSequence(seed).spawn(3)[1]``.
 ``McObjective`` draws every probe, in order, from one generator on
-``SeedSequence(seed, spawn_key=(3,))``.  These tests replay whole runs of
-each built-in kind on streams built here from numpy alone, at more than one
-(ignored) thread count; they catch any change of stream.
+``SeedSequence(seed, spawn_key=(3,))``.  ``driver.STREAMS`` holds these
+keys, and ``driver.rng_stream`` builds every generator from them.  These
+tests replay whole runs of each built-in kind on streams built here from
+numpy alone, at more than one (ignored) thread count; they catch any change
+of stream.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +75,32 @@ def assert_search_replays(problem, mc_samples, bounds, tol, seed):
 
 
 class TestIdentity:
+    @pytest.mark.parametrize("seed", [0, 7, 123456789])
+    def test_stream_table_keys_are_spawned_children(self, seed):
+        # driver.STREAMS is the one table of keys; each key's generator is
+        # the SeedSequence child that numpy's spawn hands out under it.
+        def draws(rng):
+            return rng.random(4).tolist()
+
+        root = np.random.SeedSequence(seed).spawn(4)
+        for name, child in (("acquisition", 0), ("summary", 2)):
+            assert draws(driver.rng_stream(seed, driver.STREAMS[name])) == \
+                draws(np.random.default_rng(root[child]))
+        assert draws(driver.rng_stream(seed, driver.STREAMS["baseline"])) == \
+            draws(np.random.default_rng(root[3])) == draws(baseline_stream(seed))
+        for t in range(6):
+            assert draws(driver.rng_stream(seed, driver.STREAMS["record"] + (t,))) == \
+                draws(record_stream(seed, t))
+
+    def test_only_the_driver_builds_a_generator(self):
+        # Every stream comes from driver.rng_stream: no other module of the
+        # package names SeedSequence, default_rng or spawn.
+        src = Path(driver.__file__).resolve().parent
+        for path in sorted(src.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            found = [word for word in ("SeedSequence", "default_rng", "spawn(") if word in text]
+            assert found == ([] if path.name != "driver.py" else ["SeedSequence", "default_rng"])
+
     def test_negative_seed_raises_value_error(self):
         with pytest.raises(ValueError):
             np.random.SeedSequence(-1)
