@@ -191,10 +191,9 @@ def cmd_baseline(args) -> int:
     )
     wall = time.perf_counter() - start
 
-    driver.write_trace_rows(
-        outdir / "trace.csv",
-        ((probe.order, probe.beta, probe.s_draws.tolist(), "mc-probe") for probe in result.probes),
-    )
+    write_csv(outdir / "trace.csv", driver.TRACE_CSV_HEADER,
+              ((probe.order, probe.beta, probe.s_draws.tolist(), "mc-probe")
+               for probe in result.probes))
     write_csv(outdir / "probes.csv", ["order", "beta", "mean", "se", "count"],
               ([p.order, p.beta, p.mean, p.se, p.count] for p in result.probes))
     write_json(outdir / "estimate.json", {

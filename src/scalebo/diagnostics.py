@@ -479,4 +479,4 @@ def save_histogram_csv(report: ResidualReport, path) -> None:
         raise ValueError("report has no histogram (family fitting was skipped)")
     edges, counts = report.histogram
     write_csv(path, ["bin_left", "bin_right", "count"],
-              zip(edges[:-1], edges[1:], counts))
+              [(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())])

@@ -21,11 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import acquisition, glm, posterior
-from .jsonio import check_bounds, check_count, check_number, from_json, json_safe, write_json
+from .jsonio import check_bounds, check_count, check_number, dumps, from_json, write_csv, write_json
 from .posterior import PosteriorSummary
 from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 
 TRACE_SCHEMA = "bo-trace/1"
+
+# The header of both commands' trace.csv, which load_trace_csv checks.
+TRACE_CSV_HEADER = ("iteration", "beta", "s", "source")
 
 # s2 below this is an exact interpolation in float64: the surrogate is
 # deterministic and further sampling cannot add information.
@@ -238,9 +241,9 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
 
 
 def trace_to_json_dict(trace: BoTrace) -> dict:
-    """The trace as strict JSON values (:func:`~scalebo.jsonio.json_safe`):
-    a non-finite number (a rejected statistic) becomes ``None``."""
-    return json_safe(trace)
+    """The parse of what :func:`save_trace` writes for ``trace``: a
+    non-finite number (a rejected statistic) is ``None``."""
+    return json.loads(dumps(trace))
 
 
 def save_trace(trace: BoTrace, path) -> None:
@@ -262,36 +265,9 @@ def load_trace(path) -> BoTrace:
 
 def trace_to_csv(trace: BoTrace, path) -> None:
     """Flat per-observation trace: ``iteration,beta,s,source`` rows, one
-    block per record."""
-    write_trace_rows(path, ((rec.index, rec.betas, rec.s_values, rec.source)
-                            for rec in trace.iterations))
-
-
-def write_trace_rows(path, blocks) -> None:
-    """Write the trace CSV that :func:`load_trace_csv` reads (UTF-8, LF
-    endings, floats by repr).
-
-    Each block ``(iteration, beta, s_values, source)`` is the run of rows
-    that share iteration and source; ``s_values`` is a sequence of Python
-    floats, and ``beta`` is either the one beta of every row (a Monte-Carlo
-    probe) or a list or tuple of one beta per statistic (a BO batch).  A
-    block's prefix and suffix are formatted once and the block is one
-    join, so a probe of a thousand draws costs one join and one write.  No
-    field needs CSV quoting: reprs of floats and the source names hold no
-    comma, quote or line break.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("iteration,beta,s,source\n")
-        for iteration, beta, s_values, source in blocks:
-            if not s_values:
-                continue
-            if isinstance(beta, (list, tuple)):
-                head = f"{iteration},"
-                fields = map(",".join, zip(map(repr, map(float, beta)), map(repr, s_values)))
-            else:
-                head, fields = f"{iteration},{float(beta)!r},", map(repr, s_values)
-            tail = f",{source}\n"
-            fh.write(head + (tail + head).join(fields) + tail)
+    block per record (:func:`~scalebo.jsonio.write_csv`)."""
+    write_csv(path, TRACE_CSV_HEADER, ((rec.index, rec.betas, rec.s_values, rec.source)
+                                       for rec in trace.iterations))
 
 
 def load_trace_csv(path) -> list[tuple[int, float, float, str]]:
@@ -302,7 +278,7 @@ def load_trace_csv(path) -> list[tuple[int, float, float, str]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["iteration", "beta", "s", "source"]:
+        if header != list(TRACE_CSV_HEADER):
             raise ValueError(f"{path}: unexpected trace header {header!r}")
         for row in reader:
             if not row:

@@ -239,7 +239,7 @@ def sample_posterior(
 
 def save_csv(data: LogDataset, path) -> None:
     """Write the raw observations as ``beta,s`` CSV (UTF-8, LF endings)."""
-    write_csv(path, ["beta", "s"], zip(data.beta.tolist(), data.s.tolist()))
+    write_csv(path, ["beta", "s"], [(data.beta.tolist(), data.s.tolist())])
 
 
 def load_csv(path) -> tuple[LogDataset, int]:

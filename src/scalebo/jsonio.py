@@ -1,18 +1,15 @@
-"""Strict JSON and CSV artifacts.
+"""Strict JSON and CSV artifacts, each format from one writer.
 
 Every JSON file the package writes must parse under a strict reader,
 whatever the simulator returned: NaN and infinities have no JSON token,
-so they are written as ``null`` and read back as NaN.  :func:`json_safe`
-is the one encoding: a dataclass is written as an object of its fields, in
+so they are written as ``null`` and read back as NaN.  :func:`dumps` is
+the one encoder, and :func:`write_json` writes its text for every JSON
+artifact.  A dataclass is written as an object of its fields, in
 declaration order, so an artifact's dataclasses are its schema, and
-:func:`from_json` reads them back by field type.  :func:`write_json` is the
-one emitter, for every JSON artifact: its bytes equal
-``json.dumps(json_safe(doc), indent=2)`` plus a newline, for what artifacts
-hold: string keys, and of float, int and str subclasses only numpy's.  It
-exists because ``indent`` sends ``json.dumps`` to its pure-Python encoder:
-the emitter walks the document once, formats leaves with C-level calls and
-writes once.
-CSV files write floats by ``repr``, which round-trips ``nan`` and ``inf``
+:func:`from_json` reads them back by field type.  An array is written as
+its nested lists and a numpy scalar as its plain number, and the layout is
+``json.dumps``' with ``indent=2``.  :func:`write_csv` writes every CSV
+file; it writes floats by ``repr``, which round-trips ``nan`` and ``inf``
 too.
 
 Two rules read a library setting or argument: :func:`check_count` for a
@@ -27,7 +24,6 @@ where they are used, by one function each: :func:`check_bounds`,
 :func:`check_positive_array` and ``problems.check_beta``.
 """
 
-import csv
 import dataclasses
 import functools
 import json
@@ -95,34 +91,11 @@ def check_positive_array(name: str, values) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
-def json_safe(doc):
-    """``doc`` as JSON values, with every non-finite float replaced by ``None``.
-
-    Dicts, lists, tuples and dataclass instances (their fields, in order)
-    are walked; an ndarray or a numpy scalar is its ``tolist()`` (for a
-    scalar, the plain Python number).  Other values pass through.
-    """
-    if isinstance(doc, float):
-        return doc if math.isfinite(doc) else None
-    if doc is None or isinstance(doc, (str, int)):   # bool is an int
-        return doc
-    if isinstance(doc, dict):
-        return {key: json_safe(value) for key, value in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [json_safe(value) for value in doc]
-    if hasattr(type(doc), "__dataclass_fields__"):   # an instance, not a dataclass type
-        return {field.name: json_safe(getattr(doc, field.name))
-                for field in dataclasses.fields(doc)}
-    if isinstance(doc, (np.ndarray, np.generic)):
-        return json_safe(doc.tolist())
-    return doc
-
-
 _field_types = functools.cache(typing.get_type_hints)
 
 
 def from_json(kind, value, where, path=""):
-    """The ``kind`` whose :func:`json_safe` form is ``value``, read by type:
+    """The ``kind`` whose :func:`dumps` text parses to ``value``, read by type:
     a dataclass from an object of its fields (a missing key takes the
     field's default); ``list[T]`` from an array; ``float`` by
     :func:`is_number`, or from ``null`` or a bare NaN, which read as NaN;
@@ -168,22 +141,28 @@ def _at(where, path) -> str:
 
 
 def write_json(path, doc) -> None:
-    """Write ``doc`` as indented strict JSON (UTF-8, LF, trailing newline):
-    ``json.dumps(json_safe(doc), indent=2, allow_nan=False)``, byte for
-    byte, from one walk of ``doc`` and one write.
-
-    ``indent`` sends ``json.dumps`` to its pure-Python encoder, which with
-    the separate :func:`json_safe` walk took about twice as long on a
-    trace.  Here a leaf is formatted by a C-level call (``float.__repr__``,
-    ``int.__repr__``, json's ``encode_basestring_ascii``), a list of floats
-    by one ``str.join``, and the text is built by joins.  What ``json``
-    would coerce raises ``TypeError`` naming its type: a key that is not a
-    ``str`` or ``np.str_``, and a subclass of float, int or str that numpy
-    does not define, such as an ``IntEnum``.  No artifact holds either.
-    """
-    text = _text(doc, "\n")
+    """Write :func:`dumps` of ``doc`` and a newline (UTF-8, LF), in one write."""
+    text = dumps(doc)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
+
+
+def dumps(doc) -> str:
+    """``doc`` as indented strict JSON text, from one walk of ``doc``.
+
+    Dicts, lists, tuples and dataclass instances (their fields, in
+    declaration order) are walked; an ndarray or a numpy scalar is its
+    ``tolist()``, and a non-finite float ``null``.  The layout is
+    ``json.dumps``' at ``indent=2``, whose pure-Python encoder this
+    replaces: a leaf is formatted by a C-level call (``float.__repr__``,
+    ``int.__repr__``, json's ``encode_basestring_ascii``), a list of floats
+    by one ``str.join``, and the text is built by joins.  A leaf is a
+    float, int, str, bool or None of exactly that type, or numpy's; any
+    other value raises ``TypeError`` naming its type, as does a key that
+    is not a ``str`` or ``np.str_``.  So a subclass that numpy does not
+    define, such as an ``IntEnum``, is refused.  No artifact holds one.
+    """
+    return _text(doc, "\n")
 
 
 _ascii = json.encoder.encode_basestring_ascii
@@ -209,8 +188,8 @@ def _field_keys(cls) -> tuple:
 
 def _text(doc, newline: str) -> str:
     """The JSON text of ``doc``, whose own line starts with ``newline``
-    (a line break and the indent of its depth); the branches follow
-    :func:`json_safe`'s order."""
+    (a line break and the indent of its depth): exact leaf types first,
+    then containers, dataclasses and numpy values."""
     leaf = _LEAVES.get(type(doc))
     if leaf is not None:
         return leaf(doc)
@@ -258,14 +237,34 @@ def _key(key) -> str:
     return _ascii(key)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` as CSV (UTF-8, LF endings).
+def write_csv(path, header, blocks) -> None:
+    """Write ``header`` and a run of rows per block as CSV (UTF-8, LF).
 
-    Floats, numpy's included, are written by ``repr(float(v))``; other
-    values by ``str``.  ``csv.writer`` quotes any field that needs it.
+    A block is one row's fields.  Its list or tuple fields, which must be
+    adjacent and of one length, give one value per row; its other fields
+    repeat on each of those rows, and a block of empty lists writes none.
+    A scalar float, numpy's included, is written by ``repr(float(v))``, a
+    list's value by ``repr`` and anything else by ``str``.  The repeated
+    fields are formatted once and each block is one join, so a probe of a
+    thousand draws costs one join and one write.  Nothing is quoted: no
+    value the package writes holds a comma, quote or line break.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
-                         for row in rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            lists = [i for i, field in enumerate(block) if isinstance(field, (list, tuple))]
+            if not lists:
+                fh.write(",".join(map(_csv_field, block)) + "\n")
+                continue
+            first, last = lists[0], lists[-1] + 1
+            head = "".join([_csv_field(field) + "," for field in block[:first]])
+            tail = "".join(["," + _csv_field(field) for field in block[last:]]) + "\n"
+            columns = [map(repr, column) for column in block[first:last]]
+            values = columns[0] if len(columns) == 1 else map(",".join, zip(*columns, strict=True))
+            body = (tail + head).join(values)   # a repr is never empty: "" is no rows
+            if body:
+                fh.write(head + body + tail)
+
+
+def _csv_field(value) -> str:
+    return repr(float(value)) if isinstance(value, float) else str(value)

@@ -22,9 +22,14 @@ body, :func:`mean_std` is a sample's ``mean`` and ``std``,
 :func:`shift_profile` reads each shift's moments through numpy's
 ``mean``, ``std`` and ``sum``, and :func:`histogram_fd` bins through
 ``bins="fd"``.  ``install_diagnose`` puts them back into the package.
+
+For the JSON artifacts: :func:`json_safe` is a document as the standard
+library's JSON values, so ``json.dumps(json_safe(doc), indent=2)`` is the
+text that ``jsonio.dumps`` must give.
 """
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -237,3 +242,26 @@ def install_diagnose(monkeypatch):
     monkeypatch.setattr(glm, "load_csv", load_csv)
     monkeypatch.setattr(diagnostics, "_shift_profile", shift_profile)
     monkeypatch.setattr(diagnostics, "histogram_fd", histogram_fd)
+
+
+def json_safe(doc):
+    """``doc`` as JSON values, with every non-finite float replaced by ``None``.
+
+    Dicts, lists, tuples and dataclass instances (their fields, in order)
+    are walked; an ndarray or a numpy scalar is its ``tolist()`` (for a
+    scalar, the plain Python number).  Other values pass through.
+    """
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if doc is None or isinstance(doc, (str, int)):   # bool is an int
+        return doc
+    if isinstance(doc, dict):
+        return {key: json_safe(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [json_safe(value) for value in doc]
+    if hasattr(type(doc), "__dataclass_fields__"):   # an instance, not a dataclass type
+        return {field.name: json_safe(getattr(doc, field.name))
+                for field in dataclasses.fields(doc)}
+    if isinstance(doc, (np.ndarray, np.generic)):
+        return json_safe(doc.tolist())
+    return doc

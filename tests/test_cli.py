@@ -612,7 +612,7 @@ class TestDiagnose:
 
     def test_fit_file_uses_the_trace_fit_format(self, tmp_path, dataset_path):
         fit_path = tmp_path / "fit.json"
-        fit_path.write_text(json.dumps(jsonio.json_safe(glm.fit(glm.load_csv(dataset_path)[0]))))
+        fit_path.write_text(jsonio.dumps(glm.fit(glm.load_csv(dataset_path)[0])))
         own, given = tmp_path / "own", tmp_path / "given"
         assert cli.main(["diagnose", "--data", str(dataset_path), "--out", str(own)]) == 0
         assert cli.main(["diagnose", "--data", str(dataset_path), "--fit", str(fit_path),
@@ -620,7 +620,7 @@ class TestDiagnose:
         assert (own / "report.json").read_bytes() == (given / "report.json").read_bytes()
 
     def test_fit_file_with_an_unknown_key_exits_2(self, tmp_path, dataset_path, capsys):
-        doc = jsonio.json_safe(glm.fit(glm.load_csv(dataset_path)[0]))
+        doc = json.loads(jsonio.dumps(glm.fit(glm.load_csv(dataset_path)[0])))
         bad = tmp_path / "fit.json"
         bad.write_text(json.dumps({**doc, "coef_hatt": [9, 9]}))
         out = tmp_path / "d"

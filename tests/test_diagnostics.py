@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import json_safe
 from scalebo import diagnostics, glm
 from scalebo.errors import DegenerateSample, InsufficientData, NoEligibleGroups
-from scalebo.jsonio import json_safe
 
 
 def grouped_dataset(noise, betas=(20.0, 60.0, 180.0), per_group=10_000, seed=0,

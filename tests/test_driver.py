@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from scalebo import acquisition, driver, glm, posterior, problems
+from scalebo import acquisition, driver, glm, jsonio, posterior, problems
 from scalebo.driver import BoConfig
 from scalebo.errors import EvaluationFailure, RankDeficient, SurrogateOverflow
 
@@ -492,6 +492,22 @@ class TestTraceSerialization:
         rows = driver.load_trace_csv(csv_path)
         assert rows[0][2] == 12.5 and rows[1][1] == 77.25
 
+    def test_strict_parse_is_the_dict_of_the_trace_and_of_its_load(self, tmp_path, trace):
+        # perfbench's check of every optimize run, on statistics that hold
+        # NaN, +inf and -inf: the file writes each as null, and its strict
+        # parse is the trace's dict before and after load_trace.
+        first = trace.iterations[0]
+        broken = dataclasses.replace(trace, iterations=[
+            dataclasses.replace(first, s_values=[math.nan, math.inf, -math.inf,
+                                                 *first.s_values[3:]]),
+            *trace.iterations[1:]])
+        path = tmp_path / "trace.json"
+        driver.save_trace(broken, path)
+        doc = strict_json(path)
+        assert doc["iterations"][0]["s_values"][:3] == [None, None, None]
+        assert doc == driver.trace_to_json_dict(broken)
+        assert doc == driver.trace_to_json_dict(driver.load_trace(path))
+
     def test_csv_bytes_match_csv_writer_reference(self, tmp_path):
         values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, 101.0, 1 / 3]
         # One-row blocks, many-row blocks of one beta (as the baseline
@@ -504,21 +520,24 @@ class TestTraceSerialization:
         blocks += [(50, values, values[::-1], "thompson"), (51, tuple(values[:3]), values[4:7], "init"),
                    (52, [10, 20.5], [1.5, 2.5], "init")]
         blocks += [(99, 1.0, [], "mc-probe"), (100, [], [], "thompson")]
-        rows = [(i, b, s, source) for i, beta, s_values, source in blocks
+        # A list's value is written by repr (block 52's int beta as 10), a
+        # scalar float by repr(float(v)).
+        rows = [(i, repr(b) if isinstance(beta, (list, tuple)) else repr(float(b)), repr(s), source)
+                for i, beta, s_values, source in blocks
                 for b, s in zip(beta if isinstance(beta, (list, tuple)) else [beta] * len(s_values),
                                 s_values)]
+        assert (52, "10", "1.5", "init") in rows
         reference = tmp_path / "reference.csv"
         with open(reference, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iteration", "beta", "s", "source"])
-            for iteration, beta, s, source in rows:
-                writer.writerow([iteration, repr(float(beta)), repr(float(s)), source])
+            writer.writerow(driver.TRACE_CSV_HEADER)
+            writer.writerows(rows)
         path = tmp_path / "trace.csv"
-        driver.write_trace_rows(path, blocks)
+        jsonio.write_csv(path, driver.TRACE_CSV_HEADER, blocks)
         assert path.read_bytes() == reference.read_bytes()
         loaded = driver.load_trace_csv(path)
         assert [(i, repr(b), repr(s), src) for i, b, s, src in loaded] == \
-            [(i, repr(float(b)), repr(s), src) for i, b, s, src in rows]
+            [(i, repr(float(b)), s, src) for i, b, s, src in rows]
 
     def test_csv_schema_guard(self, tmp_path):
         path = tmp_path / "junk.csv"

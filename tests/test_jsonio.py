@@ -1,27 +1,32 @@
 """The JSON reader :func:`scalebo.jsonio.from_json`, the inverse of
-:func:`~scalebo.jsonio.json_safe`: one rule per declared type.  The JSON
+:func:`~scalebo.jsonio.dumps`: one rule per declared type.  The JSON
 writer :func:`~scalebo.jsonio.write_json`, whose bytes are the standard
-library's for what artifacts hold, and which refuses the rest by type.  And the count rule :func:`~scalebo.jsonio.check_count` and the number rule
+library's for what artifacts hold (through the reference
+:func:`oracles.json_safe`), and which refuses the rest by type.  The
+package's writers: only ``write_json``, ``write_csv`` and
+``problems.write_matrix_market`` open a file for writing.  And the count rule :func:`~scalebo.jsonio.check_count` and the number rule
 :func:`~scalebo.jsonio.check_number`, which every library setting or
 argument that counts something, or is a number, is read by; and the rules
 of a bounds pair, of one beta and of an array of betas, which every holder
 of one is read by."""
 
+import ast
 import dataclasses
 import enum
 import json
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from scalebo import acquisition, baselines, config, diagnostics, driver, glm, problems
-from scalebo.jsonio import (check_bounds, check_count, check_number, from_json, json_safe,
-                            write_json)
+from oracles import json_safe
+from scalebo import acquisition, baselines, config, diagnostics, driver, glm, jsonio, problems
+from scalebo.jsonio import check_bounds, check_count, check_number, from_json, write_json
 
 HUGE = 10**400   # Python's JSON reader reads it; no float holds it
 
@@ -501,3 +506,60 @@ def test_write_json_refuses_what_artifacts_do_not_hold(tmp_path, case):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         write_json(tmp_path / "doc.json", doc)
     assert not (tmp_path / "doc.json").exists()
+
+
+# -- one writer per format ---------------------------------------------------
+
+# Calls that write a file by name, whatever their arguments.
+WRITES_BY_NAME = {"write_text", "write_bytes", "savetxt", "save", "savez", "tofile"}
+
+
+def writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` writes a file: ``open(path, mode)`` or
+    ``path.open(mode)`` whose mode writes or is no string constant, or a
+    call in WRITES_BY_NAME."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in WRITES_BY_NAME:
+        return True
+    if name != "open":
+        return False
+    position = 1 if isinstance(func, ast.Name) else 0
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[position] if len(call.args) > position else ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def file_writers(node, where):
+    """The qualified name of the function around each call under ``node``
+    that writes a file."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}"
+        if isinstance(child, ast.Call) and writes_a_file(child):
+            yield where
+        yield from file_writers(child, inner)
+
+
+def test_only_the_three_writers_open_files_for_writing():
+    # One writer per artifact format: write_json for JSON, write_csv for
+    # CSV, write_matrix_market for the fixture; no other function of the
+    # package opens a file for writing.
+    src = Path(jsonio.__file__).resolve().parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        found.update(file_writers(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert found == {"jsonio.write_json", "jsonio.write_csv", "problems.write_matrix_market"}
+
+
+def test_the_writer_test_sees_every_way_to_write():
+    def writers(source):
+        return set(file_writers(ast.parse(source), "m"))
+
+    assert writers("def f(p):\n    open(p, 'w')") == {"m.f"}
+    assert writers("class C:\n    def g(self, p, m):\n        open(p, mode=m)") == {"m.C.g"}
+    assert writers("def f(p):\n    p.open('a')\n    p.write_text('x')") == {"m.f"}
+    assert writers("np.savetxt('x.txt', a)") == {"m"}
+    assert writers("def f(p):\n    open(p)\n    open(p, 'rb')\n    p.open()") == set()
