@@ -116,6 +116,25 @@ def clamp_log_float(ln_beta: float, bounds: tuple[float, float]) -> float:
     return float(min(max(float(np.exp(ln_beta)), beta_min), beta_max))
 
 
+def clamp_log_array(ln_beta: np.ndarray, bounds: tuple[float, float]) -> tuple[np.ndarray, int]:
+    """``(beta, clamped)``: :func:`clamp_log_float` of each entry of the
+    float array ``ln_beta``, as a new array with the same bits, and the
+    number of entries beyond a log bound.  Where there are such entries,
+    the exp is taken of ``ln_beta`` cut to the log bounds, which leaves an
+    entry inside them as it is and keeps the exp of one beyond them
+    finite, and that entry is then set to its bound."""
+    beta_min, beta_max = bounds
+    ln_lo, ln_hi = math.log(beta_min), math.log(beta_max)
+    clamped = int(np.count_nonzero((ln_beta < ln_lo) | (ln_beta > ln_hi)))
+    beta = np.exp(np.minimum(np.maximum(ln_beta, ln_lo), ln_hi) if clamped else ln_beta)
+    np.maximum(beta, beta_min, out=beta)
+    np.minimum(beta, beta_max, out=beta)
+    if clamped:
+        beta[ln_beta < ln_lo] = beta_min
+        beta[ln_beta > ln_hi] = beta_max
+    return beta, clamped
+
+
 def argmin_closed_form(obj: SurrogateObjective) -> tuple[float, float]:
     """Global minimizer of f over (0, inf) and its objective value.
 
@@ -197,8 +216,8 @@ def thompson_batch(
     """Draw a synchronous batch of Thompson proposals.
 
     The batch is one block of posterior draws, each mapped through the
-    closed-form argmin :func:`log_argmin` and clamped by
-    :func:`clamp_log_float` (in log space, so no intermediate overflow)
+    closed-form argmin :func:`log_argmin` and clamped as one array by
+    :func:`clamp_log_array` (in log space, so no intermediate overflow)
     onto ``[beta_min, beta_max]``.  Nothing is redrawn: a draw whose
     exponent is zero or nearly so proposes a bound, as any draw whose
     optimizer lies beyond one does, and boundary proposals still carry
@@ -212,9 +231,6 @@ def thompson_batch(
     """
     check_count("batch_size", batch_size, 1)
     check_bounds(bounds)
-    beta_min, beta_max = bounds
-
     ln_star = log_argmin(*glm.sample_posterior(fit, batch_size, rng), s0)
-    clamped = (ln_star < math.log(beta_min)) | (ln_star > math.log(beta_max))
-    return ThompsonBatch(betas=[clamp_log_float(x, bounds) for x in ln_star.tolist()],
-                         clamped_count=int(np.count_nonzero(clamped)))
+    betas, clamped = clamp_log_array(ln_star, bounds)
+    return ThompsonBatch(betas=betas.tolist(), clamped_count=clamped)

@@ -90,13 +90,24 @@ class McObjective:
         for name, minimum in (("mc_samples", 1), ("seed", 0), ("threads", 1)):
             check_count(name, getattr(self, name), minimum)
         self._cache: dict[float, ProbeStats] = {}
+        self._order: list[ProbeStats] = []   # the cache's probes, in evaluation order
         self._rng = rng_stream(self.seed, STREAMS["baseline"])
 
     @property
     def probes(self) -> list[ProbeStats]:
-        """All cached probes in evaluation order, which is the cache's
-        insertion order: a probe is never removed or re-drawn."""
-        return list(self._cache.values())
+        """All cached probes in evaluation order, as a new list: a probe is
+        never removed or re-drawn."""
+        return list(self._order)
+
+    @property
+    def probe_count(self) -> int:
+        """The number of cached probes, without the copy that ``probes`` makes."""
+        return len(self._order)
+
+    def latest(self, count: int) -> list[ProbeStats]:
+        """The last ``count`` probes (all, if fewer) in evaluation order,
+        without copying the others."""
+        return self._order[-count:]
 
     def probe(self, beta: float) -> ProbeStats:
         key = check_beta(beta)
@@ -120,6 +131,7 @@ class McObjective:
             s_draws=draws,
         )
         self._cache[key] = stats
+        self._order.append(stats)
         self.evaluations_used += draws.size
         return stats
 
@@ -145,7 +157,7 @@ def _noise_floor(obj: McObjective) -> bool:
     error of their means exceeds the spread of the means, further
     bracketing only chases noise.
     """
-    recent = obj.probes[-3:]
+    recent = obj.latest(3)
     if len(recent) < 3:
         return False
     means = [p.mean for p in recent]
@@ -180,7 +192,7 @@ def _search(obj, bounds, tol, max_iter, integer_beta, method, steps) -> Baseline
         if floor_hits >= _FLOOR_CONSECUTIVE:
             stop_reason = "noise-floor"
             break
-        if len(obj.probes) >= max_iter:
+        if obj.probe_count >= max_iter:
             stop_reason = "budget"
             break
     best = min(obj.probes, key=lambda p: (p.mean, p.order))

@@ -171,9 +171,11 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     summary_rng = rng_stream(config.seed, STREAMS["summary"])
 
     records = []
-    rows, fit = np.empty((0, 2)), None   # every (beta, s) drawn so far
-    evaluations = rejected_total = streak = 0
+    fit = None
     budget = config.n0 + config.max_iterations * config.batch_size
+    # Every beta and s drawn so far, in the first columns; grown by doubling.
+    drawn = np.empty((2, min(budget, 4 * config.n0)))
+    evaluations = rejected_total = streak = 0
     stop_reason = "budget"
     for t in range(config.max_iterations + 1):
         if t == 0:
@@ -188,9 +190,13 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
                 betas_t = [round_into_bounds(b, config.bounds) for b in betas_t]
         s_t = draw_statistics(problem, betas_t, rng_stream(config.seed, STREAMS["record"] + (t,)),
                               iteration=t)
-        evaluations += len(betas_t)
-        rows = np.concatenate([rows, np.array((betas_t, s_t), dtype=float).T])
-        data, rejected_so_far = glm.ingest(rows)
+        end = evaluations + len(betas_t)
+        if end > drawn.shape[1]:
+            drawn = np.concatenate([drawn[:, :evaluations], np.empty((2, end))], axis=1)
+        drawn[0, evaluations:end] = betas_t
+        drawn[1, evaluations:end] = s_t
+        evaluations = end
+        data, rejected_so_far = glm.ingest(drawn[:, :evaluations].T)
         rejected, rejected_total = rejected_so_far - rejected_total, rejected_so_far
         fit = glm.fit(data)
         summary = posterior.summarize(fit, config.s0, config.bounds, summary_rng)

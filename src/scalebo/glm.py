@@ -135,7 +135,10 @@ def ingest(points) -> tuple[LogDataset, int]:
     Returns
     -------
     (LogDataset, int)
-        The clean dataset and the number of rejected rows.
+        The clean dataset and the number of rejected rows.  When every row
+        is usable, the dataset's arrays are the columns of ``points``, not
+        copies, where those are contiguous, as in the transpose of a
+        ``(2, n)`` array.
     """
     if isinstance(points, np.ndarray):
         return _keep_usable(np.asarray(points, dtype=float))
@@ -144,13 +147,19 @@ def ingest(points) -> tuple[LogDataset, int]:
 
 def _keep_usable(rows: np.ndarray) -> tuple[LogDataset, int]:
     """The dataset of the usable rows of a ``(n, 2)`` float array of
-    (beta, s) pairs, and the number of rows left out."""
+    (beta, s) pairs, and the number of rows left out.  Where no row is left
+    out, as in most runs, two reductions say so, and the columns are kept
+    whole, each copied only if it is not contiguous."""
     beta, s = rows.reshape(-1, 2).T
-    keep = np.isfinite(beta) & np.isfinite(s) & (beta > 0) & (s > 0)
+    if rows.size and rows.min() > 0.0 and rows.max() < math.inf:   # NaN fails min > 0
+        beta, s, rejected = np.ascontiguousarray(beta), np.ascontiguousarray(s), 0
+    else:
+        keep = np.isfinite(beta) & np.isfinite(s) & (beta > 0) & (s > 0)
+        beta, s, rejected = beta[keep], s[keep], int(beta.size - np.count_nonzero(keep))
     data = object.__new__(LogDataset)   # the kept rows are valid: not checked again
-    object.__setattr__(data, "beta", beta[keep])
-    object.__setattr__(data, "s", s[keep])
-    return data, int(beta.size - np.count_nonzero(keep))
+    object.__setattr__(data, "beta", beta)
+    object.__setattr__(data, "s", s)
+    return data, rejected
 
 
 def fit(data: LogDataset) -> GlmFit:
@@ -173,7 +182,8 @@ def fit(data: LogDataset) -> GlmFit:
     if data.n < NUM_COEF + 1:
         raise InsufficientData(f"need at least {NUM_COEF + 1} rows, got {data.n}")
     n, x, y = data.n, np.log(data.beta), data.y
-    x_bar, y_bar = float(x.sum()) / n, float(y.sum()) / n   # x.mean(), y.mean() bit for bit
+    # x.mean() and y.mean() bit for bit: the same pairwise sums, without sum's Python layer.
+    x_bar, y_bar = float(np.add.reduce(x)) / n, float(np.add.reduce(y)) / n
     xc, yc = x - x_bar, y - y_bar
     sxx = float(xc @ xc)
     # QR's rank test on [x, 1], times |x|: |R_11| = |x|, |R_22| = sqrt(n Sxx) / |x|.
@@ -181,10 +191,12 @@ def fit(data: LogDataset) -> GlmFit:
     if min(r_diag) <= RANK_RTOL * max(r_diag):
         raise RankDeficient("design matrix is rank deficient: beta values are all equal")
     a = float(xc @ yc) / sxx
-    resid = yc - a * xc
+    xc *= a
+    resid = np.subtract(yc, xc, out=yc)
     dof = n - NUM_COEF
     s2 = float(resid @ resid) / dof
-    v_theta = np.array([[1.0, -x_bar], [-x_bar, sxx / n + x_bar * x_bar]]) / sxx
+    v10 = -x_bar / sxx
+    v_theta = np.array([[1.0 / sxx, v10], [v10, (sxx / n + x_bar * x_bar) / sxx]])
     result = GlmFit(coef_hat=np.array([a, y_bar - a * x_bar]), s2=s2, v_theta=v_theta, dof=dof)
     try:
         result.cholesky  # validates v_theta, and keeps the factor for sampling
@@ -199,9 +211,10 @@ def fit(data: LogDataset) -> GlmFit:
 def _cholesky_2x2(v: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a 2x2 matrix from its lower triangle; raises
     ``np.linalg.LinAlgError`` unless the matrix is positive definite."""
-    l00 = math.sqrt(v[0, 0]) if v[0, 0] > 0.0 else math.nan
-    l10 = float(v[1, 0]) / l00
-    d11 = float(v[1, 1]) - l10 * l10
+    (v00, _), (v10, v11) = v.tolist()
+    l00 = math.sqrt(v00) if v00 > 0.0 else math.nan
+    l10 = v10 / l00
+    d11 = v11 - l10 * l10
     if not d11 > 0.0:  # also when v00 <= 0 or NaN, through l00 = NaN
         raise np.linalg.LinAlgError("v_theta is not positive definite")
     return np.array([[l00, 0.0], [l10, math.sqrt(d11)]])
@@ -217,7 +230,10 @@ def sample_posterior(
     (generated as Gamma(dof/2, 2)), then theta ~ N(coef_hat, eps2 * V_theta)
     through the Cholesky factor of V_theta.  The stream is consumed in a fixed order
     (all chi-squared variates, then a (count, 2) block of normals), so a
-    fixed seed reproduces draws bit for bit.
+    fixed seed reproduces draws bit for bit.  The block is mapped through
+    the factor by one matmul, ``z @ cholesky.T``, whose bits an elementwise
+    form need not have; the scaling and the shift by ``coef_hat`` are then
+    done in place, and a and ln_b are the columns of that one block.
 
     Raises
     ------
@@ -230,11 +246,15 @@ def sample_posterior(
     check_count("count", count, 1)
     if fit.s2 <= 0.0:
         raise DegenerateVariance("residual variance is zero; posterior over eps2 collapses")
-    chi2 = rng.gamma(shape=0.5 * fit.dof, scale=2.0, size=count)
-    eps2 = fit.dof * fit.s2 / chi2
-    z = rng.standard_normal((count, NUM_COEF))
-    coefs = fit.coef_hat + np.sqrt(eps2)[:, None] * (z @ fit.cholesky.T)
-    return coefs[:, 0], coefs[:, 1], eps2
+    eps2 = rng.gamma(shape=0.5 * fit.dof, scale=2.0, size=count)   # chi2, then eps2 in place
+    np.divide(fit.dof * fit.s2, eps2, out=eps2)
+    coefs = rng.standard_normal((count, NUM_COEF)) @ fit.cholesky.T
+    a, ln_b = coefs.T
+    scale = np.sqrt(eps2)
+    for column, center in zip((a, ln_b), fit.coef_hat.tolist()):
+        column *= scale
+        column += center
+    return a, ln_b, eps2
 
 
 def save_csv(data: LogDataset, path) -> None:

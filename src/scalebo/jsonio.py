@@ -38,9 +38,9 @@ import numpy as np
 def is_number(value) -> bool:
     """True for a finite real number that a float can hold; JSON's
     booleans are not numbers."""
-    if type(value) is float:   # most values, without the slower ABC check below
+    if isinstance(value, float):   # most values, numpy's float64 too, without the ABC check
         return math.isfinite(value)
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    if type(value) is not int and (not isinstance(value, numbers.Real) or isinstance(value, bool)):
         return False
     try:
         return math.isfinite(value)
@@ -51,8 +51,11 @@ def is_number(value) -> bool:
 def check_count(name: str, value, minimum: int) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
     of at least ``minimum``; a numpy integer counts, a boolean does not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {reprlib.repr(value)}")
+    # An exact int, as most counts are, skips the slower ABC check.
+    if (type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral)) \
+            and value >= minimum:
+        return
+    raise ValueError(f"{name} must be an integer >= {minimum}, got {reprlib.repr(value)}")
 
 
 def check_number(name: str, value, minimum: float = -math.inf, above: bool = False) -> None:

@@ -49,17 +49,29 @@ class ObjectiveProblem:
     Thompson batch draws all its statistics from one generator, and a
     baseline run all its probes.
 
-    A callable may also accept numpy's ``size`` keyword:
-    ``evaluate_statistic(beta, rng, size=k)`` then returns ``k`` draws as
-    a float array, taken from ``rng`` in the same order as ``k`` scalar
-    calls.  :func:`draw_statistics`, which both optimizers call, reads this
-    from the signature once per problem; the baseline then draws each
-    probe in one call, and calls a callable without it once per draw.  The
-    built-in ``synthetic-powerlaw``, ``gamma-noise``, ``heteroscedastic``
-    and ``shifted-lognormal`` kinds take ``size``.  ``srom-standin`` does
-    not: most of a draw's cost is its 8000 standard normals, which one call
-    per probe cannot save, and a version solving a probe's draws as one
-    stacked array was measured slower.
+    A callable may also accept two keywords.  Both optimizers call the
+    statistic through :func:`draw_statistics`, which reads them from its
+    signature once per problem (through ``functools.wraps`` wrappers too):
+
+    * numpy's ``size``: ``evaluate_statistic(beta, rng, size=k)`` returns
+      ``k`` draws at ``beta`` as a float array, taken from ``rng`` in the
+      same order as ``k`` scalar calls.  The baseline then draws each probe
+      in one call.
+    * ``batch``, a list: ``evaluate_statistic(betas, rng, batch=out)``
+      appends to ``out`` the statistic at each beta of the sequence
+      ``betas`` in turn, as floats with the bits of one scalar call per
+      beta on ``rng``, and returns None.  A failure at a beta raises once
+      the values of the betas before it are appended, so that it is named.
+      The driver then draws each Thompson batch in one call.
+
+    A callable without them gets one scalar call per draw.  The built-in
+    ``synthetic-powerlaw``, ``gamma-noise``, ``heteroscedastic`` and
+    ``shifted-lognormal`` kinds take both: one ``standard_normal`` or
+    ``gamma`` call of all the draws, then each beta's ``check_beta``,
+    ``math.log`` and ``math.exp`` as in its scalar call.
+    ``srom-standin`` takes neither: most of a draw's cost is its 8000
+    standard normals, which one call per probe cannot save, and a version
+    solving a probe's draws as one stacked array was measured slower.
 
     The statistic is defined for beta > ``beta_floor``: 0 for every
     built-in kind but ``heteroscedastic``, whose floor is 1.
@@ -75,24 +87,39 @@ class ObjectiveProblem:
         check_number("s0", self.s0, 0.0, above=True)
 
     @cached_property
-    def _takes_size(self) -> bool:
-        """True when ``evaluate_statistic`` accepts numpy's ``size`` keyword."""
+    def _keywords(self) -> frozenset:
+        """The names of the parameters of ``evaluate_statistic``."""
         try:
-            return "size" in inspect.signature(self.evaluate_statistic).parameters
+            return frozenset(inspect.signature(self.evaluate_statistic).parameters)
         except (TypeError, ValueError):     # no signature to read: call per draw
-            return False
+            return frozenset()
+
+    @cached_property
+    def _takes_size(self) -> bool:
+        return "size" in self._keywords
+
+    @cached_property
+    def _takes_batch(self) -> bool:
+        return "batch" in self._keywords
 
 
 def draw_statistics(problem: ObjectiveProblem, betas, rng, size=None, iteration=None) -> list:
-    """The statistic at each of ``betas`` in turn, every draw from the one
-    generator ``rng``: a float per beta, or with ``size`` an array of
-    ``size`` draws, from one ``size=k`` call when the problem takes
-    ``size``, else from k scalar calls.  A failure is raised as
-    :class:`EvaluationFailure` naming beta and, when given, ``iteration``."""
+    """The statistic at each of the sequence ``betas`` in turn, every draw
+    from the one generator ``rng``: a float per beta, from one ``batch``
+    call when the problem takes ``batch``, else from a scalar call each; or
+    with ``size`` an array of ``size`` draws per beta, from one ``size=k``
+    call when the problem takes ``size``, else from k scalar calls.  A
+    failure is raised as :class:`EvaluationFailure` naming beta and, when
+    given, ``iteration``."""
     statistic = problem.evaluate_statistic
-    sized = size is not None and problem._takes_size
     out = []
     try:
+        if size is None and len(betas) and problem._takes_batch:
+            statistic(betas, rng, batch=out)
+            if len(out) != len(betas):
+                raise ValueError(f"batch of {len(betas)} betas returned {len(out)} values")
+            return out
+        sized = size is not None and problem._takes_size
         for beta in betas:
             if size is None:
                 out.append(float(statistic(beta, rng)))
@@ -104,6 +131,7 @@ def draw_statistics(problem: ObjectiveProblem, betas, rng, size=None, iteration=
                     raise ValueError(f"size={size} returned shape {draws.shape}")
                 out.append(draws)
     except Exception as exc:
+        beta = betas[min(len(out), len(betas) - 1)]   # the first beta without a value
         context = "" if iteration is None else f" (iteration {iteration})"
         raise EvaluationFailure(f"statistic evaluation failed at beta={beta:g}{context}: {exc}",
                                 iteration=iteration, beta=beta) from exc
@@ -133,20 +161,37 @@ def target_for_optimum(a: float, ln_b: float, eps2: float, beta_opt: float) -> f
     return math.exp(ln_s0)
 
 
-def _exp_affine(center: float, sigma: float, z):
-    """``exp(center + sigma * z)``: ``math.exp`` of a scalar draw z, and
-    ``np.exp`` of a sized draw array in place.  Both take the same normals,
-    but numpy's SIMD ``exp`` may differ from ``math.exp`` in the last bits.
-    Both raise ``OverflowError`` when a draw's exp is beyond float range:
-    the sized path hands its largest exponent to ``math.exp`` first, found
-    by ``argmax``, which costs a third of ``max``."""
-    if isinstance(z, np.ndarray):
-        z *= sigma
+def _lognormal(law: Callable[[float], tuple[float, float]], shift: float = 0.0):
+    """The statistic ``shift + exp(center + spread * z)``, z standard normal,
+    with ``(center, spread) = law(beta)``; ``law`` checks beta.
+
+    A scalar draw and each value of a ``batch`` are ``math.exp`` of one
+    normal, and so have the same bits; a sized draw is ``np.exp`` of its
+    array in place, whose SIMD ``exp`` may differ from ``math.exp`` in the
+    last bits.  All raise ``OverflowError`` when a draw's exp is beyond
+    float range: the sized path hands its largest exponent to ``math.exp``
+    first, found by ``argmax``, which costs a third of ``max``.
+    """
+    def evaluate_statistic(beta, rng, size=None, batch=None):
+        if batch is not None:
+            for beta_i, z in zip(beta, rng.standard_normal(len(beta)).tolist()):
+                center, spread = law(beta_i)
+                batch.append(shift + math.exp(center + spread * z))
+            return None
+        center, spread = law(beta)
+        z = rng.standard_normal(size)
+        if size is None:
+            return shift + math.exp(center + spread * z)
+        z *= spread
         z += center
         if z.size:
             math.exp(z[z.argmax()])
-        return np.exp(z, out=z)
-    return math.exp(center + sigma * z)
+        np.exp(z, out=z)
+        if shift:
+            z += shift
+        return z
+
+    return evaluate_statistic
 
 
 def _check_law(a: float, ln_b: float) -> None:
@@ -190,11 +235,7 @@ def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: Optional[float] =
         s0 = target_for_optimum(a, ln_b, eps2, beta_opt)
     b = _scale(a, ln_b)
     sigma = math.sqrt(eps2)
-
-    def evaluate_statistic(beta, rng, size=None):
-        beta = check_beta(beta)
-        return _exp_affine(a * math.log(beta) + ln_b, sigma, rng.standard_normal(size))
-
+    evaluate_statistic = _lognormal(lambda beta: (a * math.log(check_beta(beta)) + ln_b, sigma))
     ln_opt = log_argmin_float(a, ln_b, eps2, s0)
     truth = ProblemTruth(a=a, b=b, eps2=eps2,
                          beta_opt=math.exp(ln_opt) if abs(ln_opt) <= _LOG_MAX else None)
@@ -212,9 +253,12 @@ def gamma_noise(a: float, ln_b: float, s0: float, shape: float = 4.0) -> Objecti
     _scale(a, ln_b)
     check_number("shape", shape, 0.0, above=True)
 
-    def evaluate_statistic(beta, rng, size=None):
-        beta = check_beta(beta)
-        scale = math.exp(a * math.log(beta) + ln_b)
+    def evaluate_statistic(beta, rng, size=None, batch=None):
+        if batch is not None:
+            for beta_i, noise in zip(beta, rng.gamma(shape, 1.0 / shape, len(beta)).tolist()):
+                batch.append(math.exp(a * math.log(check_beta(beta_i)) + ln_b) * noise)
+            return None
+        scale = math.exp(a * math.log(check_beta(beta)) + ln_b)
         noise = rng.gamma(shape, 1.0 / shape, size)
         return scale * noise if size is None else np.multiply(noise, scale, out=noise)
 
@@ -229,15 +273,14 @@ def heteroscedastic(a: float, ln_b: float, s0: float, eps_base: float = 0.2,
     check_number("eps_base", eps_base)
     check_number("eps_slope", eps_slope)
 
-    def evaluate_statistic(beta, rng, size=None):
+    def law(beta):
         beta = check_beta(beta)
         if beta <= 1.0:
             raise ValueError("heteroscedastic kind is defined for beta > 1")
         ln_beta = math.log(beta)
-        eps = eps_base + eps_slope / ln_beta
-        return _exp_affine(a * ln_beta + ln_b, eps, rng.standard_normal(size))
+        return a * ln_beta + ln_b, eps_base + eps_slope / ln_beta
 
-    return ObjectiveProblem(evaluate_statistic, s0=s0, label="heteroscedastic", beta_floor=1.0)
+    return ObjectiveProblem(_lognormal(law), s0=s0, label="heteroscedastic", beta_floor=1.0)
 
 
 def shifted_lognormal(a: float, ln_b: float, eps2: float, s0: float,
@@ -248,12 +291,8 @@ def shifted_lognormal(a: float, ln_b: float, eps2: float, s0: float,
     check_number("eps2", eps2, 0.0)
     check_number("shift", shift, 0.0)
     sigma = math.sqrt(eps2)
-
-    def evaluate_statistic(beta, rng, size=None):
-        beta = check_beta(beta)
-        return shift + _exp_affine(a * math.log(beta) + ln_b, sigma, rng.standard_normal(size))
-
-    return ObjectiveProblem(evaluate_statistic, s0=s0, label="shifted-lognormal")
+    statistic = _lognormal(lambda beta: (a * math.log(check_beta(beta)) + ln_b, sigma), shift)
+    return ObjectiveProblem(statistic, s0=s0, label="shifted-lognormal")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,14 @@ as its formula, with the temporaries the package's version saves.
 probe through numpy's ``mean`` and ``std``, the reference for
 ``baselines._moments``.
 
+For the BO record's array pass: :func:`sample_posterior`, :func:`fit`
+and :func:`cholesky_2x2` are ``glm``'s functions in their earlier forms,
+with a fresh array per step; :func:`thompson_batch` clamps one proposal
+at a time through ``acquisition.clamp_log_float``; :func:`draw_per_beta`
+is the draw loop of one scalar statistic call per beta.  ``install``
+puts them back too.  :func:`is_number` and :func:`count_ok` are the
+``jsonio`` rules through the ``numbers`` ABCs alone.
+
 For ``scalebo diagnose``: :func:`load_csv` parses a copy of the dataset's
 body, :func:`mean_std` is a sample's ``mean`` and ``std``,
 :func:`shift_profile` reads each shift's moments through numpy's
@@ -32,11 +40,14 @@ import csv
 import dataclasses
 import io
 import math
+import numbers
 
 import numpy as np
 
 from scalebo import acquisition, diagnostics, glm, posterior, problems
-from scalebo.errors import SurrogateOverflow
+from scalebo.errors import (DegenerateVariance, InsufficientData, RankDeficient,
+                            SurrogateOverflow)
+from scalebo.jsonio import check_bounds, check_count
 
 
 def clamp_log(ln_beta, bounds):
@@ -142,17 +153,105 @@ def ingest(points):
     return glm.LogDataset(beta[keep], s[keep]), int(beta.size - np.count_nonzero(keep))
 
 
+def sample_posterior(fit, count, rng):
+    """``glm.sample_posterior`` as a fresh array per step, the coefficients
+    as one ``(count, 2)`` block shifted by ``coef_hat``."""
+    check_count("count", count, 1)
+    if fit.s2 <= 0.0:
+        raise DegenerateVariance("residual variance is zero; posterior over eps2 collapses")
+    chi2 = rng.gamma(shape=0.5 * fit.dof, scale=2.0, size=count)
+    eps2 = fit.dof * fit.s2 / chi2
+    z = rng.standard_normal((count, glm.NUM_COEF))
+    coefs = fit.coef_hat + np.sqrt(eps2)[:, None] * (z @ fit.cholesky.T)
+    return coefs[:, 0], coefs[:, 1], eps2
+
+
+def cholesky_2x2(v):
+    """``glm._cholesky_2x2`` reading the matrix's entries one index at a time."""
+    l00 = math.sqrt(v[0, 0]) if v[0, 0] > 0.0 else math.nan
+    l10 = float(v[1, 0]) / l00
+    d11 = float(v[1, 1]) - l10 * l10
+    if not d11 > 0.0:
+        raise np.linalg.LinAlgError("v_theta is not positive definite")
+    return np.array([[l00, 0.0], [l10, math.sqrt(d11)]])
+
+
+def fit(data):
+    """``glm.fit`` through ``ndarray.sum``, a fresh residual array and
+    ``V_theta`` divided by Sxx as an array."""
+    n = data.n
+    if n < glm.NUM_COEF + 1:
+        raise InsufficientData(f"need at least {glm.NUM_COEF + 1} rows, got {n}")
+    x, y = np.log(data.beta), np.log(data.s)
+    x_bar, y_bar = float(x.sum()) / n, float(y.sum()) / n
+    xc, yc = x - x_bar, y - y_bar
+    sxx = float(xc @ xc)
+    r_diag = (float(x @ x), math.sqrt(n * sxx))
+    if min(r_diag) <= glm.RANK_RTOL * max(r_diag):
+        raise RankDeficient("design matrix is rank deficient: beta values are all equal")
+    a = float(xc @ yc) / sxx
+    resid = yc - a * xc
+    dof = n - glm.NUM_COEF
+    v_theta = np.array([[1.0, -x_bar], [-x_bar, sxx / n + x_bar * x_bar]]) / sxx
+    try:
+        cholesky_2x2(v_theta)
+    except np.linalg.LinAlgError:
+        raise RankDeficient(
+            "beta values are too tightly clustered: the posterior covariance of "
+            "the coefficients is not positive definite in floating point"
+        ) from None
+    return glm.GlmFit(coef_hat=np.array([a, y_bar - a * x_bar]),
+                      s2=float(resid @ resid) / dof, v_theta=v_theta, dof=dof)
+
+
+def thompson_batch(fit, s0, batch_size, bounds, rng):
+    """``acquisition.thompson_batch`` through one ``clamp_log_float`` call
+    per proposal."""
+    check_count("batch_size", batch_size, 1)
+    check_bounds(bounds)
+    ln_star = acquisition.log_argmin(*glm.sample_posterior(fit, batch_size, rng), s0)
+    ln_lo, ln_hi = math.log(bounds[0]), math.log(bounds[1])
+    return acquisition.ThompsonBatch(
+        betas=[acquisition.clamp_log_float(x, bounds) for x in ln_star.tolist()],
+        clamped_count=sum(x < ln_lo or x > ln_hi for x in ln_star.tolist()))
+
+
+def draw_per_beta(problem, betas, rng):
+    """The statistic at each of ``betas`` by one scalar call each, in turn."""
+    return [float(problem.evaluate_statistic(beta, rng)) for beta in betas]
+
+
+def is_number(value):
+    """``jsonio.is_number`` through the ``numbers.Real`` ABC alone."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def count_ok(value, minimum):
+    """Whether ``jsonio.check_count`` takes ``value``, through the
+    ``numbers.Integral`` ABC alone."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= minimum
+
+
 def install(monkeypatch):
     """Run the package on the oracles: each record's helpers, the clamp,
-    the ingest of every row drawn so far and a Cholesky factor computed at
-    every draw."""
+    the ingest of every row drawn so far, the fit, posterior sampling with
+    a Cholesky factor computed at every draw, the Thompson batch clamped
+    per proposal and one scalar statistic call per beta."""
     monkeypatch.setattr(acquisition, "clamp_log_float", clamp_log_float)
+    monkeypatch.setattr(acquisition, "thompson_batch", thompson_batch)
     monkeypatch.setattr(posterior, "point_estimate", point_estimate)
     monkeypatch.setattr(posterior, "summarize", posterior_summary)
     monkeypatch.setattr(posterior, "stop_reading", stop_reading)
     monkeypatch.setattr(glm, "ingest", ingest)
-    monkeypatch.setattr(glm.GlmFit, "cholesky",
-                        property(lambda fit: glm._cholesky_2x2(fit.v_theta)))
+    monkeypatch.setattr(glm, "fit", fit)
+    monkeypatch.setattr(glm, "sample_posterior", sample_posterior)
+    monkeypatch.setattr(glm.GlmFit, "cholesky", property(lambda fit: cholesky_2x2(fit.v_theta)))
+    monkeypatch.setattr(problems.ObjectiveProblem, "_takes_batch", property(lambda _: False))
 
 
 def qr_sine_basis(n):

@@ -32,12 +32,13 @@ def calibrated_problem():
 
 def recording(problem, log):
     """``problem`` with its statistic wrapped to append ``(size, rng
-    state)`` to ``log`` before each call; the signature is kept."""
+    state)`` to ``log`` before each call; the signature is kept, and each
+    keyword passed on."""
 
     @functools.wraps(problem.evaluate_statistic)
-    def statistic(beta, rng, size=None):
-        log.append((size, rng.bit_generator.state))
-        return problem.evaluate_statistic(beta, rng, size=size)
+    def statistic(beta, rng, **keywords):
+        log.append((keywords.get("size"), rng.bit_generator.state))
+        return problem.evaluate_statistic(beta, rng, **keywords)
 
     return dataclasses.replace(problem, evaluate_statistic=statistic)
 

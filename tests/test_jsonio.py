@@ -24,6 +24,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import oracles
 from oracles import json_safe
 from scalebo import acquisition, baselines, config, diagnostics, driver, glm, jsonio, problems
 from scalebo.jsonio import check_bounds, check_count, check_number, from_json, write_json
@@ -390,6 +391,28 @@ class Real(float):
 
 class Name(str):
     """A str subclass that numpy does not define: refused, as a key too."""
+
+
+# Every form of value that the rules meet: exact ints and floats, numpy's
+# scalars, subclasses, other numbers of the numbers tower, and none at all.
+ANY_VALUE = st.one_of(
+    REALS, NOT_NUMBERS, NOT_INTEGERS,
+    st.just(Code.ONE), st.floats().map(Real),
+    st.fractions(), st.decimals(allow_nan=False), st.complex_numbers(max_magnitude=10),
+    st.sampled_from([np.int8(-3), np.uint8(7), np.float32("inf"), np.longdouble(2.5)]),
+)
+
+
+@given(value=ANY_VALUE, minimum=st.integers(-3, 4))
+def test_the_fast_paths_keep_the_abc_rules(value, minimum):
+    # is_number and check_count test an exact float or int first; what
+    # each takes and refuses is still what the numbers ABCs alone decide.
+    assert jsonio.is_number(value) is oracles.is_number(value)
+    if oracles.count_ok(value, minimum):
+        check_count("n0", value, minimum)
+    else:
+        with pytest.raises(ValueError, match=f"^n0 must be an integer >= {minimum}, got "):
+            check_count("n0", value, minimum)
 
 
 FLOATS = st.one_of(
