@@ -90,24 +90,18 @@ class McObjective:
         for name, minimum in (("mc_samples", 1), ("seed", 0), ("threads", 1)):
             check_count(name, getattr(self, name), minimum)
         self._cache: dict[float, ProbeStats] = {}
-        self._order: list[ProbeStats] = []   # the cache's probes, in evaluation order
         self._rng = rng_stream(self.seed, STREAMS["baseline"])
 
     @property
     def probes(self) -> list[ProbeStats]:
-        """All cached probes in evaluation order, as a new list: a probe is
-        never removed or re-drawn."""
-        return list(self._order)
+        """All cached probes in evaluation order, which is the cache's
+        insertion order: a probe is never removed or re-drawn."""
+        return list(self._cache.values())
 
     @property
     def probe_count(self) -> int:
         """The number of cached probes, without the copy that ``probes`` makes."""
-        return len(self._order)
-
-    def latest(self, count: int) -> list[ProbeStats]:
-        """The last ``count`` probes (all, if fewer) in evaluation order,
-        without copying the others."""
-        return self._order[-count:]
+        return len(self._cache)
 
     def probe(self, beta: float) -> ProbeStats:
         key = check_beta(beta)
@@ -131,7 +125,6 @@ class McObjective:
             s_draws=draws,
         )
         self._cache[key] = stats
-        self._order.append(stats)
         self.evaluations_used += draws.size
         return stats
 
@@ -157,7 +150,7 @@ def _noise_floor(obj: McObjective) -> bool:
     error of their means exceeds the spread of the means, further
     bracketing only chases noise.
     """
-    recent = obj.latest(3)
+    recent = obj.probes[-3:]
     if len(recent) < 3:
         return False
     means = [p.mean for p in recent]

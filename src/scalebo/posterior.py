@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import acquisition, glm
 
 # Posterior draws behind each per-iteration beta* summary.
@@ -27,23 +25,6 @@ SIGN_LEVEL = 0.025
 # Relative width of the plug-in objective's optimal region that the 95%
 # beta* interval must lie inside for a record to count as settled.
 STOP_REGION_REL = 0.10
-
-
-def _order_statistics(draws: int, probs) -> tuple[np.ndarray, list[float]]:
-    """The indices of the order statistics that ``np.quantile`` (method
-    ``linear``) interpolates between for each of ``probs``, below and
-    above in turn, and the weight ``t`` of the one above."""
-    indices, weights = [], []
-    for prob in probs:
-        virtual = (draws - 1) * prob
-        lo = math.floor(virtual)
-        indices += [lo, min(lo + 1, draws - 1)]
-        weights.append(virtual - lo)
-    return np.array(indices), weights
-
-
-# The order statistics behind the summary's 2.5/50/97.5% quantiles.
-_SUMMARY_INDICES, _SUMMARY_WEIGHTS = _order_statistics(SUMMARY_DRAWS, (0.025, 0.5, 0.975))
 
 
 @dataclass(frozen=True)
@@ -99,25 +80,27 @@ def summarize(fit: glm.GlmFit, s0: float, bounds: tuple[float, float], rng) -> P
 
     The quantiles are ``np.quantile``'s (method ``linear``) of the clamped
     draws, read from order statistics: clamping is monotone, so the draws
-    of ln beta* are sorted once unclamped, and only the six order
-    statistics the quantiles interpolate between, whose indices are fixed,
-    are clamped, as one array.
+    of ln beta* are sorted once unclamped, in place, and only the at most
+    six order statistics the quantiles interpolate between are clamped.
     """
     p = p_a_positive(fit)
     if not fit.s2 > 0.0:
         pe = point_estimate(fit, s0, bounds)
         return PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0, p_a_positive=p)
-    ln_star = acquisition.log_argmin(*glm.sample_posterior(fit, SUMMARY_DRAWS, rng), s0)
-    ln_star.sort()
-    ends, _ = acquisition.clamp_log_array(ln_star[_SUMMARY_INDICES], bounds)
-    ends = ends.tolist()
+    draws = SUMMARY_DRAWS
+    ordered = acquisition.log_argmin(*glm.sample_posterior(fit, draws, rng), s0)
+    ordered.sort()
     quantiles = []
-    for below, above, t in zip(ends[::2], ends[1::2], _SUMMARY_WEIGHTS):
+    for prob in (0.025, 0.5, 0.975):
+        virtual = (draws - 1) * prob
+        lo = math.floor(virtual)
+        t = virtual - lo
+        below = acquisition.clamp_log_float(ordered[lo], bounds)
+        above = acquisition.clamp_log_float(ordered[min(lo + 1, draws - 1)], bounds)
         diff = above - below
         quantiles.append(above - diff * (1 - t) if t >= 0.5 else below + diff * t)
     q025, q500, q975 = quantiles
-    return PosteriorSummary(q025=q025, q500=q500, q975=q975, draws=SUMMARY_DRAWS,
-                            p_a_positive=p)
+    return PosteriorSummary(q025=q025, q500=q500, q975=q975, draws=draws, p_a_positive=p)
 
 
 def stop_reading(fit: glm.GlmFit, summary: PosteriorSummary, s0: float,

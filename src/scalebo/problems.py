@@ -51,7 +51,8 @@ class ObjectiveProblem:
 
     A callable may also accept two keywords.  Both optimizers call the
     statistic through :func:`draw_statistics`, which reads them from its
-    signature once per problem (through ``functools.wraps`` wrappers too):
+    signature once per problem (through ``functools.wraps`` wrappers that
+    forward ``**kwargs`` too, see :func:`_declares`):
 
     * numpy's ``size``: ``evaluate_statistic(beta, rng, size=k)`` returns
       ``k`` draws at ``beta`` as a float array, taken from ``rng`` in the
@@ -87,20 +88,31 @@ class ObjectiveProblem:
         check_number("s0", self.s0, 0.0, above=True)
 
     @cached_property
-    def _keywords(self) -> frozenset:
-        """The names of the parameters of ``evaluate_statistic``."""
-        try:
-            return frozenset(inspect.signature(self.evaluate_statistic).parameters)
-        except (TypeError, ValueError):     # no signature to read: call per draw
-            return frozenset()
-
-    @cached_property
     def _takes_size(self) -> bool:
-        return "size" in self._keywords
+        return _declares(self.evaluate_statistic, "size")
 
     @cached_property
     def _takes_batch(self) -> bool:
-        return "batch" in self._keywords
+        return _declares(self.evaluate_statistic, "batch")
+
+
+def _declares(statistic, keyword: str) -> bool:
+    """Whether ``statistic`` takes ``keyword``: its own signature names it,
+    or takes ``**kwargs`` and wraps (``__wrapped__``, as ``functools.wraps``
+    sets) a callable that declares it.  So a tracer forwarding every keyword
+    keeps the wrapped statistic's forms, and a wrapper naming only ``size``
+    does not take ``batch``."""
+    while True:
+        try:
+            parameters = inspect.signature(statistic, follow_wrapped=False).parameters
+        except (TypeError, ValueError):     # no signature to read: call per draw
+            return False
+        if keyword in parameters:
+            return True
+        forwards = any(p.kind is p.VAR_KEYWORD for p in parameters.values())
+        statistic = getattr(statistic, "__wrapped__", None)
+        if not forwards or statistic is None:
+            return False
 
 
 def draw_statistics(problem: ObjectiveProblem, betas, rng, size=None, iteration=None) -> list:

@@ -95,6 +95,39 @@ class TestBatchStatistic:
         assert hexes(got) == hexes(oracles.draw_per_beta(problem, betas,
                                                          np.random.default_rng(3)))
 
+    @pytest.mark.parametrize("form", ["size-only", "no-keywords", "kwargs-unwrapped"])
+    def test_a_wrapper_that_cannot_pass_batch_gets_scalar_calls(self, form):
+        # Through functools.wraps a wrapper shows the signature of the
+        # statistic it wraps, batch included, but one naming only size, or
+        # no keyword, cannot pass batch on; a **kwargs callable wrapping
+        # nothing does not say what it forwards.  Each gets one scalar
+        # call per beta, in a driver record too, with the same bits.
+        problem = EXAMPLES["synthetic-powerlaw"]
+        statistic, calls = problem.evaluate_statistic, []
+        if form == "size-only":
+            @functools.wraps(statistic)
+            def wrapper(beta, rng, size=None):
+                calls.append(size)
+                return statistic(beta, rng, size=size)
+        elif form == "no-keywords":
+            @functools.wraps(statistic)
+            def wrapper(beta, rng):
+                calls.append(None)
+                return statistic(beta, rng)
+        else:
+            def wrapper(beta, rng, **keywords):
+                calls.append(keywords.get("size"))
+                return statistic(beta, rng, **keywords)
+        wrapped = problems.ObjectiveProblem(wrapper, s0=problem.s0)
+        assert not wrapped._takes_batch
+        assert wrapped._takes_size is (form == "size-only")
+        config = driver.BoConfig(beta_min=10.0, beta_max=1000.0, s0=problem.s0, seed=4)
+        got, want = driver.run(config, wrapped), driver.run(config, problem)
+        assert calls == [None] * got.total_evaluations
+        assert [hexes(record.s_values) for record in got.iterations] \
+            == [hexes(record.s_values) for record in want.iterations]
+        assert got.final_estimate.hex() == want.final_estimate.hex()
+
     @pytest.mark.parametrize("kind, betas, bad, message", [
         ("synthetic-powerlaw", [20.0, 1000.0, 30.0], 1000.0, "math range error"),
         ("shifted-lognormal", [20.0, 1000.0, 30.0], 1000.0, "math range error"),

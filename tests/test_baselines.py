@@ -32,13 +32,12 @@ def calibrated_problem():
 
 def recording(problem, log):
     """``problem`` with its statistic wrapped to append ``(size, rng
-    state)`` to ``log`` before each call; the signature is kept, and each
-    keyword passed on."""
+    state)`` to ``log`` before each call; the signature is kept."""
 
     @functools.wraps(problem.evaluate_statistic)
-    def statistic(beta, rng, **keywords):
-        log.append((keywords.get("size"), rng.bit_generator.state))
-        return problem.evaluate_statistic(beta, rng, **keywords)
+    def statistic(beta, rng, size=None):
+        log.append((size, rng.bit_generator.state))
+        return problem.evaluate_statistic(beta, rng, size=size)
 
     return dataclasses.replace(problem, evaluate_statistic=statistic)
 
