@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class ProbeStats:
     beta: float
     mean: float      # mean of |s - s0|^2
     se: float        # standard error of that mean
-    count: int
     order: int       # probe index in evaluation order
     s_draws: np.ndarray
 
@@ -75,20 +74,21 @@ class McObjective:
     queries hit the cache and leave ``evaluations_used`` unchanged.  Every
     probe reads the next ``mc_samples`` draws of one generator, the run's
     ``"baseline"`` stream of :data:`scalebo.driver.STREAMS`, so a run's probes
-    depend on their order.  ``threads`` is deprecated and read by nothing: it is still
-    accepted, an integer >= 1, so that callers written for the earlier
-    thread pool still run.
+    depend on their order.  ``threads`` is deprecated: it is checked, an
+    integer >= 1, so that callers written for the earlier thread pool still
+    run, and not kept.
     """
 
     problem: ObjectiveProblem
     mc_samples: int = 1000
     seed: int = 0
-    threads: int = 1
+    threads: InitVar[int] = 1
     evaluations_used: int = field(init=False, default=0)
 
-    def __post_init__(self):
-        for name, minimum in (("mc_samples", 1), ("seed", 0), ("threads", 1)):
-            check_count(name, getattr(self, name), minimum)
+    def __post_init__(self, threads):
+        check_count("mc_samples", self.mc_samples, 1)
+        check_count("seed", self.seed, 0)
+        check_count("threads", threads, 1)
         self._cache: dict[float, ProbeStats] = {}
         self._rng = rng_stream(self.seed, STREAMS["baseline"])
 
@@ -120,7 +120,6 @@ class McObjective:
             beta=key,
             mean=mean,
             se=se,
-            count=draws.size,
             order=len(self._cache),
             s_draws=draws,
         )

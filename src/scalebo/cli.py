@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared, so
     callers must not change it.  Building it costs about as much as a small
     command; the cache pays off only when :func:`main` runs repeatedly in
-    one process.  Commands are bound to their functions in :func:`main`."""
+    one process.  Each command's parser names its ``cmd_*`` function as
+    ``handler``, which :func:`main` looks up at call time."""
     parser = argparse.ArgumentParser(prog="scalebo")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -57,13 +58,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="deprecated and ignored: statistics are drawn serially (N >= 1)")
     common.add_argument("--out", default=None, help="output directory")
 
-    sub.add_parser("optimize", parents=[common], help="run the surrogate optimizer")
-    sub.add_parser("baseline", parents=[common], help="run the MC 1-D baseline")
+    sub.add_parser("optimize", parents=[common], help="run the surrogate optimizer"
+                   ).set_defaults(handler="cmd_optimize")
+    sub.add_parser("baseline", parents=[common], help="run the MC 1-D baseline"
+                   ).set_defaults(handler="cmd_baseline")
 
     p_cmp = sub.add_parser("compare", help="compare an optimize run with a baseline run")
     p_cmp.add_argument("bo_dir", help="directory written by 'optimize'")
     p_cmp.add_argument("baseline_dir", help="directory written by 'baseline'")
     p_cmp.add_argument("--out", default=None, help="also write comparison.json here")
+    p_cmp.set_defaults(handler="cmd_compare")
 
     p_diag = sub.add_parser("diagnose", help="residual diagnostics for a beta,s dataset")
     p_diag.add_argument("--data", required=True, help="dataset CSV with header beta,s")
@@ -74,32 +78,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--beta", type=float, default=None,
                         help="beta slice for the family fits (default: largest group)")
     p_diag.add_argument("--out", default=None, help="output directory")
+    p_diag.set_defaults(handler="cmd_diagnose")
 
     p_fix = sub.add_parser("fixture", help="static structural fixture utilities")
     fix_sub = p_fix.add_subparsers(dest="action", required=True)
     p_exp = fix_sub.add_parser("export", help="write K, V, f_E, f_H as Matrix Market files")
     p_exp.add_argument("--out", default=None, help="output directory")
+    p_exp.set_defaults(handler="cmd_fixture_export")
     return parser
-
-
-def _command(args):
-    """The ``cmd_*`` function of the parsed command.  It is looked up at
-    call time, so a replaced ``cmd_*`` attribute (a test double, a tracing
-    wrapper) runs even though the parser is cached."""
-    if args.command == "fixture":  # its one action is export
-        return cmd_fixture_export
-    return {
-        "optimize": cmd_optimize,
-        "baseline": cmd_baseline,
-        "compare": cmd_compare,
-        "diagnose": cmd_diagnose,
-    }[args.command]
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _command(args)(args)
+        # By name at call time: a replaced cmd_* (a test double, a tracer) runs.
+        return globals()[args.handler](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -195,7 +188,7 @@ def cmd_baseline(args) -> int:
               ((probe.order, probe.beta, probe.s_draws.tolist(), "mc-probe")
                for probe in result.probes))
     write_csv(outdir / "probes.csv", ["order", "beta", "mean", "se", "count"],
-              ([p.order, p.beta, p.mean, p.se, p.count] for p in result.probes))
+              ([p.order, p.beta, p.mean, p.se, p.s_draws.size] for p in result.probes))
     write_json(outdir / "estimate.json", {
         "beta_hat": result.beta_hat,
         "evaluations": result.evaluations_used,

@@ -16,7 +16,7 @@ import json
 import math
 import reprlib
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -53,9 +53,9 @@ class BoConfig:
     ``max_iterations`` batches (see :func:`run`).  The run stops as
     ``converged`` after ``stop_window`` consecutive settled records (the
     initial fit counts); a window above ``max_iterations`` turns the stop
-    off.  ``stop_rel_tol`` is deprecated and read by nothing: it is still
-    accepted, finite and > 0, so that configs written for the earlier
-    drift rule still parse.
+    off.  ``stop_rel_tol`` is deprecated: it is checked, finite and > 0, so
+    that configs and traces written for the earlier drift rule still parse,
+    and not kept.
     """
 
     beta_min: float
@@ -64,18 +64,18 @@ class BoConfig:
     n0: int = 40
     batch_size: int = 10
     max_iterations: int = 25
-    stop_rel_tol: float = 0.01
+    stop_rel_tol: InitVar[float] = 0.01
     stop_window: int = 2
     seed: int = 0
     integer_beta: bool = False
 
-    def __post_init__(self):
+    def __post_init__(self, stop_rel_tol):
         if not isinstance(self.integer_beta, (bool, np.bool_)):
             raise ValueError(f"integer_beta must be true or false, "
                              f"got {reprlib.repr(self.integer_beta)}")
         check_bounds(self.bounds, self.integer_beta)
-        for name in ("s0", "stop_rel_tol"):
-            check_number(name, getattr(self, name), 0.0, above=True)
+        check_number("s0", self.s0, 0.0, above=True)
+        check_number("stop_rel_tol", stop_rel_tol, 0.0, above=True)
         # n0 >= 4 leaves two residual degrees of freedom at the first fit.
         for name, minimum in (("n0", 4), ("batch_size", 1), ("max_iterations", 1),
                               ("stop_window", 1), ("seed", 0)):

@@ -392,6 +392,16 @@ class TestRunArguments:
         assert written[0] == written[1]
         assert "threads" not in json.loads(written[0])
 
+    def test_stop_rel_tol_is_checked_but_not_written(self, tmp_path, command):
+        # The deprecated key parses, and no artifact names it: no stop rule reads it.
+        doc = json.loads(write_config(tmp_path / "base.json").read_text())
+        path = write_config(tmp_path / "run.json", bo={**doc["bo"], "stop_rel_tol": 0.004})
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert "stop_rel_tol" not in json.loads((out / "run.json").read_text())["bo"]
+        if command == "optimize":
+            assert "stop_rel_tol" not in json.loads((out / "trace.json").read_text())["config"]
+
     def test_problem_is_built_once(self, tmp_path, config_path, command, monkeypatch):
         built, build = [], config.build_problem
         monkeypatch.setattr(config, "build_problem",
@@ -405,7 +415,8 @@ class TestRunArguments:
         # checks run once per command.
         builds, check = [], driver.BoConfig.__post_init__
         monkeypatch.setattr(driver.BoConfig, "__post_init__",
-                            lambda bo: builds.append(bo.seed) or check(bo))
+                            lambda bo, stop_rel_tol: builds.append(bo.seed)
+                            or check(bo, stop_rel_tol))
         assert cli.main([command, "--config", str(config_path), "--seed", "5",
                          "--out", str(tmp_path / "out")]) == 0
         assert builds == [5]

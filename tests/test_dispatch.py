@@ -10,8 +10,9 @@ reasons, flags, record counts and evaluation counts must be equal, and
 final estimates within :data:`ULPS` units in the last place.  The bound
 was fixed before this test ran: 1,500 such runs on an AVX-512 machine
 differed by at most 7 ulps.  Where the CPU lacks the disabled features,
-or numpy does not know their names, both sides run the same loops and the
-check holds trivially.
+or numpy does not know their names, both sides run the same loops: the
+child reports the CPU features numpy enabled, and the test skips, naming
+them, when they equal this process's.
 
 The child imports this module, which imports only numpy and the package.
 """
@@ -54,7 +55,17 @@ def outcomes() -> list:
     return rows
 
 
-CHILD = "import json, test_dispatch; print(json.dumps(test_dispatch.outcomes()))"
+def cpu_features() -> list:
+    """The CPU features whose loops numpy's dispatch enabled in this process."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:   # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return sorted(name for name, enabled in __cpu_features__.items() if enabled)
+
+
+CHILD = ("import json, test_dispatch; "
+         "print(json.dumps([test_dispatch.cpu_features(), test_dispatch.outcomes()]))")
 
 
 def test_decisions_do_not_depend_on_cpu_dispatch():
@@ -65,7 +76,11 @@ def test_decisions_do_not_depend_on_cpu_dispatch():
     done = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    limited = json.loads(done.stdout.splitlines()[-1])
+    features, limited = json.loads(done.stdout.splitlines()[-1])
+    if features == cpu_features():
+        import pytest   # here: the children import this module, and need no pytest
+        pytest.skip(f"NPY_DISABLE_CPU_FEATURES={DISABLED!r} left numpy's dispatch as it was: "
+                    f"both processes enable {' '.join(features)}")
     native = outcomes()
     assert [row[:-1] for row in limited] == [row[:-1] for row in native]
     for mine, theirs in zip(native, limited):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from scalebo import acquisition, driver, glm, jsonio, posterior, problems
+from scalebo import acquisition, baselines, driver, glm, jsonio, posterior, problems
 from scalebo.driver import BoConfig
 from scalebo.errors import EvaluationFailure, RankDeficient, SurrogateOverflow
 
@@ -121,6 +121,19 @@ class TestBoConfig:
         settings.update(overrides)
         with pytest.raises(ValueError):
             BoConfig(**settings)
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: BoConfig(beta_min=10.0, beta_max=1000.0, s0=1.0, stop_rel_tol=v),
+         "stop_rel_tol"),
+        (lambda v: baselines.McObjective(problem=calibrated_problem(), threads=v), "threads"),
+    ], ids=["BoConfig.stop_rel_tol", "McObjective.threads"])
+    def test_deprecated_settings_are_checked_but_not_kept(self, make, name):
+        kept = make(3)
+        assert name not in vars(kept)
+        assert name not in {field.name for field in dataclasses.fields(kept)}
+        for refused in (0, True, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be .*, got {refused!r}$"):
+                make(refused)
 
     def test_numpy_integers_and_bools_accepted(self):
         config = BoConfig(beta_min=10.0, beta_max=1000.0, s0=1.0, n0=np.int64(12),
@@ -656,6 +669,23 @@ class TestTraceSerialization:
         assert loaded.flag is None
         assert all(math.isnan(rec.posterior.p_a_positive) for rec in loaded.iterations)
         assert loaded.iterations[-1].posterior.q975 == trace.iterations[-1].posterior.q975
+
+    def test_traces_with_stop_rel_tol_still_load(self, tmp_path, trace):
+        # Traces written while BoConfig kept stop_rel_tol hold it in config;
+        # it is checked as a config's is, and not kept.
+        doc = driver.trace_to_json_dict(trace)
+        doc["config"]["stop_rel_tol"] = 0.004
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        loaded = driver.load_trace(path)
+        assert loaded.config == trace.config
+        assert driver.trace_to_json_dict(loaded) == driver.trace_to_json_dict(trace)
+        doc["config"]["stop_rel_tol"] = -1.0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as refusal:
+            driver.load_trace(path)
+        assert str(refusal.value) == (
+            f"{path}: config: stop_rel_tol must be a finite number > 0, got -1.0")
 
     def test_json_keys_are_the_dataclass_fields_in_order(self, trace):
         def names(cls):
