@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 
 from . import baselines, config, diagnostics, driver, glm, problems
-from .errors import ConfigError, NoEligibleGroups, ScaleboError
+from .errors import ConfigError, InsufficientData, NoEligibleGroups, RankDeficient, ScaleboError
 from .jsonio import from_json, is_number, write_csv, write_json
 
 RUN_SCHEMA = "scalebo-run/1"
@@ -293,7 +293,10 @@ def cmd_diagnose(args) -> int:
         raise ConfigError(f"malformed dataset {data_path}: {exc}") from exc
 
     if args.fit == "self":
-        fit = glm.fit(data)
+        try:
+            fit = glm.fit(data)
+        except (InsufficientData, RankDeficient) as exc:
+            raise ConfigError(f"cannot fit dataset {data_path}: {exc}") from exc
     else:
         try:
             fit = from_json(glm.GlmFit, json.loads(Path(args.fit).read_text(encoding="utf-8")),

@@ -70,19 +70,25 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _split(section) -> tuple[str, dict]:
+    """``(kind, arguments)`` of a ``problem`` section, an object naming a kind."""
+    if not isinstance(section, dict):
+        raise ConfigError("'problem' must be an object")
+    arguments = dict(section)
+    kind = arguments.pop("kind", None)
+    if not isinstance(kind, str) or kind not in PROBLEM_KINDS:
+        raise ConfigError(f"problem.kind must be one of {list(PROBLEM_KINDS)}, "
+                          f"got {reprlib.repr(kind)}")
+    return kind, arguments
+
+
 def _canonical_section(doc_section: dict) -> dict:
     """A config's ``problem`` section as its builder's bound arguments:
     ``kind``, then every parameter, defaults applied, as the float the
     builder receives; a parameter left at ``None`` is omitted.  Spellings of
     one problem (``0`` or ``0.0``, a default implicit or written) give one
     dict, and that dict, as a section, builds the same problem."""
-    if not isinstance(doc_section, dict):
-        raise ConfigError("'problem' must be an object")
-    section = dict(doc_section)
-    kind = section.pop("kind", None)
-    if not isinstance(kind, str) or kind not in PROBLEM_KINDS:
-        raise ConfigError(f"problem.kind must be one of {list(PROBLEM_KINDS)}, "
-                          f"got {reprlib.repr(kind)}")
+    kind, section = _split(doc_section)
     try:
         bound = _signature(PROBLEM_KINDS[kind]).bind(**section)
     except TypeError as exc:
@@ -95,21 +101,14 @@ def _canonical_section(doc_section: dict) -> dict:
                              if value is not None}}
 
 
-class _CanonicalSection(dict):
-    """A section that :func:`_canonical_section` returned, which
-    :func:`build_problem` builds as it stands."""
-
-
-def build_problem(doc_section: dict) -> problems.ObjectiveProblem:
-    """Instantiate the configured problem; also resolves its target s0.
-    ``doc_section`` is a config's raw ``problem`` section, which is
-    canonicalized first, unless :func:`parse_config` already did."""
-    if not isinstance(doc_section, _CanonicalSection):
-        doc_section = _canonical_section(doc_section)
-    kind, arguments = doc_section["kind"], {k: v for k, v in doc_section.items() if k != "kind"}
+def build_problem(section: dict) -> problems.ObjectiveProblem:
+    """The problem of a ``problem`` section, raw or canonical: its keys go to
+    the kind's builder as they stand, and what the builder refuses (an
+    unknown or missing key, a bad value) is a :class:`ConfigError` naming the kind."""
+    kind, arguments = _split(section)
     try:
         return PROBLEM_KINDS[kind](**arguments)
-    except (ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {kind} problem: {exc}") from exc
 
 
@@ -127,7 +126,7 @@ def parse_config(doc: dict, seed: int | None = None) -> RunConfig:
         if key not in doc:
             raise ConfigError(f"config is missing required key {key!r}")
     problem_section = _canonical_section(doc["problem"])
-    problem = build_problem(_CanonicalSection(problem_section))
+    problem = build_problem(problem_section)
     try:   # a "bo" that is not an object is a TypeError too
         if seed is not None:   # the document must hold a valid seed all the same
             check_count("seed", doc["seed"], 0)

@@ -67,34 +67,19 @@ class ResidualReport:
     histogram: Optional[tuple[np.ndarray, np.ndarray]]   # (bin edges, counts)
 
 
-def residual_stats(
-    fit: glm.GlmFit, data: glm.LogDataset, min_per_beta: int = 1000
-) -> tuple[list[GroupStats], list[tuple[float, int]]]:
-    """Per-beta residual moments with unbiased estimators.
-
-    Residuals are grouped on exact beta values; groups smaller than
-    ``min_per_beta`` are dropped and returned separately rather than
-    diluting the moment estimates.  A moment is NaN in a group too small
-    for its estimator (std below 2 rows, skewness 3, kurtosis 4).
-
-    Returns
-    -------
-    (groups, dropped)
-        Retained group statistics sorted by beta, and (beta, count) pairs
-        of the dropped groups.
-
-    Raises
-    ------
-    NoEligibleGroups
-        No group meets the threshold.
-    """
-    return _group_stats(data.y - data.x @ fit.coef_hat, data.beta, min_per_beta)
-
-
 def _group_stats(
     resid: np.ndarray, row_beta: np.ndarray, min_per_beta: int
 ) -> tuple[list[GroupStats], list[tuple[float, int]]]:
-    """:func:`residual_stats` of the residuals ``resid`` of rows at ``row_beta``."""
+    """Per-beta moments, with unbiased estimators, of the residuals
+    ``resid`` of rows at ``row_beta``: ``(groups, dropped)``.
+
+    Residuals are grouped on exact beta values; groups smaller than
+    ``min_per_beta`` are dropped and returned separately, as (beta, count)
+    pairs, rather than diluting the moment estimates, and the retained
+    groups' statistics are sorted by beta.  A moment is NaN in a group too
+    small for its estimator (std below 2 rows, skewness 3, kurtosis 4).
+    Raises :class:`NoEligibleGroups` when no group meets the threshold.
+    """
     check_count("min_per_beta", min_per_beta, 1)
     # One stable sort splits the rows into beta groups, each in its rows'
     # original order, so every moment sums exactly what a mask would pick.

@@ -25,7 +25,7 @@ from .jsonio import check_bounds, check_count, check_number, dumps, from_json, w
 from .posterior import PosteriorSummary
 from .problems import ObjectiveProblem, draw_statistics, round_into_bounds
 
-TRACE_SCHEMA = "bo-trace/1"
+TRACE_SCHEMA = "bo-trace/2"
 
 # The header of both commands' trace.csv, which load_trace_csv checks.
 TRACE_CSV_HEADER = ("iteration", "beta", "s", "source")
@@ -107,10 +107,10 @@ class BoTrace:
 
     schema: str = TRACE_SCHEMA
     config: BoConfig
-    problem_label: str = ""
+    problem_label: str
     final_estimate: float
     stop_reason: str           # "budget" | "converged" | "degenerate-fit"
-    flag: str | None = None    # None | "unidentified" | "boundary-min" | "boundary-max"
+    flag: str | None           # None | "unidentified" | "boundary-min" | "boundary-max"
     total_evaluations: int
     rejected_total: int
     wall_clock_seconds: float
@@ -259,9 +259,8 @@ def save_trace(trace: BoTrace, path) -> None:
 def load_trace(path) -> BoTrace:
     """Read a trace written by :func:`save_trace` by its fields' types
     (:func:`~scalebo.jsonio.from_json`).  Every refusal names ``path``: a
-    ``TypeError`` for an unknown key, else a ``ValueError``.  Files written
-    before the posterior stop rule load without a ``flag`` (None) and with a
-    NaN ``p_a_positive``."""
+    ``TypeError`` for an unknown key, else a ``ValueError``, among them a
+    file of any schema but :data:`TRACE_SCHEMA`."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict) and doc.get("schema") != TRACE_SCHEMA:

@@ -94,27 +94,24 @@ def check_positive_array(name: str, values) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
-@functools.cache
-def _field_types(cls) -> dict:
-    """The type of each field of the dataclass ``cls``, an ``InitVar[T]`` as a T."""
-    return {name: hint.type if isinstance(hint, dataclasses.InitVar) else hint
-            for name, hint in typing.get_type_hints(cls).items()}
+# The type of each field of a dataclass, read once per class.
+_field_types = functools.cache(typing.get_type_hints)
 
 
 def from_json(kind, value, where, path=""):
     """The ``kind`` whose :func:`dumps` text parses to ``value``, read by type:
     a dataclass from an object of its fields (a missing key takes the
-    field's default, and an ``InitVar[T]`` reads as a T); ``list[T]`` from
-    an array; ``float`` by :func:`is_number`, or from ``null`` or a bare
-    NaN, which read as NaN; ``int``, ``bool`` and ``str`` from exactly that JSON type;
+    field's default); ``list[T]`` from an array; ``float`` by
+    :func:`is_number`, or from ``null``, which reads as NaN; ``int``,
+    ``bool`` and ``str`` from exactly that JSON type;
     ``np.ndarray`` from nested arrays of numbers; ``T | None`` from ``null``
     or a T.  Any other value raises ``ValueError`` naming ``where`` and the
-    field's ``path``, as in ``trace.json: iterations.0.posterior.draws``.  So
+    field's ``path``, as in ``trace.json: iterations.0.posterior.q025``.  So
     does a refusal of the dataclass's own checks, and an unknown key, which
     raises ``TypeError``."""
     args = typing.get_args(kind)
     if kind is float:   # first, as most values are floats
-        if value is None or (isinstance(value, float) and math.isnan(value)):
+        if value is None:
             return math.nan
         if is_number(value):
             return value

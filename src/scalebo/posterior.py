@@ -34,8 +34,7 @@ class PosteriorSummary:
     q025: float
     q500: float
     q975: float
-    draws: int                # SUMMARY_DRAWS, or 0 without draws (s2 = 0)
-    p_a_positive: float = math.nan   # NaN in traces written before the t tail
+    p_a_positive: float
 
     @property
     def a_identified(self) -> bool:
@@ -86,21 +85,20 @@ def summarize(fit: glm.GlmFit, s0: float, bounds: tuple[float, float], rng) -> P
     p = p_a_positive(fit)
     if not fit.s2 > 0.0:
         pe = point_estimate(fit, s0, bounds)
-        return PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0, p_a_positive=p)
-    draws = SUMMARY_DRAWS
-    ordered = acquisition.log_argmin(*glm.sample_posterior(fit, draws, rng), s0)
+        return PosteriorSummary(q025=pe, q500=pe, q975=pe, p_a_positive=p)
+    ordered = acquisition.log_argmin(*glm.sample_posterior(fit, SUMMARY_DRAWS, rng), s0)
     ordered.sort()
     quantiles = []
     for prob in (0.025, 0.5, 0.975):
-        virtual = (draws - 1) * prob
+        virtual = (SUMMARY_DRAWS - 1) * prob
         lo = math.floor(virtual)
         t = virtual - lo
         below = acquisition.clamp_log_float(ordered[lo], bounds)
-        above = acquisition.clamp_log_float(ordered[min(lo + 1, draws - 1)], bounds)
+        above = acquisition.clamp_log_float(ordered[min(lo + 1, SUMMARY_DRAWS - 1)], bounds)
         diff = above - below
         quantiles.append(above - diff * (1 - t) if t >= 0.5 else below + diff * t)
     q025, q500, q975 = quantiles
-    return PosteriorSummary(q025=q025, q500=q500, q975=q975, draws=draws, p_a_positive=p)
+    return PosteriorSummary(q025=q025, q500=q500, q975=q975, p_a_positive=p)
 
 
 def stop_reading(fit: glm.GlmFit, summary: PosteriorSummary, s0: float,

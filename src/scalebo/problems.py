@@ -20,23 +20,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .acquisition import _LOG_MAX, log_argmin_float
+from .acquisition import _LOG_MAX, SurrogateObjective
 from .errors import EvaluationFailure
 from .jsonio import check_number
 
 ROM_DIM = 8
 N_DOF = 1000   # the structural system's size
-
-
-@dataclass(frozen=True)
-class ProblemTruth:
-    """Generating parameters when analytically known; ``beta_opt`` is None
-    where exp(ln beta*) is not a positive float (a = 0 among them)."""
-
-    a: float
-    b: float
-    eps2: float
-    beta_opt: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -80,7 +69,7 @@ class ObjectiveProblem:
 
     evaluate_statistic: Callable[..., float]
     s0: float
-    truth: Optional[ProblemTruth] = None
+    truth: Optional[SurrogateObjective] = None
     label: str = ""
     beta_floor: float = 0.0
 
@@ -235,9 +224,10 @@ def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: Optional[float] =
     """Statistic drawn exactly from the log-log Gaussian generating law.
 
     ``s | beta = exp(a ln beta + ln_b + sqrt(eps2) z)`` with z standard
-    normal, so the surrogate model is correctly specified and the true
-    optimizer is known in closed form.  The target is given either as
-    ``s0`` or as the optimum ``beta_opt`` it induces
+    normal, so the surrogate model is correctly specified: the problem's
+    ``truth`` is the law's :class:`~scalebo.acquisition.SurrogateObjective`,
+    and ``argmin_closed_form(truth)`` its optimizer.  The target is given
+    either as ``s0`` or as the optimum ``beta_opt`` it induces
     (:func:`target_for_optimum`).
     """
     check_number("eps2", eps2, 0.0)
@@ -245,12 +235,9 @@ def synthetic_powerlaw(a: float, ln_b: float, eps2: float, s0: Optional[float] =
         raise ValueError("synthetic-powerlaw needs exactly one of 's0' or 'beta_opt'")
     if beta_opt is not None:
         s0 = target_for_optimum(a, ln_b, eps2, beta_opt)
-    b = _scale(a, ln_b)
+    truth = SurrogateObjective(a, _scale(a, ln_b), eps2, s0)
     sigma = math.sqrt(eps2)
     evaluate_statistic = _lognormal(lambda beta: (a * math.log(check_beta(beta)) + ln_b, sigma))
-    ln_opt = log_argmin_float(a, ln_b, eps2, s0)
-    truth = ProblemTruth(a=a, b=b, eps2=eps2,
-                         beta_opt=math.exp(ln_opt) if abs(ln_opt) <= _LOG_MAX else None)
     return ObjectiveProblem(evaluate_statistic, s0=s0, truth=truth, label="synthetic-powerlaw")
 
 

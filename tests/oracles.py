@@ -91,13 +91,12 @@ def posterior_summary(fit, s0, bounds, rng):
     p_a_positive = posterior.p_a_positive(fit)
     if fit.s2 <= 0.0:
         pe = point_estimate(fit, s0, bounds)
-        return posterior.PosteriorSummary(q025=pe, q500=pe, q975=pe, draws=0,
-                                          p_a_positive=p_a_positive)
+        return posterior.PosteriorSummary(q025=pe, q500=pe, q975=pe, p_a_positive=p_a_positive)
     a, ln_b, eps2 = glm.sample_posterior(fit, posterior.SUMMARY_DRAWS, rng)
     values, _ = clamp_log(acquisition.log_argmin(a, ln_b, eps2, s0), bounds)
     q025, q500, q975 = linear_quantiles(values, [0.025, 0.5, 0.975])
     return posterior.PosteriorSummary(q025=float(q025), q500=float(q500), q975=float(q975),
-                                      draws=int(values.size), p_a_positive=p_a_positive)
+                                      p_a_positive=p_a_positive)
 
 
 def optimal_region_from(a, ln_b, eps2, s0, rel, bounds):

@@ -123,10 +123,7 @@ class TestAcceptance:
     def test_c4_data_efficiency_versus_golden_section(self):
         start = time.perf_counter()
         prob = calibrated_problem()
-        truth = prob.truth
-        region = acquisition.optimal_region(
-            SurrogateObjective(a=truth.a, b=truth.b, eps2=truth.eps2, s0=prob.s0), 0.10
-        )
+        region = acquisition.optimal_region(prob.truth, 0.10)
 
         bo_hits, bo_evals = 0, []
         for seed in range(20):

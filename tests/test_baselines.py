@@ -104,13 +104,10 @@ class TestMcObjective:
     def test_matches_analytic_objective_at_optimum(self):
         # The analytic induced objective is the oracle for the MC mean.
         prob = calibrated_problem()
-        truth = prob.truth
+        beta_opt = acquisition.argmin_closed_form(prob.truth)[0]
         obj = McObjective(problem=prob, mc_samples=1_000_000, seed=3)
-        stats = obj.probe(truth.beta_opt)
-        analytic = acquisition.evaluate(
-            acquisition.SurrogateObjective(a=truth.a, b=truth.b, eps2=truth.eps2, s0=prob.s0),
-            truth.beta_opt,
-        )
+        stats = obj.probe(beta_opt)
+        analytic = acquisition.evaluate(prob.truth, beta_opt)
         assert abs(stats.mean - analytic) <= 3.0 * stats.se
 
     @pytest.mark.parametrize("statistic", [
@@ -301,11 +298,7 @@ class TestGoldenSection:
         import scalebo
 
         prob = calibrated_problem()
-        truth = prob.truth
-        region = acquisition.optimal_region(
-            acquisition.SurrogateObjective(a=truth.a, b=truth.b, eps2=truth.eps2, s0=prob.s0),
-            0.10,
-        )
+        region = acquisition.optimal_region(prob.truth, 0.10)
         config = scalebo.BoConfig(beta_min=10.0, beta_max=1000.0, s0=prob.s0, seed=0)
         bo_estimate = scalebo.run(config, prob).final_estimate
         obj = McObjective(problem=prob, mc_samples=1000, seed=1000)

@@ -600,6 +600,21 @@ class TestDiagnose:
         bad.write_text("x,y\n1,2\n")
         assert cli.main(["diagnose", "--data", str(bad), "--out", str(tmp_path / "d")]) == 2
 
+    # Too few usable rows to fit, or a single beta: the dataset is a usage
+    # error of --fit self, named with its path, and nothing is written.
+    @pytest.mark.parametrize("body, message", [
+        ("", "need at least 3 rows, got 0"),
+        ("10.0,-1.0\n20.0,nan\n40.0,0.0\n80.0,inf\n", "need at least 3 rows, got 0"),
+        ("10.0,1.0\n10.0,2.0\n10.0,3.0\n", "design matrix is rank deficient"),
+    ], ids=["header-only", "all-rejected", "one-beta"])
+    def test_unfittable_dataset_exits_2_before_writing(self, tmp_path, body, message, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("beta,s\n" + body)
+        out = tmp_path / "diag"
+        assert cli.main(["diagnose", "--data", str(path), "--out", str(out)]) == 2
+        assert f"error: cannot fit dataset {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--min-per-beta", "--window"])
     def test_non_positive_count_exits_2_before_writing(self, tmp_path, dataset_path, flag,
                                                        capsys):

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalebo import cli, config, problems
-from scalebo.errors import ConfigError
+from scalebo.acquisition import argmin_closed_form
+from scalebo.errors import ConfigError, SurrogateOverflow
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -115,15 +116,22 @@ class TestProblemKinds:
         params = {k: v for k, v in MINIMAL["synthetic-powerlaw"].items() if k != "beta_opt"}
         via_s0 = config.build_problem({"kind": "synthetic-powerlaw", **params, "s0": via_opt.s0})
         assert via_s0.s0 == via_opt.s0
-        assert via_opt.truth.beta_opt == pytest.approx(101.0, rel=1e-12)
+        assert argmin_closed_form(via_opt.truth)[0] == pytest.approx(101.0, rel=1e-12)
 
     @pytest.mark.parametrize("a", [1e-11, -1e-11])
     def test_powerlaw_with_a_tiny_slope_builds(self, a):
-        # Its optimum, exp(+-3e10), is no float: the truth records none.
+        # Its optimum, exp(+-3e10), is no float: the truth's argmin raises.
         problem = config.build_problem({"kind": "synthetic-powerlaw", "a": a, "ln_b": 0,
                                         "eps2": 0.25, "s0": 2})
         assert problem.s0 == 2.0
-        assert problem.truth.beta_opt is None
+        with pytest.raises(SurrogateOverflow):
+            argmin_closed_form(problem.truth)
+
+    def test_a_null_target_is_absent_to_the_builder_but_refused_in_a_config(self):
+        section = {"kind": "synthetic-powerlaw", **MINIMAL["synthetic-powerlaw"], "s0": None}
+        problem = config.build_problem(section)
+        assert problem.s0 == config.build_problem(doc()["problem"]).s0
+        raises_naming("problem.s0", config.parse_config, doc(problem=section))
 
     def test_integer_values_are_numbers(self):
         problem = config.build_problem({"kind": "gamma-noise", "a": -1, "ln_b": 0, "s0": 1})

@@ -45,11 +45,17 @@ def naive_moments(x):
     return mean, std, skew, kurt
 
 
+def group_stats(fit, data, min_per_beta):
+    """``residual_report``'s retained groups and dropped (beta, count) pairs."""
+    report = diagnostics.residual_report(fit, data, min_per_beta=min_per_beta)
+    return report.per_beta, report.dropped
+
+
 class TestResidualStats:
     def test_gaussian_noise_moments(self):
         data = grouped_dataset(lambda rng, n: 1.0 * rng.standard_normal(n))
         fit = glm.fit(data)
-        groups, dropped = diagnostics.residual_stats(fit, data, min_per_beta=1000)
+        groups, dropped = group_stats(fit, data, min_per_beta=1000)
         assert dropped == []
         assert len(groups) == 3
         for g in groups:
@@ -64,7 +70,7 @@ class TestResidualStats:
             lambda rng, n: np.log(np.abs(rng.standard_normal(n))) + 0.6351814227860269
         )
         fit = glm.fit(data)
-        groups, _ = diagnostics.residual_stats(fit, data, min_per_beta=1000)
+        groups, _ = group_stats(fit, data, min_per_beta=1000)
         assert all(g.skewness < 0.0 for g in groups)
 
     def test_small_groups_dropped_and_reported(self):
@@ -75,7 +81,7 @@ class TestResidualStats:
         merged = glm.LogDataset(np.concatenate([data.beta, extra.beta]),
                                 np.concatenate([data.s, extra.s]))
         fit = glm.fit(merged)
-        groups, dropped = diagnostics.residual_stats(fit, merged, min_per_beta=1000)
+        groups, dropped = group_stats(fit, merged, min_per_beta=1000)
         assert [g.beta for g in groups] == [10.0, 100.0]
         assert dropped == [(400.0, 200)]
 
@@ -83,13 +89,13 @@ class TestResidualStats:
         data = grouped_dataset(lambda rng, n: 0.3 * rng.standard_normal(n), per_group=999)
         fit = glm.fit(data)
         with pytest.raises(NoEligibleGroups):
-            diagnostics.residual_stats(fit, data, min_per_beta=1000)
+            group_stats(fit, data, min_per_beta=1000)
 
     def test_moments_match_naive_reference(self):
         rng = np.random.default_rng(3)
         data = grouped_dataset(lambda r, n: r.gamma(2.0, 1.0, n) - 2.0, per_group=2000)
         fit = glm.fit(data)
-        groups, _ = diagnostics.residual_stats(fit, data, min_per_beta=1000)
+        groups, _ = group_stats(fit, data, min_per_beta=1000)
         resid = data.y - data.x @ fit.coef_hat
         for g in groups:
             ref = naive_moments(list(resid[data.beta == g.beta]))
@@ -106,7 +112,7 @@ class TestResidualStats:
         s = np.exp(-0.4 * np.log(beta) + 0.3 * rng.standard_t(4.0, beta.size))
         data, _ = glm.ingest(zip(beta, s))
         fit = glm.fit(data)
-        groups, dropped = diagnostics.residual_stats(fit, data, min_per_beta=90)
+        groups, dropped = group_stats(fit, data, min_per_beta=90)
         resid = data.y - data.x @ fit.coef_hat
         assert [g.beta for g in groups] + [b for b, _ in dropped] != []
         assert sorted([g.beta for g in groups] + [b for b, _ in dropped]) == list(np.unique(beta))
@@ -471,8 +477,9 @@ class TestReport:
     def test_parts_equal_the_public_passes(self, report_and_data):
         report, data = report_and_data
         fit = glm.fit(data)
-        assert (report.per_beta, report.dropped) == diagnostics.residual_stats(fit, data, 1000)
-        resid = (data.y - data.x @ fit.coef_hat)[data.beta == report.fit_beta]
+        resid = data.y - data.x @ fit.coef_hat
+        assert (report.per_beta, report.dropped) == diagnostics._group_stats(resid, data.beta, 1000)
+        resid = resid[data.beta == report.fit_beta]
         assert report.families == diagnostics.fit_residual_families(resid)
         edges, counts = diagnostics.histogram_fd(np.exp(resid))
         assert report.histogram[0].tobytes() == edges.tobytes()

@@ -234,7 +234,8 @@ class TestRun:
         assert trace.stop_reason == "degenerate-fit"
         assert trace.total_evaluations == 10
         assert len(trace.iterations) == 1
-        assert trace.final_estimate == pytest.approx(prob.truth.beta_opt, rel=1e-6)
+        assert trace.final_estimate == pytest.approx(acquisition.argmin_closed_form(prob.truth)[0],
+                                                     rel=1e-6)
 
     def test_noise_free_flat_problem_stops_unidentified_on_a_bound(self):
         # s = 1 at every beta against s0 = 2: an exact fit with a_hat = 0.
@@ -599,14 +600,14 @@ class TestTraceSerialization:
         assert all(math.isnan(getattr(summary, q)) for q in quantiles)
         assert driver.trace_to_json_dict(loaded) == doc
 
-    def test_bare_nan_tokens_still_load(self, tmp_path, trace):
+    def test_bare_nan_tokens_are_refused(self, tmp_path, trace):
+        # save_trace writes a NaN as null; a bare NaN token is no trace's.
         doc = driver.trace_to_json_dict(trace)
         doc["iterations"][0]["s_values"][0] = math.nan
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc, indent=2))   # NaN written as a bare token
-        loaded = driver.load_trace(path)
-        assert math.isnan(loaded.iterations[0].s_values[0])
-        assert loaded.iterations[0].s_values[1:] == trace.iterations[0].s_values[1:]
+        with pytest.raises(ValueError, match=r"old.json: iterations.0.s_values.0: expected float"):
+            driver.load_trace(path)
 
 
     @pytest.mark.parametrize("corrupt", [
@@ -632,14 +633,14 @@ class TestTraceSerialization:
         lambda doc: doc.update(rejected_total=-1.5),
         lambda doc: doc["iterations"][0].update(cumulative_evaluations=True),
         lambda doc: doc["iterations"][0].update(index="x"),
-        lambda doc: doc["iterations"][0]["posterior"].update(draws=2.5),
+        lambda doc: doc["iterations"][0]["fit"].update(dof=2.5),
         lambda doc: doc.update(stop_reason=7),
         lambda doc: doc["iterations"][-1].update(source=7),
         lambda doc: doc.update(flag=7),
         lambda doc: doc.update(problem_label=None),
         lambda doc: doc.update(iterations={}),
     ], ids=["total_evaluations-x", "rejected_total-1.5", "cumulative_evaluations-true",
-            "index-x", "draws-2.5", "stop_reason-7", "source-7", "flag-7", "problem_label-null",
+            "index-x", "dof-2.5", "stop_reason-7", "source-7", "flag-7", "problem_label-null",
             "iterations-object"])
     def test_mistyped_field_raises_naming_the_file(self, tmp_path, trace, corrupt):
         doc = driver.trace_to_json_dict(trace)
@@ -656,36 +657,25 @@ class TestTraceSerialization:
         with pytest.raises(ValueError, match="trace.json"):
             driver.load_trace(path)
 
-    def test_traces_without_flag_still_load(self, tmp_path, trace):
-        # Traces written before the posterior stop rule have no flag and
-        # no p_a_positive.
-        doc = driver.trace_to_json_dict(trace)
-        doc.pop("flag")
+    def test_bo_trace_1_files_are_refused(self, tmp_path, trace):
+        # A bo-trace/1 file, as the earlier writer laid it out: its schema,
+        # and a draws count in each posterior summary.  It is refused by
+        # name; re-running its config writes a bo-trace/2 trace.
+        doc = {**driver.trace_to_json_dict(trace), "schema": "bo-trace/1"}
         for item in doc["iterations"]:
-            item["posterior"].pop("p_a_positive")
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(doc))
-        loaded = driver.load_trace(path)
-        assert loaded.flag is None
-        assert all(math.isnan(rec.posterior.p_a_positive) for rec in loaded.iterations)
-        assert loaded.iterations[-1].posterior.q975 == trace.iterations[-1].posterior.q975
-
-    def test_traces_with_stop_rel_tol_still_load(self, tmp_path, trace):
-        # Traces written while BoConfig kept stop_rel_tol hold it in config;
-        # it is checked as a config's is, and not kept.
-        doc = driver.trace_to_json_dict(trace)
-        doc["config"]["stop_rel_tol"] = 0.004
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(doc))
-        loaded = driver.load_trace(path)
-        assert loaded.config == trace.config
-        assert driver.trace_to_json_dict(loaded) == driver.trace_to_json_dict(trace)
-        doc["config"]["stop_rel_tol"] = -1.0
+            item["posterior"] = {**item["posterior"], "draws": posterior.SUMMARY_DRAWS}
+        path = tmp_path / "trace.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError) as refusal:
             driver.load_trace(path)
-        assert str(refusal.value) == (
-            f"{path}: config: stop_rel_tol must be a finite number > 0, got -1.0")
+        assert str(refusal.value) == f"{path}: unsupported trace schema 'bo-trace/1'"
+
+    def test_written_records_hold_no_draws_count(self, tmp_path, trace):
+        path = tmp_path / "trace.json"
+        driver.save_trace(trace, path)
+        doc = strict_json(path)
+        assert doc["schema"] == "bo-trace/2"
+        assert all("draws" not in item["posterior"] for item in doc["iterations"])
 
     def test_json_keys_are_the_dataclass_fields_in_order(self, trace):
         def names(cls):
@@ -781,7 +771,7 @@ class TestPosteriorSummary:
                 values.append(config.beta_max)
             else:
                 values.append(math.exp(ln_star))
-        assert summary.draws == len(values) == posterior.SUMMARY_DRAWS
+        assert len(values) == posterior.SUMMARY_DRAWS
         want = np.quantile(values, [0.025, 0.5, 0.975])
         got = [summary.q025, summary.q500, summary.q975]
         np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
@@ -850,7 +840,6 @@ class TestRecordOracles:
         for l00 in (1e-12, 1e-30):
             flat = fit_from(0.0, 0.0, 1.0, (l00, 0.0, 1.0), 30)
             summary = posterior.summarize(flat, *where, np.random.default_rng(3))
-            assert summary.draws == posterior.SUMMARY_DRAWS
             assert (summary.q025, summary.q975) == where[1]
             assert summary == oracles.posterior_summary(flat, *where, np.random.default_rng(3))
         # beta* far above the bounds: every draw clamps onto beta_max.

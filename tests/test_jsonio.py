@@ -43,8 +43,8 @@ RULES = {
     "int": (int, [(3, 3), (-1, -1)], [True, 2.5, "3", None]),
     "bool": (bool, [(True, True), (False, False)], [1, 0.0, "true", None]),
     "str": (str, [("a", "a"), ("", "")], [7, None, ["a"]]),
-    "float": (float, [(0.5, 0.5), (2, 2), (None, math.nan), (math.nan, math.nan)],
-              [True, False, "0.5", HUGE, math.inf, -math.inf, [0.5]]),
+    "float": (float, [(0.5, 0.5), (2, 2), (None, math.nan)],
+              [True, False, "0.5", HUGE, math.nan, math.inf, -math.inf, [0.5]]),
     "list": (list[int], [([], []), ([1, 2], [1, 2])], [3, "12", {"0": 1}, None, [1.5], [True]]),
     "ndarray": (np.ndarray, [([[1, 2.5], [3, 4]], np.array([[1.0, 2.5], [3.0, 4.0]])),
                              ([], np.array([]))],
@@ -177,8 +177,8 @@ COUNT_HOLDERS = {
         _fit(), 1.0, v, (10.0, 1000.0), np.random.default_rng(0)), "batch_size", 1, [2.0, True, 0]),
     "sample_posterior.count": (lambda v: glm.sample_posterior(_fit(), v, np.random.default_rng(0)),
                                "count", 1, [2.0, True, 0]),
-    "residual_stats.min_per_beta": (lambda v: diagnostics.residual_stats(_fit(), _GROUPS, v),
-                                    "min_per_beta", 1, [2.0, True, 0]),
+    "residual_report.min_per_beta": (lambda v: diagnostics.residual_report(_fit(), _GROUPS, v),
+                                     "min_per_beta", 1, [2.0, True, 0]),
 }
 
 

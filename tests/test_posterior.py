@@ -9,6 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from scalebo import acquisition, driver, glm, posterior, problems
 
 dofs = st.integers(1, 1000)
@@ -77,8 +78,9 @@ class TestIdentification:
         # constant (s0 = b_hat); either way the sign of a is undecided.
         bounds = (10.0, 1000.0)
         fit = fit_with(0.0, s2=0.0)
-        summary = posterior.summarize(fit, s0, bounds, np.random.default_rng(0))
-        assert summary.draws == 0
+        rng = np.random.default_rng(0)
+        summary = posterior.summarize(fit, s0, bounds, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state   # no draws
         assert repr(summary.q025) == repr(summary.q975) == repr(estimate)
         assert posterior.flag(summary, bounds) == "unidentified"
         assert posterior.stop_reading(fit, summary, s0, bounds)[0] is False
@@ -91,7 +93,8 @@ class TestIdentification:
         bounds = (10.0, 1000.0)
         fit = fit_with(a_hat, s2=1e-40)
         summary = posterior.summarize(fit, 2.0, bounds, np.random.default_rng(0))
-        assert summary.draws == posterior.SUMMARY_DRAWS and summary.a_identified
+        assert summary == oracles.posterior_summary(fit, 2.0, bounds, np.random.default_rng(0))
+        assert summary.a_identified
         assert posterior.point_estimate(fit, 2.0, bounds) == summary.q025 == summary.q975
         assert posterior.stop_reading(fit, summary, 2.0, bounds)[0] is True
         assert posterior.flag(summary, bounds) == flag
@@ -117,7 +120,6 @@ class TestStopReading:
 
     def reading(self, s0, q025, q500, q975, p_a_positive=0.0):
         summary = posterior.PosteriorSummary(q025=q025, q500=q500, q975=q975,
-                                             draws=posterior.SUMMARY_DRAWS,
                                              p_a_positive=p_a_positive)
         fit = fit_with(-0.5)
         got = posterior.stop_reading(fit, summary, s0, self.bounds)

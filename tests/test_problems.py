@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from scalebo import config, glm, problems
-from scalebo.errors import EvaluationFailure
+from scalebo import acquisition, config, glm, problems
+from scalebo.errors import EvaluationFailure, SurrogateOverflow
 
 MODEL_ERROR_GOLDEN = 0.0015032718191897864
 EPS = np.finfo(float).eps
@@ -25,7 +25,21 @@ class TestSyntheticPowerlaw:
     def test_target_inversion_places_optimum(self):
         s0 = problems.target_for_optimum(-0.58, 0.0, 0.25, 101.0)
         prob = problems.synthetic_powerlaw(-0.58, 0.0, 0.25, s0)
-        assert prob.truth.beta_opt == pytest.approx(101.0, rel=1e-12)
+        assert acquisition.argmin_closed_form(prob.truth)[0] == pytest.approx(101.0, rel=1e-12)
+
+    @pytest.mark.parametrize("a, ln_b, eps2, s0", [
+        (-0.58, 0.0, 0.25, 0.3), (0.7, -2.0, 0.0, 4.0), (1e-11, 700.0, 3.0, 1e-300)])
+    def test_truth_is_the_surrogate_objective_of_the_law(self, a, ln_b, eps2, s0):
+        truth = problems.synthetic_powerlaw(a, ln_b, eps2, s0).truth
+        assert truth == acquisition.SurrogateObjective(a, math.exp(ln_b), eps2, s0)
+
+    @pytest.mark.parametrize("kind, section", [
+        ("gamma-noise", {"a": -0.5, "ln_b": 0.2, "s0": 0.3}),
+        ("heteroscedastic", {"a": -0.5, "ln_b": 0.0, "s0": 0.3}),
+        ("shifted-lognormal", {"a": -0.5, "ln_b": 0.1, "eps2": 0.2, "s0": 0.3}),
+        ("srom-standin", {})])
+    def test_other_kinds_record_no_truth(self, kind, section):
+        assert config.PROBLEM_KINDS[kind](**section).truth is None
 
     @pytest.mark.parametrize("a, ln_b, eps2, beta_opt", [
         (-0.58, 0.0, 0.25, 101.0), (0.7, -2.0, 0.0, 3e7), (-1e-3, 5.0, 2.0, 1.5)])
@@ -41,10 +55,11 @@ class TestSyntheticPowerlaw:
             problems.synthetic_powerlaw(-0.58, 0.0, 0.25, **targets)
 
     @pytest.mark.parametrize("a, s0", [(0.0, 2.0), (1e-11, 2.0), (-1e-11, 2.0), (1e-3, 10.0)])
-    def test_optimum_beyond_float_range_is_none(self, a, s0):
+    def test_optimum_beyond_float_range_raises(self, a, s0):
         # ln beta* = (ln s0 - 0.375) / a is +-inf, about +-3e10, or 1927.
         prob = problems.synthetic_powerlaw(a, 0.0, 0.25, s0)
-        assert prob.truth.beta_opt is None
+        with pytest.raises(SurrogateOverflow):
+            acquisition.argmin_closed_form(prob.truth)
 
     def test_target_needs_only_a_nonzero_slope(self):
         with pytest.raises(ValueError, match="nonzero"):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from scalebo import acquisition, driver, problems
-from scalebo.acquisition import SurrogateObjective
 
 SEEDS = range(100)
 
@@ -37,9 +36,7 @@ def calibrated():
 def test_opening_claim(calibrated):
     # "within the 10% optimal region in 99 of seeds 0-99 with a median of
     # 106.5 statistic evaluations (at most 127)"
-    truth = calibrated_problem().truth
-    lo, hi = acquisition.optimal_region(
-        SurrogateObjective(a=truth.a, b=truth.b, eps2=truth.eps2, s0=calibrated_problem().s0))
+    lo, hi = acquisition.optimal_region(calibrated_problem().truth)
     in_region = sum(lo <= trace.final_estimate <= hi for trace in calibrated)
     most = max(trace.total_evaluations for trace in calibrated)
     assert (in_region, median_evaluations(calibrated), most) == (99, 106.5, 127)
