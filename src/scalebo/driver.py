@@ -5,8 +5,8 @@ log-equispaced initial design, fit the conjugate log-log model, then per
 iteration draw a Thompson batch sized from the posterior's shortfall,
 observe the statistic at each proposal, augment the dataset and refit.
 It stops on an evaluation budget, when the posterior of the optimizer has
-settled (see :func:`run`), or at the first exact fit (noise-free
-problems).  Every iteration is recorded in a serializable trace.
+settled, or at the first exact fit (noise-free problems), as
+:func:`decide` rules.  Every iteration is recorded in a serializable trace.
 """
 
 from __future__ import annotations
@@ -48,14 +48,14 @@ class BoConfig:
     """Settings of one optimization run.
 
     ``batch_size`` is the smallest Thompson batch: a batch grows with the
-    record's shortfall, and the run spends at most
+    record's shortfall, and the run spends at most its budget of
     ``n0 + max_iterations * batch_size`` evaluations in at most
-    ``max_iterations`` batches (see :func:`run`).  The run stops as
+    ``max_iterations`` batches (see :func:`decide`).  The run stops as
     ``converged`` after ``stop_window`` consecutive settled records (the
-    initial fit counts); a window above ``max_iterations`` turns the stop
-    off.  ``stop_rel_tol`` is deprecated: it is checked, finite and > 0, so
-    that configs and traces written for the earlier drift rule still parse,
-    and not kept.
+    initial fit counts); a window above ``max_iterations + 1``, the most
+    records a run holds, turns the stop off.  ``stop_rel_tol`` is
+    deprecated: it is checked, finite and > 0, so that configs and callers
+    written for the earlier drift rule still run, and not kept.
     """
 
     beta_min: float
@@ -133,37 +133,52 @@ def initial_design(config: BoConfig) -> np.ndarray:
     return grid
 
 
+def decide(config: BoConfig, record: IterationRecord, streak: int) -> tuple[int, str | None, int]:
+    """The run's one stop-and-size rule: ``(streak, stop_reason, next_size)``
+    after ``record``, given the ``streak`` of settled records before it.  It
+    reads only the config and the record's stored fit, summary and
+    cumulative evaluations, and draws nothing, so a saved trace replays it.
+
+    An exact fit (``s2 <= DEGENERATE_S2``), the initial one included, stops
+    the run as ``degenerate-fit``; ``stop_window`` consecutive *settled*
+    records (:func:`posterior.stop_reading`: a is identified and the 95%
+    beta* interval lies inside the plug-in objective's 10% region) stop it
+    as ``converged``; a spent budget of ``n0 + max_iterations * batch_size``
+    evaluations stops it as ``budget``; a stop's ``next_size`` is 0.  Else
+    ``stop_reason`` is None and the same reading's *shortfall*, the extra
+    usable rows after which the interval is predicted to fit the region,
+    sizes the next batch: ``max(batch_size, ceil(shortfall / 2))``, cut to
+    what is left of the budget, which ``stop_window`` does not move: a
+    stopped run's records lead the same-seed run with the stop turned off.
+    """
+    if record.fit.s2 <= DEGENERATE_S2:
+        return streak, "degenerate-fit", 0
+    settled, shortfall = posterior.stop_reading(record.fit, record.posterior, config.s0,
+                                                config.bounds)
+    streak = streak + 1 if settled else 0
+    if streak >= config.stop_window:
+        return streak, "converged", 0
+    budget = config.n0 + config.max_iterations * config.batch_size
+    remaining = budget - record.cumulative_evaluations
+    if remaining <= 0:
+        return streak, "budget", 0
+    return streak, None, min(remaining, max(config.batch_size,
+                                            math.ceil(min(shortfall / 2, remaining))))
+
+
 def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrace:
-    """Execute the full optimization loop and return its trace.
+    """Execute the full optimization loop and return its trace: each record
+    proposes, draws, fits and summarizes, then :func:`decide` stops the run
+    or sizes the next batch.
 
     Record t (the initial design is record 0) draws its statistics in
     proposal order from one generator, the stream ``(1, t)`` of
     :data:`STREAMS`: its draws depend only on the seed and t.  The
     ``"acquisition"`` and ``"summary"`` streams draw the Thompson proposals
-    and the posterior summaries.
-    ``threads`` is deprecated and read by nothing: it is still accepted,
-    an integer >= 1, so that callers written for the earlier thread pool
-    still run.
-
-    A record (the initial fit counts) is *settled*
-    (:func:`posterior.stop_reading`) when the exponent a is identified by
-    its exact t tail and the 95% beta* interval ``[q025, q975]`` lies
-    inside the plug-in objective's 10% optimal region within the bounds.
-    The run stops as ``converged`` after ``config.stop_window`` consecutive
-    settled records.  The same reading gives the record's *shortfall*, the
-    extra usable rows after which the interval is predicted to fit that
-    region, and the next Thompson batch holds
-    ``max(batch_size, ceil(shortfall / 2))`` proposals, cut to what is
-    left of the budget ``n0 + max_iterations * batch_size``; the run stops
-    as ``budget`` once that is spent.  Neither reading draws random
-    numbers, and the budget does not depend on ``stop_window``, so a
-    stopped run's records are the leading records of the same-seed run
-    with the stop turned off.  Before that reading, a record whose fit is
-    exact (``s2 <= DEGENERATE_S2``), the initial one included, stops the
-    run as ``degenerate-fit``.  The trace's ``flag``
-    (:func:`posterior.flag`) reads the last record: ``"unidentified"`` when
-    a is not identified, ``"boundary-min"`` or ``"boundary-max"`` when the
-    beta* interval has collapsed onto that bound.
+    and the posterior summaries.  ``threads`` is deprecated and read by
+    nothing: it is still accepted, an integer >= 1, so that callers written
+    for the earlier thread pool still run.  The trace's ``flag`` is
+    :func:`posterior.flag` of the last record.
     """
     check_count("threads", threads, 1)
     start = time.perf_counter()
@@ -171,21 +186,16 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     summary_rng = rng_stream(config.seed, STREAMS["summary"])
 
     records = []
-    fit = None
-    budget = config.n0 + config.max_iterations * config.batch_size
     # Every beta and s drawn so far, in the first columns; grown by doubling.
-    drawn = np.empty((2, min(budget, 4 * config.n0)))
+    drawn = np.empty((2, 4 * config.n0))
     evaluations = rejected_total = streak = 0
-    stop_reason = "budget"
-    for t in range(config.max_iterations + 1):
+    stop_reason = None
+    while stop_reason is None:
+        t = len(records)
         if t == 0:
             betas_t = [float(b) for b in initial_design(config)]
         else:
-            remaining = budget - evaluations
-            size = min(remaining, max(config.batch_size, math.ceil(min(shortfall / 2, remaining))))
-            betas_t = acquisition.thompson_batch(
-                fit, config.s0, size, config.bounds, acq_rng
-            ).betas
+            betas_t = acquisition.thompson_batch(fit, config.s0, size, config.bounds, acq_rng).betas
             if config.integer_beta:
                 betas_t = [round_into_bounds(b, config.bounds) for b in betas_t]
         s_t = draw_statistics(problem, betas_t, rng_stream(config.seed, STREAMS["record"] + (t,)),
@@ -214,17 +224,7 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
                 wall_clock=time.perf_counter() - start,
             )
         )
-
-        if fit.s2 <= DEGENERATE_S2:
-            stop_reason = "degenerate-fit"
-            break
-        settled, shortfall = posterior.stop_reading(fit, summary, config.s0, config.bounds)
-        streak = streak + 1 if settled else 0
-        if streak >= config.stop_window:
-            stop_reason = "converged"
-            break
-        if evaluations >= budget:
-            break
+        streak, stop_reason, size = decide(config, records[-1], streak)
 
     final = records[-1].beta_hat
     if config.integer_beta:

@@ -1,11 +1,11 @@
-"""Readings of the conjugate posterior that summarize, stop and flag a run:
-the one home of the stop rule.  With nu = n - 2 (see :mod:`scalebo.glm`),
-a | D ~ t_nu(a_hat, s2 * V_theta[0, 0]) exactly, so whether a is
-identified is one Student-t tail; only the beta* quantiles use draws.
-The stop region gives two readings, whether a record has settled and how
-many more rows it is predicted to need (:func:`stop_reading`).  Every
-reader takes ``bounds`` as a ``BoConfig.bounds``, checked there, and adds
-no check of its own.
+"""Readings of the conjugate posterior that summarize, stop and flag a run;
+the run's stop rule, :func:`scalebo.driver.decide`, reads them.  With
+nu = n - 2 (see :mod:`scalebo.glm`), a | D ~ t_nu(a_hat, s2 * V_theta[0, 0])
+exactly, so whether a is identified is one Student-t tail; only the beta*
+quantiles use draws.  The stop region gives two readings, whether a record
+has settled and how many more rows it is predicted to need
+(:func:`stop_reading`).  Every reader takes ``bounds`` as a
+``BoConfig.bounds``, checked there, and adds no check of its own.
 """
 
 from __future__ import annotations

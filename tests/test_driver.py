@@ -9,7 +9,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -466,6 +466,101 @@ class TestRun:
         rounded = problems.round_into_bounds(beta, config.bounds)
         assert type(rounded) is float
         assert rounded == expected
+
+
+class TestDecide:
+    """``decide`` on hand-built records, with no run.  The plug-in optimum
+    of every fit lies at beta* = 100 within bounds [10, 1000] (see
+    ``test_posterior.TestStopReading``), and the budget is 40 + 25 * 10."""
+
+    config = BoConfig(beta_min=10.0, beta_max=1000.0, s0=math.exp(-0.5 * math.log(100.0) + 0.375))
+
+    def record(self, reading, evaluations):
+        lo, hi = acquisition.optimal_region_from(-0.5, 0.0, 0.25, self.config.s0,
+                                                 posterior.STOP_REGION_REL, self.config.bounds)
+        mid = math.sqrt(lo * hi)
+        gap = math.log(mid / lo)
+        s2, dof, p_a_positive, quantiles = {
+            "exact": (0.0, 30, 0.0, (lo, mid, hi)),
+            "settled": (0.25, 30, 0.0, (lo, mid, hi)),
+            "unidentified": (0.25, 30, 0.5, (lo, mid, hi)),
+            "median-on-an-edge": (0.25, 30, 0.0, (mid, hi, hi * 1.5)),
+            # room 1/2 with n = dof + 2 = 33 rows: a shortfall of 3 n = 99.
+            "shortfall-99": (0.25, 31, 0.0, (mid * math.exp(-2 * gap), mid,
+                                             mid * math.exp(1.5 * gap))),
+        }[reading]
+        fit = glm.GlmFit(coef_hat=np.array([-0.5, 0.0]), s2=s2,
+                         v_theta=np.array([[0.01, 0.0], [0.0, 1.0]]), dof=dof)
+        summary = posterior.PosteriorSummary(*quantiles, p_a_positive=p_a_positive)
+        return driver.IterationRecord(index=0, source="init", betas=[], s_values=[], rejected=0,
+                                      fit=fit, beta_hat=100.0, posterior=summary,
+                                      cumulative_evaluations=evaluations, wall_clock=0.0)
+
+    @pytest.mark.parametrize("reading,streak,evaluations,want", [
+        ("exact", 0, 40, (0, "degenerate-fit", 0)),
+        ("unidentified", 0, 40, (0, None, 10)),
+        ("median-on-an-edge", 0, 40, (0, None, 250)),
+        ("shortfall-99", 0, 40, (0, None, 50)),
+        ("shortfall-99", 0, 270, (0, None, 20)),
+        ("unidentified", 0, 285, (0, None, 5)),
+        ("unidentified", 0, 290, (0, "budget", 0)),
+        ("unidentified", 1, 50, (0, None, 10)),
+        ("settled", 0, 40, (1, None, 10)),
+        ("settled", 1, 50, (2, "converged", 0)),
+        ("settled", 1, 290, (2, "converged", 0)),
+    ], ids=["degenerate-fit-at-record-0", "unidentified-gives-batch_size",
+            "infinite-shortfall-gives-the-rest-of-the-budget", "half-shortfall-rounds-up",
+            "half-shortfall-cut-to-the-rest", "batch_size-cut-to-the-rest",
+            "exactly-on-the-budget-stops", "unsettled-resets-the-streak",
+            "settled-extends-the-streak", "window-of-settled-records-converges",
+            "convergence-comes-before-the-budget"])
+    def test_table(self, reading, streak, evaluations, want):
+        assert driver.decide(self.config, self.record(reading, evaluations), streak) == want
+
+    @pytest.mark.parametrize("window,want", [(4, "converged"), (5, "budget")])
+    def test_only_a_window_above_the_most_records_turns_the_stop_off(self, window, want):
+        # max_iterations = 3 batches of batch_size after the initial design:
+        # at most 4 records, so only a window of 5 or more turns the stop off.
+        config = dataclasses.replace(self.config, max_iterations=3, stop_window=window)
+        streak, reasons = 0, []
+        for t in range(4):
+            streak, reason, _ = driver.decide(config, self.record("settled", 40 + 10 * t),
+                                              streak)
+            reasons.append(reason)
+        assert reasons == [None, None, None, want]
+
+
+# name -> the law of a replayed run in bounds [10, 1000], log-centre 100.
+REPLAY_LAWS = {
+    "calibrated": lambda: calibrated_problem(),
+    "off-centre": lambda: calibrated_problem(beta_opt=20.0),
+    "optimum-below-the-bounds": lambda: calibrated_problem(beta_opt=3.0),
+    "eps2-4": lambda: calibrated_problem(eps2=4.0),
+    "flat": lambda: problems.synthetic_powerlaw(0.0, 0.0, 0.25, 1.0),
+    "gamma-k2": lambda: problems.gamma_noise(a=-0.5, ln_b=0.2, shape=2.0, s0=0.3),
+}
+
+
+@seed(20261021)
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from(sorted(REPLAY_LAWS)), run_seed=st.integers(0, 2**32 - 1),
+       n0=st.integers(6, 48), batch_size=st.integers(1, 12), max_iterations=st.integers(1, 12),
+       stop_window=st.integers(1, 6))
+def test_folding_decide_over_a_saved_trace_replays_its_decisions(
+    tmp_path_factory, law, run_seed, n0, batch_size, max_iterations, stop_window
+):
+    # Every record but the last goes on with the next record's batch size;
+    # the last gives the trace's stop reason.
+    prob = REPLAY_LAWS[law]()
+    config = config_for(prob, seed=run_seed, n0=n0, batch_size=batch_size,
+                        max_iterations=max_iterations, stop_window=stop_window)
+    path = tmp_path_factory.mktemp("trace") / "trace.json"
+    driver.save_trace(driver.run(config, prob), path)
+    trace = driver.load_trace(path)
+    streak, records = 0, trace.iterations
+    for record, after in zip(records, records[1:] + [None]):
+        streak, reason, size = driver.decide(trace.config, record, streak)
+        assert (reason, size) == ((None, len(after.betas)) if after else (trace.stop_reason, 0))
 
 
 class TestTraceSerialization:
