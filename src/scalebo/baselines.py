@@ -62,7 +62,6 @@ class ProbeStats:
     beta: float
     mean: float      # mean of |s - s0|^2
     se: float        # standard error of that mean
-    order: int       # probe index in evaluation order
     s_draws: np.ndarray
 
 
@@ -116,13 +115,7 @@ class McObjective:
         if not (math.isfinite(mean) and math.isfinite(se)):
             raise SurrogateOverflow(f"Monte-Carlo objective at beta={key:g} is not a finite "
                                     f"number: mean {mean!r}, standard error {se!r}")
-        stats = ProbeStats(
-            beta=key,
-            mean=mean,
-            se=se,
-            order=len(self._cache),
-            s_draws=draws,
-        )
+        stats = ProbeStats(beta=key, mean=mean, se=se, s_draws=draws)
         self._cache[key] = stats
         self.evaluations_used += draws.size
         return stats
@@ -166,6 +159,7 @@ def _search(obj, bounds, tol, max_iter, integer_beta, method, steps) -> Baseline
     converged."""
     check_bounds(bounds, integer_beta)
     check_number("tol", tol, 0.0, above=True)
+    check_count("max_iter", max_iter, 3)
     beta_lo, beta_hi = bounds
 
     def probe(u):  # the MC mean at beta = e^u, rounded if integer_beta, within bounds
@@ -187,7 +181,7 @@ def _search(obj, bounds, tol, max_iter, integer_beta, method, steps) -> Baseline
         if obj.probe_count >= max_iter:
             stop_reason = "budget"
             break
-    best = min(obj.probes, key=lambda p: (p.mean, p.order))
+    best = min(obj.probes, key=lambda p: p.mean)   # the earliest of equal means
     return BaselineResult(method=method, beta_hat=best.beta,
                           evaluations_used=obj.evaluations_used, probes=obj.probes,
                           stop_reason=stop_reason)

@@ -185,10 +185,9 @@ def cmd_baseline(args) -> int:
     wall = time.perf_counter() - start
 
     write_csv(outdir / "trace.csv", driver.TRACE_CSV_HEADER,
-              ((probe.order, probe.beta, probe.s_draws.tolist(), "mc-probe")
-               for probe in result.probes))
+              ((i, p.beta, p.s_draws.tolist(), "mc-probe") for i, p in enumerate(result.probes)))
     write_csv(outdir / "probes.csv", ["order", "beta", "mean", "se", "count"],
-              ([p.order, p.beta, p.mean, p.se, p.s_draws.size] for p in result.probes))
+              ([i, p.beta, p.mean, p.se, p.s_draws.size] for i, p in enumerate(result.probes)))
     write_json(outdir / "estimate.json", {
         "beta_hat": result.beta_hat,
         "evaluations": result.evaluations_used,

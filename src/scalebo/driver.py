@@ -47,6 +47,7 @@ def rng_stream(seed: int, key: tuple) -> np.random.Generator:
 class BoConfig:
     """Settings of one optimization run.
 
+    ``s0`` is the problem's target statistic: :func:`run` refuses any other.
     ``batch_size`` is the smallest Thompson batch: a batch grows with the
     record's shortfall, and the run spends at most its budget of
     ``n0 + max_iterations * batch_size`` evaluations in at most
@@ -178,9 +179,13 @@ def run(config: BoConfig, problem: ObjectiveProblem, threads: int = 1) -> BoTrac
     and the posterior summaries.  ``threads`` is deprecated and read by
     nothing: it is still accepted, an integer >= 1, so that callers written
     for the earlier thread pool still run.  The trace's ``flag`` is
-    :func:`posterior.flag` of the last record.
+    :func:`posterior.flag` of the last record.  A ``config.s0`` other than
+    ``problem.s0`` raises ``ValueError`` naming both, before any draw.
     """
     check_count("threads", threads, 1)
+    if config.s0 != problem.s0:
+        raise ValueError(f"config s0 {config.s0!r} is not the problem's target "
+                         f"s0 {problem.s0!r}")
     start = time.perf_counter()
     acq_rng = rng_stream(config.seed, STREAMS["acquisition"])
     summary_rng = rng_stream(config.seed, STREAMS["summary"])

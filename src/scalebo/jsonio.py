@@ -16,7 +16,9 @@ Two rules read a library setting or argument: :func:`check_count` for a
 count and :func:`check_number` for a number: ``BoConfig``'s four, the
 baselines' ``tol``, ``SurrogateObjective``'s four, ``rel`` and the problem
 builders' ``s0``, ``a``, ``ln_b``, ``eps2``, ``eps_base``, ``eps_slope``,
-``shape``, ``shift`` and ``beta_opt``.  JSON is
+``shape``, ``shift`` and ``beta_opt`` are numbers; ``BoConfig``'s five,
+``McObjective``'s three, the baselines' ``mc_samples`` and ``max_iter``
+and the count arguments are counts.  JSON is
 read by :func:`is_number` (before ``float()`` could take a string) and
 :func:`from_json`'s exact types, CLI flags by argparse; relations such as
 ``beta_min < beta_max`` and the β data of each statistic call are checked

@@ -34,17 +34,25 @@ body, :func:`mean_std` is a sample's ``mean`` and ``std``,
 For the JSON artifacts: :func:`json_safe` is a document as the standard
 library's JSON values, so ``json.dumps(json_safe(doc), indent=2)`` is the
 text that ``jsonio.dumps`` must give.
+
+The tests' shared helpers: :func:`calibrated_problem` is the calibrated
+synthetic law (optimum at beta = 101 unless moved), :func:`strict_json`
+parses an artifact under a strict reader, :func:`scrub_clocks` is a trace's
+JSON without its wall clocks, and :func:`fit_from` builds a fit from a
+Cholesky root.  :func:`sample_laws` is the law-space sweep's fixed sample
+of generating laws (``tests/sweep.py``).
 """
 
 import csv
 import dataclasses
 import io
+import json
 import math
 import numbers
 
 import numpy as np
 
-from scalebo import acquisition, diagnostics, glm, posterior, problems
+from scalebo import acquisition, diagnostics, driver, glm, posterior, problems
 from scalebo.errors import (DegenerateVariance, InsufficientData, RankDeficient,
                             SurrogateOverflow)
 from scalebo.jsonio import check_bounds, check_count
@@ -363,3 +371,57 @@ def json_safe(doc):
     if isinstance(doc, (np.ndarray, np.generic)):
         return json_safe(doc.tolist())
     return doc
+
+
+# ---------------------------------------------------------------------------
+# Shared test helpers
+
+
+def calibrated_problem(beta_opt=101.0, a=-0.58, ln_b=0.0, eps2=0.25):
+    s0 = problems.target_for_optimum(a, ln_b, eps2, beta_opt)
+    return problems.synthetic_powerlaw(a, ln_b, eps2, s0)
+
+
+def strict_json(path):
+    """Parse ``path`` refusing the non-standard NaN/Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"{path} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+def scrub_clocks(trace):
+    """Trace dict with wall-clock fields removed (they never reproduce)."""
+    doc = driver.trace_to_json_dict(trace)
+    doc.pop("wall_clock_seconds")
+    for item in doc["iterations"]:
+        item.pop("wall_clock")
+    return doc
+
+
+def fit_from(a, ln_b, s2, root, dof):
+    """A fit whose v_theta is ``root @ root.T`` for a lower-triangular
+    ``root = (l00, l10, l11)``."""
+    l00, l10, l11 = root
+    v_theta = np.array([[l00 * l00, l00 * l10], [l00 * l10, l10 * l10 + l11 * l11]])
+    return glm.GlmFit(coef_hat=np.array([a, ln_b]), s2=s2, v_theta=v_theta, dof=dof)
+
+
+# ---------------------------------------------------------------------------
+# The law-space sweep's sample, fixed before any run
+
+
+SWEEP_SEED = 20261021
+
+
+def sample_laws(count, seed=SWEEP_SEED):
+    """``count`` generating laws ``(a, eps2, beta_opt)`` with ``ln_b = 0``:
+    a = -U(0.05, 1.5) with the sign flipped in a fifth of the laws, eps2
+    log-uniform on [0.01, 4] and beta_opt log-uniform on [3, 3000]."""
+    rng = np.random.default_rng(seed)
+    a = -rng.uniform(0.05, 1.5, count)
+    a[rng.permutation(count)[:count // 5]] *= -1.0
+    eps2 = np.exp(rng.uniform(math.log(0.01), math.log(4.0), count))
+    beta_opt = np.exp(rng.uniform(math.log(3.0), math.log(3000.0), count))
+    return list(zip(a.tolist(), eps2.tolist(), beta_opt.tolist()))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import scalebo
+from oracles import calibrated_problem
 from scalebo import acquisition, baselines, cli, diagnostics, driver, glm, problems
 from scalebo.acquisition import SurrogateObjective
 
@@ -55,11 +56,6 @@ def random_objective(rng):
         eps2=float(rng.uniform(0.0, 1.0)),
         s0=float(rng.uniform(0.1, 10.0)),
     )
-
-
-def calibrated_problem():
-    s0 = problems.target_for_optimum(-0.58, 0.0, 0.25, 101.0)
-    return problems.synthetic_powerlaw(-0.58, 0.0, 0.25, s0)
 
 
 def c6_agrees(prob, seed):

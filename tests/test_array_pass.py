@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import fit_from
 from scalebo import acquisition, driver, glm, problems
 from scalebo.errors import EvaluationFailure
 
@@ -221,14 +222,6 @@ class TestArrayClamp:
         assert hexes(got.betas) == hexes(want.betas)
         assert all(type(beta) is float for beta in got.betas)
         assert got.clamped_count == want.clamped_count
-
-
-def fit_from(a, ln_b, s2, root, dof):
-    """A fit whose v_theta is ``root @ root.T`` for a lower-triangular
-    ``root = (l00, l10, l11)``."""
-    l00, l10, l11 = root
-    v_theta = np.array([[l00 * l00, l00 * l10], [l00 * l10, l10 * l10 + l11 * l11]])
-    return glm.GlmFit(coef_hat=np.array([a, ln_b]), s2=s2, v_theta=v_theta, dof=dof)
 
 
 class TestPosteriorArithmetic:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import calibrated_problem
 from scalebo import acquisition, baselines, problems
 from scalebo.baselines import GOLDEN, McObjective
 from scalebo.errors import EvaluationFailure, SurrogateOverflow
@@ -23,11 +24,6 @@ SIZED_RTOL = 2 * np.finfo(float).eps
 def noiseless_problem(beta_opt=101.0, a=-0.58):
     s0 = problems.target_for_optimum(a, 0.0, 0.0, beta_opt)
     return problems.synthetic_powerlaw(a, 0.0, 0.0, s0)
-
-
-def calibrated_problem():
-    s0 = problems.target_for_optimum(-0.58, 0.0, 0.25, 101.0)
-    return problems.synthetic_powerlaw(-0.58, 0.0, 0.25, s0)
 
 
 def recording(problem, log):
@@ -215,8 +211,7 @@ class TestSizedStatistic:
             scalar.probe(beta)
         assert sized.evaluations_used == scalar.evaluations_used == 900
         assert [p.beta for p in sized.probes] == [p.beta for p in scalar.probes] == [20.0, 64.0, 500.0]
-        for p, q in zip(sized.probes, scalar.probes):
-            assert p.order == q.order
+        for p, q in zip(sized.probes, scalar.probes, strict=True):
             np.testing.assert_allclose(p.s_draws, q.s_draws, rtol=SIZED_RTOL, atol=0.0)
 
     def test_one_call_per_probe_through_a_wrapper(self):

@@ -13,6 +13,7 @@ import pytest
 import scipy.io
 
 import oracles
+from oracles import strict_json
 from scalebo import baselines, cli, config, driver, glm, jsonio, problems
 from scalebo.problems import synthetic_powerlaw, target_for_optimum
 
@@ -108,15 +109,6 @@ class TestOptimize:
         assert cli.main(["optimize", "--config", str(config_path), "--seed", "99",
                          "--out", str(out2)]) == 0
         assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
-
-
-def strict_json(path):
-    """Parse ``path`` refusing the non-standard NaN/Infinity tokens."""
-
-    def refuse(token):
-        raise ValueError(f"{path} holds the non-JSON token {token}")
-
-    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
 
 
 class TestDegenerateProblems:

@@ -13,38 +13,16 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import calibrated_problem, fit_from, scrub_clocks, strict_json
 from scalebo import acquisition, baselines, driver, glm, jsonio, posterior, problems
 from scalebo.driver import BoConfig
 from scalebo.errors import EvaluationFailure, RankDeficient, SurrogateOverflow
-
-
-def calibrated_problem(beta_opt=101.0, a=-0.58, ln_b=0.0, eps2=0.25):
-    s0 = problems.target_for_optimum(a, ln_b, eps2, beta_opt)
-    return problems.synthetic_powerlaw(a, ln_b, eps2, s0)
 
 
 def config_for(problem, **overrides):
     defaults = dict(beta_min=10.0, beta_max=1000.0, s0=problem.s0, seed=0)
     defaults.update(overrides)
     return BoConfig(**defaults)
-
-
-def strict_json(path):
-    """Parse ``path`` refusing the non-standard NaN/Infinity tokens."""
-
-    def refuse(token):
-        raise ValueError(f"{path} holds the non-JSON token {token}")
-
-    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
-
-
-def scrub_clocks(trace):
-    """Trace dict with wall-clock fields removed (they never reproduce)."""
-    doc = driver.trace_to_json_dict(trace)
-    doc.pop("wall_clock_seconds")
-    for item in doc["iterations"]:
-        item.pop("wall_clock")
-    return doc
 
 
 def sometimes_nan(inner, share):
@@ -207,6 +185,13 @@ class TestRun:
         prob = calibrated_problem()
         with pytest.raises(ValueError, match=f"got {threads!r}"):
             driver.run(config_for(prob, max_iterations=1), prob, threads=threads)
+
+    def test_a_config_target_other_than_the_problems_is_refused_before_any_draw(self):
+        calls = []
+        prob = problems.ObjectiveProblem(lambda beta, rng: calls.append(beta) or 1.0, s0=0.5)
+        with pytest.raises(ValueError, match="^config s0 1.0 is not the problem's target s0 0.5$"):
+            driver.run(config_for(prob, s0=2 * prob.s0), prob)
+        assert calls == []
 
     def test_budget_accounting_single_iteration(self):
         prob = calibrated_problem()
@@ -885,14 +870,6 @@ class TestPosteriorSummary:
 
 # ---------------------------------------------------------------------------
 # The record's float and order-statistic paths against their array oracles
-
-
-def fit_from(a, ln_b, s2, root, dof):
-    """A fit whose v_theta is ``root @ root.T`` for a lower-triangular
-    ``root = (l00, l10, l11)``."""
-    l00, l10, l11 = root
-    v_theta = np.array([[l00 * l00, l00 * l10], [l00 * l10, l10 * l10 + l11 * l11]])
-    return glm.GlmFit(coef_hat=np.array([a, ln_b]), s2=s2, v_theta=v_theta, dof=dof)
 
 
 # Slopes include +-0 and |a| of 1e-12 and below, with a spread of a (l00)

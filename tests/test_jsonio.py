@@ -170,6 +170,12 @@ COUNT_HOLDERS = {
                                     "mc_samples", 1, [2.5, True, 0]),
     "BaselineSettings.max_iter": (lambda v: config.BaselineSettings(max_iter=v),
                                   "max_iter", 3, [3.5, True, 2]),
+    "golden_section.max_iter": (lambda v: baselines.golden_section(
+        baselines.McObjective(problem=_PROBLEM, mc_samples=4), (10.0, 1000.0), max_iter=v),
+        "max_iter", 3, [0, 2, True, 2.5, -3]),
+    "parabolic_interpolation.max_iter": (lambda v: baselines.parabolic_interpolation(
+        baselines.McObjective(problem=_PROBLEM, mc_samples=4), (10.0, 1000.0), max_iter=v),
+        "max_iter", 3, [0, 2, True, 2.5, -3]),
     "GlmFit.dof": (_fit, "dof", 1, [True, 2.5, 0]),
     "rolling_smooth.window": (lambda v: diagnostics.rolling_smooth([1.0, 2.0, 4.0], v),
                               "window", 1, [True, 2.0, 0]),

@@ -6,14 +6,10 @@ change that moves a count fails until README says the new one."""
 import numpy as np
 import pytest
 
+from oracles import calibrated_problem
 from scalebo import acquisition, driver, problems
 
 SEEDS = range(100)
-
-
-def calibrated_problem():
-    s0 = problems.target_for_optimum(-0.58, 0.0, 0.25, 101.0)
-    return problems.synthetic_powerlaw(-0.58, 0.0, 0.25, s0)
 
 
 def c4_runs(problem, n0=40):

@@ -15,13 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import calibrated_problem, scrub_clocks
 from scalebo import baselines, driver, problems
 from scalebo.driver import BoConfig
-
-
-def calibrated_problem():
-    s0 = problems.target_for_optimum(-0.58, 0.0, 0.25, 101.0)
-    return problems.synthetic_powerlaw(-0.58, 0.0, 0.25, s0)
 
 
 def gamma_noise_problem():
@@ -31,15 +27,6 @@ def gamma_noise_problem():
 @pytest.fixture(scope="module")
 def srom_problem():
     return problems.srom_standin()
-
-
-def trace_doc(trace):
-    """Trace dict without its wall-clock fields."""
-    doc = driver.trace_to_json_dict(trace)
-    doc.pop("wall_clock_seconds")
-    for item in doc["iterations"]:
-        item.pop("wall_clock")
-    return doc
 
 
 def record_stream(seed, t):
@@ -69,9 +56,8 @@ def assert_search_replays(problem, mc_samples, bounds, tol, seed):
         else:
             want = [problem.evaluate_statistic(p.beta, rng) for _ in range(mc_samples)]
         assert p.s_draws.tobytes() == np.asarray(want, dtype=float).tobytes()
-    assert [p.order for p in results[0].probes] == list(range(len(results[0].probes)))
     for p, q in zip(results[0].probes, results[1].probes, strict=True):
-        assert (p.beta, p.order, p.s_draws.tobytes()) == (q.beta, q.order, q.s_draws.tobytes())
+        assert (p.beta, p.s_draws.tobytes()) == (q.beta, q.s_draws.tobytes())
 
 
 class TestIdentity:
@@ -125,7 +111,7 @@ class TestReferenceRuns:
         for t, rec in enumerate(traces[0].iterations):
             rng = record_stream(config.seed, t)
             assert rec.s_values == [problem.evaluate_statistic(beta, rng) for beta in rec.betas]
-        assert trace_doc(traces[0]) == trace_doc(traces[1])
+        assert scrub_clocks(traces[0]) == scrub_clocks(traces[1])
 
     def test_golden_section_sized_calibrated(self):
         assert calibrated_problem()._takes_size
