@@ -28,17 +28,9 @@ from .problems import ObjectiveProblem, check_beta, draw_statistics, round_into_
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0          # bracket shrink factor
 _PARABOLIC_FALLBACK = 1.0 - GOLDEN             # golden step fraction, ~0.382
 
-# Per baseline method: the name of its optimizer in this module (read at
-# call time, so a replaced function such as a tracing wrapper runs), its
-# probe schedule over ln beta, and its stop reasons, as ``run.json`` names
-# them.
-METHODS = {
-    "golden": ("golden_section", "ln-beta golden bracket from [beta_min, beta_max]",
-               "bracket < {tol} | noise-floor | budget ({max_iter} probes)"),
-    "parabolic": ("parabolic_interpolation",
-                  "ln-beta parabolic triple from [beta_min, beta_max], golden-safeguarded",
-                  "bracket < {tol} | converged | noise-floor | budget ({max_iter} probes)"),
-}
+# Per baseline method, the name of its optimizer in this module, read at
+# call time, so a replaced function such as a tracing wrapper runs.
+METHODS = {"golden": "golden_section", "parabolic": "parabolic_interpolation"}
 
 
 def _moments(g: np.ndarray) -> tuple[float, float]:

@@ -38,7 +38,7 @@ from . import baselines, config, diagnostics, driver, glm, problems
 from .errors import ConfigError, InsufficientData, NoEligibleGroups, RankDeficient, ScaleboError
 from .jsonio import from_json, is_number, write_csv, write_json
 
-RUN_SCHEMA = "scalebo-run/1"
+RUN_SCHEMA = "scalebo-run/2"
 
 
 @functools.cache
@@ -133,9 +133,7 @@ def _run_metadata(cfg: config.RunConfig, method: str, extra: dict) -> dict:
     return {
         "schema": RUN_SCHEMA,
         "method": method,
-        "seed": cfg.bo.seed,
         "problem": cfg.problem_section,
-        "problem_hash": cfg.problem_hash,
         "bo": cfg.bo,
         "baseline": cfg.baseline,
         **extra,
@@ -173,9 +171,8 @@ def cmd_baseline(args) -> int:
         mc_samples=cfg.baseline.mc_samples,
         seed=cfg.bo.seed,
     )
-    optimizer, bracketing, stopping = baselines.METHODS[cfg.baseline.method]
     start = time.perf_counter()
-    result = getattr(baselines, optimizer)(
+    result = getattr(baselines, baselines.METHODS[cfg.baseline.method])(
         objective,
         cfg.bo.bounds,
         tol=cfg.baseline.tol,
@@ -196,8 +193,6 @@ def cmd_baseline(args) -> int:
     })
     write_json(outdir / "run.json", _run_metadata(cfg, result.method, {
         "stop_reason": result.stop_reason,
-        "bracketing": bracketing,
-        "stopping": stopping.format(tol=cfg.baseline.tol, max_iter=cfg.baseline.max_iter),
     }))
     print(f"beta_hat = {result.beta_hat:g} "
           f"({result.evaluations_used} evaluations, stop: {result.stop_reason})")
@@ -205,15 +200,18 @@ def cmd_baseline(args) -> int:
 
 
 # The keys ``compare`` reads from each file of a run directory, with the
-# JSON values it accepts (a JSON boolean is a bool, not an int).
+# JSON values it accepts (a JSON boolean is a bool, not an int).  Only
+# ``flag`` may be absent, and then reads as null: a baseline run has none.
 _RUN_DIR_KEYS = {
     "run.json": {
-        "problem_hash": ("a string", lambda v: isinstance(v, str)),
+        "problem": ("an object", lambda v: isinstance(v, dict)),
         "method": ("a string", lambda v: isinstance(v, str)),
     },
     "estimate.json": {
         "evaluations": ("a positive integer", lambda v: type(v) is int and is_number(v) and v > 0),
         "wall_clock_seconds": ("a finite number >= 0", lambda v: is_number(v) and v >= 0),
+        "flag": ("null, unidentified, boundary-min or boundary-max",
+                 lambda v: v in (None, "unidentified", "boundary-min", "boundary-max")),
     },
 }
 
@@ -231,10 +229,12 @@ def _read_run_dir(run_dir: Path) -> tuple[dict, dict]:
             raise ConfigError(f"cannot read run directory {run_dir}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"malformed {path}: {exc}") from exc
-        if not (isinstance(doc, dict) and all(key in doc for key in keys)):
-            raise ConfigError(f"malformed {path}: expected a JSON object with {', '.join(keys)}")
+        required = [key for key in keys if key != "flag"]
+        if not (isinstance(doc, dict) and all(key in doc for key in required)):
+            raise ConfigError(f"malformed {path}: expected a JSON object with "
+                              f"{', '.join(required)}")
         for key, (expected, valid) in keys.items():
-            if not valid(doc[key]):
+            if not valid(doc.get(key)):
                 raise ConfigError(f"malformed {path}: {key} must be {expected}, "
                                   f"got {reprlib.repr(doc[key])}")
         docs.append(doc)
@@ -245,11 +245,11 @@ def cmd_compare(args) -> int:
     bo_dir, base_dir = Path(args.bo_dir), Path(args.baseline_dir)
     bo_run, bo_est = _read_run_dir(bo_dir)
     base_run, base_est = _read_run_dir(base_dir)
-    if bo_run["problem_hash"] != base_run["problem_hash"]:
-        raise ConfigError(
-            f"runs solve different problems: {bo_run['problem_hash'][:12]} "
-            f"vs {base_run['problem_hash'][:12]}"
-        )
+    problem, other = bo_run["problem"], base_run["problem"]
+    if problem != other:
+        differ = [key for key in sorted(problem.keys() | other.keys())
+                  if key not in problem or key not in other or problem[key] != other[key]]
+        raise ConfigError(f"runs solve different problems: they differ in {', '.join(differ)}")
     data_ratio = base_est["evaluations"] / bo_est["evaluations"]
     time_ratio = (
         base_est["wall_clock_seconds"] / bo_est["wall_clock_seconds"]
@@ -267,6 +267,9 @@ def cmd_compare(args) -> int:
     for row in [header, *rows]:
         print("  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row)))
     print("note: ratio = baseline / surrogate, rounded to one decimal.")
+    flag = bo_est.get("flag")
+    if flag is not None:
+        print(f"note: the surrogate answer is flagged {flag}; the baseline cannot detect a flag.")
     if outdir is not None:
         write_json(outdir / "comparison.json", {
             "surrogate": {"method": bo_run["method"], **bo_est},
@@ -275,7 +278,7 @@ def cmd_compare(args) -> int:
                 "data_points": round(data_ratio, 1),
                 "wall_clock_seconds": round(time_ratio, 1),
             },
-            "problem_hash": bo_run["problem_hash"],
+            "problem": problem,
         })
     return 0
 

@@ -12,7 +12,6 @@ default.  Given the same file and seed, a run is fully deterministic.
 from __future__ import annotations
 
 import functools
-import hashlib
 import inspect
 import json
 import reprlib
@@ -62,12 +61,6 @@ class RunConfig:
     problem: problems.ObjectiveProblem   # built once, from problem_section
     bo: BoConfig
     baseline: BaselineSettings
-
-    @property
-    def problem_hash(self) -> str:
-        """Stable content hash of the problem section (for run comparisons)."""
-        canonical = json.dumps(self.problem_section, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _split(section) -> tuple[str, dict]:

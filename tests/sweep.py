@@ -14,7 +14,8 @@ gives the runs, how many stop ``converged``, how many of those hit, and
 the median evaluations.  Above eps2 = 2 the evaluation count is bimodal,
 so those bands also give the share and median of runs below 100
 evaluations and of the rest.  The gamma rows are a report: the model is
-misspecified there.  Nothing here is a gate::
+misspecified there.  ``test_sweep.py`` gates the log-normal bands up to
+eps2 = 2 in tier-1; the rest of the table is a report::
 
     PYTHONPATH=src python tests/sweep.py
 """

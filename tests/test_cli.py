@@ -61,8 +61,11 @@ class TestOptimize:
         for name in ("trace.json", "trace.csv", "run.json"):
             assert (out / name).exists()
         run_doc = json.loads((out / "run.json").read_text())
-        assert run_doc["method"] == "surrogate-bo"
-        assert len(run_doc["problem_hash"]) == 64
+        # Each input once: the seed is bo.seed's, and no hash restates the problem.
+        assert list(run_doc) == ["schema", "method", "problem", "bo", "baseline",
+                                 "stop_reason", "flag"]
+        assert (run_doc["schema"], run_doc["method"]) == ("scalebo-run/2", "surrogate-bo")
+        assert run_doc["bo"]["seed"] == 11
 
     def test_optimum_below_bounds_is_flagged(self, tmp_path, capsys):
         # The calibrated optimum (101) lies below [200, 1000].  The config
@@ -203,8 +206,8 @@ class TestBaseline:
                          "--out", str(out)]) == 0
         run_doc = json.loads((out / "run.json").read_text())
         assert run_doc["stop_reason"] == stop_reason
-        assert stop_reason in run_doc["stopping"]
-        assert method in run_doc["bracketing"]
+        # The stop rules are the code's: run.json restates none of them.
+        assert list(run_doc) == ["schema", "method", "problem", "bo", "baseline", "stop_reason"]
 
     @pytest.mark.parametrize("method", ["golden", "parabolic"])
     def test_spent_budget_writes_all_artifacts(self, tmp_path, method):
@@ -219,7 +222,6 @@ class TestBaseline:
             "estimate.json", "probes.csv", "run.json", "trace.csv"]
         run_doc = json.loads((out / "run.json").read_text())
         assert run_doc["stop_reason"] == "budget"
-        assert "budget" in run_doc["stopping"]
         assert json.loads((out / "estimate.json").read_text())["evaluations"] == 5 * 1000
         assert len((out / "probes.csv").read_text().splitlines()) == 1 + 5
 
@@ -268,13 +270,14 @@ class TestCompare:
     @pytest.mark.parametrize("name,edit", [
         ("run.json", lambda doc: "{not json"),
         ("run.json", lambda doc: "[]"),
-        ("run.json", lambda doc: json.dumps({k: v for k, v in doc.items() if k != "problem_hash"})),
+        ("run.json", lambda doc: json.dumps({k: v for k, v in doc.items() if k != "problem"})),
         ("run.json", lambda doc: json.dumps({k: v for k, v in doc.items() if k != "method"})),
         ("estimate.json",
          lambda doc: json.dumps({k: v for k, v in doc.items() if k != "evaluations"})),
         ("estimate.json",
          lambda doc: json.dumps({k: v for k, v in doc.items() if k != "wall_clock_seconds"})),
-        ("run.json", lambda doc: json.dumps({**doc, "problem_hash": 7})),
+        ("run.json", lambda doc: json.dumps({**doc, "problem": "synthetic-powerlaw"})),
+        ("run.json", lambda doc: json.dumps({**doc, "problem": [doc["problem"]]})),
         ("run.json", lambda doc: json.dumps({**doc, "method": None})),
         ("estimate.json", lambda doc: json.dumps({**doc, "evaluations": 0})),
         ("estimate.json", lambda doc: json.dumps({**doc, "evaluations": "12"})),
@@ -286,11 +289,14 @@ class TestCompare:
         ("estimate.json", lambda doc: json.dumps({**doc, "wall_clock_seconds": float("nan")})),
         ("estimate.json", lambda doc: json.dumps({**doc, "evaluations": 10**400})),
         ("estimate.json", lambda doc: json.dumps({**doc, "wall_clock_seconds": 10**400})),
-    ], ids=["not-json", "not-an-object", "no-problem-hash", "no-method", "no-evaluations",
-            "no-wall-clock", "hash-not-string", "method-not-string", "zero-evaluations",
+        ("estimate.json", lambda doc: json.dumps({**doc, "flag": "boundary"})),
+        ("estimate.json", lambda doc: json.dumps({**doc, "flag": False})),
+    ], ids=["not-json", "not-an-object", "no-problem", "no-method", "no-evaluations",
+            "no-wall-clock", "problem-a-string", "problem-a-list", "method-not-string",
+            "zero-evaluations",
             "string-evaluations", "float-evaluations", "bool-evaluations", "negative-wall-clock",
             "string-wall-clock", "bool-wall-clock", "nan-wall-clock", "huge-evaluations",
-            "huge-wall-clock"])
+            "huge-wall-clock", "unknown-flag", "bool-flag"])
     def test_malformed_run_dir_exits_2(self, tmp_path, config_path, capsys, name, edit):
         bo = tmp_path / "bo"
         assert cli.main(["optimize", "--config", str(config_path), "--out", str(bo)]) == 0
@@ -324,7 +330,36 @@ class TestCompare:
         base = tmp_path / "base"
         assert cli.main(["baseline", "--config", str(other_cfg), "--out", str(base)]) == 0
         assert cli.main(["compare", str(bo), str(base)]) == 2
-        assert "different problems" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: runs solve different problems: they differ in a, beta_opt, eps2\n")
+
+    def test_problems_of_two_kinds_name_every_key(self, tmp_path, config_path, capsys):
+        # A key that one section lacks differs too.
+        bo = tmp_path / "bo"
+        assert cli.main(["optimize", "--config", str(config_path), "--out", str(bo)]) == 0
+        run_doc = json.loads((bo / "run.json").read_text())
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "estimate.json").write_bytes((bo / "estimate.json").read_bytes())
+        (other / "run.json").write_text(json.dumps({**run_doc, "problem": {
+            "kind": "gamma-noise", "a": -0.58, "ln_b": 0.0, "s0": 0.1, "shape": 4.0}}))
+        assert cli.main(["compare", str(bo), str(other)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "they differ in beta_opt, eps2, kind, s0, shape\n")
+
+    def test_earlier_run_schema_compares(self, tmp_path, config_path):
+        # A scalebo-run/1 run.json also held the seed, the problem's hash and
+        # the baseline's stop rules in words; compare reads its problem.
+        bo, base = tmp_path / "bo", tmp_path / "base"
+        assert cli.main(["optimize", "--config", str(config_path), "--out", str(bo)]) == 0
+        assert cli.main(["baseline", "--config", str(config_path), "--out", str(base)]) == 0
+        run_doc = json.loads((base / "run.json").read_text())
+        (base / "run.json").write_text(json.dumps({
+            **run_doc, "schema": "scalebo-run/1", "seed": 11, "problem_hash": "0" * 64,
+            "bracketing": "ln-beta golden bracket", "stopping": "bracket | budget"}))
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", str(bo), str(base), "--out", str(out)]) == 0
+        assert strict_json(out / "comparison.json")["problem"] == run_doc["problem"]
 
     def test_spellings_of_one_problem_compare(self, tmp_path):
         # ln_b written as 0 or 0.0, the default shape left out or written.
@@ -338,6 +373,33 @@ class TestCompare:
         assert cli.main(["optimize", "--config", str(one), "--out", str(bo_dir)]) == 0
         assert cli.main(["baseline", "--config", str(two), "--out", str(base_dir)]) == 0
         assert cli.main(["compare", str(bo_dir), str(base_dir)]) == 0
+
+    @pytest.mark.parametrize("problem,flagged", [
+        ({"kind": "synthetic-powerlaw", "a": 0.0, "ln_b": 0.0, "eps2": 0.0, "s0": 1.0},
+         "unidentified"),
+        ({"kind": "synthetic-powerlaw", "a": -0.58, "ln_b": 0.0, "eps2": 0.25, "beta_opt": 101.0},
+         None),
+    ], ids=["constant-statistic", "calibrated"])
+    def test_flagged_answer_is_noted(self, tmp_path, capsys, problem, flagged):
+        # The constant statistic at its target has no optimum: optimize ends
+        # unidentified with no estimate, while golden section still reports
+        # one, which it cannot tell from a found optimum.
+        path = write_config(tmp_path / "run.json", seed=1, problem=problem,
+                            baseline={"mc_samples": 64})
+        bo, base, out = tmp_path / "bo", tmp_path / "base", tmp_path / "cmp"
+        assert cli.main(["optimize", "--config", str(path), "--out", str(bo)]) == 0
+        assert cli.main(["baseline", "--config", str(path), "--out", str(base)]) == 0
+        capsys.readouterr()
+        assert cli.main(["compare", str(bo), str(base), "--out", str(out)]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines() if "flag" in line]
+        assert strict_json(out / "comparison.json")["surrogate"]["flag"] == flagged
+        if flagged is None:
+            assert notes == []
+        else:
+            assert notes == [f"note: the surrogate answer is flagged {flagged}; "
+                             "the baseline cannot detect a flag."]
+            assert strict_json(bo / "estimate.json")["beta_hat"] is None
+            assert strict_json(base / "estimate.json")["beta_hat"] is not None
 
 
 @pytest.mark.parametrize("command", ["optimize", "baseline"])

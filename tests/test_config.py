@@ -189,7 +189,8 @@ class TestProblemErrors:
 
 class TestProblemSection:
     """A run's problem section, ``run.json``'s ``problem``, is its builder's
-    bound arguments: spellings of one problem share it, and so its hash."""
+    bound arguments: spellings of one problem share it, and so ``compare``
+    accepts their runs as one problem's."""
 
     def test_defaults_are_applied_and_numbers_are_floats(self):
         section = config.parse_config(doc(problem={"kind": "gamma-noise", "a": -1, "ln_b": 0,
@@ -219,7 +220,7 @@ class TestProblemSection:
             assert cli.main(["optimize", "--config", str(path), "--out", str(tmp / name)]) == 0
             run = json.loads((tmp / name / "run.json").read_text())
             trace = json.loads((tmp / name / "trace.json").read_text())
-            runs.append((run["problem"], run["problem_hash"], trace["config"]["s0"],
+            runs.append((run["problem"], trace["config"]["s0"],
                          (tmp / name / "trace.csv").read_bytes()))
             section = run["problem"]
         assert runs[0] == runs[1]

@@ -290,12 +290,15 @@ def test_package_and_run_commands_load_no_scipy(tmp_path):
     assert loaded == [], f"SciPy modules loaded: {loaded[:10]} ({len(loaded)} in all)"
 
 
-def test_import_loads_no_numpy_random():
+def test_import_loads_no_numpy_random_or_hashlib():
     # numpy loads numpy.random on first use; a run needs it, an import
     # does not, and loading it costs about 25 ms of every cold start.
+    # hashlib (and OpenSSL with it) is loaded by numpy.random only: compare,
+    # diagnose and fixture export never need it.
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, scalebo, scalebo.cli; print('numpy.random' in sys.modules)"],
+        [sys.executable, "-c", "import sys, scalebo, scalebo.cli; "
+         "print('numpy.random' in sys.modules, 'hashlib' in sys.modules)"],
         env=child_env(), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
+    assert done.stdout.split() == ["False", "False"]
