@@ -241,6 +241,13 @@ def _read_run_dir(run_dir: Path) -> tuple[dict, dict]:
     return docs[0], docs[1]
 
 
+def _ratio_cell(ratio: float) -> str:
+    """A ratio at one decimal, or at two significant digits where one
+    decimal reads 0.0."""
+    cell = f"{ratio:.1f}"
+    return f"{ratio:#.2g}" if cell == "0.0" else cell
+
+
 def cmd_compare(args) -> int:
     bo_dir, base_dir = Path(args.bo_dir), Path(args.baseline_dir)
     bo_run, bo_est = _read_run_dir(bo_dir)
@@ -257,16 +264,17 @@ def cmd_compare(args) -> int:
         else float("inf")
     )
     rows = [
-        ("data_points", bo_est["evaluations"], base_est["evaluations"], f"{data_ratio:.1f}"),
+        ("data_points", bo_est["evaluations"], base_est["evaluations"], _ratio_cell(data_ratio)),
         ("wall_clock_seconds", f"{bo_est['wall_clock_seconds']:.3f}",
-         f"{base_est['wall_clock_seconds']:.3f}", f"{time_ratio:.1f}"),
+         f"{base_est['wall_clock_seconds']:.3f}", _ratio_cell(time_ratio)),
     ]
     outdir = _out_dir(args.out) if args.out else None
     header = ("metric", bo_run["method"], base_run["method"], "ratio")
     widths = [max(len(str(row[i])) for row in [header, *rows]) for i in range(4)]
     for row in [header, *rows]:
         print("  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row)))
-    print("note: ratio = baseline / surrogate, rounded to one decimal.")
+    print("note: ratio = baseline / surrogate, rounded to one decimal, "
+          "or to two significant digits where one decimal reads 0.0.")
     flag = bo_est.get("flag")
     if flag is not None:
         print(f"note: the surrogate answer is flagged {flag}; the baseline cannot detect a flag.")

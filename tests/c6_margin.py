@@ -6,7 +6,9 @@ C6 (``test_acceptance.py``) asks for agreement on at least 18 of seeds
 decisions, so a change that moves them should report how far from that
 threshold it lands.  This script counts the agreeing seeds of 0-59 with
 C6's own per-seed check (``test_acceptance.c6_agrees``), in blocks of 20,
-the first block being C6's::
+the first block being C6's, and prints each block's agreement seed by seed
+as a string of 0s and 1s beside its count, so that the outputs of two
+trees can be diffed seed by seed::
 
     PYTHONPATH=src python tests/c6_margin.py
 
@@ -23,15 +25,15 @@ BLOCKS = (range(0, 20), range(20, 40), range(40, 60))
 
 def main() -> None:
     prob = problems.srom_standin()
-    total = 0
+    every = ""
     for seeds in BLOCKS:
         start = time.perf_counter()
-        agree = sum(c6_agrees(prob, seed) for seed in seeds)
-        total += agree
-        print(f"seeds {seeds.start}-{seeds.stop - 1}: {agree}/{len(seeds)} agree "
-              f"({time.perf_counter() - start:.0f} s)", flush=True)
-    seen = sum(len(seeds) for seeds in BLOCKS)
-    print(f"seeds {BLOCKS[0].start}-{BLOCKS[-1].stop - 1}: {total}/{seen} agree")
+        agrees = "".join("1" if c6_agrees(prob, seed) else "0" for seed in seeds)
+        every += agrees
+        print(f"seeds {seeds.start}-{seeds.stop - 1}: {agrees.count('1')}/{len(seeds)} agree "
+              f"{agrees} ({time.perf_counter() - start:.0f} s)", flush=True)
+    print(f"seeds {BLOCKS[0].start}-{BLOCKS[-1].stop - 1}: {every.count('1')}/{len(every)} agree "
+          f"{every}")
 
 
 if __name__ == "__main__":

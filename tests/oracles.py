@@ -12,7 +12,9 @@ package, so whole runs can be compared as well.
 basis and solutions through LAPACK, as ``problems.build_static_fixture``
 once did, for its closed form to be checked against.
 :func:`srom_statistic` is ``problems.srom_standin``'s statistic written
-as its formula, with the temporaries the package's version saves.
+as its formula, with the temporaries the package's version saves, and
+:func:`srom_statistic_scaled` the same Galerkin solution on the scaled
+basis of the statistic's definition, which spans the same subspace.
 :func:`probe_moments` is the mean and standard error of a Monte-Carlo
 probe through numpy's ``mean`` and ``std``, the reference for
 ``baselines._moments``.
@@ -280,8 +282,24 @@ def solve_fixed_ends(k_mat, force):
 
 
 def srom_statistic(beta, rng):
-    """``||A q - x_rom||`` on the perturbed basis ``A = V + G / sqrt(beta)``,
-    ``q`` the Galerkin coordinates, all in the stiffness eigenbasis."""
+    """``||A q - x_rom||`` on the perturbed basis ``A = G + sqrt(beta) V``,
+    ``q`` the Galerkin coordinates, all in the stiffness eigenbasis.
+    ``A^T f`` sums over the rows up to the last nonzero of ``f_hdm``, as the
+    package does: a sum over all rows adds its zeros in another order."""
+    modal = problems._modal_system()
+    lam, f_hdm, x_rom = modal["eigvals"], modal["f_hdm"], modal["x_rom"]
+    n, m = lam.size, problems.ROM_DIM
+    basis = rng.standard_normal((n, m)) + math.sqrt(beta) * np.eye(n, m)
+    reduced = (basis * lam[:, None]).T @ basis
+    rows = np.flatnonzero(f_hdm)[-1] + 1
+    q = np.linalg.solve(reduced, basis[:rows].T @ f_hdm[:rows])
+    return float(np.linalg.norm(basis @ q - x_rom))
+
+
+def srom_statistic_scaled(beta, rng):
+    """:func:`srom_statistic` on the scaled basis ``V + G / sqrt(beta)`` of
+    the statistic's definition, which spans what ``G + sqrt(beta) V`` spans,
+    with ``A^T f`` over every row: equal to it up to rounding."""
     modal = problems._modal_system()
     lam, f_hdm, x_rom = modal["eigvals"], modal["f_hdm"], modal["x_rom"]
     n, m = lam.size, problems.ROM_DIM

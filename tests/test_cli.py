@@ -257,6 +257,29 @@ class TestCompare:
         doc = json.loads((out / "comparison.json").read_text())
         assert doc["ratios"]["data_points"] == 1.0
 
+    def test_small_ratio_shows_two_significant_digits(self, tmp_path, capsys):
+        # One decimal would print both ratios as 0.0; comparison.json keeps it.
+        problem = {"kind": "srom-standin"}
+        runs = {"bo": ("bo", 400, 0.5), "base": ("golden", 12, 0.02)}
+        for name, (method, evaluations, wall) in runs.items():
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "run.json").write_text(
+                json.dumps({"method": method, "problem": problem}))
+            (tmp_path / name / "estimate.json").write_text(
+                json.dumps({"evaluations": evaluations, "wall_clock_seconds": wall}))
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", str(tmp_path / "bo"), str(tmp_path / "base"),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "metric              bo     golden  ratio",
+            "data_points         400    12      0.030",
+            "wall_clock_seconds  0.500  0.020   0.040",
+            "note: ratio = baseline / surrogate, rounded to one decimal, "
+            "or to two significant digits where one decimal reads 0.0.",
+        ]
+        assert strict_json(out / "comparison.json")["ratios"] == {
+            "data_points": 0.0, "wall_clock_seconds": 0.0}
+
     def test_missing_run_json_exits_2(self, tmp_path, config_path, capsys):
         bo = tmp_path / "bo"
         assert cli.main(["optimize", "--config", str(config_path), "--out", str(bo)]) == 0

@@ -534,7 +534,7 @@ class TestSromStandin:
     @pytest.mark.parametrize("beta", [1e-2, 1.0, 1e3, 1e6, 3e7, 8e7, 1e9])
     def test_galerkin_solve_matches_orthonormalized_basis(self, prob, beta):
         # The Galerkin solution depends only on the span of the perturbed
-        # basis, so solving on V + G / sqrt(beta) directly must reproduce
+        # basis, so solving on G + sqrt(beta) V directly must reproduce
         # the QR-orthonormalized route on the same normal draw.
         modal = problems._modal_system()
         lam, f_eig, x_rom_eig = modal["eigvals"], modal["f_hdm"], modal["x_rom"]
@@ -553,6 +553,16 @@ class TestSromStandin:
         beta = math.exp(ln_beta)
         got = prob.evaluate_statistic(beta, np.random.default_rng(seed))
         assert got == oracles.srom_statistic(beta, np.random.default_rng(seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(ln_beta=st.floats(math.log(3e7), math.log(8e7)), seed=st.integers(0, 2**32 - 1))
+    def test_span_form_matches_the_scaled_basis(self, prob, ln_beta, seed):
+        # G + sqrt(beta) V spans what V + G / sqrt(beta) spans, so over C6's
+        # bounds the statistic keeps the scaled form's value to rounding.
+        beta = math.exp(ln_beta)
+        got = prob.evaluate_statistic(beta, np.random.default_rng(seed))
+        want = oracles.srom_statistic_scaled(beta, np.random.default_rng(seed))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_statistic_finite_nonnegative_in_window(self, prob):
         rng = np.random.default_rng(2)
